@@ -25,7 +25,7 @@ from .field import (
 )
 from .funcs import FnSpec, FnTable, build_function, delta_table, hamming_distance, image_size, is_pn, load_table, save_table, translate
 from .space import PointVector, SpaceBasis, decompose_over_fp, dot, standard_basis
-from .spectrum import Character, SpectrumReport, crosscheck_pn_bent, is_bent_exact, walsh_exact, walsh_exact_all, walsh_fast_all
+from .spectrum import Character, FastBentVerdict, SpectrumReport, crosscheck_pn_bent, is_bent_exact, is_bent_fast, walsh_exact, walsh_exact_all, walsh_fast_all
 from .salem import PointSet, SalemReport, graph_of, indicator_ft_abs_sq, salem_constant, verify_theorem1
 from .decomp import BaseDeltaSet, DecompPlan, base_deltas, identity_suite, reconstruct_delta, verify_decomposition
 from .mindist import DistanceMatrix, PerturbationReport, pairwise_min_distance, perturb, perturbation_sweep, planarity_witness
@@ -41,6 +41,7 @@ __all__ = [
     "DecompPlan",
     "DistanceMatrix",
     "FFSpectraError",
+    "FastBentVerdict",
     "FieldElement",
     "FieldParams",
     "FnSpec",
@@ -70,6 +71,7 @@ __all__ = [
     "image_size",
     "indicator_ft_abs_sq",
     "is_bent_exact",
+    "is_bent_fast",
     "is_pn",
     "list_entries",
     "load_table",

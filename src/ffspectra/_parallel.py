@@ -12,6 +12,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import BadThreadCount
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -22,7 +24,12 @@ def resolve_threads(requested: int | None) -> int:
     if requested is not None:
         return max(1, int(requested))
     raw = os.environ.get(ENV_THREADS, "").strip()
-    return max(1, int(raw)) if raw else 1
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise BadThreadCount(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
 
 
 def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:

@@ -26,17 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import _parallel
-from .catalog import get_function, list_entries, splitmix64
+from .catalog import get_function, list_entries
 from .decomp import verify_decomposition
 from .errors import (
     FFSpectraError,
@@ -52,16 +48,12 @@ from .salem import SalemReport, graph_of, salem_report, verify_theorem1
 from .space import PointVector, SpaceBasis, standard_basis
 from .spectrum import (
     BentWitness,
+    FastBentWitness,
     crosscheck_pn_bent,
-    exact_cell,
     is_bent_exact,
+    is_bent_fast,
     spectrum_report,
-    walsh_fast_all,
 )
-
-_SPOT_SEED = 0x5BD1E995
-_SPOT_BUDGET = 1 << 26
-_FAST_REL_TOL = 1e-9
 
 
 class UsageError(Exception):
@@ -88,36 +80,15 @@ def _emit(args, name: str, text: str) -> None:
         _write_text(Path(args.emit) / name, text)
 
 
-def _print(text: str) -> None:
+def _output(args, name: str, payload: dict) -> None:
+    """Print the canonical JSON payload and write the same bytes to --emit."""
+    text = canonical_json(payload)
     sys.stdout.write(text)
+    _emit(args, name, text)
 
 
 # ---------------------------------------------------------------------------
 # Config resolution.
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output, in echoable form."""
-
-    p: int
-    ell: int
-    modulus: tuple[int, ...]
-    d: int
-    source: dict
-    fmt: str
-    mode: str
-
-    def echo(self) -> dict:
-        return {
-            "p": self.p,
-            "ell": self.ell,
-            "modulus": list(self.modulus),
-            "d": self.d,
-            "source": self.source,
-            "format": self.fmt,
-            "mode": self.mode,
-        }
 
 
 def _parse_params_arg(text: str | None) -> dict[str, int]:
@@ -177,20 +148,19 @@ def _mode(args) -> str:
     return "fast" if getattr(args, "fast", False) else "exact"
 
 
-def _run_config(f: FnTable, source: dict, args) -> RunConfig:
-    return RunConfig(
-        f.params.p,
-        f.params.ell,
-        tuple(f.params.modulus),
-        f.d,
-        source,
-        getattr(args, "format", "json"),
-        _mode(args),
-    )
+def _field_json(params: FieldParams) -> dict:
+    return {"p": params.p, "ell": params.ell, "modulus": list(params.modulus)}
 
 
-def _threads(args) -> int:
-    return _parallel.resolve_threads(args.threads)
+def _run_config(f: FnTable, source: dict, args) -> dict:
+    """Everything that determines a run's output, in echoable form."""
+    return {
+        **_field_json(f.params),
+        "d": f.d,
+        "source": source,
+        "format": getattr(args, "format", "json"),
+        "mode": _mode(args),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +173,7 @@ def _pn_witness_json(w: PnWitness | None) -> dict | None:
     return {"a_index": w.a.index, "value_index": w.value.index, "count": w.count}
 
 
-def _bent_witness_json(w: BentWitness | None) -> dict | None:
+def _bent_witness_json(w: BentWitness | FastBentWitness | None) -> dict | None:
     if w is None:
         return None
     return {
@@ -249,127 +219,65 @@ def _salem_csv(report: SalemReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fast bent path with exact spot checks.
-
-
-def _spot_count(n_points: int, d: int) -> int:
-    by_fraction = max(1, n_points // 100)
-    by_budget = max(1, _SPOT_BUDGET // max(n_points * (d + 1), 1))
-    return min(256, by_fraction, by_budget)
-
-
-def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
-    """Exactly recompute a deterministic sample of cells; return (sampled, bad)."""
-    n = f.n_points
-    k = _spot_count(n, f.d)
-    bad = 0
-    for i in range(k):
-        m_index = splitmix64(_SPOT_SEED ^ u_index, i) % n
-        z = exact_cell(f, u_index, m_index).abs_sq()
-        exact_int = z.as_integer()
-        exact_val = float(exact_int) if exact_int is not None else z.to_complex().real
-        root = math.sqrt(max(exact_val, 0.0))
-        if abs(float(mags[m_index]) - root) > _FAST_REL_TOL * max(root, 1.0):
-            bad += 1
-    return k, bad
-
-
-def _fast_bent(f: FnTable) -> tuple[bool, dict | None, dict]:
-    """Float verdict: every |S|^2 equals q^d within tolerance (exact for p=2)."""
-    params = f.params
-    target = float(f.n_points)
-    witness: dict | None = None
-    sampled = mismatches = 0
-    for u_index in range(1, params.q):
-        mags = walsh_fast_all(f, params.from_index(u_index))
-        k, bad = _spot_check(f, u_index, mags)
-        sampled += k
-        mismatches += bad
-        sq = mags * mags
-        if params.p == 2:
-            failing = np.nonzero(np.rint(sq) != target)[0]
-        else:
-            failing = np.nonzero(np.abs(sq - target) > 1e-6 * target)[0]
-        if witness is None and failing.size:
-            m = int(failing[0])
-            witness = {
-                "u_index": u_index,
-                "m_index": m,
-                "abs_sq_int": None,
-                "abs_sq_float": float(sq[m]),
-            }
-    spots = {"sampled": sampled, "mismatches": mismatches}
-    return witness is None, witness, spots
-
-
-# ---------------------------------------------------------------------------
 # Command handlers.
 
 
 def _cmd_test_pn(args) -> int:
     f, source = _resolve_function(args)
-    verdict = is_pn(f, threads=_threads(args))
+    verdict = is_pn(f, threads=args.threads)
     report = {
         "command": "test pn",
-        "config": _run_config(f, source, args).echo(),
+        "config": _run_config(f, source, args),
         "verdict": verdict.verdict,
         "witness": _pn_witness_json(verdict.witness),
     }
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "pn.json", text)
+    _output(args, "pn.json", report)
     return 0 if verdict.is_pn else 1
 
 
 def _cmd_test_bent(args) -> int:
     f, source = _resolve_function(args)
-    config = _run_config(f, source, args).echo()
     report = {
         "command": "test bent",
-        "config": config,
+        "config": _run_config(f, source, args),
         "target_abs_sq": f.n_points,
     }
     if _mode(args) == "fast":
-        ok, witness, spots = _fast_bent(f)
-        report["verdict"] = "bent" if ok else "not_bent"
-        report["witness"] = witness
-        report["spot_checks"] = spots
-        code = 0 if ok and spots["mismatches"] == 0 else 1
+        fast = is_bent_fast(f)
+        report["spot_checks"] = {"sampled": fast.sampled, "mismatches": fast.mismatches}
+        verdict, ok = fast, fast.certified
     else:
-        verdict = is_bent_exact(f, threads=_threads(args))
-        report["verdict"] = verdict.verdict
-        report["witness"] = _bent_witness_json(verdict.witness)
-        code = 0 if verdict.is_bent else 1
+        verdict = is_bent_exact(f, threads=args.threads)
+        ok = verdict.is_bent
         if args.emit is not None:
             for u_index in range(1, f.params.q):
                 rep = spectrum_report(f, f.params.from_index(u_index))
                 _emit(args, f"spectrum_u{u_index}.csv", _spectrum_csv(f.params, f.d, rep.rows))
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "bent.json", text)
-    return code
+    report["verdict"] = verdict.verdict
+    report["witness"] = _bent_witness_json(verdict.witness)
+    _output(args, "bent.json", report)
+    return 0 if ok else 1
 
 
 def _cmd_crosscheck(args) -> int:
     f, source = _resolve_function(args)
-    result = crosscheck_pn_bent(f, threads=_threads(args))
+    result = crosscheck_pn_bent(f, threads=args.threads)
     report = {
         "command": "crosscheck",
-        "config": _run_config(f, source, args).echo(),
+        "config": _run_config(f, source, args),
         "pn": result.pn.verdict,
         "bent": result.bent.verdict,
         "agree": result.agree,
         "pn_witness": _pn_witness_json(result.pn.witness),
         "bent_witness": _bent_witness_json(result.bent.witness),
     }
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "crosscheck.json", text)
+    _output(args, "crosscheck.json", report)
     return 0 if result.agree else 1
 
 
-def _salem_json(command: str, config: dict, report: SalemReport, extra: dict | None = None) -> dict:
-    out = {
+def _salem_output(args, command: str, config: dict, report: SalemReport) -> None:
+    """Print the JSON or CSV report per --format; --emit gets both."""
+    payload = {
         "command": command,
         "config": config,
         "q": report.params.q,
@@ -381,15 +289,9 @@ def _salem_json(command: str, config: dict, report: SalemReport, extra: dict | N
         "theorem1_pass": report.theorem1_pass,
         "wall_time": None,
     }
-    if extra:
-        out.update(extra)
-    return out
-
-
-def _salem_output(args, payload: dict, report: SalemReport) -> None:
     json_text = canonical_json(payload)
     csv_text = _salem_csv(report)
-    _print(csv_text if args.format == "csv" else json_text)
+    sys.stdout.write(csv_text if args.format == "csv" else json_text)
     _emit(args, "salem.json", json_text)
     _emit(args, "salem.csv", csv_text)
 
@@ -397,16 +299,15 @@ def _salem_output(args, payload: dict, report: SalemReport) -> None:
 def _cmd_salem_report(args) -> int:
     f, source = _resolve_function(args)
     report = salem_report(graph_of(f))
-    payload = _salem_json("salem report", _run_config(f, source, args).echo(), report)
-    _salem_output(args, payload, report)
+    _salem_output(args, "salem report", _run_config(f, source, args), report)
     return 0
 
 
 def _cmd_salem_verify(args) -> int:
     f, source = _resolve_function(args)
-    config = _run_config(f, source, args).echo()
+    config = _run_config(f, source, args)
     try:
-        report = verify_theorem1(f, threads=_threads(args))
+        report = verify_theorem1(f, threads=args.threads)
     except HypothesisFailed as exc:
         payload = {
             "command": "salem verify-thm1",
@@ -415,11 +316,9 @@ def _cmd_salem_verify(args) -> int:
             "detail": str(exc),
             "witness": _bent_witness_json(getattr(exc, "witness", None)),
         }
-        _print(canonical_json(payload))
-        _emit(args, "salem.json", canonical_json(payload))
+        _output(args, "salem.json", payload)
         return 1
-    payload = _salem_json("salem verify-thm1", config, report)
-    _salem_output(args, payload, report)
+    _salem_output(args, "salem verify-thm1", config, report)
     return 0 if report.theorem1_pass else 1
 
 
@@ -440,20 +339,18 @@ def _parse_basis(args, f: FnTable) -> tuple[SpaceBasis, list[int]]:
 def _cmd_decomp_verify(args) -> int:
     f, source = _resolve_function(args)
     basis, basis_indices = _parse_basis(args, f)
-    verdict = verify_decomposition(f, basis, threads=_threads(args))
+    verdict = verify_decomposition(f, basis, threads=args.threads)
     report = {
         "command": "decomp verify",
-        "config": _run_config(f, source, args).echo(),
-        "field": {"p": f.params.p, "ell": f.params.ell, "modulus": list(f.params.modulus)},
+        "config": _run_config(f, source, args),
+        "field": _field_json(f.params),
         "d": f.d,
         "basis": basis_indices,
         "shifts_checked": verdict.shifts_checked,
         "pass": verdict.passed,
         "failing_a": None if verdict.failing_a is None else verdict.failing_a.index,
     }
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "decomp.json", text)
+    _output(args, "decomp.json", report)
     return 0 if verdict.passed else 1
 
 
@@ -466,10 +363,9 @@ def _source_label(source: dict) -> str:
 
 def _cmd_mindist_sweep(args) -> int:
     f, source = _resolve_function(args)
-    config = _run_config(f, source, args).echo()
-    field_desc = {"p": f.params.p, "ell": f.params.ell, "modulus": list(f.params.modulus)}
+    config = _run_config(f, source, args)
     try:
-        report = perturbation_sweep(f, threads=_threads(args))
+        report = perturbation_sweep(f, threads=args.threads)
     except NotPlanarBase as exc:
         payload = {
             "command": "mindist sweep",
@@ -478,8 +374,7 @@ def _cmd_mindist_sweep(args) -> int:
             "detail": str(exc),
             "witness": _pn_witness_json(getattr(exc, "witness", None)),
         }
-        _print(canonical_json(payload))
-        _emit(args, "sweep.json", canonical_json(payload))
+        _output(args, "sweep.json", payload)
         return 1
     samples = [
         {
@@ -492,7 +387,7 @@ def _cmd_mindist_sweep(args) -> int:
     payload = {
         "command": "mindist sweep",
         "config": config,
-        "field": field_desc,
+        "field": _field_json(f.params),
         "base_fn": _source_label(source),
         "scope": report.scope,
         "pairs_tested": report.pairs_tested,
@@ -500,9 +395,7 @@ def _cmd_mindist_sweep(args) -> int:
         "sample_witnesses": samples,
         "wall_time": None,
     }
-    text = canonical_json(payload)
-    _print(text)
-    _emit(args, "sweep.json", text)
+    _output(args, "sweep.json", payload)
     if report.scope == "theorem" and report.planar_found > 0:
         return 1
     return 0
@@ -521,21 +414,18 @@ def _cmd_mindist_pairwise(args) -> int:
             "error": "not_planar_entry",
             "detail": str(exc),
         }
-        _print(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload))
         return 1
-    params = fns[0].params
     report = {
         "command": "mindist pairwise",
-        "field": {"p": params.p, "ell": params.ell, "modulus": list(params.modulus)},
+        "field": _field_json(fns[0].params),
         "d": fns[0].d,
         "labels": list(matrix.labels),
         "matrix": [list(row) for row in matrix.matrix],
         "min_distance": matrix.min_distance,
         "duplicates": [list(pair) for pair in matrix.duplicates],
     }
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "pairwise.json", text)
+    _output(args, "pairwise.json", report)
     if matrix.min_distance is not None and matrix.min_distance < 2:
         return 1
     return 0
@@ -551,24 +441,13 @@ def _cmd_catalog_list(args) -> int:
         }
         for e in list_entries()
     ]
-    text = canonical_json({"command": "catalog list", "entries": entries})
-    _print(text)
-    _emit(args, "catalog.json", text)
+    _output(args, "catalog.json", {"command": "catalog list", "entries": entries})
     return 0
 
 
 def _cmd_field_info(args) -> int:
     params = _resolve_field(args)
-    report = {
-        "command": "field info",
-        "p": params.p,
-        "ell": params.ell,
-        "q": params.q,
-        "modulus": list(params.modulus),
-    }
-    text = canonical_json(report)
-    _print(text)
-    _emit(args, "field.json", text)
+    _output(args, "field.json", {"command": "field info", "q": params.q, **_field_json(params)})
     return 0
 
 
@@ -609,14 +488,13 @@ def _add_run_opts(p: argparse.ArgumentParser) -> None:
     mode.add_argument("--exact", action="store_true", help="exact cyclotomic path (default)")
 
 
-def _leaf(sub, name: str, handler, field=True, function=True, run=True, **kwargs):
+def _leaf(sub, name: str, handler, field=True, function=True, **kwargs):
     p = sub.add_parser(name, **kwargs)
     if field:
         _add_field_opts(p)
     if function:
         _add_function_opts(p)
-    if run:
-        _add_run_opts(p)
+    _add_run_opts(p)
     p.set_defaults(handler=handler)
     return p
 
@@ -660,16 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     catalog = sub.add_parser("catalog", help="built-in families")
     catalog_sub = catalog.add_subparsers(dest="what", required=True)
-    cl = catalog_sub.add_parser("list", help="list entries and verified expectations")
-    _add_run_opts(cl)
-    cl.set_defaults(handler=_cmd_catalog_list)
+    _leaf(catalog_sub, "list", _cmd_catalog_list, field=False, function=False,
+          help="list entries and verified expectations")
 
     field = sub.add_parser("field", help="field construction")
     field_sub = field.add_subparsers(dest="what", required=True)
-    fi = field_sub.add_parser("info", help="resolved parameters for --p/--ell/--modulus")
-    _add_field_opts(fi)
-    _add_run_opts(fi)
-    fi.set_defaults(handler=_cmd_field_info)
+    _leaf(field_sub, "info", _cmd_field_info, function=False,
+          help="resolved parameters for --p/--ell/--modulus")
 
     return root
 
@@ -692,16 +567,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code = args.handler(args)
-    except UsageError as exc:
-        print(f"ffspectra: error: {exc}", file=sys.stderr)
-        return 2
-    except (PropertyMismatch,) as exc:
+    except PropertyMismatch as exc:
         print(f"ffspectra: check failed: {exc}", file=sys.stderr)
         return 1
-    except FFSpectraError as exc:
-        print(f"ffspectra: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, FFSpectraError, OSError) as exc:
         print(f"ffspectra: error: {exc}", file=sys.stderr)
         return 2
     print(f"wall_time_s={time.perf_counter() - started:.3f}", file=sys.stderr)

@@ -389,10 +389,6 @@ def vec_sub(params: FieldParams, a, b) -> np.ndarray:
     return _modp.sub_indices(a, b, params.p, params.ell)
 
 
-def vec_neg(params: FieldParams, a) -> np.ndarray:
-    return _modp.neg_indices(a, params.p, params.ell)
-
-
 @lru_cache(maxsize=None)
 def _overflow_matrix(params: FieldParams) -> np.ndarray:
     m = np.array(params._overflow_rows, dtype=np.int64).reshape(

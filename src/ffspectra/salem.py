@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector
-from .spectrum import _abs_sq_table, _abs_sq_views, _exact_coeff_rows
+from .spectrum import _AbsSq, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,13 +73,13 @@ def graph_of(f: FnTable) -> PointSet:
     return PointSet.from_indices(f.params, f.d + 1, member)
 
 
-def _indicator_tables(e: PointSet, u_index: int = 1) -> np.ndarray:
-    """|S(m)|^2 coefficient table for all m at once (rows feed CycInt)."""
-    size = e.params.q**e.d
-    exponents = np.zeros(size, dtype=np.int64)
-    weights = e.bitmap.astype(np.int64)
-    rows = _exact_coeff_rows(e.params, e.d, u_index, exponents, weights)
-    return _abs_sq_table(rows)
+def _indicator_spectrum(e: PointSet) -> tuple[_AbsSq, np.ndarray, int]:
+    """|S(m)|^2 of E for all m at once, the bound ratios |S(m)| / |E|**(1/2),
+    and the least m != 0 attaining the largest ratio."""
+    exponents = np.zeros(e.params.q**e.d, dtype=np.int64)
+    spec = _AbsSq(e.params, e.d, 1, exponents, e.bitmap.astype(np.int64))
+    ratios = spec.magnitudes() / math.sqrt(e.cardinality)
+    return spec, ratios, int(np.argmax(ratios[1:])) + 1
 
 
 def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) -> CycInt:
@@ -112,22 +112,11 @@ def indicator_ft_abs_sq(e: PointSet, m: PointVector, u: FieldElement | None = No
     return indicator_sum(e, m, u).abs_sq()
 
 
-def _magnitudes(defined, ints, floats) -> np.ndarray:
-    """sqrt(|S|^2) per m, fed from the exact integer whenever one exists so
-    that rational cells stay float-exact."""
-    vals = np.where(defined, ints.astype(np.float64), np.maximum(floats, 0.0))
-    return np.sqrt(np.maximum(vals, 0.0))
-
-
 def salem_constant(e: PointSet) -> tuple[float, PointVector]:
     """max over m != 0 of |S(m)| / |E|**(1/2), with the least argmax index."""
     if e.cardinality == 0:
         raise EmptySet("salem constant of the empty set")
-    t = _indicator_tables(e)
-    defined, ints, floats = _abs_sq_views(t)
-    mags = _magnitudes(defined, ints, floats)
-    ratios = mags / math.sqrt(e.cardinality)
-    best = int(np.argmax(ratios[1:])) + 1
+    _, ratios, best = _indicator_spectrum(e)
     return float(ratios[best]), PointVector.from_index(e.params, e.d, best)
 
 
@@ -174,20 +163,18 @@ _TAG_NAMES = ("zero", "case1", "case2")
 def _build_report(e: PointSet, expected_by_tag: Sequence[int | None]) -> SalemReport:
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
-    t = _indicator_tables(e)
-    defined, ints, floats = _abs_sq_views(t)
-    mags = _magnitudes(defined, ints, floats)
-    root_card = math.sqrt(e.cardinality)
+    spec, ratios, best = _indicator_spectrum(e)
+    mags = spec.magnitudes()
     tags = _case_tags(e.params, e.d)
 
     rows = []
     passing: bool | None = None
     if any(v is not None for v in expected_by_tag):
         passing = True
-    for m in range(t.shape[0]):
+    for m in range(mags.size):
         tag = int(tags[m])
         expected = expected_by_tag[tag]
-        value = int(ints[m]) if defined[m] else None
+        value = spec.exact(m)
         if expected is not None and value != expected:
             passing = False
         rows.append(
@@ -197,13 +184,9 @@ def _build_report(e: PointSet, expected_by_tag: Sequence[int | None]) -> SalemRe
                 value,
                 expected,
                 float(mags[m]),
-                float(mags[m] / root_card),
+                float(ratios[m]),
             )
         )
-
-    ratios = mags / root_card
-    best = int(np.argmax(ratios[1:])) + 1
-    max_int = int(ints[best]) if defined[best] else None
     return SalemReport(
         e.params,
         e.d,
@@ -211,7 +194,7 @@ def _build_report(e: PointSet, expected_by_tag: Sequence[int | None]) -> SalemRe
         tuple(rows),
         float(ratios[best]),
         best,
-        max_int,
+        spec.exact(best),
         passing,
     )
 
@@ -228,8 +211,6 @@ def verify_theorem1(f: FnTable, threads: int = 1) -> SalemReport:
     Raises HypothesisFailed (with the bent witness attached) when f is not
     bent; the theorem presupposes bentness.
     """
-    from .spectrum import is_bent_exact
-
     verdict = is_bent_exact(f, threads=threads)
     if not verdict.is_bent:
         exc = HypothesisFailed("the input is not bent; flat-graph statement does not apply")

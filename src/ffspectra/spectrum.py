@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import _modp, _parallel, field as field_mod
+from .catalog import splitmix64
 from .cyclotomic import CycInt
 from .errors import EvenCharacteristic, TrivialCharacter
 from .field import FieldElement, FieldParams, trace
@@ -134,34 +135,68 @@ def _exact_coeff_rows(
 
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
-    """Tr(u * f(x)) for every point, vectorized through trace weights."""
+    """Tr(u * f(x)) for every point, vectorized through trace weights.
+
+    Every character sum over f starts here, so this is where u = 0 is refused.
+    """
+    if u_index == 0:
+        raise TrivialCharacter("u = 0 names the trivial character")
     params = f.params
     w = np.asarray(field_mod.trace_weights(params, u_index))
     digits = _modp.digits_of(f.values, params.p, params.ell)
     return (digits @ w) % params.p
 
 
-def _abs_sq_table(coeff_rows: np.ndarray) -> np.ndarray:
-    """T[m, k] = coefficient of zeta^k in S(u,m) * conj(S(u,m)), unreduced."""
-    p = coeff_rows.shape[1]
-    t = np.empty_like(coeff_rows)
-    for k in range(p):
-        t[:, k] = np.sum(coeff_rows * np.roll(coeff_rows, k, axis=1), axis=1)
-    return t
+class _AbsSq:
+    """|S(u, m)|^2 for every m of one u, from one exact butterfly pass.
 
+    table[m, k] is the unreduced coefficient of zeta^k in S(u,m)*conj(S(u,m)).
+    Where defined[m] holds, the value is the rational integer ints[m];
+    floats[m] is the real value of every row.
+    """
 
-def _abs_sq_views(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(defined, integer value, float value) per row of an |S|^2 table."""
-    p = t.shape[1]
-    defined = np.all(t[:, 1:] == t[:, 1:2], axis=1)
-    ints = t[:, 0] - t[:, 1]
-    cos = np.cos(math.tau * np.arange(p) / p)
-    # The p-th root cosines sum to zero, so the value only depends on the
-    # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
-    # near-uniform rows from cancelling in floats, and makes integer-valued
-    # rows (where t[:, 1:] is constant) come out exactly.
-    floats = (t - t[:, 1:2]) @ cos
-    return defined, ints, floats
+    def __init__(
+        self,
+        params: FieldParams,
+        d: int,
+        u_index: int,
+        exponents: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> None:
+        rows = _exact_coeff_rows(params, d, u_index, exponents, weights)
+        p = params.p
+        t = np.empty_like(rows)
+        for k in range(p):
+            t[:, k] = np.sum(rows * np.roll(rows, k, axis=1), axis=1)
+        self.p = p
+        self.table = t
+        self.defined = np.all(t[:, 1:] == t[:, 1:2], axis=1)
+        self.ints = t[:, 0] - t[:, 1]
+        # The p-th root cosines sum to zero, so the value only depends on the
+        # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
+        # near-uniform rows from cancelling in floats, and makes integer-valued
+        # rows (where t[:, 1:] is constant) come out exactly.
+        self.floats = (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
+
+    @classmethod
+    def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
+        return cls(f.params, f.d, u_index, _trace_exponents(f, u_index))
+
+    def exact(self, m: int) -> int | None:
+        return int(self.ints[m]) if self.defined[m] else None
+
+    def cell(self, m: int) -> CycInt:
+        return CycInt.from_coeffs(self.p, self.table[m].tolist())
+
+    def fails(self, target: int) -> np.ndarray:
+        """Mask of the m whose |S|^2 is not the rational integer target."""
+        return ~self.defined | (self.ints != target)
+
+    def magnitudes(self) -> np.ndarray:
+        """|S(u, m)| per m, fed from the exact integer whenever one exists so
+        that rational cells stay float-exact."""
+        exact = self.ints.astype(np.float64)
+        return np.sqrt(np.where(self.defined, exact, np.maximum(self.floats, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +216,6 @@ def walsh_exact(f: FnTable, u: FieldElement, m: PointVector) -> CycInt:
 
 def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
-    if u.is_zero():
-        raise TrivialCharacter("u = 0 names the trivial character")
     rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
@@ -194,8 +227,6 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     Tr(u*f(x)) - sum_j Tr((u*m_j)*x_j) per point and histograms it.  Used
     as the spot-check oracle behind the floating transform path.
     """
-    if u_index == 0:
-        raise TrivialCharacter("u = 0 names the trivial character")
     params = f.params
     p, q = params.p, params.q
     exps = _trace_exponents(f, u_index).astype(np.int64)
@@ -215,10 +246,7 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
-    if u.is_zero():
-        raise TrivialCharacter("u = 0 names the trivial character")
-    rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
-    total = _abs_sq_table(rows).sum(axis=0)
+    total = _AbsSq.of(f, u.index).table.sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -281,33 +309,25 @@ def _orbit_reps(params: FieldParams) -> tuple[dict[int, tuple[int, int]], tuple[
     return orbit_of, tuple(reps)
 
 
-def _rep_tables(f: FnTable, rep: int) -> np.ndarray:
-    rows = _exact_coeff_rows(f.params, f.d, rep, _trace_exponents(f, rep))
-    return _abs_sq_table(rows)
-
-
 def _rep_fails(args: tuple[FnTable, int, int]) -> bool:
     f, rep, target = args
-    defined, ints, _ = _abs_sq_views(_rep_tables(f, rep))
-    return bool(np.any(~defined | (ints != target)))
+    return bool(np.any(_AbsSq.of(f, rep).fails(target)))
 
 
-def _witness_m(t_table: np.ndarray, target: int) -> int:
+def _witness_m(spec: _AbsSq, target: int) -> int:
     """Least excess-valued m, falling back to least failing m.
 
     Mirrors the PN witness convention: prefer the least m whose |S|^2
     provably exceeds q^d (exact integer first, then float), else the least
     m failing equality at all.
     """
-    defined, ints, floats = _abs_sq_views(t_table)
-    over = np.nonzero(defined & (ints > target))[0]
+    over = np.nonzero(spec.defined & (spec.ints > target))[0]
     if over.size:
         return int(over[0])
-    over = np.nonzero(~defined & (floats > target + 0.25))[0]
+    over = np.nonzero(~spec.defined & (spec.floats > target + 0.25))[0]
     if over.size:
         return int(over[0])
-    fails = np.nonzero(~defined | (ints != target))[0]
-    return int(fails[0])
+    return int(np.nonzero(spec.fails(target))[0][0])
 
 
 def is_bent_exact(f: FnTable, threads: int = 1) -> BentVerdict:
@@ -325,13 +345,12 @@ def is_bent_exact(f: FnTable, threads: int = 1) -> BentVerdict:
     threads = _parallel.resolve_threads(threads)
 
     failing_u: int | None = None
-    t_table: np.ndarray | None = None
+    spec: _AbsSq | None = None
     if threads <= 1:
         for rep in reps:
-            table = _rep_tables(f, rep)
-            defined, ints, _ = _abs_sq_views(table)
-            if np.any(~defined | (ints != target)):
-                failing_u, t_table = rep, table
+            spec = _AbsSq.of(f, rep)
+            if np.any(spec.fails(target)):
+                failing_u = rep
                 break
     else:
         flags = _parallel.parallel_map(
@@ -340,15 +359,15 @@ def is_bent_exact(f: FnTable, threads: int = 1) -> BentVerdict:
         bad = [rep for rep, flag in zip(reps, flags) if flag]
         if bad:
             failing_u = min(bad)
-            t_table = _rep_tables(f, failing_u)
+            spec = _AbsSq.of(f, failing_u)
     if failing_u is None:
         return BentVerdict(True, None)
 
-    m_index = _witness_m(t_table, target)
+    m_index = _witness_m(spec, target)
     witness = BentWitness(
         params.from_index(failing_u),
         PointVector.from_index(params, f.d, m_index),
-        CycInt.from_coeffs(params.p, t_table[m_index].tolist()),
+        spec.cell(m_index),
     )
     return BentVerdict(False, witness)
 
@@ -370,8 +389,6 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     Floating point for odd p; for p = 2 the transform is the integer
     Walsh-Hadamard transform and the returned floats are exact.
     """
-    if u.is_zero():
-        raise TrivialCharacter("u = 0 names the trivial character")
     params = f.params
     p = params.p
     n = f.d * params.ell
@@ -387,6 +404,98 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
         tensor = np.moveaxis(np.tensordot(w, moved, axes=([1], [0])), 0, axis)
     flat = tensor.reshape(f.n_points)
     return np.abs(flat[_frequency_map(params, f.d, u.index)]).astype(np.float64)
+
+
+_SPOT_SEED = 0x5BD1E995
+_SPOT_BUDGET = 1 << 26
+_FAST_REL_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class FastBentWitness:
+    """Least cell whose float |S(u, m)|^2 misses q^d; it carries no exact
+    value, so abs_sq_int is always None."""
+
+    u: FieldElement
+    m: PointVector
+    abs_sq_float: float
+
+    @property
+    def abs_sq_int(self) -> None:
+        return None
+
+
+@dataclass(frozen=True)
+class FastBentVerdict:
+    """Float flat-spectrum verdict with its exact spot-check tally.
+
+    sampled cells were recomputed by exact_cell; mismatches counts those
+    whose float magnitude disagreed beyond the relative tolerance.
+    """
+
+    is_bent: bool
+    witness: FastBentWitness | None
+    sampled: int
+    mismatches: int
+
+    @property
+    def verdict(self) -> str:
+        return "bent" if self.is_bent else "not_bent"
+
+    @property
+    def certified(self) -> bool:
+        return self.is_bent and self.mismatches == 0
+
+
+def _spot_count(n_points: int, d: int) -> int:
+    by_fraction = max(1, n_points // 100)
+    by_budget = max(1, _SPOT_BUDGET // max(n_points * (d + 1), 1))
+    return min(256, by_fraction, by_budget)
+
+
+def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
+    """Exactly recompute a deterministic sample of cells; return (sampled, bad)."""
+    n = f.n_points
+    k = _spot_count(n, f.d)
+    bad = 0
+    for i in range(k):
+        m_index = splitmix64(_SPOT_SEED ^ u_index, i) % n
+        z = exact_cell(f, u_index, m_index).abs_sq()
+        exact_int = z.as_integer()
+        exact_val = float(exact_int) if exact_int is not None else z.to_complex().real
+        root = math.sqrt(max(exact_val, 0.0))
+        if abs(float(mags[m_index]) - root) > _FAST_REL_TOL * max(root, 1.0):
+            bad += 1
+    return k, bad
+
+
+def is_bent_fast(f: FnTable) -> FastBentVerdict:
+    """Float flat-spectrum test: every |S(u, m)|^2 equals q^d within
+    tolerance (exactly for p = 2), with exact spot checks of every u.
+
+    Runs in one process.  The witness is the least failing (u, m); the
+    verdict is certified only when no spot check disagreed.
+    """
+    params = f.params
+    target = float(f.n_points)
+    witness: FastBentWitness | None = None
+    sampled = mismatches = 0
+    for u_index in range(1, params.q):
+        mags = walsh_fast_all(f, params.from_index(u_index))
+        k, bad = _spot_check(f, u_index, mags)
+        sampled += k
+        mismatches += bad
+        sq = mags * mags
+        if params.p == 2:
+            failing = np.nonzero(np.rint(sq) != target)[0]
+        else:
+            failing = np.nonzero(np.abs(sq - target) > 1e-6 * target)[0]
+        if witness is None and failing.size:
+            m = int(failing[0])
+            witness = FastBentWitness(
+                params.from_index(u_index), PointVector.from_index(params, f.d, m), float(sq[m])
+            )
+    return FastBentVerdict(witness is None, witness, sampled, mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +531,9 @@ class SpectrumReport:
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
-    if u.is_zero():
-        raise TrivialCharacter("u = 0 names the trivial character")
-    rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
-    t = _abs_sq_table(rows)
-    defined, ints, floats = _abs_sq_views(t)
-    records = tuple(
-        SpectrumRow(
-            int(m),
-            int(ints[m]) if defined[m] else None,
-            math.sqrt(int(ints[m]) if defined[m] else max(float(floats[m]), 0.0)),
-        )
-        for m in range(t.shape[0])
-    )
+    spec = _AbsSq.of(f, u.index)
+    mags = spec.magnitudes()
+    records = tuple(SpectrumRow(m, spec.exact(m), float(mags[m])) for m in range(mags.size))
     return SpectrumReport(f.params, f.d, u.index, records)
 
 

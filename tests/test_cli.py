@@ -304,6 +304,14 @@ def test_env_var_thread_default(capsys, monkeypatch):
     assert base == with_env
 
 
+def test_env_var_thread_count_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("FFSPECTRA_THREADS", "abc")
+    code, out, err = run(capsys, "test", "pn", "--catalog", "square", "--p", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ffspectra: error: FFSPECTRA_THREADS must be an integer")
+
+
 def test_seed_flag_merges_into_params(capsys):
     _, doc_flag, _ = run_json(
         capsys, "test", "pn", "--catalog", "random", "--p", "5", "--seed", "9"

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, make_field, trace
+from ffspectra import FnSpec, PointVector, build_function, get_function, make_field, trace
 from ffspectra.catalog import random_function
 from ffspectra.errors import EmptySet, HypothesisFailed
 from ffspectra.salem import (
@@ -20,6 +20,7 @@ from ffspectra.salem import (
     verify_theorem1,
 )
 from ffspectra.space import dot
+from ffspectra.spectrum import spectrum_report, walsh_exact_all
 
 F5 = make_field(5)
 SQ5 = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
@@ -188,3 +189,48 @@ def test_random_graph_report_consistency():
             want = row.abs_sq_int
         assert row.magnitude == pytest.approx(math.sqrt(max(want, 0.0)), abs=1e-12)
     assert saw_non_integer  # |s|^2 need not be a rational integer
+
+
+GRAPH_IDENTITY_TABLES = {
+    "square_F9": lambda: get_function("square", make_field(3, 2)),
+    "random_F5^2": lambda: random_function(F5, 2, 11),
+    "bool_quadratic_F2^4": lambda: get_function("bool_quadratic", make_field(2), d=4),
+    "affine_F7": lambda: get_function("affine", make_field(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_IDENTITY_TABLES))
+def test_walsh_sum_is_graph_indicator_sum(name):
+    # S_f(u, m) = S_graph(f)(u*m, -u): the indicator oracle and the butterfly
+    # engine give the same cyclotomic integer in every cell
+    f = GRAPH_IDENTITY_TABLES[name]()
+    params, d = f.params, f.d
+    e = graph_of(f)
+    for u_index in range(1, params.q):
+        u = params.from_index(u_index)
+        spectrum = walsh_exact_all(f, u)
+        for m_index in range(f.n_points):
+            m = PointVector.from_index(params, d, m_index)
+            freq = PointVector(params, tuple(u * c for c in m.coords) + (-u,))
+            assert indicator_sum(e, freq) == spectrum[m_index]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_IDENTITY_TABLES))
+def test_graph_case2_rows_are_spectrum_rows(name):
+    # a case-2 row (v, w) of the graph report is row m = v/(-w) of the
+    # spectrum report of f at u = -w, exact value and float alike
+    f = GRAPH_IDENTITY_TABLES[name]()
+    params, d = f.params, f.d
+    graph_rows = salem_report(graph_of(f)).rows
+    reports = {u: spectrum_report(f, params.from_index(u)).rows for u in range(1, params.q)}
+    checked = 0
+    for row in graph_rows:
+        if row.case_tag != "case2":
+            continue
+        *v, w = PointVector.from_index(params, d + 1, row.m_index).coords
+        u = -w
+        m = PointVector(params, tuple(c * u.inverse() for c in v))
+        twin = reports[u.index][m.index]
+        assert (row.abs_sq_int, row.magnitude) == (twin.abs_sq_int, twin.magnitude)
+        checked += 1
+    assert checked == (params.q - 1) * f.n_points

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, make_field, trace
+from ffspectra import FnSpec, PointVector, build_function, get_function, make_field, spectrum, trace
 from ffspectra.catalog import random_function
+from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
 from ffspectra.errors import EvenCharacteristic, TrivialCharacter
 from ffspectra.funcs import is_pn
@@ -18,6 +19,7 @@ from ffspectra.spectrum import (
     crosscheck_pn_bent,
     exact_cell,
     is_bent_exact,
+    is_bent_fast,
     parseval_total,
     spectrum_report,
     walsh_exact,
@@ -256,3 +258,62 @@ def test_pn_positive_examples_are_bent_and_vice_versa():
         for seed in range(3):
             f = random_function(params, d, seed)
             assert is_pn(f).is_pn == is_bent_exact(f).is_bent
+
+
+FAST_BENT_CASES = {
+    "square_F7": lambda: get_function("square", make_field(7)),
+    "square_F125": lambda: get_function("square", make_field(5, 3)),
+    "bool_quadratic_F2^8": lambda: get_function("bool_quadratic", make_field(2), d=8),
+    "affine_F5": lambda: get_function("affine", F5),
+    "power3_F27": lambda: get_function("power", make_field(3, 3), e=3),
+    "random_F5^2": lambda: random_function(F5, 2, 3),
+    "random_F3^5": lambda: random_function(make_field(3), 5, 1),
+    "random_F2^6": lambda: random_function(make_field(2), 6, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAST_BENT_CASES))
+def test_is_bent_fast_agrees_with_exact(name):
+    f = FAST_BENT_CASES[name]()
+    params, n = f.params, f.n_points
+    fast = is_bent_fast(f)
+    exact = is_bent_exact(f)
+    assert fast.is_bent == exact.is_bent
+    assert fast.mismatches == 0 and fast.certified == fast.is_bent
+    # one exact cell per 100 points and u, at least 1, at most 256, and
+    # at most 2**26 point-coordinate reads per u
+    k = min(256, max(1, n // 100), max(1, 2**26 // (n * (f.d + 1))))
+    assert fast.sampled == (params.q - 1) * k
+    if exact.is_bent:
+        assert fast.witness is None
+        return
+    least = next(
+        (u, row)
+        for u in range(1, params.q)
+        for row in spectrum_report(f, params.from_index(u)).rows
+        if row.abs_sq_int != n
+    )
+    u, row = least
+    assert fast.witness.u == exact.witness.u == params.from_index(u)
+    assert fast.witness.m.index == row.m_index
+    assert fast.witness.abs_sq_int is None
+    assert fast.witness.abs_sq_float == pytest.approx(row.magnitude**2, rel=1e-9, abs=1e-9)
+
+
+def test_is_bent_fast_counts_spot_check_mismatches(monkeypatch, capsys):
+    f = get_function("square", make_field(7))
+    original = spectrum.walsh_fast_all
+
+    def perturbed(table, u):
+        mags = original(table, u)
+        # 1e-7 relative: far outside the spot-check tolerance, well inside
+        # the bent tolerance, and the q = 7 table samples one cell per u
+        return mags * (1 + 1e-7) if u.index == 1 else mags
+
+    monkeypatch.setattr(spectrum, "walsh_fast_all", perturbed)
+    fast = is_bent_fast(f)
+    assert fast.is_bent and fast.sampled == 6
+    assert fast.mismatches == 1
+    assert fast.certified is False
+    assert main(["test", "bent", "--catalog", "square", "--p", "7", "--fast"]) == 1
+    assert '"mismatches": 1' in capsys.readouterr().out
