@@ -414,7 +414,7 @@ def _cmd_mindist_pairwise(args) -> int:
             "error": "not_planar_entry",
             "detail": str(exc),
         }
-        sys.stdout.write(canonical_json(payload))
+        _output(args, "pairwise.json", payload)
         return 1
     report = {
         "command": "mindist pairwise",

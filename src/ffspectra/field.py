@@ -34,6 +34,12 @@ MAX_Q = 1 << 20
 _TABLE_MAX_P = 13
 _TABLE_MAX_ELL = 6
 
+# Bounds of the lru_caches.  Per-field caches hold one entry per FieldParams
+# (or (p, ell)); per-u caches hold one entry per element u, so a scan over
+# every u of F_q stays warm up to q = 4096.
+PARAMS_CACHE_SIZE = 64
+PER_U_CACHE_SIZE = 4096
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -80,7 +86,7 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def default_modulus(p: int, ell: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree ell over F_p.
 
@@ -389,7 +395,7 @@ def vec_sub(params: FieldParams, a, b) -> np.ndarray:
     return _modp.sub_indices(a, b, params.p, params.ell)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _overflow_matrix(params: FieldParams) -> np.ndarray:
     m = np.array(params._overflow_rows, dtype=np.int64).reshape(
         params.ell - 1 if params.ell > 1 else 0, params.ell
@@ -414,7 +420,7 @@ def vec_mul(params: FieldParams, a, b) -> np.ndarray:
     return _modp.index_of_digits(out % p, p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PER_U_CACHE_SIZE)
 def mul_matrix(params: FieldParams, u_index: int) -> np.ndarray:
     """Matrix of multiplication by u on little-endian coefficient vectors."""
     u = params.from_index(u_index)
@@ -429,13 +435,10 @@ def vec_scalar_mul(params: FieldParams, a, u_index: int) -> np.ndarray:
     return _modp.apply_linear(a, mul_matrix(params, int(u_index)), params.p)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PER_U_CACHE_SIZE)
 def trace_weights(params: FieldParams, u_index: int) -> np.ndarray:
     """w[j] = Tr(u * t**j); then Tr(u*x) = digits(x) . w mod p."""
-    u = params.from_index(u_index)
-    w = np.array(
-        [trace(u * params.from_index(params.p**j)) for j in range(params.ell)],
-        dtype=np.int64,
-    )
+    basis = _modp.powers(params.p, params.ell)
+    w = params.trace_table[vec_mul(params, u_index, basis)]
     w.setflags(write=False)
     return w

@@ -68,25 +68,29 @@ def characters(params: FieldParams) -> Iterator[Character]:
 # Exact engine.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=field_mod.PER_U_CACHE_SIZE)
 def _gram(params: FieldParams, u_index: int) -> np.ndarray:
-    """G[j,k] = Tr(u * t**(j+k)); then Tr(u*(x.m)) = digits(x).T B digits(m)
+    """G[j,k] = Tr(u * t**j * t**k); then Tr(u*(x.m)) = digits(x).T B digits(m)
     with B = I_d kron G."""
-    ell = params.ell
-    u = params.from_index(u_index)
-    g = np.empty((ell, ell), dtype=np.int64)
-    for j in range(ell):
-        for k in range(ell):
-            g[j, k] = trace(u * params.from_index(params.p ** j) * params.from_index(params.p ** k))
+    basis = _modp.powers(params.p, params.ell)
+    u_basis = field_mod.vec_mul(params, u_index, basis)
+    g = params.trace_table[field_mod.vec_mul(params, u_basis[:, None], basis[None, :])]
     g.setflags(write=False)
     return g
 
 
 def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
-    """perm[m] = flat transform index holding S(u, m)."""
-    p = params.p
-    block = np.kron(np.eye(d, dtype=np.int64), np.asarray(_gram(params, u_index)))
-    return _modp.apply_linear(np.arange(params.q**d, dtype=np.int64), block, p)
+    """perm[m] = flat transform index holding S(u, m).
+
+    B = I_d kron G acts on each coordinate m_j separately, so the map is the
+    one-coordinate map on [0, q) applied to every base-q digit of m.
+    """
+    q = params.q
+    one = _modp.apply_linear(np.arange(q, dtype=np.int64), _gram(params, u_index), params.p)
+    perm = one
+    for j in range(1, d):
+        perm = (one[:, None] * q**j + perm).ravel()
+    return perm
 
 
 def _butterfly_exact(h: np.ndarray, axis: int, p: int) -> np.ndarray:
@@ -220,6 +224,32 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
 
+class _OracleState:
+    """The per-(f, u) invariants of exact_cell: Tr(u*f(x)) for every point,
+    shaped (q,)*d so that axis d-1-j runs over the coordinate x_j, and the
+    digits of every element of F_q."""
+
+    def __init__(self, f: FnTable, u_index: int) -> None:
+        params = f.params
+        self.f = f
+        self.u_index = u_index
+        self.exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)
+        self.digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
+
+
+# One slot: the spot checks ask for many cells of one (f, u) in a row.  Tables
+# are frozen, so the identity of f and the index u key the slot.
+_oracle: _OracleState | None = None
+
+
+def _oracle_state(f: FnTable, u_index: int) -> _OracleState:
+    global _oracle
+    state = _oracle
+    if state is None or state.f is not f or state.u_index != u_index:
+        state = _oracle = _OracleState(f, u_index)
+    return state
+
+
 def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     """Exact S(u, m) for a single (u, m), vectorized over points.
 
@@ -228,19 +258,21 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     as the spot-check oracle behind the floating transform path.
     """
     params = f.params
-    p, q = params.p, params.q
-    exps = _trace_exponents(f, u_index).astype(np.int64)
-    idx = np.arange(f.n_points, dtype=np.int64)
+    p, q, d = params.p, params.q, f.d
+    state = _oracle_state(f, u_index)
+    exps = state.exponents.copy()
     u = params.from_index(u_index)
-    for j in range(f.d):
+    for j in range(d):
         mj = (m_index // q**j) % q
         if mj == 0:
             continue
         umj = (u * params.from_index(mj)).index
-        w = np.asarray(field_mod.trace_weights(params, umj))
-        cj = (idx // q**j) % q
-        exps = exps - _modp.digits_of(cj, p, params.ell) @ w
-    counts = np.bincount(exps % p, minlength=p)
+        # term[x_j] = Tr((u*m_j)*x_j) for every x_j in F_q.
+        term = (state.digits @ np.asarray(field_mod.trace_weights(params, umj))) % p
+        shape = [1] * d
+        shape[d - 1 - j] = q
+        exps -= term.reshape(shape)
+    counts = np.bincount(exps.ravel() % p, minlength=p)
     return CycInt.from_histogram(p, [int(c) for c in counts])
 
 
@@ -284,7 +316,7 @@ class BentVerdict:
         return "bent" if self.is_bent else "not_bent"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=field_mod.PARAMS_CACHE_SIZE)
 def _orbit_reps(params: FieldParams) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
     """Orbits of F_p^*-scaling on F_q^*.
 

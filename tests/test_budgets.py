@@ -1,0 +1,78 @@
+"""Memory budgets: the fast bent path at the 2**20-point cap, and a finite
+bound on every lru_cache in the package."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ffspectra
+from ffspectra import field, spectrum
+
+SRC = Path(ffspectra.__file__).resolve().parents[1]
+
+# Runs one CLI command and reports the peak RSS of its own process image
+# (kB) on the last line of stderr.  ru_maxrss is not used: Linux carries it
+# across exec, so a child of the test process would report the test
+# process's peak.
+_PEAK_RSS_SCRIPT = """
+import sys
+from ffspectra.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
+sys.exit(code)
+"""
+
+FAST_RSS_BUDGET_MB = 300
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+def test_fast_bent_at_the_point_cap_stays_in_budget():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"verdict": "bent"' in proc.stdout
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("peak_rss_kb=")
+    assert int(last.split("=")[1]) / 1024 <= FAST_RSS_BUDGET_MB
+
+
+def _package_caches():
+    caches = {}
+    for info in pkgutil.iter_modules(ffspectra.__path__):
+        if info.name.startswith("__"):
+            continue
+        mod = importlib.import_module(f"ffspectra.{info.name}")
+        for name, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_info", None)) and getattr(obj, "__module__", None) == mod.__name__:
+                caches[f"{mod.__name__}.{name}"] = obj
+    return caches
+
+
+def test_every_cache_is_bounded():
+    caches = _package_caches()
+    for cache in (
+        spectrum._gram,
+        field.trace_weights,
+        field.mul_matrix,
+        spectrum._orbit_reps,
+        field._overflow_matrix,
+        field.default_modulus,
+    ):
+        assert cache in caches.values()
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
+    # every u of a field with q - 1 <= 4096 stays warm in the per-u caches
+    for cache in (spectrum._gram, field.trace_weights, field.mul_matrix):
+        assert cache.cache_info().maxsize >= 4096

@@ -223,6 +223,18 @@ def test_mindist_pairwise(capsys, tmp_path):
     assert code == 2  # needs two tables
 
 
+def test_mindist_pairwise_not_planar_is_emitted(capsys, tmp_path):
+    paths = _write_tables(tmp_path)
+    argv = ["mindist", "pairwise", "--input", paths["sq.txt"], "--input", paths["cube.txt"]]
+    code, plain, _ = run(capsys, *argv)
+    emit = tmp_path / "emit"
+    code_emit, out, _ = run(capsys, *argv, "--emit", str(emit))
+    assert code == code_emit == 1
+    assert out == plain
+    assert json.loads(out)["error"] == "not_planar_entry"
+    assert (emit / "pairwise.json").read_bytes() == out.encode("ascii")
+
+
 def test_input_table_flow(capsys, tmp_path):
     paths = _write_tables(tmp_path)
     code, doc, _ = run_json(capsys, "test", "pn", "--input", paths["sq.txt"])

@@ -7,11 +7,23 @@ import math
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, get_function, make_field, spectrum, trace
+from ffspectra import (
+    FieldParams,
+    FnSpec,
+    FnTable,
+    PointVector,
+    build_function,
+    get_function,
+    make_field,
+    spectrum,
+    trace,
+)
+from ffspectra import _modp
 from ffspectra.catalog import random_function
 from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
 from ffspectra.errors import EvenCharacteristic, TrivialCharacter
+from ffspectra.field import trace_weights
 from ffspectra.funcs import is_pn
 from ffspectra.space import dot
 from ffspectra.spectrum import (
@@ -317,3 +329,133 @@ def test_is_bent_fast_counts_spot_check_mismatches(monkeypatch, capsys):
     assert fast.certified is False
     assert main(["test", "bent", "--catalog", "square", "--p", "7", "--fast"]) == 1
     assert '"mismatches": 1' in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Array-built trace weights, Gram matrices and frequency maps, pinned to the
+# scalar formulas.
+
+# Default moduli plus one non-default modulus each of F_25 and F_27.
+TRACE_FORM_FIELDS = [
+    make_field(3, 2),
+    make_field(3, 3),
+    make_field(5, 3),
+    make_field(2, 4),
+    FieldParams(5, 2, (3, 0, 1)),
+    FieldParams(3, 3, (2, 2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("params", TRACE_FORM_FIELDS, ids=repr)
+def test_trace_weights_and_gram_match_scalar_trace(params):
+    basis = [params.from_index(params.p**j) for j in range(params.ell)]
+    for u in params.elements():
+        assert trace_weights(params, u.index).tolist() == [trace(u * b) for b in basis]
+        want = [[trace(u * a * b) for b in basis] for a in basis]
+        assert spectrum._gram(params, u.index).tolist() == want
+
+
+def _frequency_map_reference(params, d, u_index):
+    """The map as I_d kron G applied to the digits of every m."""
+    block = np.kron(np.eye(d, dtype=np.int64), np.asarray(spectrum._gram(params, u_index)))
+    return _modp.apply_linear(np.arange(params.q**d, dtype=np.int64), block, params.p)
+
+
+@pytest.mark.parametrize(
+    "params,d",
+    [
+        (make_field(3, 2), 1),
+        (make_field(3, 2), 2),
+        (make_field(3, 2), 3),
+        (make_field(2, 2), 3),
+        (make_field(5), 3),
+        (FieldParams(5, 2, (3, 0, 1)), 2),
+    ],
+    ids=str,
+)
+def test_frequency_map_matches_kron_reference(params, d):
+    for u in range(1, params.q):
+        got = spectrum._frequency_map(params, d, u)
+        assert np.array_equal(got, _frequency_map_reference(params, d, u))
+
+
+def test_frequency_map_is_identity_for_p2_u1():
+    f2 = make_field(2)
+    for d in (1, 2, 7, 12):
+        assert np.array_equal(spectrum._frequency_map(f2, d, 1), np.arange(2**d))
+
+
+# ---------------------------------------------------------------------------
+# The spot-check oracle and its per-(f, u) memo.
+
+
+def test_exact_cell_matches_pointwise_on_random_tables():
+    # |S|^2 is always rational for p <= 3, so F_25 supplies the irrational cells.
+    irrational = 0
+    for params, seed, us, m_step in [
+        (make_field(2, 2), 4, range(1, 4), 1),
+        (make_field(3, 2), 7, range(1, 9), 3),
+        (make_field(5, 2), 5, (1, 2, 8, 24), 53),
+    ]:
+        f = random_function(params, 2, seed)
+        assert not is_bent_exact(f).is_bent
+        for u in us:
+            for m_idx in range(u % m_step, f.n_points, m_step):
+                cell = exact_cell(f, u, m_idx)
+                m = PointVector.from_index(params, 2, m_idx)
+                assert cell == walsh_exact(f, params.from_index(u), m)
+                irrational += cell.abs_sq().as_integer() is None
+    assert irrational > 0
+
+
+def test_exact_cell_memo_never_serves_stale_state(monkeypatch):
+    f9 = make_field(3, 2)
+    first = random_function(f9, 2, 1)
+    tables = [
+        first,
+        random_function(f9, 2, 2),
+        FnTable(f9, 2, first.values.copy()),  # equal to the first, not identical
+        random_function(make_field(5), 3, 3),
+        get_function("square", make_field(5, 2)),
+    ]
+    # Consecutive calls switch the table under a fixed u, and u under a
+    # fixed table, in turn.
+    calls = []
+    for k in range(90):
+        f = tables[(k // 3) % len(tables)]
+        calls.append((f, 1 + (k // 2) % (f.params.q - 1), (37 * k) % f.n_points))
+
+    def fresh(f, u, m):
+        monkeypatch.setattr(spectrum, "_oracle", None)
+        return exact_cell(f, u, m)
+
+    want = [fresh(*c) for c in calls]
+    monkeypatch.setattr(spectrum, "_oracle", None)
+    assert [exact_cell(*c) for c in calls] == want
+    # and again in reverse, starting from whatever the slot holds now
+    assert [exact_cell(*c) for c in reversed(calls)] == want[::-1]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: get_function("square", make_field(5, 2)),
+        lambda: get_function("bool_quadratic", make_field(2), d=8),
+    ],
+    ids=["square_F25", "bool_quadratic_F2^8"],
+)
+def test_spot_checks_call_exact_cell_once_per_sampled_cell(monkeypatch, make):
+    # Traced benchmark runs count exact_cell calls against `sampled`, so the
+    # spot checks must go through the module-level oracle once per cell.
+    f = make()
+    calls = []
+    original = spectrum.exact_cell
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectrum, "exact_cell", counting)
+    verdict = is_bent_fast(f)
+    assert verdict.certified
+    assert len(calls) == verdict.sampled > 0
