@@ -339,7 +339,7 @@ def _parse_basis(args, f: FnTable) -> tuple[SpaceBasis, list[int]]:
 def _cmd_decomp_verify(args) -> int:
     f, source = _resolve_function(args)
     basis, basis_indices = _parse_basis(args, f)
-    verdict = verify_decomposition(f, basis, threads=args.threads)
+    verdict = verify_decomposition(f, basis)
     report = {
         "command": "decomp verify",
         "config": _run_config(f, source, args),

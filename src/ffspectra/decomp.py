@@ -14,17 +14,22 @@ reduce to a bare D_{f,g_i}(x + b_i), and the chain identity
 telescopes to exactly this convention.  identity_suite exposes the
 off-by-one variant (inner index starting at 1) so its failure stays pinned
 by a negative-control test.
+
+reconstruct_delta evaluates the formula for one shift.  verify_decomposition
+certifies it for all q**d - 1 shifts in one process by walking them
+depth-first in prefix order: a + g_s, for s at least the top nonzero digit
+of a, adds the formula's next term D_{f,g_s}(x + a) to a's reconstruction.
+Memory is linear in q**d (n translation gathers and one reconstruction per
+level of the walk); no q**d x q**d addition table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from . import _modp, _parallel, field as field_mod, space
+from . import _modp, field as field_mod, space
 from .errors import DimensionMismatch, FieldMismatch, UnsupportedSize
 from .field import FieldElement
 from .funcs import FnTable, delta_table
@@ -215,94 +220,52 @@ class DecompVerdict:
     shifts_checked: int
 
 
-@lru_cache(maxsize=2)
-def _point_add_table(params, d: int) -> np.ndarray:
-    """Full addition table on point indices: table[a, x] = index(x + a)."""
-    n_points = params.q**d
-    idx = np.arange(n_points, dtype=np.int64)
-    if params.p == 2:
-        table = (idx[:, None] ^ idx[None, :]).astype(np.int32)
-    else:
-        n = d * params.ell
-        table = np.empty((n_points, n_points), dtype=np.int32)
-        block = max(1, _BLOCK_ELEMENTS // n_points)
-        for lo in range(0, n_points, block):
-            table[lo : lo + block] = _modp.add_indices(
-                idx[lo : lo + block, None], idx[None, :], params.p, n
-            )
-    table.setflags(write=False)
-    return table
+def _failing_shifts(f: FnTable, b: BaseDeltaSet) -> list[int]:
+    """Point indices of every nonzero shift whose reconstruction differs from
+    the direct difference table.
 
-
-_BLOCK_ELEMENTS = 1 << 21
-
-
-def _verify_chunk(args: tuple[FnTable, BaseDeltaSet, int, int]) -> int | None:
-    """First a in [start, stop) whose reconstruction differs from the direct
-    difference table, or None.  Shifts are processed in ascending blocks,
-    with the same term order as DecompPlan but batched across the block;
-    field additions accumulate in digit space (bounded by n*(p-1)**2, far
-    below int64) and reduce mod p once per block."""
-    f, b, start, stop = args
+    The shifts are walked depth-first in prefix order: a child of a appends
+    one more term to a's expansion, a + g_s with s at least the top nonzero
+    digit of a, so its reconstruction is a's plus the single new term of the
+    formula, D_{f,g_s}(x + a).  Only the base tables are read on that side.
+    Values are F_p digit arrays; the reconstruction keeps its digit sums
+    unreduced (at most n*(p-1)**2, far below int16) and each comparison
+    reduces recon + f(x) - f(x + a) mod p once.  x + a is one gather per node.
+    """
     params, d = f.params, f.d
-    p, ell = params.p, params.ell
-    n_points = f.n_points
-    add_at = _point_add_table(params, d)
-    base_digits = [] if p == 2 else [_modp.digits_of(t.values, p, ell) for t in b.tables]
-    multiples = [
-        np.array([g.scale(j).index for j in range(p)], dtype=np.int64)
-        for g in b.basis.vectors
-    ]
-    block = max(1, _BLOCK_ELEMENTS // (n_points * (1 if p == 2 else ell)))
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        a_idx = np.arange(lo, hi, dtype=np.int64)
-        direct = field_mod.vec_sub(params, f.values[add_at[a_idx]], f.values[None, :])
-        k_digits = b.basis.decompose_indices(a_idx)
-        offsets = np.zeros(hi - lo, dtype=np.int64)
-        if p == 2:
-            # coefficient vectors over F_2: index xor is field addition
-            recon = np.zeros((hi - lo, n_points), dtype=np.int64)
-            for i in range(len(multiples)):
-                rows = np.nonzero(k_digits[:, i] == 1)[0]
-                if rows.size:
-                    c = offsets[rows] ^ multiples[i][1]
-                    recon[rows] ^= b.tables[i].values[add_at[c]]
-                offsets ^= multiples[i][k_digits[:, i]]
-        else:
-            recon_digits = np.zeros((hi - lo, n_points, ell), dtype=np.int64)
-            for i in range(len(multiples)):
-                ki = k_digits[:, i]
-                for j in range(p - 1):
-                    rows = np.nonzero(ki > j)[0]
-                    if rows.size == 0:
-                        continue
-                    c = space.vec_point_add(params, d, offsets[rows], multiples[i][j])
-                    recon_digits[rows] += base_digits[i][add_at[c]]
-                offsets = space.vec_point_add(params, d, offsets, multiples[i][ki])
-            recon = _modp.index_of_digits(recon_digits % p, p)
-        bad = np.nonzero(np.any(recon != direct, axis=1))[0]
-        if bad.size:
-            return int(a_idx[bad[0]])
-    return None
+    p, ell, n = params.p, params.ell, b.basis.n
+    idx = np.arange(f.n_points, dtype=np.int64)
+    plus = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
+    f_digits = _modp.digits_of(f.values, p, ell).astype(np.int16)
+    base_digits = [_modp.digits_of(t.values, p, ell).astype(np.int16) for t in b.tables]
+    failing = []
+
+    def visit(at: np.ndarray, recon: np.ndarray, top: int, k_top: int) -> None:
+        # at[x] = index(x + a); top and k_top are a's top digit and its value
+        for s in range(top, n):
+            if s == top and k_top == p - 1:
+                continue
+            child_recon = recon + base_digits[s][at]
+            child_at = plus[s][at]
+            residue = child_recon + f_digits
+            residue -= f_digits[child_at]
+            if (residue % p).any():
+                failing.append(int(child_at[0]))
+            visit(child_at, child_recon, s, k_top + 1 if s == top else 1)
+
+    visit(idx, np.zeros_like(f_digits), 0, 0)
+    return failing
 
 
-def verify_decomposition(f: FnTable, basis: SpaceBasis, threads: int = 1) -> DecompVerdict:
+def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
     """Reconstruct every nonzero difference operator from the base tables
-    and compare pointwise with the direct computation."""
+    and compare pointwise with the direct computation; the verdict names
+    the least failing shift."""
     _check_compatible(f, basis)
     if f.n_points > 4096:
         raise UnsupportedSize("exhaustive decomposition check is desk-scale: q**d <= 4096")
-    b = base_deltas(f, basis)
+    failing = _failing_shifts(f, base_deltas(f, basis))
     n = f.n_points
-    threads = _parallel.resolve_threads(threads)
-    if threads <= 1:
-        hit = _verify_chunk((f, b, 1, n))
-    else:
-        spans = _parallel.chunk_ranges(n - 1, threads * 4)
-        tasks = [(f, b, 1 + lo, 1 + hi) for lo, hi in spans]
-        results = _parallel.parallel_map(_verify_chunk, tasks, threads)
-        hit = next((r for r in results if r is not None), None)
-    if hit is None:
+    if not failing:
         return DecompVerdict(True, None, n - 1)
-    return DecompVerdict(False, PointVector.from_index(f.params, f.d, hit), n - 1)
+    return DecompVerdict(False, PointVector.from_index(f.params, f.d, min(failing)), n - 1)

@@ -397,9 +397,7 @@ def vec_sub(params: FieldParams, a, b) -> np.ndarray:
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _overflow_matrix(params: FieldParams) -> np.ndarray:
-    m = np.array(params._overflow_rows, dtype=np.int64).reshape(
-        params.ell - 1 if params.ell > 1 else 0, params.ell
-    )
+    m = np.array(params._overflow_rows, dtype=np.int64).reshape(params.ell - 1, params.ell)
     m.setflags(write=False)
     return m
 
@@ -407,6 +405,8 @@ def _overflow_matrix(params: FieldParams) -> np.ndarray:
 def vec_mul(params: FieldParams, a, b) -> np.ndarray:
     """Componentwise field product of two index arrays."""
     p, ell = params.p, params.ell
+    if ell == 1:
+        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % p
     da = _modp.digits_of(a, p, ell)
     db = _modp.digits_of(b, p, ell)
     shape = np.broadcast_shapes(da.shape, db.shape)[:-1]
@@ -414,9 +414,7 @@ def vec_mul(params: FieldParams, a, b) -> np.ndarray:
     for i in range(ell):
         for j in range(ell):
             conv[..., i + j] += da[..., i] * db[..., j]
-    out = conv[..., :ell]
-    if ell > 1:
-        out = out + conv[..., ell:] @ _overflow_matrix(params)
+    out = conv[..., :ell] + conv[..., ell:] @ _overflow_matrix(params)
     return _modp.index_of_digits(out % p, p)
 
 

@@ -224,16 +224,14 @@ def delta_table(f: FnTable, a: PointVector) -> FnTable:
     """Table of the difference operator x -> f(x+a) - f(x)."""
     if a.params != f.params or a.d != f.d:
         raise FieldMismatch("shift incompatible with this table")
-    idx = np.arange(f.n_points, dtype=np.int64)
-    shifted = space.vec_point_add(f.params, f.d, idx, np.int64(a.index))
-    delta = field_mod.vec_sub(f.params, f.values[shifted], f.values)
-    return FnTable(f.params, f.d, delta)
+    return FnTable(f.params, f.d, _delta_values(f.params, f.d, f.values, a.index))
 
 
-def _delta_values(f: FnTable, a_index: int) -> np.ndarray:
-    idx = np.arange(f.n_points, dtype=np.int64)
-    shifted = space.vec_point_add(f.params, f.d, idx, np.int64(a_index))
-    return field_mod.vec_sub(f.params, f.values[shifted], f.values)
+def _delta_values(params: FieldParams, d: int, values: np.ndarray, a_index: int) -> np.ndarray:
+    """Values of x -> f(x+a) - f(x) for the table `values` on F_q**d."""
+    idx = np.arange(values.shape[0], dtype=np.int64)
+    shifted = space.vec_point_add(params, d, idx, np.int64(a_index))
+    return field_mod.vec_sub(params, values[shifted], values)
 
 
 @dataclass(frozen=True)
@@ -255,12 +253,16 @@ class PnVerdict:
         return "pn" if self.is_pn else "not_pn"
 
 
-def _pn_scan_chunk(f: FnTable, start: int, stop: int) -> tuple[int, int, int] | None:
-    """First failing (a_index, value_index, count) with a_index in [start, stop)."""
-    q = f.params.q
-    expected = f.n_points // q
+def _pn_scan_chunk(
+    params: FieldParams, d: int, values: np.ndarray, start: int, stop: int
+) -> tuple[int, int, int] | None:
+    """First failing (a_index, value_index, count) with a_index in [start, stop):
+    the first shift whose value counts are not all q**(d-1), and its first
+    over-hit value."""
+    q = params.q
+    expected = values.shape[0] // q
     for a_index in range(start, stop):
-        counts = np.bincount(_delta_values(f, a_index), minlength=q)
+        counts = np.bincount(_delta_values(params, d, values, a_index), minlength=q)
         if not np.all(counts == expected):
             over = np.nonzero(counts > expected)[0]
             v = int(over[0])
@@ -277,10 +279,10 @@ def is_pn(f: FnTable, threads: int = 1) -> PnVerdict:
     n = f.n_points
     threads = _parallel.resolve_threads(threads)
     if threads <= 1:
-        hit = _pn_scan_chunk(f, 1, n)
+        hit = _pn_scan_chunk(f.params, f.d, f.values, 1, n)
     else:
         spans = _parallel.chunk_ranges(n - 1, threads * 4)
-        tasks = [(f, 1 + lo, 1 + hi) for lo, hi in spans]
+        tasks = [(f.params, f.d, f.values, 1 + lo, 1 + hi) for lo, hi in spans]
         results = _parallel.parallel_map(_pn_scan_star, tasks, threads)
         hit = next((r for r in results if r is not None), None)
     if hit is None:
@@ -296,7 +298,7 @@ def is_pn(f: FnTable, threads: int = 1) -> PnVerdict:
     )
 
 
-def _pn_scan_star(task: tuple[FnTable, int, int]):
+def _pn_scan_star(task: tuple[FieldParams, int, np.ndarray, int, int]):
     return _pn_scan_chunk(*task)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parallel, field as field_mod
+from . import _parallel
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -23,7 +23,7 @@ from .errors import (
     NotPlanarEntry,
 )
 from .field import FieldElement, FieldParams
-from .funcs import FnTable, PnWitness, is_pn
+from .funcs import FnTable, PnWitness, _pn_scan_chunk, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -54,20 +54,6 @@ def planarity_witness(g: FnTable) -> PnWitness | None:
     _require_univariate(g)
     verdict = is_pn(g)
     return verdict.witness
-
-
-def _witness_for_values(params: FieldParams, values: np.ndarray) -> tuple[int, int, int] | None:
-    """First (a, v, count) failing bijectivity of the difference operators."""
-    q = params.q
-    for a_index in range(1, q):
-        shifted = field_mod.vec_add(params, np.arange(q, dtype=np.int64), np.int64(a_index))
-        counts = np.bincount(
-            field_mod.vec_sub(params, values[shifted], values), minlength=q
-        )
-        if not np.all(counts == 1):
-            v = int(np.nonzero(counts > 1)[0][0])
-            return a_index, v, int(counts[v])
-    return None
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ def _sweep_chunk(args: tuple[FnTable, int, int]) -> list[PerturbEntry]:
             if v == original:
                 continue
             values[w] = v
-            hit = _witness_for_values(params, values)
+            hit = _pn_scan_chunk(params, 1, values, 1, q)
             witness = None
             if hit is not None:
                 a_index, value, count = hit

@@ -1,5 +1,6 @@
-"""Memory budgets: the fast bent path at the 2**20-point cap, and a finite
-bound on every lru_cache in the package."""
+"""Memory budgets: the fast bent path at the 2**20-point cap, the exhaustive
+decomposition certificate at desk scale, and a finite bound on every
+lru_cache in the package."""
 
 import importlib
 import os
@@ -30,22 +31,45 @@ sys.exit(code)
 """
 
 FAST_RSS_BUDGET_MB = 300
+DECOMP_RSS_BUDGET_MB = 64
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
-def test_fast_bent_at_the_point_cap_stays_in_budget():
+@pytest.mark.parametrize(
+    "argv,expected,budget_mb",
+    [
+        (
+            ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
+            '"verdict": "bent"',
+            FAST_RSS_BUDGET_MB,
+        ),
+        # the decomposition certificate holds digit arrays linear in q**d,
+        # never a q**d x q**d addition table
+        (
+            ["decomp", "verify", "--catalog", "square", "--p", "5", "--ell", "5"],
+            '"pass": true',
+            DECOMP_RSS_BUDGET_MB,
+        ),
+        (
+            ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "12", "--seed", "1"],
+            '"pass": true',
+            DECOMP_RSS_BUDGET_MB,
+        ),
+    ],
+    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12"],
+)
+def test_command_stays_in_memory_budget(argv, expected, budget_mb):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"]
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert '"verdict": "bent"' in proc.stdout
+    assert expected in proc.stdout
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("peak_rss_kb=")
-    assert int(last.split("=")[1]) / 1024 <= FAST_RSS_BUDGET_MB
+    assert int(last.split("=")[1]) / 1024 <= budget_mb
 
 
 def _package_caches():

@@ -4,7 +4,7 @@ and the exhaustive decomposition certificate."""
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, SpaceBasis, build_function, make_field, standard_basis
+from ffspectra import FnSpec, FnTable, PointVector, SpaceBasis, build_function, decomp, make_field, standard_basis
 from ffspectra.catalog import random_function
 from ffspectra.decomp import (
     BaseDeltaSet,
@@ -170,3 +170,47 @@ def test_base_delta_set_construction_checks():
     b = base_deltas(SQ5, basis)
     assert isinstance(b, BaseDeltaSet)
     assert b.basis is basis
+
+
+def _corrupted_cases():
+    f9 = make_field(3, 2)
+    skewed9 = (PointVector.from_index(f9, 1, 4), PointVector.from_index(f9, 1, 3))
+    spaces = [
+        (make_field(2), 6, None),
+        (F5, 2, None),
+        (make_field(2, 2), 2, None),
+        (f9, 1, skewed9),
+    ]
+    for params, d, vectors in spaces:
+        for which in ("first", "last"):
+            for where in ("low", "high"):
+                yield pytest.param(
+                    params, d, vectors, which, where, id=f"q{params.q}-d{d}-{which}-{where}"
+                )
+
+
+@pytest.mark.parametrize("params,d,vectors,which,where", _corrupted_cases())
+def test_verify_decomposition_reports_least_failing_shift(monkeypatch, params, d, vectors, which, where):
+    # negative control: one wrong entry in one base table must surface as
+    # the least shift whose per-shift reconstruction disagrees with f
+    f = random_function(params, d, 5)
+    basis = standard_basis(params, d) if vectors is None else SpaceBasis(params, d, vectors)
+    good = base_deltas(f, basis)
+    i = 0 if which == "first" else len(good.tables) - 1
+    x = 1 if where == "low" else f.n_points - 2
+    values = good.tables[i].values.copy()
+    values[x] = (values[x] + 1) % params.q
+    tables = list(good.tables)
+    tables[i] = FnTable(params, d, values)
+    bad = BaseDeltaSet(basis, tuple(tables))
+    expected = next(
+        a_idx
+        for a_idx in range(1, f.n_points)
+        if reconstruct_delta(bad, PointVector.from_index(params, d, a_idx))
+        != delta_table(f, PointVector.from_index(params, d, a_idx))
+    )
+    monkeypatch.setattr(decomp, "base_deltas", lambda f, basis: bad)
+    v = verify_decomposition(f, basis)
+    assert not v.passed
+    assert v.shifts_checked == f.n_points - 1
+    assert v.failing_a.index == expected

@@ -15,7 +15,14 @@ from ffspectra.errors import (
     UnsupportedSize,
     ZeroInverse,
 )
-from ffspectra.field import default_modulus, standard_fp_basis
+from ffspectra.field import (
+    default_modulus,
+    standard_fp_basis,
+    vec_add,
+    vec_mul,
+    vec_scalar_mul,
+    vec_sub,
+)
 
 BUILT_IN = [
     (p, ell)
@@ -262,3 +269,29 @@ def test_fp_basis_round_trip():
         digits = basis.decompose(a)
         assert digits == a.coeffs
         assert basis.combine(digits) == a
+
+
+@pytest.mark.parametrize(
+    "p,ell,modulus",
+    [(2, 1, None), (7, 1, None), (2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None),
+     (3, 3, (2, 1, 1, 1))],
+    ids=["F2", "F7", "F4", "F8", "F9", "F25", "F27-nondefault"],
+)
+def test_vec_ops_match_element_ops_on_all_pairs(p, ell, modulus):
+    params = make_field(p, ell, modulus)
+    q = params.q
+    els = [params.from_index(i) for i in range(q)]
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    assert np.array_equal(
+        vec_add(params, a, b), [[(x + y).index for y in els] for x in els]
+    )
+    assert np.array_equal(
+        vec_sub(params, a, b), [[(x - y).index for y in els] for x in els]
+    )
+    assert np.array_equal(
+        vec_mul(params, a, b), [[(x * y).index for y in els] for x in els]
+    )
+    for u in els:
+        assert np.array_equal(
+            vec_scalar_mul(params, np.arange(q), u.index), [(u * x).index for x in els]
+        )
