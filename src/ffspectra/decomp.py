@@ -17,10 +17,11 @@ by a negative-control test.
 
 reconstruct_delta evaluates the formula for one shift.  verify_decomposition
 certifies it for all q**d - 1 shifts in one process by walking them
-depth-first in prefix order: a + g_s, for s at least the top nonzero digit
-of a, adds the formula's next term D_{f,g_s}(x + a) to a's reconstruction.
-Memory is linear in q**d (n translation gathers and one reconstruction per
-level of the walk); no q**d x q**d addition table is built.
+in prefix order: a + g_s, for s at least the top nonzero digit of a, adds
+the formula's next term D_{f,g_s}(x + a) to a's reconstruction.  Each
+digit's chain of p - 1 steps is a loop, so the walk is at most n levels
+deep for every p, and memory is linear in q**d (n translation gathers and
+one chain position per level); no q**d x q**d addition table is built.
 """
 
 from __future__ import annotations
@@ -220,41 +221,46 @@ class DecompVerdict:
     shifts_checked: int
 
 
-def _failing_shifts(f: FnTable, b: BaseDeltaSet) -> list[int]:
-    """Point indices of every nonzero shift whose reconstruction differs from
-    the direct difference table.
+def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
+    """Point index of the least nonzero shift whose reconstruction differs
+    from the direct difference table, or None if every shift agrees.
 
-    The shifts are walked depth-first in prefix order: a child of a appends
-    one more term to a's expansion, a + g_s with s at least the top nonzero
-    digit of a, so its reconstruction is a's plus the single new term of the
-    formula, D_{f,g_s}(x + a).  Only the base tables are read on that side.
-    Values are F_p digit arrays; the reconstruction keeps its digit sums
-    unreduced (at most n*(p-1)**2, far below int16) and each comparison
-    reduces recon + f(x) - f(x + a) mod p once.  x + a is one gather per node.
+    The shifts are walked in prefix order: from a node a whose top nonzero
+    digit lies below s, the chain a + g_s, a + 2*g_s, ... appends the
+    formula's terms D_{f,g_s}(x + a + j*g_s) one at a time, and each chain
+    node is then extended by the digits above s.  Only the base tables are
+    read on the reconstruction side.  Recursion goes one level per digit
+    position (depth at most n) and keeps one chain position per level, so
+    memory is O(n * q**d).  Values are F_p digit arrays; the reconstruction
+    keeps its int32 digit sums unreduced (at most n*(p-1)**2 < 2**31 for
+    q**d <= 4096) and each comparison reduces recon + f(x) - f(x + a) mod p
+    once.  x + a is one gather per node.
     """
     params, d = f.params, f.d
     p, ell, n = params.p, params.ell, b.basis.n
     idx = np.arange(f.n_points, dtype=np.int64)
     plus = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
-    f_digits = _modp.digits_of(f.values, p, ell).astype(np.int16)
-    base_digits = [_modp.digits_of(t.values, p, ell).astype(np.int16) for t in b.tables]
-    failing = []
+    f_digits = _modp.digits_of(f.values, p, ell).astype(np.int32)
+    base_digits = [_modp.digits_of(t.values, p, ell).astype(np.int32) for t in b.tables]
+    least = None
 
-    def visit(at: np.ndarray, recon: np.ndarray, top: int, k_top: int) -> None:
-        # at[x] = index(x + a); top and k_top are a's top digit and its value
-        for s in range(top, n):
-            if s == top and k_top == p - 1:
-                continue
-            child_recon = recon + base_digits[s][at]
-            child_at = plus[s][at]
-            residue = child_recon + f_digits
-            residue -= f_digits[child_at]
-            if (residue % p).any():
-                failing.append(int(child_at[0]))
-            visit(child_at, child_recon, s, k_top + 1 if s == top else 1)
+    def extend(at: np.ndarray, recon: np.ndarray, start: int) -> None:
+        # at[x] = index(x + a) for a node a with no nonzero digit at or above start
+        nonlocal least
+        for s in range(start, n):
+            chain_at, chain_recon = at, recon.copy()
+            for _ in range(p - 1):
+                chain_recon += base_digits[s][chain_at]
+                chain_at = plus[s][chain_at]
+                residue = chain_recon + f_digits
+                residue -= f_digits[chain_at]
+                if (residue % p).any():
+                    a = int(chain_at[0])
+                    least = a if least is None else min(least, a)
+                extend(chain_at, chain_recon, s + 1)
 
-    visit(idx, np.zeros_like(f_digits), 0, 0)
-    return failing
+    extend(idx, np.zeros_like(f_digits), 0)
+    return least
 
 
 def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
@@ -264,8 +270,8 @@ def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
     _check_compatible(f, basis)
     if f.n_points > 4096:
         raise UnsupportedSize("exhaustive decomposition check is desk-scale: q**d <= 4096")
-    failing = _failing_shifts(f, base_deltas(f, basis))
+    least = _least_failing_shift(f, base_deltas(f, basis))
     n = f.n_points
-    if not failing:
+    if least is None:
         return DecompVerdict(True, None, n - 1)
-    return DecompVerdict(False, PointVector.from_index(f.params, f.d, min(failing)), n - 1)
+    return DecompVerdict(False, PointVector.from_index(f.params, f.d, least), n - 1)

@@ -157,6 +157,17 @@ def test_verify_matches_single_shift_oracle():
         assert reconstruct_delta(b, a) == delta_table(f, a)
 
 
+@pytest.mark.parametrize("p", [401, 1009, 4093])
+def test_verify_decomposition_large_prime_fields(p):
+    # one chain of p - 1 shifts per digit: no recursion per step, and digit
+    # sums of about p**2 must not wrap before the mod-p comparison
+    params = make_field(p, 1, (0, 1))
+    f = random_function(params, 1, 1)
+    v = verify_decomposition(f, standard_basis(params, 1))
+    assert v.passed and v.failing_a is None
+    assert v.shifts_checked == p - 1
+
+
 def test_verify_decomposition_size_guard():
     big = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
     f = random_function(F5, 6, 0)  # 15625 points: table ok, certificate not
@@ -180,6 +191,7 @@ def _corrupted_cases():
         (F5, 2, None),
         (make_field(2, 2), 2, None),
         (f9, 1, skewed9),
+        (make_field(1009, 1, (0, 1)), 1, None),
     ]
     for params, d, vectors in spaces:
         for which in ("first", "last"):
