@@ -30,6 +30,7 @@ from .salem import PointSet, SalemReport, graph_of, indicator_ft_abs_sq, salem_c
 from .decomp import BaseDeltaSet, DecompPlan, base_deltas, identity_suite, reconstruct_delta, verify_decomposition
 from .mindist import DistanceMatrix, PerturbationReport, pairwise_min_distance, perturb, perturbation_sweep, planarity_witness
 from .catalog import CatalogEntry, get_function, list_entries, random_function
+from . import _parallel  # noqa: F401  (loaded for the benchmark tracer; see its docstring)
 
 __version__ = "0.1.0"
 

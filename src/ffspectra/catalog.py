@@ -21,8 +21,7 @@ from .errors import (
 )
 from .field import FieldParams
 from .funcs import FnSpec, FnTable, build_function, is_pn
-
-_VERIFY_LIMIT = 4096
+from .space import DESK_SCALE_POINTS
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -185,7 +184,7 @@ def get_function(
     if d is None:
         d = entry.default_d
     table = entry.builder(params, d, args)
-    if table.n_points <= _VERIFY_LIMIT:
+    if table.n_points <= DESK_SCALE_POINTS:
         for prop, expected in entry.expects:
             if prop == "pn":
                 actual = is_pn(table).is_pn

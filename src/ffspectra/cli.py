@@ -17,9 +17,10 @@ Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
 carries the witness); 2 usage or input error.
 
 Reports are canonical: JSON with sorted keys and two-space indent, CSV
-with LF line endings, and no timing or thread-count dependent content
-(wall time goes to the diagnostic stream, wall_time fields are null), so
-identical configurations produce byte-identical files at any --threads.
+with LF line endings, and no timing dependent content (wall time goes to
+the diagnostic stream, wall_time fields are null), so identical
+configurations produce byte-identical files.  Every command runs in one
+process; --threads N is still accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from . import _parallel
 from .catalog import get_function, list_entries
 from .decomp import verify_decomposition
 from .errors import (
@@ -224,7 +224,7 @@ def _salem_csv(report: SalemReport) -> str:
 
 def _cmd_test_pn(args) -> int:
     f, source = _resolve_function(args)
-    verdict = is_pn(f, threads=args.threads)
+    verdict = is_pn(f)
     report = {
         "command": "test pn",
         "config": _run_config(f, source, args),
@@ -247,7 +247,7 @@ def _cmd_test_bent(args) -> int:
         report["spot_checks"] = {"sampled": fast.sampled, "mismatches": fast.mismatches}
         verdict, ok = fast, fast.certified
     else:
-        verdict = is_bent_exact(f, threads=args.threads)
+        verdict = is_bent_exact(f)
         ok = verdict.is_bent
         if args.emit is not None:
             for u_index in range(1, f.params.q):
@@ -261,7 +261,7 @@ def _cmd_test_bent(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     f, source = _resolve_function(args)
-    result = crosscheck_pn_bent(f, threads=args.threads)
+    result = crosscheck_pn_bent(f)
     report = {
         "command": "crosscheck",
         "config": _run_config(f, source, args),
@@ -307,7 +307,7 @@ def _cmd_salem_verify(args) -> int:
     f, source = _resolve_function(args)
     config = _run_config(f, source, args)
     try:
-        report = verify_theorem1(f, threads=args.threads)
+        report = verify_theorem1(f)
     except HypothesisFailed as exc:
         payload = {
             "command": "salem verify-thm1",
@@ -365,7 +365,7 @@ def _cmd_mindist_sweep(args) -> int:
     f, source = _resolve_function(args)
     config = _run_config(f, source, args)
     try:
-        report = perturbation_sweep(f, threads=args.threads)
+        report = perturbation_sweep(f)
     except NotPlanarBase as exc:
         payload = {
             "command": "mindist sweep",
@@ -481,7 +481,7 @@ def _add_run_opts(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker count (default ${_parallel.ENV_THREADS} or 1); never changes output bytes",
+        help="has no effect: every command runs in one process",
     )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--fast", action="store_true", help="floating transform with exact spot checks")

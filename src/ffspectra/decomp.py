@@ -268,8 +268,10 @@ def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
     and compare pointwise with the direct computation; the verdict names
     the least failing shift."""
     _check_compatible(f, basis)
-    if f.n_points > 4096:
-        raise UnsupportedSize("exhaustive decomposition check is desk-scale: q**d <= 4096")
+    if f.n_points > space.DESK_SCALE_POINTS:
+        raise UnsupportedSize(
+            f"exhaustive decomposition check is desk-scale: q**d <= {space.DESK_SCALE_POINTS}"
+        )
     least = _least_failing_shift(f, base_deltas(f, basis))
     n = f.n_points
     if least is None:

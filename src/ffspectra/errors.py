@@ -77,10 +77,6 @@ class NotPlanarEntry(FFSpectraError):
     """A distance-matrix input failed planarity verification."""
 
 
-class BadThreadCount(FFSpectraError, ValueError):
-    """The worker-count environment variable is not an integer."""
-
-
 class UnknownCatalogEntry(FFSpectraError, KeyError):
     """Catalog lookup for a name that is not registered."""
 

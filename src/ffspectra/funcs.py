@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _modp, _parallel, field as field_mod, space
+from . import _modp, field as field_mod, space
 from .errors import (
     BadTableFile,
     DimensionMismatch,
@@ -27,7 +27,6 @@ from .field import FieldElement, FieldParams, make_field
 from .space import PointVector
 
 MAX_POINTS = 1 << 20
-_SPEC_CHECK_LIMIT = 4096
 
 
 def _freeze(values) -> np.ndarray:
@@ -171,7 +170,7 @@ def _point_coords(params: FieldParams, d: int) -> list[np.ndarray]:
 def _spot_check(table: "FnTable", spec: FnSpec) -> None:
     """Re-evaluate the spec pointwise with field elements; desk scale only."""
     params, d = table.params, table.d
-    if table.n_points > _SPEC_CHECK_LIMIT:
+    if table.n_points > space.DESK_SCALE_POINTS:
         return
     for i in range(table.n_points):
         x = PointVector.from_index(params, d, i)
@@ -224,14 +223,9 @@ def delta_table(f: FnTable, a: PointVector) -> FnTable:
     """Table of the difference operator x -> f(x+a) - f(x)."""
     if a.params != f.params or a.d != f.d:
         raise FieldMismatch("shift incompatible with this table")
-    return FnTable(f.params, f.d, _delta_values(f.params, f.d, f.values, a.index))
-
-
-def _delta_values(params: FieldParams, d: int, values: np.ndarray, a_index: int) -> np.ndarray:
-    """Values of x -> f(x+a) - f(x) for the table `values` on F_q**d."""
-    idx = np.arange(values.shape[0], dtype=np.int64)
-    shifted = space.vec_point_add(params, d, idx, np.int64(a_index))
-    return field_mod.vec_sub(params, values[shifted], values)
+    idx = np.arange(f.n_points, dtype=np.int64)
+    shifted = space.vec_point_add(f.params, f.d, idx, np.int64(a.index))
+    return FnTable(f.params, f.d, field_mod.vec_sub(f.params, f.values[shifted], f.values))
 
 
 @dataclass(frozen=True)
@@ -253,53 +247,52 @@ class PnVerdict:
         return "pn" if self.is_pn else "not_pn"
 
 
-def _pn_scan_chunk(
-    params: FieldParams, d: int, values: np.ndarray, start: int, stop: int
-) -> tuple[int, int, int] | None:
-    """First failing (a_index, value_index, count) with a_index in [start, stop):
+def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | None:
+    """Least failing (a, v, count) over the nonzero shifts a in index order:
     the first shift whose value counts are not all q**(d-1), and its first
-    over-hit value."""
-    q = params.q
-    expected = values.shape[0] // q
-    for a_index in range(start, stop):
-        counts = np.bincount(_delta_values(params, d, values, a_index), minlength=q)
+    over-hit value; None when every shift passes.
+
+    The shifts are counted like an odometer over the base-p digits of a:
+    level[j][x] is the index of x + (a with its digits below j cleared), so
+    each shift is one gather through the translation by the digit that went
+    up.  The value digits are built once; f(x + a) - f(x) is a gather and
+    a subtraction on them (an XOR of the value indices when p = 2).
+    """
+    p, q, n = params.p, params.q, values.shape[0]
+    expected = n // q
+    idx = np.arange(n, dtype=np.int64)
+    weights = _modp.powers(p, d * params.ell)
+    # x -> x + e_j: digit j of x goes up by one, and p - 1 wraps to 0
+    plus = [np.where(idx // w % p == p - 1, idx - (p - 1) * w, idx + w) for w in weights]
+    level = [idx] * len(plus)
+    value_digits = _modp.digits_of(values, p, params.ell)
+    value_weights = _modp.powers(p, params.ell)
+    for a_index in range(1, n):
+        j, rest = 0, a_index
+        while rest % p == 0:
+            j, rest = j + 1, rest // p
+        level[: j + 1] = [plus[j][level[j]]] * (j + 1)
+        if p == 2:  # digit-wise subtraction mod 2 is XOR of the indices
+            delta = values[level[0]] ^ values
+        else:
+            delta = ((value_digits[level[0]] - value_digits) % p) @ value_weights
+        counts = np.bincount(delta, minlength=q)
         if not np.all(counts == expected):
-            over = np.nonzero(counts > expected)[0]
-            v = int(over[0])
-            return a_index, v, int(counts[v])
+            v = int(np.nonzero(counts > expected)[0][0])
+            return PnWitness(
+                PointVector.from_index(params, d, a_index), params.from_index(v), int(counts[v])
+            )
     return None
 
 
-def is_pn(f: FnTable, threads: int = 1) -> PnVerdict:
+def is_pn(f: FnTable) -> PnVerdict:
     """Exhaustive perfect-nonlinearity test over all nonzero shifts.
 
     The witness is the least (index(a), index(v)) whose preimage count under
     the difference operator exceeds the required q**(d-1).
     """
-    n = f.n_points
-    threads = _parallel.resolve_threads(threads)
-    if threads <= 1:
-        hit = _pn_scan_chunk(f.params, f.d, f.values, 1, n)
-    else:
-        spans = _parallel.chunk_ranges(n - 1, threads * 4)
-        tasks = [(f.params, f.d, f.values, 1 + lo, 1 + hi) for lo, hi in spans]
-        results = _parallel.parallel_map(_pn_scan_star, tasks, threads)
-        hit = next((r for r in results if r is not None), None)
-    if hit is None:
-        return PnVerdict(True, None)
-    a_index, v, count = hit
-    return PnVerdict(
-        False,
-        PnWitness(
-            PointVector.from_index(f.params, f.d, a_index),
-            f.params.from_index(v),
-            count,
-        ),
-    )
-
-
-def _pn_scan_star(task: tuple[FieldParams, int, np.ndarray, int, int]):
-    return _pn_scan_chunk(*task)
+    witness = _pn_scan(f.params, f.d, f.values)
+    return PnVerdict(witness is None, witness)
 
 
 def hamming_distance(f: FnTable, g: FnTable) -> int:

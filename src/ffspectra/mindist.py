@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parallel
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -23,7 +22,7 @@ from .errors import (
     NotPlanarEntry,
 )
 from .field import FieldElement, FieldParams
-from .funcs import FnTable, PnWitness, _pn_scan_chunk, is_pn
+from .funcs import FnTable, PnWitness, _pn_scan, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -83,33 +82,7 @@ class PerturbationReport:
         return sum(1 for e in self.entries if e.planar)
 
 
-def _sweep_chunk(args: tuple[FnTable, int, int]) -> list[PerturbEntry]:
-    f, start, stop = args
-    params = f.params
-    q = params.q
-    out = []
-    values = f.values.copy()
-    for w in range(start, stop):
-        original = int(values[w])
-        for v in range(q):
-            if v == original:
-                continue
-            values[w] = v
-            hit = _pn_scan_chunk(params, 1, values, 1, q)
-            witness = None
-            if hit is not None:
-                a_index, value, count = hit
-                witness = PnWitness(
-                    PointVector.from_index(params, 1, a_index),
-                    params.from_index(value),
-                    count,
-                )
-            out.append(PerturbEntry(w, v, witness))
-        values[w] = original
-    return out
-
-
-def perturbation_sweep(f: FnTable, threads: int = 1) -> PerturbationReport:
+def perturbation_sweep(f: FnTable) -> PerturbationReport:
     """Test all q*(q-1) distance-1 neighbors of a planar f for planarity."""
     _require_univariate(f)
     base = is_pn(f)
@@ -117,23 +90,19 @@ def perturbation_sweep(f: FnTable, threads: int = 1) -> PerturbationReport:
         exc = NotPlanarBase("the base table is not planar; sweep hypothesis fails")
         exc.witness = base.witness
         raise exc
-    scope = SCOPE_THEOREM if f.params.p > 3 else SCOPE_OUTSIDE
-    q = f.params.q
-    threads = _parallel.resolve_threads(threads)
-    if threads <= 1:
-        entries = _sweep_chunk((f, 0, q))
-    else:
-        spans = _parallel.chunk_ranges(q, threads * 4)
-        chunks = _parallel.parallel_map(
-            _sweep_chunk, [(f, lo, hi) for lo, hi in spans], threads
-        )
-        entries = [e for chunk in chunks for e in chunk]
-    return PerturbationReport(
-        f.params,
-        tuple(int(v) for v in f.values),
-        scope,
-        tuple(entries),
-    )
+    params = f.params
+    scope = SCOPE_THEOREM if params.p > 3 else SCOPE_OUTSIDE
+    entries = []
+    values = f.values.copy()
+    for w in range(params.q):
+        original = int(values[w])
+        for v in range(params.q):
+            if v == original:
+                continue
+            values[w] = v
+            entries.append(PerturbEntry(w, v, _pn_scan(params, 1, values)))
+        values[w] = original
+    return PerturbationReport(params, tuple(int(v) for v in f.values), scope, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -204,14 +204,14 @@ def salem_report(e: PointSet) -> SalemReport:
     return _build_report(e, (None, None, None))
 
 
-def verify_theorem1(f: FnTable, threads: int = 1) -> SalemReport:
+def verify_theorem1(f: FnTable) -> SalemReport:
     """Flat-graph certification for a bent f: case-1 frequencies vanish,
     case-2 frequencies carry exactly q**(f.d), so the Salem constant is 1.
 
     Raises HypothesisFailed (with the bent witness attached) when f is not
     bent; the theorem presupposes bentness.
     """
-    verdict = is_bent_exact(f, threads=threads)
+    verdict = is_bent_exact(f)
     if not verdict.is_bent:
         exc = HypothesisFailed("the input is not bent; flat-graph statement does not apply")
         exc.witness = verdict.witness

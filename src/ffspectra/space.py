@@ -23,7 +23,10 @@ from .errors import (
 )
 from .field import FieldElement, FieldParams
 
-_EXHAUSTIVE_CHECK_LIMIT = 4096
+# Desk scale: exhaustive checks (basis round trips, spec re-evaluation,
+# catalog expectations, the decomposition certificate) run only on spaces
+# with at most this many points.
+DESK_SCALE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ class SpaceBasis:
         if self._inverse_matrix is None:
             raise NotABasis("vectors are linearly dependent over F_p")
         size = self.params.q**self.d
-        if size <= _EXHAUSTIVE_CHECK_LIMIT:
+        if size <= DESK_SCALE_POINTS:
             idx = np.arange(size)
             digits = self.decompose_indices(idx)
             back = _modp.index_of_digits(

@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _modp, _parallel, field as field_mod
+from . import _modp, field as field_mod
 from .catalog import splitmix64
 from .cyclotomic import CycInt
 from .errors import EvenCharacteristic, TrivialCharacter
@@ -317,33 +317,15 @@ class BentVerdict:
 
 
 @lru_cache(maxsize=field_mod.PARAMS_CACHE_SIZE)
-def _orbit_reps(params: FieldParams) -> tuple[dict[int, tuple[int, int]], tuple[int, ...]]:
-    """Orbits of F_p^*-scaling on F_q^*.
+def _orbit_reps(params: FieldParams) -> tuple[int, ...]:
+    """Least index of each orbit of F_p^*-scaling on F_q^*, ascending.
 
-    Returns (orbit_of, reps): orbit_of[u] = (rep, t) with u = t * rep, and
-    reps in ascending order.  Each rep is the least index in its orbit.
+    Scaling u by t keeps the position j of u's top nonzero base-p digit and
+    multiplies that digit by t, so an orbit's least index is its member whose
+    top digit is 1: the reps are exactly the indices in [p**j, 2*p**j).
     """
-    p, ell, q = params.p, params.ell, params.q
-    if p == 2:
-        return {u: (u, 1) for u in range(1, q)}, tuple(range(1, q))
-    weights = [p**j for j in range(ell)]
-    orbit_of: dict[int, tuple[int, int]] = {}
-    reps: list[int] = []
-    for u in range(1, q):
-        if u in orbit_of:
-            continue
-        reps.append(u)
-        digits = [(u // w) % p for w in weights]
-        for t in range(1, p):
-            v = sum(((t * dj) % p) * w for dj, w in zip(digits, weights))
-            if v not in orbit_of:
-                orbit_of[v] = (u, t)
-    return orbit_of, tuple(reps)
-
-
-def _rep_fails(args: tuple[FnTable, int, int]) -> bool:
-    f, rep, target = args
-    return bool(np.any(_AbsSq.of(f, rep).fails(target)))
+    p = params.p
+    return tuple(u for j in range(params.ell) for u in range(p**j, 2 * p**j))
 
 
 def _witness_m(spec: _AbsSq, target: int) -> int:
@@ -362,46 +344,28 @@ def _witness_m(spec: _AbsSq, target: int) -> int:
     return int(np.nonzero(spec.fails(target))[0][0])
 
 
-def is_bent_exact(f: FnTable, threads: int = 1) -> BentVerdict:
+def is_bent_exact(f: FnTable) -> BentVerdict:
     """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m.
 
     u is scanned by ascending index, one transform per Galois orbit: scaling
     u by t in F_p^* conjugates every S(u, m), which changes neither rational
     integrality nor rational values of |S|^2, so a whole orbit shares one
-    pass/fail pattern over m.  The first failing u is therefore always the
-    least member of the first failing orbit.
+    pass/fail pattern over m.  The scan stops at the first failing orbit,
+    whose least member is the least failing u.
     """
     params = f.params
     target = f.n_points
-    _, reps = _orbit_reps(params)
-    threads = _parallel.resolve_threads(threads)
-
-    failing_u: int | None = None
-    spec: _AbsSq | None = None
-    if threads <= 1:
-        for rep in reps:
-            spec = _AbsSq.of(f, rep)
-            if np.any(spec.fails(target)):
-                failing_u = rep
-                break
-    else:
-        flags = _parallel.parallel_map(
-            _rep_fails, [(f, rep, target) for rep in reps], threads
-        )
-        bad = [rep for rep, flag in zip(reps, flags) if flag]
-        if bad:
-            failing_u = min(bad)
-            spec = _AbsSq.of(f, failing_u)
-    if failing_u is None:
-        return BentVerdict(True, None)
-
-    m_index = _witness_m(spec, target)
-    witness = BentWitness(
-        params.from_index(failing_u),
-        PointVector.from_index(params, f.d, m_index),
-        spec.cell(m_index),
-    )
-    return BentVerdict(False, witness)
+    for u_index in _orbit_reps(params):
+        spec = _AbsSq.of(f, u_index)
+        if np.any(spec.fails(target)):
+            m_index = _witness_m(spec, target)
+            witness = BentWitness(
+                params.from_index(u_index),
+                PointVector.from_index(params, f.d, m_index),
+                spec.cell(m_index),
+            )
+            return BentVerdict(False, witness)
+    return BentVerdict(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +540,10 @@ class CrosscheckReport:
     agree: bool
 
 
-def crosscheck_pn_bent(f: FnTable, threads: int = 1) -> CrosscheckReport:
+def crosscheck_pn_bent(f: FnTable) -> CrosscheckReport:
     """Independent PN and bent verdicts; for odd p they must agree."""
     if f.params.p == 2:
         raise EvenCharacteristic("the PN/bent equivalence is stated for odd p")
-    pn = is_pn(f, threads=threads)
-    bent = is_bent_exact(f, threads=threads)
+    pn = is_pn(f)
+    bent = is_bent_exact(f)
     return CrosscheckReport(pn, bent, pn.is_pn == bent.is_bent)

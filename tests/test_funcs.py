@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ffspectra import FnSpec, FnTable, PointVector, build_function, make_field
+from ffspectra.catalog import random_function
 from ffspectra.errors import (
     BadTableFile,
     FieldMismatch,
@@ -110,17 +111,47 @@ def test_is_pn_verdicts_and_witness():
     assert is_pn(xy).verdict == "pn"
 
 
-def test_is_pn_thread_count_does_not_change_verdict():
-    for f in (_sq(), _cube()):
-        v1 = is_pn(f, threads=1)
-        v4 = is_pn(f, threads=4)
-        assert v1.is_pn == v4.is_pn
-        if v1.witness:
-            assert (v1.witness.a.index, v1.witness.value.index, v1.witness.count) == (
-                v4.witness.a.index,
-                v4.witness.value.index,
-                v4.witness.count,
-            )
+def _least_pn_failure(f):
+    """Brute force: the least shift a whose difference table misses the
+    q**(d-1) count, its least over-hit value v, and that count."""
+    q, expected = f.params.q, f.n_points // f.params.q
+    for a in range(1, f.n_points):
+        delta = delta_table(f, PointVector.from_index(f.params, f.d, a)).values
+        counts = np.bincount(delta, minlength=q)
+        if np.any(counts != expected):
+            v = int(np.flatnonzero(counts > expected)[0])
+            return a, v, int(counts[v])
+    return None
+
+
+def _pn_scan_tables():
+    f2, f4, f5 = make_field(2), make_field(2, 2), make_field(5)
+    f9, f25 = make_field(3, 2), make_field(5, 2, modulus=[2, 1, 1])  # t^2+t+2
+    tables = [
+        random_function(params, d, seed)
+        for params, d in ((f2, 6), (f4, 2), (f9, 1), (f25, 1), (f5, 2))
+        for seed in range(3)
+    ]
+    tables.append(build_function(FnSpec.univariate([0, 0, 1]), f25, 1))  # planar
+    # PN in the low digits plus a random part in the top ones: the first
+    # failing shift lies past every shift that only moves the low digits.
+    rng = np.random.default_rng(7)
+    idx = np.arange(25)
+    tables.append(FnTable(f5, 2, ((idx % 5) ** 2 + rng.integers(0, 5, 5)[idx // 5]) % 5))
+    bits = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    top = rng.integers(0, 2, 4)[bits[:, 4] + 2 * bits[:, 5]]
+    tables.append(FnTable(f2, 6, (bits[:, 0] * bits[:, 1] + bits[:, 2] * bits[:, 3] + top) % 2))
+    return tables
+
+
+def test_is_pn_witness_is_the_brute_force_least_failure():
+    for f in _pn_scan_tables():
+        verdict = is_pn(f)
+        expected = _least_pn_failure(f)
+        assert verdict.is_pn == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert (w.a.index, w.value.index, w.count) == expected
 
 
 def test_hamming_distance():

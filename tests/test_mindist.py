@@ -94,14 +94,6 @@ def test_sweep_requires_planar_base():
     assert (w.a.index, w.value.index, w.count) == (1, 1, 2)
 
 
-def test_sweep_thread_split_deterministic():
-    r1 = perturbation_sweep(SQ5, threads=1)
-    r3 = perturbation_sweep(SQ5, threads=3)
-    assert [(e.w_index, e.v_index) for e in r1.entries] == [
-        (e.w_index, e.v_index) for e in r3.entries
-    ]
-
-
 def test_pairwise_frozen():
     two_sq = build_function(FnSpec.univariate([0, 0, 2]), F5, 1)
     m = pairwise_min_distance([SQ5, two_sq])

@@ -137,6 +137,46 @@ def test_is_bent_exact_verdicts():
     assert is_bent_exact(mm).verdict == "bent"
 
 
+def test_is_bent_exact_stops_at_the_first_failing_orbit(monkeypatch, capsys):
+    built = []
+    init = spectrum._AbsSq.__init__
+
+    def counting_init(self, params, d, u_index, *args, **kwargs):
+        built.append(u_index)
+        init(self, params, d, u_index, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum._AbsSq, "__init__", counting_init)
+    f25 = make_field(5, 2)
+    assert len(spectrum._orbit_reps(f25)) == 6
+    bad = is_bent_exact(random_function(f25, 1, 3))
+    assert bad.witness.u.index == 1
+    assert built == [1]
+    outputs = set()
+    for threads in ("1", "2"):
+        built.clear()
+        code = main([
+            "test", "bent", "--catalog", "random", "--p", "5", "--ell", "5",
+            "--seed", "3", "--exact", "--threads", threads,
+        ])
+        assert code == 1
+        assert built == [1]
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize(
+    "p, ell, modulus",
+    [(2, 4, None), (3, 2, None), (5, 2, None), (3, 3, (2, 1, 1, 1))],  # t^3+t^2+t+2
+)
+def test_orbit_reps_are_the_least_scalar_multiples(p, ell, modulus):
+    params = make_field(p, ell, modulus)
+    least = {
+        min((params.from_index(t) * params.from_index(u)).index for t in range(1, p))
+        for u in range(1, params.q)
+    }
+    assert spectrum._orbit_reps(params) == tuple(sorted(least))
+
+
 def test_bent_over_odd_fields_square_is_flat():
     for p, ell in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]:
         params = make_field(p, ell)
