@@ -52,7 +52,7 @@ from .spectrum import (
     crosscheck_pn_bent,
     is_bent_exact,
     is_bent_fast,
-    spectrum_report,
+    spectrum_reports,
 )
 
 
@@ -75,7 +75,7 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _emit(args, name: str, text: str) -> None:
+def _emit(args, name: str, text: str | None) -> None:
     if args.emit is not None:
         _write_text(Path(args.emit) / name, text)
 
@@ -184,38 +184,35 @@ def _bent_witness_json(w: BentWitness | FastBentWitness | None) -> dict | None:
     }
 
 
-def _coords_str(params: FieldParams, d: int, point_index: int) -> str:
-    point = PointVector.from_index(params, d, point_index)
-    return ";".join(str(c.index) for c in point.coords)
-
-
 # ---------------------------------------------------------------------------
-# CSV renderers.
+# CSV renderers, from the report columns.
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
+def _m_column(params: FieldParams, d: int) -> list[str]:
+    """'m_index,m_coords' for every m: the base-q digits of m, low digit first."""
+    coords = names = [str(c) for c in range(params.q)]
+    for _ in range(1, d):
+        coords = [f"{low};{high}" for high in names for low in coords]
+    return [f"{m},{c}" for m, c in enumerate(coords)]
 
 
-def _spectrum_csv(params: FieldParams, d: int, rows) -> str:
-    lines = ["m_index,m_coords,abs_sq_exact,magnitude_float"]
-    for r in rows:
-        exact = "" if r.abs_sq_int is None else str(r.abs_sq_int)
-        lines.append(
-            f"{r.m_index},{_coords_str(params, d, r.m_index)},{exact},{_float_repr(r.magnitude)}"
-        )
-    return "\n".join(lines) + "\n"
+def _cells(values: list) -> list[str]:
+    """Exact integers and floats by repr; None is an empty cell."""
+    return ["" if v is None else repr(v) for v in values]
+
+
+def _csv(header: str, *columns: list[str]) -> str:
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _salem_csv(report: SalemReport) -> str:
-    lines = ["m_index,m_coords,case_tag,abs_sq_exact,magnitude_float,bound_ratio"]
-    for r in report.rows:
-        exact = "" if r.abs_sq_int is None else str(r.abs_sq_int)
-        lines.append(
-            f"{r.m_index},{_coords_str(report.params, report.d, r.m_index)},"
-            f"{r.case_tag},{exact},{_float_repr(r.magnitude)},{_float_repr(r.bound_ratio)}"
-        )
-    return "\n".join(lines) + "\n"
+    columns = report.abs_sq_ints, report.magnitudes.tolist(), report.ratios.tolist()
+    return _csv(
+        "m_index,m_coords,case_tag,abs_sq_exact,magnitude_float,bound_ratio",
+        _m_column(report.params, report.d),
+        report.case_tags,
+        *map(_cells, columns),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +247,11 @@ def _cmd_test_bent(args) -> int:
         verdict = is_bent_exact(f)
         ok = verdict.is_bent
         if args.emit is not None:
-            for u_index in range(1, f.params.q):
-                rep = spectrum_report(f, f.params.from_index(u_index))
-                _emit(args, f"spectrum_u{u_index}.csv", _spectrum_csv(f.params, f.d, rep.rows))
+            m_column = _m_column(f.params, f.d)
+            for rep in spectrum_reports(f):
+                cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
+                text = _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
+                _emit(args, f"spectrum_u{rep.u_index}.csv", text)
     report["verdict"] = verdict.verdict
     report["witness"] = _bent_witness_json(verdict.witness)
     _output(args, "bent.json", report)
@@ -290,7 +289,7 @@ def _salem_output(args, command: str, config: dict, report: SalemReport) -> None
         "wall_time": None,
     }
     json_text = canonical_json(payload)
-    csv_text = _salem_csv(report)
+    csv_text = _salem_csv(report) if args.format == "csv" or args.emit is not None else None
     sys.stdout.write(csv_text if args.format == "csv" else json_text)
     _emit(args, "salem.json", json_text)
     _emit(args, "salem.csv", csv_text)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector
-from .spectrum import _AbsSq, is_bent_exact
+from .spectrum import SpectrumReport, _AbsSq, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +72,6 @@ def graph_of(f: FnTable) -> PointSet:
     return PointSet.from_indices(f.params, f.d + 1, member)
 
 
-def _indicator_spectrum(e: PointSet) -> tuple[_AbsSq, np.ndarray, int]:
-    """|S(m)|^2 of E for all m at once, the bound ratios |S(m)| / |E|**(1/2),
-    and the least m != 0 attaining the largest ratio."""
-    exponents = np.zeros(e.params.q**e.d, dtype=np.int64)
-    spec = _AbsSq(e.params, e.d, 1, exponents, e.bitmap.astype(np.int64))
-    ratios = spec.magnitudes() / math.sqrt(e.cardinality)
-    return spec, ratios, int(np.argmax(ratios[1:])) + 1
-
-
 def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) -> CycInt:
     """Exact S(m) = sum over x in E of zeta^Tr(-u * (x.m)); u defaults to 1."""
     params = e.params
@@ -114,10 +104,8 @@ def indicator_ft_abs_sq(e: PointSet, m: PointVector, u: FieldElement | None = No
 
 def salem_constant(e: PointSet) -> tuple[float, PointVector]:
     """max over m != 0 of |S(m)| / |E|**(1/2), with the least argmax index."""
-    if e.cardinality == 0:
-        raise EmptySet("salem constant of the empty set")
-    _, ratios, best = _indicator_spectrum(e)
-    return float(ratios[best]), PointVector.from_index(e.params, e.d, best)
+    report = salem_report(e)
+    return report.salem_constant, report.argmax_m
 
 
 @dataclass(frozen=True)
@@ -130,72 +118,70 @@ class SalemRow:
     bound_ratio: float
 
 
-@dataclass(frozen=True)
-class SalemReport:
-    """Spectral report for a point set, with the two-case flat-graph checks."""
+_TAG_NAMES = ("zero", "case1", "case2")
 
-    params: FieldParams
-    d: int
+
+@dataclass(frozen=True, eq=False)
+class SalemReport(SpectrumReport):
+    """The spectrum of E's indicator at u = 1, with the two-case flat-graph
+    checks: ratios = magnitudes / |E|**(1/2), and expected[tags[m]] is the
+    |S(m)|^2 asserted for m's case, or None."""
+
     cardinality: int
-    rows: tuple[SalemRow, ...]
-    salem_constant: float
-    argmax_m_index: int
-    max_abs_sq_int: int | None
-    theorem1_pass: bool | None
+    ratios: np.ndarray
+    tags: np.ndarray
+    expected: tuple[int | None, int | None, int | None]
+
+    @property
+    def case_tags(self) -> list[str]:
+        return [_TAG_NAMES[t] for t in self.tags.tolist()]
+
+    @property
+    def rows(self) -> tuple[SalemRow, ...]:
+        tags = self.tags.tolist()
+        names = [_TAG_NAMES[t] for t in tags]
+        want = [self.expected[t] for t in tags]
+        mags, ratios = self.magnitudes.tolist(), self.ratios.tolist()
+        return tuple(map(SalemRow, range(len(tags)), names, self.abs_sq_ints, want, mags, ratios))
+
+    @property
+    def argmax_m_index(self) -> int:
+        """The least m != 0 attaining the largest ratio."""
+        return int(np.argmax(self.ratios[1:])) + 1
 
     @property
     def argmax_m(self) -> PointVector:
         return PointVector.from_index(self.params, self.d, self.argmax_m_index)
 
+    @property
+    def salem_constant(self) -> float:
+        return float(self.ratios[self.argmax_m_index])
 
-def _case_tags(params: FieldParams, d: int) -> np.ndarray:
-    """0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero."""
-    size = params.q**d
-    m = np.arange(size, dtype=np.int64)
-    last = m // params.q ** (d - 1)
-    tags = np.where(last != 0, 2, 1)
-    tags[0] = 0
-    return tags
+    @property
+    def max_abs_sq_int(self) -> int | None:
+        m = self.argmax_m_index
+        return int(self.ints[m]) if self.defined[m] else None
 
-_TAG_NAMES = ("zero", "case1", "case2")
+    @property
+    def theorem1_pass(self) -> bool | None:
+        """Every asserted case holds exactly; None when nothing is asserted."""
+        if self.expected == (None, None, None):
+            return None
+        want = np.array([-1 if v is None else v for v in self.expected])[self.tags]
+        return bool(np.all((want < 0) | (self.defined & (self.ints == want))))
 
 
-def _build_report(e: PointSet, expected_by_tag: Sequence[int | None]) -> SalemReport:
+def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | None]) -> SalemReport:
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
-    spec, ratios, best = _indicator_spectrum(e)
+    # the canonical character u = 1: exponent 0 at every member
+    spec = _AbsSq(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
     mags = spec.magnitudes()
-    tags = _case_tags(e.params, e.d)
-
-    rows = []
-    passing: bool | None = None
-    if any(v is not None for v in expected_by_tag):
-        passing = True
-    for m in range(mags.size):
-        tag = int(tags[m])
-        expected = expected_by_tag[tag]
-        value = spec.exact(m)
-        if expected is not None and value != expected:
-            passing = False
-        rows.append(
-            SalemRow(
-                m,
-                _TAG_NAMES[tag],
-                value,
-                expected,
-                float(mags[m]),
-                float(ratios[m]),
-            )
-        )
+    tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
+    tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero
     return SalemReport(
-        e.params,
-        e.d,
-        e.cardinality,
-        tuple(rows),
-        float(ratios[best]),
-        best,
-        spec.exact(best),
-        passing,
+        e.params, e.d, 1, spec.defined, spec.ints, mags,
+        e.cardinality, mags / math.sqrt(e.cardinality), tags, expected,
     )
 
 
@@ -217,5 +203,4 @@ def verify_theorem1(f: FnTable) -> SalemReport:
         exc.witness = verdict.witness
         raise exc
     e = graph_of(f)
-    report = _build_report(e, (e.cardinality**2, 0, f.n_points))
-    return report
+    return _build_report(e, (e.cardinality**2, 0, f.n_points))

@@ -92,12 +92,6 @@ class PointVector:
         """Prime-field scalar multiple k * self."""
         return PointVector(self.params, tuple(c.scale(k) for c in self.coords))
 
-    def scale_field(self, u: FieldElement) -> "PointVector":
-        """Coordinatewise multiple u * self."""
-        if u.params != self.params:
-            raise FieldMismatch("scalar from a different field")
-        return PointVector(self.params, tuple(u * c for c in self.coords))
-
     def dot(self, other: "PointVector") -> FieldElement:
         other = self._check(other)
         acc = self.params.zero()

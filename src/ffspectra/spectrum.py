@@ -8,17 +8,17 @@ m in F_q**d, the sum of interest is
 Two independent routes compute it:
 
 * exact: the Tr values are histogrammed into p bins of Z[zeta_p]
-  coefficients and pushed through a size-p butterfly along each of the
-  d*ell prime-field axes.  Every step is integer shift-and-add, so the
-  result is the exact cyclotomic integer.  The per-(u, m) reference
-  (walsh_exact) computes the same histogram pointwise with field elements.
+  coefficients and pushed through a size-p pass along each of the d*ell
+  prime-field axes, one float64 product with a 0/1 matrix per axis.  Every
+  intermediate is a point count <= q**d <= 2**20, so the result is the exact
+  cyclotomic integer.  The per-(u, m) reference (walsh_exact) computes the
+  same histogram pointwise with field elements.
 * fast: the same butterfly over complex128 (integer Walsh-Hadamard for
   p = 2, where it stays exact).
 
-The bent test scans u over Galois orbits: S(t*u, m) for t in F_p^* is the
-conjugate sigma_t(S(u, m)), so squared magnitudes that are rational
-integers, and hence the bent verdict itself, only require one transform
-per orbit.  The test suite pins this reduction against the direct route.
+S(t*u, m) for t in F_p^* is the conjugate sigma_t(S(u, m)), so one exact
+transform per Galois orbit serves the bent verdict and every per-u report.
+The test suite pins both reductions against the direct route.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from . import _modp, field as field_mod
 from .catalog import splitmix64
 from .cyclotomic import CycInt
-from .errors import EvenCharacteristic, TrivialCharacter
+from .errors import EvenCharacteristic, TrivialCharacter, UnsupportedSize
 from .field import FieldElement, FieldParams, trace
-from .funcs import FnTable, PnVerdict, is_pn
+from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
 from .space import PointVector
 
 
@@ -93,21 +93,14 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     return perm
 
 
-def _butterfly_exact(h: np.ndarray, axis: int, p: int) -> np.ndarray:
-    """One exact size-p pass: out[s] = sum_t h[t] * zeta^(-s*t), realized as
-    coefficient-slot gathers (multiplying by zeta^r shifts slots by r)."""
-    moved = np.moveaxis(h, axis, 0)
-    out = np.zeros_like(moved)
-    cols = np.arange(p)
-    for s in range(p):
-        acc = out[s]
-        for t in range(p):
-            shift = (s * t) % p
-            if shift == 0:
-                acc += moved[t]
-            else:
-                acc += moved[t][..., (cols + shift) % p]
-    return np.moveaxis(out, 0, axis)
+@lru_cache(maxsize=4)  # at most 4 * 31**4 float64s, 30 MB
+def _pass_matrix(p: int) -> np.ndarray:
+    """One exact size-p pass on (t, slot) pairs: out[s, k] = sum_t h[t, (k + s*t) mod p],
+    i.e. sum_t h[t] * zeta^(-s*t), as multiplying by zeta^r shifts slots by r."""
+    t, j, s, k = np.ogrid[:p, :p, :p, :p]
+    m = ((k + s * t - j) % p == 0).astype(np.float64).reshape(p * p, p * p)
+    m.setflags(write=False)
+    return m
 
 
 def _exact_coeff_rows(
@@ -115,27 +108,27 @@ def _exact_coeff_rows(
     d: int,
     u_index: int,
     exponents: np.ndarray,
-    weights: np.ndarray | None = None,
+    members: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact zeta-coefficient rows of S(u, m) for every m at once.
 
-    exponents[x] = Tr(u*f(x)) (any F_p-valued array); weights restrict or
-    weight the point set (defaults to all ones).  Returns an (N, p) int64
-    array whose row m is the unnormalized coefficient vector of S(u, m).
+    exponents[x] = Tr(u*f(x)) (any F_p-valued array); the boolean mask
+    members restricts the point set (defaults to all points).  Returns an
+    (N, p) int64 array whose row m is the unnormalized coefficient vector of
+    S(u, m).  Each pass moves the leading digit axis to the end, so n passes
+    restore the order; all entries are point counts <= N, exact in float64.
     """
     p = params.p
     n = d * params.ell
     size = p**n
-    h = np.zeros((size, p), dtype=np.int64)
-    if weights is None:
-        h[np.arange(size), exponents] = 1
-    else:
-        h[np.arange(size), exponents] = weights
-    h = h.reshape((p,) * n + (p,))
-    for axis in range(n):
-        h = _butterfly_exact(h, axis, p)
-    flat = h.reshape(size, p)
-    return flat[_frequency_map(params, d, u_index)]
+    if size > MAX_POINTS or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
+        raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
+    h = np.zeros((size, p))
+    h[np.arange(size), exponents] = 1.0 if members is None else members
+    m = _pass_matrix(p)
+    for _ in range(n):
+        h = h.reshape(p, -1, p).transpose(1, 0, 2).reshape(-1, p * p) @ m
+    return h.reshape(size, p).astype(np.int64)[_frequency_map(params, d, u_index)]
 
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
@@ -152,7 +145,7 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
 
 
 class _AbsSq:
-    """|S(u, m)|^2 for every m of one u, from one exact butterfly pass.
+    """|S(u, m)|^2 for every m of one u, from one exact transform.
 
     table[m, k] is the unreduced coefficient of zeta^k in S(u,m)*conj(S(u,m)).
     Where defined[m] holds, the value is the rational integer ints[m];
@@ -165,14 +158,17 @@ class _AbsSq:
         d: int,
         u_index: int,
         exponents: np.ndarray,
-        weights: np.ndarray | None = None,
+        members: np.ndarray | None = None,
     ) -> None:
-        rows = _exact_coeff_rows(params, d, u_index, exponents, weights)
+        rows = _exact_coeff_rows(params, d, u_index, exponents, members)
         p = params.p
         t = np.empty_like(rows)
-        for k in range(p):
-            t[:, k] = np.sum(rows * np.roll(rows, k, axis=1), axis=1)
-        self.p = p
+        for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
+            t[:, k] = t[:, -k] = np.einsum("ij,ij->i", rows, rows[:, np.arange(-k, p - k) % p])
+        self._fill(t)
+
+    def _fill(self, t: np.ndarray) -> None:
+        self.p = p = t.shape[1]
         self.table = t
         self.defined = np.all(t[:, 1:] == t[:, 1:2], axis=1)
         self.ints = t[:, 0] - t[:, 1]
@@ -182,15 +178,18 @@ class _AbsSq:
         # rows (where t[:, 1:] is constant) come out exactly.
         self.floats = (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
 
+    def galois(self, t: int) -> "_AbsSq":
+        """The table of t*u, t in F_p^*: slot k of sigma_t(z) is slot k/t of z."""
+        image = object.__new__(_AbsSq)
+        image._fill(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
+        return image
+
     @classmethod
     def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
         return cls(f.params, f.d, u_index, _trace_exponents(f, u_index))
 
-    def exact(self, m: int) -> int | None:
-        return int(self.ints[m]) if self.defined[m] else None
-
-    def cell(self, m: int) -> CycInt:
-        return CycInt.from_coeffs(self.p, self.table[m].tolist())
+    def report(self, f: FnTable, u_index: int) -> "SpectrumReport":
+        return SpectrumReport(f.params, f.d, u_index, self.defined, self.ints, self.magnitudes())
 
     def fails(self, target: int) -> np.ndarray:
         """Mask of the m whose |S|^2 is not the rational integer target."""
@@ -362,7 +361,7 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
             witness = BentWitness(
                 params.from_index(u_index),
                 PointVector.from_index(params, f.d, m_index),
-                spec.cell(m_index),
+                CycInt.from_coeffs(params.p, spec.table[m_index].tolist()),
             )
             return BentVerdict(False, witness)
     return BentVerdict(True, None)
@@ -505,32 +504,55 @@ class SpectrumRow:
     magnitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Per-frequency spectrum of one (f, u) pair with exact/float pairing."""
+    """Per-frequency spectrum of one (f, u) pair with exact/float pairing,
+    stored by column: |S(u, m)|^2 is the rational integer ints[m] where
+    defined[m] holds, and magnitudes[m] is |S(u, m)| as a float."""
 
     params: FieldParams
     d: int
     u_index: int
-    rows: tuple[SpectrumRow, ...]
+    defined: np.ndarray
+    ints: np.ndarray
+    magnitudes: np.ndarray
+
+    @property
+    def abs_sq_ints(self) -> list[int | None]:
+        return [v if ok else None for ok, v in zip(self.defined.tolist(), self.ints.tolist())]
+
+    @property
+    def rows(self) -> tuple[SpectrumRow, ...]:
+        mags = self.magnitudes.tolist()
+        return tuple(map(SpectrumRow, range(len(mags)), self.abs_sq_ints, mags))
 
     @property
     def max_magnitude(self) -> float:
-        return max(r.magnitude for r in self.rows)
+        return float(self.magnitudes.max())
 
     @property
     def min_magnitude(self) -> float:
-        return min(r.magnitude for r in self.rows)
+        return float(self.magnitudes.min())
 
     def is_flat(self, target: int) -> bool:
-        return all(r.abs_sq_int == target for r in self.rows)
+        return bool(np.all(self.defined & (self.ints == target)))
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
-    spec = _AbsSq.of(f, u.index)
-    mags = spec.magnitudes()
-    records = tuple(SpectrumRow(m, spec.exact(m), float(mags[m])) for m in range(mags.size))
-    return SpectrumReport(f.params, f.d, u.index, records)
+    return _AbsSq.of(f, u.index).report(f, u.index)
+
+
+def spectrum_reports(f: FnTable) -> Iterator[SpectrumReport]:
+    """spectrum_report(f, u) for every u in F_q^*, one exact transform per
+    Galois orbit: each orbit's least member first, then its multiples t*u
+    for t = 2, ..., p-1, whose tables are slot permutations of it."""
+    params = f.params
+    for rep in _orbit_reps(params):
+        spec = _AbsSq.of(f, rep)
+        yield spec.report(f, rep)
+        for t in range(2, params.p):
+            u_index = int(_modp.scale_indices(rep, t, params.p, params.ell))
+            yield spec.galois(t).report(f, u_index)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Memory budgets: the fast bent path at the 2**20-point cap, the exhaustive
-decomposition certificate at desk scale, and a finite bound on every
-lru_cache in the package."""
+decomposition certificate and the graph spectrum report at desk scale, and
+a finite bound on every lru_cache in the package."""
 
 import importlib
 import os
@@ -32,6 +32,7 @@ sys.exit(code)
 
 FAST_RSS_BUDGET_MB = 300
 DECOMP_RSS_BUDGET_MB = 64
+SALEM_RSS_BUDGET_MB = 80
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
@@ -55,8 +56,15 @@ DECOMP_RSS_BUDGET_MB = 64
             '"pass": true',
             DECOMP_RSS_BUDGET_MB,
         ),
+        # the 117,649-frequency graph report is held by column, not per row,
+        # and its CSV is not rendered for a JSON run
+        (
+            ["salem", "verify-thm1", "--catalog", "square", "--p", "7", "--ell", "3"],
+            '"theorem1_pass": true',
+            SALEM_RSS_BUDGET_MB,
+        ),
     ],
-    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12"],
+    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12", "salem-thm1-q343"],
 )
 def test_command_stays_in_memory_budget(argv, expected, budget_mb):
     env = dict(os.environ)

@@ -137,6 +137,29 @@ def test_salem_csv_format(capsys, tmp_path):
     assert (emit / "salem.json").exists()
 
 
+def test_salem_csv_rendered_only_when_asked(capsys, tmp_path, monkeypatch):
+    from ffspectra import cli
+
+    renders = []
+    original = cli._salem_csv
+
+    def counting(report):
+        renders.append(report)
+        return original(report)
+
+    monkeypatch.setattr(cli, "_salem_csv", counting)
+    argv = ["salem", "verify-thm1", "--catalog", "square", "--p", "5", "--ell", "2"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and renders == []
+    emit = tmp_path / "s"
+    code, emitted, _ = run(capsys, *argv, "--emit", str(emit))
+    assert code == 0 and len(renders) == 1
+    assert emitted == plain == (emit / "salem.json").read_text()
+    code, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and len(renders) == 2
+    assert (emit / "salem.csv").read_text() == csv_out
+
+
 def test_decomp_verify(capsys):
     code, doc, _ = run_json(
         capsys, "decomp", "verify", "--catalog", "square", "--p", "3", "--ell", "2"

@@ -32,6 +32,7 @@ CASES = {
     "bent_exact_bool_quadratic_d4": ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "4", "--exact"],
     "bent_exact_affine_p7_not_bent": ["test", "bent", "--catalog", "affine", "--p", "7", "--exact"],
     "bent_exact_random_q25_not_bent": ["test", "bent", "--catalog", "random", "--p", "5", "--d", "2", "--seed", "3", "--exact"],
+    "bent_exact_random_q25_seed1_not_bent": ["test", "bent", "--catalog", "random", "--p", "5", "--d", "2", "--seed", "1", "--exact"],
     "bent_exact_power_e4_q27": ["test", "bent", "--catalog", "power", "--p", "3", "--ell", "3", "--params", "e=4", "--exact"],
     "bent_exact_power_e5_q27_not_bent": ["test", "bent", "--catalog", "power", "--p", "3", "--ell", "3", "--params", "e=5", "--exact"],
     "bent_fast_square_p7": ["test", "bent", "--catalog", "square", "--p", "7", "--fast"],

@@ -22,7 +22,7 @@ from ffspectra import _modp
 from ffspectra.catalog import random_function
 from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
-from ffspectra.errors import EvenCharacteristic, TrivialCharacter
+from ffspectra.errors import EvenCharacteristic, TrivialCharacter, UnsupportedSize
 from ffspectra.field import trace_weights
 from ffspectra.funcs import is_pn
 from ffspectra.space import dot
@@ -499,3 +499,139 @@ def test_spot_checks_call_exact_cell_once_per_sampled_cell(monkeypatch, make):
     verdict = is_bent_fast(f)
     assert verdict.certified
     assert len(calls) == verdict.sampled > 0
+
+
+# ---------------------------------------------------------------------------
+# The matrix-product butterfly and one transform per Galois orbit.
+
+ENGINE_TABLES = {
+    "square_F7": lambda: get_function("square", make_field(7)),
+    "random_F7": lambda: random_function(make_field(7), 1, 11),
+    "square_F9": lambda: get_function("square", make_field(3, 2)),
+    "random_F9": lambda: random_function(make_field(3, 2), 1, 12),
+    "bool_quadratic_F2^4": lambda: get_function("bool_quadratic", make_field(2), d=4),
+    "random_F2^4": lambda: random_function(make_field(2), 4, 13),
+    "bilinear_F5^2": lambda: get_function("bilinear", F5, d=2),
+    "random_F5^2": lambda: random_function(F5, 2, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_TABLES))
+def test_matmul_butterfly_matches_pointwise_on_every_cell(name):
+    f = ENGINE_TABLES[name]()
+    params = f.params
+    for u in range(1, params.q):
+        rows = spectrum._exact_coeff_rows(params, f.d, u, spectrum._trace_exponents(f, u))
+        assert rows.dtype == np.int64
+        for m_idx in range(f.n_points):
+            m = PointVector.from_index(params, f.d, m_idx)
+            want = walsh_exact(f, params.from_index(u), m)
+            assert CycInt.from_coeffs(params.p, rows[m_idx].tolist()) == want
+
+
+def test_pass_matrix_is_the_exact_size_p_pass():
+    # out[s, k] = sum_t h[t, (k + s*t) mod p]: the slot form of sum_t h[t] zeta^(-s*t)
+    rng = np.random.default_rng(5)
+    for p in (2, 3, 5, 7, 13):
+        h = rng.integers(0, 50, size=(p, p))
+        want = np.array(
+            [[sum(h[t, (k + s * t) % p] for t in range(p)) for k in range(p)] for s in range(p)]
+        )
+        got = (h.reshape(1, p * p) @ spectrum._pass_matrix(p)).reshape(p, p)
+        assert np.array_equal(got, want)
+
+
+def test_member_mask_path_matches_indicator_sum():
+    from ffspectra.salem import PointSet, indicator_sum
+
+    rng = np.random.default_rng(8)
+    for params, d in [(F5, 2), (make_field(3, 2), 2), (make_field(2), 5), (make_field(7), 2)]:
+        n = params.q**d
+        for _ in range(3):
+            e = PointSet(params, d, rng.random(n) < 0.3)
+            rows = spectrum._exact_coeff_rows(params, d, 1, np.zeros(n, dtype=np.int64), e.bitmap)
+            for m_idx in range(n):
+                m = PointVector.from_index(params, d, m_idx)
+                got = CycInt.from_coeffs(params.p, rows[m_idx].tolist())
+                assert got == indicator_sum(e, m)
+
+
+@pytest.mark.parametrize(
+    "params,d",
+    [
+        (make_field(2), 21),  # one past the 2**20-point cap
+        (make_field(2), 40),  # allocating this would fail at once
+        (F5, 9),
+        (FieldParams(37, 1, (0, 1)), 1),  # p**4 > 2**20 entries of pass matrix
+    ],
+    ids=["2^21", "2^40", "5^9", "p37"],
+)
+def test_exact_coeff_rows_refuses_oversized_transforms(params, d):
+    # A one-point exponent array: the refusal must come before any allocation.
+    with pytest.raises(UnsupportedSize):
+        spectrum._exact_coeff_rows(params, d, 1, np.zeros(1, dtype=np.int64))
+
+
+def test_exact_engine_refuses_large_primes_with_exit_code_2(capsys):
+    argv = ["test", "bent", "--catalog", "square", "--p", "37", "--modulus", "0,1", "--exact"]
+    assert main(argv) == 2
+    assert "p <= 31" in capsys.readouterr().err
+
+
+ORBIT_CASES = {
+    "F_9": (make_field(3, 2), 1),
+    "F_25_t2+t+2": (FieldParams(5, 2, (2, 1, 1)), 1),
+    "F_27_t3+t2+t+2": (FieldParams(3, 3, (2, 1, 1, 1)), 1),
+    "F_5^2": (F5, 2),
+    "F_7^2": (make_field(7), 2),
+    "F_13": (make_field(13), 1),
+    "F_2^4": (make_field(2), 4),  # p = 2: every orbit is a singleton
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_CASES))
+def test_spectrum_reports_match_one_transform_per_u(name):
+    params, d = ORBIT_CASES[name]
+    irrational = 0
+    for seed in range(3):
+        f = random_function(params, d, seed)
+        reports = list(spectrum.spectrum_reports(f))
+        assert sorted(r.u_index for r in reports) == list(range(1, params.q))
+        for rep in reports:
+            want = spectrum_report(f, params.from_index(rep.u_index))
+            assert (rep.params, rep.d) == (params, d)
+            assert np.array_equal(rep.defined, want.defined)
+            assert np.array_equal(rep.ints, want.ints)
+            # bit-identical floats: the permuted table is the per-u table
+            assert np.array_equal(rep.magnitudes, want.magnitudes)
+            assert rep.rows == want.rows
+            irrational += int(np.count_nonzero(~rep.defined))
+    # Only irrational cells tell slot k*t from slot k/t, and since |S|^2 is
+    # symmetric under k -> -k, only p >= 7 has a t with 1/t != +-t.
+    assert irrational > 0 or params.p < 5
+
+
+def test_spectrum_reports_run_one_transform_per_orbit(monkeypatch, tmp_path, capsys):
+    built = []
+    init = spectrum._AbsSq.__init__
+
+    def counting_init(self, params, d, u_index, *args, **kwargs):
+        built.append(u_index)
+        init(self, params, d, u_index, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum._AbsSq, "__init__", counting_init)
+    params = make_field(7, 3)
+    f = get_function("square", params)
+    built.clear()
+    assert len(list(spectrum.spectrum_reports(f))) == 342
+    assert built == list(spectrum._orbit_reps(params)) and len(built) == 57
+    # The CLI's verdict scans 57 orbits; --emit adds 57 more, not 342.
+    argv = ["test", "bent", "--catalog", "square", "--p", "7", "--ell", "3", "--exact"]
+    built.clear()
+    assert main(argv) == 0
+    verdict_only = len(built)
+    built.clear()
+    assert main([*argv, "--emit", str(tmp_path)]) == 0
+    assert verdict_only == 57 and len(built) == 57 + 57
+    assert len(list(tmp_path.glob("spectrum_u*.csv"))) == 342
+    capsys.readouterr()
