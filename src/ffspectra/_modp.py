@@ -41,12 +41,6 @@ def sub_indices(a, b, p: int, n: int):
     return index_of_digits((digits_of(a, p, n) - digits_of(b, p, n)) % p, p)
 
 
-def neg_indices(a, p: int, n: int):
-    if p == 2:
-        return np.asarray(a, dtype=np.int64).copy()
-    return index_of_digits((-digits_of(a, p, n)) % p, p)
-
-
 def scale_indices(a, k: int, p: int, n: int):
     """Multiply every digit by the integer scalar k mod p."""
     return index_of_digits((digits_of(a, p, n) * (k % p)) % p, p)

@@ -129,15 +129,6 @@ def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _eval_univariate(params: FieldParams, coeffs: Sequence[int], x: np.ndarray) -> np.ndarray:
-    acc = np.zeros(x.shape, dtype=np.int64)
-    for c in reversed(list(coeffs)):
-        acc = field_mod.vec_mul(params, acc, x)
-        if int(c):
-            acc = field_mod.vec_add(params, acc, np.int64(int(c)))
-    return acc
-
-
 def _eval_monomials(
     params: FieldParams, d: int, terms, coords: list[np.ndarray]
 ) -> np.ndarray:
@@ -174,17 +165,12 @@ def _spot_check(table: "FnTable", spec: FnSpec) -> None:
         return
     for i in range(table.n_points):
         x = PointVector.from_index(params, d, i)
-        if spec.kind == "univariate":
-            acc = params.zero()
-            for c in reversed(spec.coeffs):
-                acc = acc * x.coords[0] + params.from_index(c)
-        else:
-            acc = params.zero()
-            for c, exps in spec.monomials:
-                term = params.from_index(c)
-                for xi, e in zip(x.coords, exps):
-                    term = term * xi**int(e)
-                acc = acc + term
+        acc = params.zero()
+        for c, exps in spec.monomials:
+            term = params.from_index(c)
+            for xi, e in zip(x.coords, exps):
+                term = term * xi**int(e)
+            acc = acc + term
         if acc.index != table.value_index(i):
             raise AssertionError(
                 f"spec evaluation mismatch at point {i}: table disagrees with direct evaluation"
@@ -197,10 +183,7 @@ def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
     if spec.kind == "univariate":
         if d != 1:
             raise SpecDimensionMismatch("univariate specs require d = 1")
-        x = np.arange(params.q, dtype=np.int64)
-        table = FnTable(params, 1, _eval_univariate(params, spec.coeffs, x))
-        _spot_check(table, spec)
-        return table
+        spec = FnSpec.from_monomials([(c, (k,)) for k, c in enumerate(spec.coeffs) if c])
     if spec.kind == "monomials":
         coords = _point_coords(params, d)
         table = FnTable(params, d, _eval_monomials(params, d, spec.monomials, coords))

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _modp, field as field_mod
+from . import _modp
 from .cyclotomic import CycInt
 from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector
-from .spectrum import SpectrumReport, _AbsSq, is_bent_exact
+from .spectrum import SpectrumReport, _AbsSq, _cell_counts, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,24 +77,11 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
     params = e.params
     if m.params != params or m.d != e.d:
         raise FieldMismatch("frequency incompatible with this set")
+    exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
+    digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
     u_index = 1 if u is None else u.index
-    if u_index == 0:
-        counts = [e.cardinality] + [0] * (params.p - 1)
-        return CycInt.from_histogram(params.p, counts)
-    members = np.nonzero(e.bitmap)[0].astype(np.int64)
-    q = params.q
-    dots = np.zeros(members.shape, dtype=np.int64)
-    for j in range(e.d):
-        mj = m.coords[j].index
-        if mj:
-            coord = (members // q**j) % q
-            dots = field_mod.vec_add(
-                params, dots, field_mod.vec_scalar_mul(params, coord, mj)
-            )
-    w = np.asarray(field_mod.trace_weights(params, u_index))
-    exponents = (-(_modp.digits_of(dots, params.p, params.ell) @ w)) % params.p
-    counts = np.bincount(exponents, minlength=params.p)
-    return CycInt.from_histogram(params.p, [int(c) for c in counts])
+    counts = _cell_counts(params, exponents, digits, u_index, m.index, e.bitmap)
+    return CycInt.from_histogram(params.p, counts.tolist())
 
 
 def indicator_ft_abs_sq(e: PointSet, m: PointVector, u: FieldElement | None = None) -> CycInt:

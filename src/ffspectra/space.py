@@ -211,20 +211,3 @@ def decompose_over_fp(a: PointVector, basis: SpaceBasis) -> tuple[int, ...]:
 
 def vec_point_add(params: FieldParams, d: int, a, b) -> np.ndarray:
     return _modp.add_indices(a, b, params.p, d * params.ell)
-
-
-def vec_point_sub(params: FieldParams, d: int, a, b) -> np.ndarray:
-    return _modp.sub_indices(a, b, params.p, d * params.ell)
-
-
-def vec_point_neg(params: FieldParams, d: int, a) -> np.ndarray:
-    return _modp.neg_indices(a, params.p, d * params.ell)
-
-
-def vec_point_scale_field(params: FieldParams, d: int, a, u_index: int) -> np.ndarray:
-    """Coordinatewise multiplication of point-index arrays by the element u."""
-    from .field import mul_matrix  # local import keeps module load light
-
-    u_mat = mul_matrix(params, int(u_index))
-    block = np.kron(np.eye(d, dtype=np.int64), np.asarray(u_mat))
-    return _modp.apply_linear(a, block, params.p)

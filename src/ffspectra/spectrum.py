@@ -33,7 +33,7 @@ import numpy as np
 from . import _modp, field as field_mod
 from .catalog import splitmix64
 from .cyclotomic import CycInt
-from .errors import EvenCharacteristic, TrivialCharacter, UnsupportedSize
+from .errors import EvenCharacteristic, IndexOutOfRange, TrivialCharacter, UnsupportedSize
 from .field import FieldElement, FieldParams, trace
 from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
 from .space import PointVector
@@ -144,6 +144,18 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     return (digits @ w) % params.p
 
 
+def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
+    """Unreduced |S|^2 of stacked zeta-coefficient rows: out[i, k] is the
+    coefficient of zeta^k in S_i*conj(S_i).  |out| <= max|row| * sum|row|,
+    under 2**61 for the point counts of N <= 2**20 points or their
+    normalized CycInt coefficients, so int64 holds it."""
+    p = rows.shape[1]
+    t = np.empty_like(rows)
+    for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
+        t[:, k] = t[:, -k] = np.einsum("ij,ij->i", rows, rows[:, np.arange(-k, p - k) % p])
+    return t
+
+
 class _AbsSq:
     """|S(u, m)|^2 for every m of one u, from one exact transform.
 
@@ -160,12 +172,15 @@ class _AbsSq:
         exponents: np.ndarray,
         members: np.ndarray | None = None,
     ) -> None:
-        rows = _exact_coeff_rows(params, d, u_index, exponents, members)
-        p = params.p
-        t = np.empty_like(rows)
-        for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
-            t[:, k] = t[:, -k] = np.einsum("ij,ij->i", rows, rows[:, np.arange(-k, p - k) % p])
-        self._fill(t)
+        # one expression, so the coefficient rows are freed before the fill
+        self._fill(_abs_sq_table(_exact_coeff_rows(params, d, u_index, exponents, members)))
+
+    @classmethod
+    def of_table(cls, t: np.ndarray) -> "_AbsSq":
+        """The views of an unreduced |S|^2 table, without a transform."""
+        spec = object.__new__(cls)
+        spec._fill(t)
+        return spec
 
     def _fill(self, t: np.ndarray) -> None:
         self.p = p = t.shape[1]
@@ -180,9 +195,7 @@ class _AbsSq:
 
     def galois(self, t: int) -> "_AbsSq":
         """The table of t*u, t in F_p^*: slot k of sigma_t(z) is slot k/t of z."""
-        image = object.__new__(_AbsSq)
-        image._fill(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
-        return image
+        return _AbsSq.of_table(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
 
     @classmethod
     def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
@@ -249,6 +262,38 @@ def _oracle_state(f: FnTable, u_index: int) -> _OracleState:
     return state
 
 
+def _cell_counts(
+    params: FieldParams,
+    exponents: np.ndarray,
+    digits: np.ndarray,
+    u_index: int,
+    m_index: int,
+    members: np.ndarray | None = None,
+) -> np.ndarray:
+    """Histogram over points x of exponents[x] - Tr(u*(x.m)) mod p.
+
+    exponents is shaped (q,)*d with axis d-1-j over x_j, and digits holds the
+    base-p digits of every element of F_q.  The boolean mask members restricts
+    the point set (defaults to all points).  Each nonzero m_j subtracts one
+    q-entry trace table by broadcasting.
+    """
+    p, q, d = params.p, params.q, exponents.ndim
+    u = params.from_index(u_index)
+    exps = exponents.copy()
+    for j in range(d):
+        mj = (m_index // q**j) % q
+        if mj == 0:
+            continue
+        umj = (u * params.from_index(mj)).index
+        # term[x_j] = Tr((u*m_j)*x_j) for every x_j in F_q.
+        term = (digits @ np.asarray(field_mod.trace_weights(params, umj))) % p
+        shape = [1] * d
+        shape[d - 1 - j] = q
+        exps -= term.reshape(shape)
+    exps = exps.ravel() if members is None else exps.ravel()[members]
+    return np.bincount(exps % p, minlength=p)
+
+
 def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     """Exact S(u, m) for a single (u, m), vectorized over points.
 
@@ -257,22 +302,13 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     as the spot-check oracle behind the floating transform path.
     """
     params = f.params
-    p, q, d = params.p, params.q, f.d
-    state = _oracle_state(f, u_index)
-    exps = state.exponents.copy()
-    u = params.from_index(u_index)
-    for j in range(d):
-        mj = (m_index // q**j) % q
-        if mj == 0:
-            continue
-        umj = (u * params.from_index(mj)).index
-        # term[x_j] = Tr((u*m_j)*x_j) for every x_j in F_q.
-        term = (state.digits @ np.asarray(field_mod.trace_weights(params, umj))) % p
-        shape = [1] * d
-        shape[d - 1 - j] = q
-        exps -= term.reshape(shape)
-    counts = np.bincount(exps.ravel() % p, minlength=p)
-    return CycInt.from_histogram(p, [int(c) for c in counts])
+    if not (0 <= u_index < params.q and 0 <= m_index < f.n_points):
+        raise IndexOutOfRange(
+            f"cell (u, m) = ({u_index}, {m_index}) outside [1, {params.q}) x [0, {f.n_points})"
+        )
+    state = _oracle_state(f, u_index)  # refuses u = 0
+    counts = _cell_counts(params, state.exponents, state.digits, u_index, m_index)
+    return CycInt.from_histogram(params.p, counts.tolist())
 
 
 def parseval_total(f: FnTable, u: FieldElement) -> int:
@@ -451,17 +487,11 @@ def _spot_count(n_points: int, d: int) -> int:
 def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
     """Exactly recompute a deterministic sample of cells; return (sampled, bad)."""
     n = f.n_points
-    k = _spot_count(n, f.d)
-    bad = 0
-    for i in range(k):
-        m_index = splitmix64(_SPOT_SEED ^ u_index, i) % n
-        z = exact_cell(f, u_index, m_index).abs_sq()
-        exact_int = z.as_integer()
-        exact_val = float(exact_int) if exact_int is not None else z.to_complex().real
-        root = math.sqrt(max(exact_val, 0.0))
-        if abs(float(mags[m_index]) - root) > _FAST_REL_TOL * max(root, 1.0):
-            bad += 1
-    return k, bad
+    ms = [splitmix64(_SPOT_SEED ^ u_index, i) % n for i in range(_spot_count(n, f.d))]
+    rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.int64)
+    roots = _AbsSq.of_table(_abs_sq_table(rows)).magnitudes()
+    bad = np.abs(mags[ms] - roots) > _FAST_REL_TOL * np.maximum(roots, 1.0)
+    return len(ms), int(np.count_nonzero(bad))
 
 
 def is_bent_fast(f: FnTable) -> FastBentVerdict:
@@ -481,10 +511,7 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
         sampled += k
         mismatches += bad
         sq = mags * mags
-        if params.p == 2:
-            failing = np.nonzero(np.rint(sq) != target)[0]
-        else:
-            failing = np.nonzero(np.abs(sq - target) > 1e-6 * target)[0]
+        failing = np.nonzero(np.abs(sq - target) > 1e-6 * target)[0]
         if witness is None and failing.size:
             m = int(failing[0])
             witness = FastBentWitness(

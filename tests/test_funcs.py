@@ -4,7 +4,7 @@ distance/image helpers, and the text file format."""
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, FnTable, PointVector, build_function, make_field
+from ffspectra import FieldParams, FnSpec, FnTable, PointVector, build_function, field, make_field
 from ffspectra.catalog import random_function
 from ffspectra.errors import (
     BadTableFile,
@@ -40,6 +40,10 @@ def test_build_function_frozen_tables():
     assert _cube().values.tolist() == [0, 1, 3, 2, 4]
     zero = build_function(FnSpec.univariate([0]), F5, 1)
     assert zero.values.tolist() == [0] * 5
+    assert build_function(FnSpec.univariate([0, 0, 0]), F5, 1) == zero
+    assert build_function(FnSpec.univariate([1, 0, 0, 0, 0, 1]), F5, 1).values.tolist() == [
+        1, 2, 3, 4, 0,
+    ]  # x**5 + 1 = x + 1 on F_5
     # monomial route gives the same table as the univariate route
     mono = build_function(FnSpec.from_monomials([(1, (2,))]), F5, 1)
     assert mono == _sq()
@@ -54,6 +58,24 @@ def test_build_function_monomials_multivariate():
         build_function(FnSpec.univariate([0, 1]), F5, 2)
     with pytest.raises(SpecDimensionMismatch):
         build_function(FnSpec.from_monomials([(1, (1, 1))]), F5, 3)
+
+
+def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):
+    # A vectorized product that reduces by the default modulus t**2 + 2 in
+    # place of the table's t**2 + t + 2 still yields indices in [0, 25).
+    params = FieldParams(5, 2, (2, 1, 1))
+    default = make_field(5, 2)
+    assert default.modulus != params.modulus
+    specs = [(FnSpec.univariate([1, 0, 3, 1]), 1), (FnSpec.from_monomials([(7, (1, 2))]), 2)]
+    for spec, d in specs:
+        build_function(spec, params, d)
+    original = field.vec_mul
+    monkeypatch.setattr(
+        field, "vec_mul", lambda p, a, b: original(default if p == params else p, a, b)
+    )
+    for spec, d in specs:
+        with pytest.raises(AssertionError, match="spec evaluation mismatch"):
+            build_function(spec, params, d)
 
 
 def test_raw_spec_and_table_guards():

@@ -33,8 +33,6 @@ def test_add_sub_neg_match_per_digit_arithmetic():
         )
         assert np.array_equal(got, want)
         assert np.array_equal(_modp.sub_indices(got, b, p, n), a)
-        zero = _modp.add_indices(a, _modp.neg_indices(a, p, n), p, n)
-        assert not np.any(zero)
 
 
 def test_p2_shortcut_is_xor():
@@ -42,7 +40,6 @@ def test_p2_shortcut_is_xor():
     b = np.arange(64)[::-1].copy()
     assert np.array_equal(_modp.add_indices(a, b, 2, 6), a ^ b)
     assert np.array_equal(_modp.sub_indices(a, b, 2, 6), a ^ b)
-    assert np.array_equal(_modp.neg_indices(a, 2, 6), a)
 
 
 def test_scale_indices():

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, get_function, make_field, trace
+from ffspectra import (
+    FieldParams,
+    FnSpec,
+    PointVector,
+    build_function,
+    get_function,
+    make_field,
+    trace,
+)
 from ffspectra.catalog import random_function
 from ffspectra.errors import EmptySet, HypothesisFailed
 from ffspectra.salem import (
@@ -63,15 +71,27 @@ def test_indicator_sum_frozen_cases():
 
 
 def test_indicator_matches_complex_oracle():
-    params = make_field(3, 2)
-    e = PointSet.from_indices(params, 1, [0, 2, 3, 7])
-    for m_idx in range(9):
-        m = PointVector.from_index(params, 1, m_idx)
-        exact = indicator_sum(e, m)
-        assert abs(exact.to_complex() - _indicator_oracle(e, m)) < 1e-9
-        got = indicator_ft_abs_sq(e, m)
-        want = abs(_indicator_oracle(e, m)) ** 2
-        assert abs(got.to_complex().real - want) < 1e-6
+    # every u, u = 0 included, on d = 1 and d = 2 sets, a graph, and a
+    # non-default modulus
+    f25 = FieldParams(5, 2, (2, 1, 1))
+    rng = np.random.default_rng(9)
+    for e in [
+        PointSet.from_indices(make_field(3, 2), 1, [0, 2, 3, 7]),
+        PointSet(F5, 2, rng.random(25) < 0.4),
+        graph_of(get_function("square", make_field(3, 2))),
+        PointSet(f25, 1, rng.random(25) < 0.5),
+    ]:
+        params = e.params
+        for u in params.elements():
+            for m_idx in range(params.q**e.d):
+                m = PointVector.from_index(params, e.d, m_idx)
+                want = _indicator_oracle(e, m, u.index)
+                exact = indicator_sum(e, m, u)
+                assert abs(exact.to_complex() - want) < 1e-9
+                got = indicator_ft_abs_sq(e, m, u)
+                assert abs(got.to_complex().real - abs(want) ** 2) < 1e-6
+                if u.is_zero():  # the trivial character counts the members
+                    assert exact.as_integer() == e.cardinality
 
 
 def test_character_choice_permutes_spectrum():

@@ -11,9 +11,6 @@ from ffspectra.space import (
     all_points,
     decompose_over_fp,
     vec_point_add,
-    vec_point_neg,
-    vec_point_scale_field,
-    vec_point_sub,
 )
 
 
@@ -130,17 +127,7 @@ def test_vec_point_ops_match_element_ops():
         a = rng.integers(0, n, size=100)
         b = rng.integers(0, n, size=100)
         add = vec_point_add(params, d, a, b)
-        sub = vec_point_sub(params, d, a, b)
-        neg = vec_point_neg(params, d, a)
-        u = 1 if params.q == 2 else 2
-        scaled = vec_point_scale_field(params, d, a, u)
         for i in range(100):
             x = PointVector.from_index(params, d, int(a[i]))
             y = PointVector.from_index(params, d, int(b[i]))
             assert (x + y).index == add[i]
-            assert (x - y).index == sub[i]
-            assert (-x).index == neg[i]
-            want = PointVector(
-                params, tuple(c * params.from_index(u) for c in x.coords)
-            )
-            assert want.index == scaled[i]

@@ -22,7 +22,12 @@ from ffspectra import _modp
 from ffspectra.catalog import random_function
 from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
-from ffspectra.errors import EvenCharacteristic, TrivialCharacter, UnsupportedSize
+from ffspectra.errors import (
+    EvenCharacteristic,
+    IndexOutOfRange,
+    TrivialCharacter,
+    UnsupportedSize,
+)
 from ffspectra.field import trace_weights
 from ffspectra.funcs import is_pn
 from ffspectra.space import dot
@@ -103,6 +108,15 @@ def test_engine_matches_pointwise_and_complex_oracle():
 def test_exact_cell_guards():
     with pytest.raises(TrivialCharacter):
         exact_cell(SQ5, 0, 0)
+    # Out-of-range indices used to wrap (m = 5 gave the m = 0 cell, m = -4
+    # the m = 1 cell), and u = 6 left a wrapped state in the memo; each bad
+    # call is followed by a valid one that must see the right cell.
+    for u, m in [(1, 5), (1, -4), (6, 1), (-1, 1), (0, 5), (5, 0), (2, 25)]:
+        with pytest.raises(IndexOutOfRange):
+            exact_cell(SQ5, u, m)
+        good_u, good_m = u % 4 + 1, m % 5
+        want = walsh_exact(SQ5, F5.from_index(good_u), PointVector.from_index(F5, 1, good_m))
+        assert exact_cell(SQ5, good_u, good_m) == want
 
 
 def test_parseval_exact():
@@ -352,6 +366,43 @@ def test_is_bent_fast_agrees_with_exact(name):
     assert fast.witness.abs_sq_float == pytest.approx(row.magnitude**2, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_function(make_field(7), 2, 4),
+        lambda: random_function(make_field(3), 5, 1),
+        lambda: random_function(make_field(2), 6, 2),
+    ],
+    ids=["random_F7^2", "random_F3^5", "random_F2^6"],
+)
+def test_spot_checks_do_no_scalar_cycint_algebra(monkeypatch, make):
+    # The sampled cells are reduced by the engine's |S|^2 step, so the
+    # verdict must not move when the scalar CycInt views refuse to run.
+    f = make()
+    cells = []
+    original = spectrum.exact_cell
+
+    def recording(*args):
+        cells.append(original(*args))
+        return cells[-1]
+
+    monkeypatch.setattr(spectrum, "exact_cell", recording)
+    want = is_bent_fast(f)
+    assert not want.is_bent and want.mismatches == 0 and want.sampled == len(cells)
+    if f.params.p >= 5:  # |S|^2 is always rational for p <= 3
+        assert any(c.abs_sq().as_integer() is None for c in cells)
+
+    def refuse(self, *args):
+        raise AssertionError("scalar CycInt algebra in the spot checks")
+
+    for name in ("abs_sq", "as_integer", "to_complex"):
+        monkeypatch.setattr(CycInt, name, refuse)
+    got = is_bent_fast(f)
+    assert (got.is_bent, got.witness, got.sampled, got.mismatches) == (
+        want.is_bent, want.witness, want.sampled, want.mismatches,
+    )
+
+
 def test_is_bent_fast_counts_spot_check_mismatches(monkeypatch, capsys):
     f = get_function("square", make_field(7))
     original = spectrum.walsh_fast_all
@@ -440,11 +491,23 @@ def test_exact_cell_matches_pointwise_on_random_tables():
         f = random_function(params, 2, seed)
         assert not is_bent_exact(f).is_bent
         for u in us:
+            cells = []
             for m_idx in range(u % m_step, f.n_points, m_step):
                 cell = exact_cell(f, u, m_idx)
                 m = PointVector.from_index(params, 2, m_idx)
                 assert cell == walsh_exact(f, params.from_index(u), m)
                 irrational += cell.abs_sq().as_integer() is None
+                cells.append(cell)
+            # the spot checks' route: the engine's |S|^2 step on stacked rows
+            rows = np.array([c.coeffs for c in cells], dtype=np.int64)
+            spec = spectrum._AbsSq.of_table(spectrum._abs_sq_table(rows))
+            mags = spec.magnitudes()
+            for i, cell in enumerate(cells):
+                z = cell.abs_sq()
+                exact = z.as_integer()
+                assert (spec.ints[i] if spec.defined[i] else None) == exact
+                root = math.sqrt(z.to_complex().real)
+                assert abs(mags[i] - root) <= 1e-12 * root
     assert irrational > 0
 
 
