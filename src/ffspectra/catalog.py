@@ -14,6 +14,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    BadExponent,
     EvenCharacteristic,
     PropertyMismatch,
     SpecDimensionMismatch,
@@ -86,7 +87,7 @@ def _build_power(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTabl
         raise SpecDimensionMismatch("power maps are univariate")
     e = int(args.get("e", 3))
     if e < 1:
-        raise ValueError("exponent must be >= 1")
+        raise BadExponent("exponent must be >= 1")
     return build_function(FnSpec.univariate([0] * e + [1]), params, 1)
 
 

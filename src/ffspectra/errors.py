@@ -45,6 +45,10 @@ class SpecDimensionMismatch(FFSpectraError):
     """A function specification is incompatible with the requested dimension."""
 
 
+class BadExponent(FFSpectraError, ValueError):
+    """A power-map exponent outside the supported range."""
+
+
 class BadTableFile(FFSpectraError, ValueError):
     """A function table file is malformed."""
 

@@ -10,6 +10,7 @@ index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     FFSpectraError,
     FieldMismatch,
+    IndexOutOfRange,
     SpecDimensionMismatch,
     UnsupportedSize,
 )
@@ -59,9 +61,6 @@ class FnTable:
     @property
     def n_points(self) -> int:
         return self.params.q**self.d
-
-    def value_index(self, i: int) -> int:
-        return int(self.values[i])
 
     def value_at(self, x: PointVector) -> FieldElement:
         if x.params != self.params or x.d != self.d:
@@ -141,6 +140,8 @@ def _eval_monomials(
             )
         if any(int(e) < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
+        if not 0 <= int(c) < params.q:
+            raise IndexOutOfRange(f"element index {c} outside [0, {params.q})")
         term = np.full(n, params.one().index, dtype=np.int64)
         for xi, e in zip(coords, exps):
             if int(e):
@@ -158,28 +159,58 @@ def _point_coords(params: FieldParams, d: int) -> list[np.ndarray]:
     return [(idx // q**j) % q for j in range(d)]
 
 
+@lru_cache(maxsize=16)
+def _log_tables(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
+    """log and antilog of a generator g of F_q^*, built from FieldElement
+    products only: an order test by powers, then q - 1 products."""
+    order = params.q - 1  # q <= 4096 at desk scale
+    primes = [r for r in range(2, order + 1) if order % r == 0 and field_mod._is_prime(r)]
+    one = params.one()
+    g = next(
+        x for x in params.elements()
+        if not x.is_zero() and all(x ** (order // r) != one for r in primes)
+    )
+    antilog = np.zeros(order, dtype=np.int64)
+    x = one
+    for k in range(order):
+        antilog[k] = x.index
+        x = x * g
+    log = np.zeros(params.q, dtype=np.int64)  # log[0] is masked by the caller
+    log[antilog] = np.arange(order)
+    log.setflags(write=False)
+    antilog.setflags(write=False)
+    return log, antilog
+
+
 def _spot_check(table: "FnTable", spec: FnSpec) -> None:
-    """Re-evaluate the spec pointwise with field elements; desk scale only."""
+    """Re-evaluate the spec in the log domain of a generator, away from
+    vec_mul and vec_add; desk scale only."""
     params, d = table.params, table.d
     if table.n_points > space.DESK_SCALE_POINTS:
         return
-    for i in range(table.n_points):
-        x = PointVector.from_index(params, d, i)
-        acc = params.zero()
-        for c, exps in spec.monomials:
-            term = params.from_index(c)
-            for xi, e in zip(x.coords, exps):
-                term = term * xi**int(e)
-            acc = acc + term
-        if acc.index != table.value_index(i):
-            raise AssertionError(
-                f"spec evaluation mismatch at point {i}: table disagrees with direct evaluation"
-            )
+    log, antilog = _log_tables(params)
+    order = params.q - 1
+    coords = _point_coords(params, d)
+    acc = np.zeros(table.n_points, dtype=np.int64)
+    for c, exps in spec.monomials:
+        exponent = np.full(table.n_points, log[c])
+        nonzero = np.full(table.n_points, c != 0)
+        for xi, e in zip(coords, exps):
+            if e:  # x**0 = 1, also at x = 0
+                exponent += int(e) % order * log[xi]
+                nonzero &= xi != 0
+        term = np.where(nonzero, antilog[exponent % order], 0)
+        acc = _modp.add_indices(acc, term, params.p, params.ell)
+    wrong = np.flatnonzero(acc != table.values)
+    if wrong.size:
+        raise AssertionError(
+            f"spec evaluation mismatch at point {int(wrong[0])}: table disagrees with direct evaluation"
+        )
 
 
 def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
-    """Materialize a dense table from a spec; evaluation is re-checked
-    pointwise at desk scale."""
+    """Materialize a dense table from a spec; at desk scale the evaluation
+    is re-checked through the log tables of a generator."""
     if spec.kind == "univariate":
         if d != 1:
             raise SpecDimensionMismatch("univariate specs require d = 1")
@@ -230,6 +261,57 @@ class PnVerdict:
         return "pn" if self.is_pn else "not_pn"
 
 
+# A digit group's reduction table holds at most this many entries; a group
+# always takes at least one digit, so a prime above 2**19 gets 2p - 1.
+_GROUP_TABLE_BOUND = 1 << 20
+
+
+@lru_cache(maxsize=4)  # over F_2**20 one field's codes take about 20 MB
+def _difference_codes(p: int, ell: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Carry-free codes for b - c on the element indices of F_p**ell: one
+    (plus, minus, fold) triple per group of value digits.
+
+    A group's digits are written in radix r = 2p - 1: plus[b] holds the
+    digits of b and minus[c] those of -c, so every digit of
+    plus[b] + minus[c] is at most 2p - 2 and the sum never carries.
+    fold[plus[b] + minus[c]] is the group's share of the index of b - c,
+    and that index is the sum of the shares.
+    """
+    r, q = 2 * p - 1, p**ell
+    width = 1
+    while width < ell and r ** (width + 1) <= _GROUP_TABLE_BOUND:
+        width += 1
+    elements = np.arange(q, dtype=np.int32)
+    groups = []
+    for start in range(0, ell, width):
+        size = min(width, ell - start)
+        plus = np.zeros(q, dtype=np.int32)
+        minus = np.zeros(q, dtype=np.int32)
+        sums = np.arange(r**size, dtype=np.intp)
+        fold = np.zeros(r**size, dtype=np.intp)
+        for j in range(size):
+            digit = elements // p ** (start + j) % p
+            plus += digit * r**j
+            minus += (p - digit) % p * r**j
+            fold += sums // r**j % r % p * p ** (start + j)
+        for table in (plus, minus, fold):
+            table.setflags(write=False)
+        groups.append((plus, minus, fold))
+    return tuple(groups)
+
+
+@lru_cache(maxsize=32)  # a 2**20-point space has 20 digits
+def _unit_translation(p: int, n: int, j: int) -> np.ndarray:
+    """x -> x + e_j on the indices of F_p**n: digit j of x goes up by one,
+    and p - 1 wraps to 0."""
+    idx = np.arange(p**n, dtype=np.intp)
+    w = p**j
+    out = idx + w
+    out[idx // w % p == p - 1] -= p * w
+    out.setflags(write=False)
+    return out
+
+
 def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | None:
     """Least failing (a, v, count) over the nonzero shifts a in index order:
     the first shift whose value counts are not all q**(d-1), and its first
@@ -237,31 +319,29 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
 
     The shifts are counted like an odometer over the base-p digits of a:
     level[j][x] is the index of x + (a with its digits below j cleared), so
-    each shift is one gather through the translation by the digit that went
-    up.  The value digits are built once; f(x + a) - f(x) is a gather and
-    a subtraction on them (an XOR of the value indices when p = 2).
+    each shift is one gather through the unit translation of the digit that
+    went up.  The values are encoded once per call (`_difference_codes`);
+    the index of f(x + a) - f(x) is then one gather-add-gather per digit
+    group, with no digit arithmetic per shift.
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
-    idx = np.arange(n, dtype=np.int64)
-    weights = _modp.powers(p, d * params.ell)
-    # x -> x + e_j: digit j of x goes up by one, and p - 1 wraps to 0
-    plus = [np.where(idx // w % p == p - 1, idx - (p - 1) * w, idx + w) for w in weights]
-    level = [idx] * len(plus)
-    value_digits = _modp.digits_of(values, p, params.ell)
-    value_weights = _modp.powers(p, params.ell)
+    digits = d * params.ell
+    codes = [
+        (plus[values].astype(np.intp), minus[values].astype(np.intp), fold)
+        for plus, minus, fold in _difference_codes(p, params.ell)
+    ]
+    level = [np.arange(n, dtype=np.intp)] * digits
     for a_index in range(1, n):
         j, rest = 0, a_index
         while rest % p == 0:
             j, rest = j + 1, rest // p
-        level[: j + 1] = [plus[j][level[j]]] * (j + 1)
-        if p == 2:  # digit-wise subtraction mod 2 is XOR of the indices
-            delta = values[level[0]] ^ values
-        else:
-            delta = ((value_digits[level[0]] - value_digits) % p) @ value_weights
+        level[: j + 1] = [_unit_translation(p, digits, j)[level[j]]] * (j + 1)
+        shifted = level[0]
+        delta = reduce(np.add, (fold[plus[shifted] + minus] for plus, minus, fold in codes))
         counts = np.bincount(delta, minlength=q)
-        if not np.all(counts == expected):
-            v = int(np.nonzero(counts > expected)[0][0])
+        if counts.max() > expected:  # the counts sum to q * expected
+            v = int(np.flatnonzero(counts > expected)[0])
             return PnWitness(
                 PointVector.from_index(params, d, a_index), params.from_index(v), int(counts[v])
             )

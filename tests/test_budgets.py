@@ -1,6 +1,7 @@
-"""Memory budgets: the fast bent path at the 2**20-point cap, the exhaustive
-decomposition certificate and the graph spectrum report at desk scale, and
-a finite bound on every lru_cache in the package."""
+"""Memory budgets: the fast bent path and a failing PN scan at the
+2**20-point cap, the exhaustive decomposition certificate, a full PN scan
+and the graph spectrum report at desk scale, and a finite bound on every
+lru_cache in the package."""
 
 import importlib
 import os
@@ -33,15 +34,18 @@ sys.exit(code)
 FAST_RSS_BUDGET_MB = 300
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
+PN_RSS_BUDGET_MB = 128
+PN_DESK_RSS_BUDGET_MB = 64
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
 @pytest.mark.parametrize(
-    "argv,expected,budget_mb",
+    "argv,expected,code,budget_mb",
     [
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
             '"verdict": "bent"',
+            0,
             FAST_RSS_BUDGET_MB,
         ),
         # the decomposition certificate holds digit arrays linear in q**d,
@@ -49,11 +53,13 @@ SALEM_RSS_BUDGET_MB = 80
         (
             ["decomp", "verify", "--catalog", "square", "--p", "5", "--ell", "5"],
             '"pass": true',
+            0,
             DECOMP_RSS_BUDGET_MB,
         ),
         (
             ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "12", "--seed", "1"],
             '"pass": true',
+            0,
             DECOMP_RSS_BUDGET_MB,
         ),
         # the 117,649-frequency graph report is held by column, not per row,
@@ -61,19 +67,35 @@ SALEM_RSS_BUDGET_MB = 80
         (
             ["salem", "verify-thm1", "--catalog", "square", "--p", "7", "--ell", "3"],
             '"theorem1_pass": true',
+            0,
             SALEM_RSS_BUDGET_MB,
         ),
+        # the PN scan builds each unit translation on first use, so a scan
+        # that fails at the first shift builds one of the 20
+        (
+            ["test", "pn", "--catalog", "random", "--p", "2", "--d", "20"],
+            '"verdict": "not_pn"',
+            1,
+            PN_RSS_BUDGET_MB,
+        ),
+        (
+            ["test", "pn", "--catalog", "square", "--p", "5", "--ell", "5"],
+            '"verdict": "pn"',
+            0,
+            PN_DESK_RSS_BUDGET_MB,
+        ),
     ],
-    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12", "salem-thm1-q343"],
+    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12", "salem-thm1-q343",
+         "pn-random-p2-d20", "pn-square-q3125"],
 )
-def test_command_stays_in_memory_budget(argv, expected, budget_mb):
+def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_SCRIPT, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     assert expected in proc.stdout
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("peak_rss_kb=")

@@ -297,6 +297,12 @@ def test_usage_errors(capsys):
         capsys, "test", "pn", "--catalog", "square", "--p", "5", "--params", "e"
     )
     assert code == 2  # malformed k=v
+    for e in ("0", "-1"):  # exit 1 would read as a not_pn verdict
+        code, out, err = run(
+            capsys, "test", "pn", "--catalog", "power", "--p", "5", "--params", f"e={e}"
+        )
+        assert (code, out) == (2, "")
+        assert err == "ffspectra: error: exponent must be >= 1\n"
     code, _, _ = run(capsys, "test", "bent", "--catalog", "square", "--p", "5",
                      "--fast", "--exact")
     assert code == 2  # mutually exclusive

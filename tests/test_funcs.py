@@ -4,15 +4,17 @@ distance/image helpers, and the text file format."""
 import numpy as np
 import pytest
 
-from ffspectra import FieldParams, FnSpec, FnTable, PointVector, build_function, field, make_field
+from ffspectra import FieldParams, _modp, FnSpec, FnTable, PointVector, build_function, field, make_field
 from ffspectra.catalog import random_function
 from ffspectra.errors import (
     BadTableFile,
     FieldMismatch,
+    IndexOutOfRange,
     SpecDimensionMismatch,
     UnsupportedSize,
 )
 from ffspectra.funcs import (
+    _difference_codes,
     delta_table,
     dump_table,
     hamming_distance,
@@ -58,6 +60,9 @@ def test_build_function_monomials_multivariate():
         build_function(FnSpec.univariate([0, 1]), F5, 2)
     with pytest.raises(SpecDimensionMismatch):
         build_function(FnSpec.from_monomials([(1, (1, 1))]), F5, 3)
+    for coeffs in ([0, -1], [7], [0, 0, 25]):  # coefficients are element indices
+        with pytest.raises(IndexOutOfRange):
+            build_function(FnSpec.univariate(coeffs), F5, 1)
 
 
 def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):
@@ -70,12 +75,17 @@ def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):
     for spec, d in specs:
         build_function(spec, params, d)
     original = field.vec_mul
-    monkeypatch.setattr(
-        field, "vec_mul", lambda p, a, b: original(default if p == params else p, a, b)
-    )
-    for spec, d in specs:
-        with pytest.raises(AssertionError, match="spec evaluation mismatch"):
-            build_function(spec, params, d)
+    wrong = {
+        "vec_mul": lambda p, a, b: original(default if p == params else p, a, b),
+        # a digit addition that subtracts: the terms are summed as -f(x)
+        "vec_add": field.vec_sub,
+    }
+    for name, evaluator in wrong.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(field, name, evaluator)
+            for spec, d in specs:
+                with pytest.raises(AssertionError, match="spec evaluation mismatch"):
+                    build_function(spec, params, d)
 
 
 def test_raw_spec_and_table_guards():
@@ -149,12 +159,27 @@ def _least_pn_failure(f):
 def _pn_scan_tables():
     f2, f4, f5 = make_field(2), make_field(2, 2), make_field(5)
     f9, f25 = make_field(3, 2), make_field(5, 2, modulus=[2, 1, 1])  # t^2+t+2
-    tables = [
-        random_function(params, d, seed)
-        for params, d in ((f2, 6), (f4, 2), (f9, 1), (f25, 1), (f5, 2))
-        for seed in range(3)
-    ]
-    tables.append(build_function(FnSpec.univariate([0, 0, 1]), f25, 1))  # planar
+    f3, f7, f27, f125, f49 = (make_field(p, ell) for p, ell in ((3, 1), (7, 1), (3, 3), (5, 3), (7, 2)))
+    f27_alt = make_field(3, 3, modulus=[2, 1, 1, 1])  # t^3+t^2+t+2
+    square, xy = FnSpec.univariate([0, 0, 1]), FnSpec.from_monomials([(1, (1, 1))])
+    spaces = [(f2, 6), (f4, 2), (f9, 1), (f25, 1), (f5, 2), (f3, 1), (f7, 1), (f27, 1),
+              (f125, 1), (f49, 1), (f27_alt, 1), (f9, 2), (f7, 2)]
+    tables = [random_function(params, d, seed) for params, d in spaces for seed in range(3)]
+    # planar and PN tables run the odometer through every shift
+    for params in (f25, f3, f7, f27, f125, f49, f27_alt):
+        tables.append(build_function(square, params, 1))
+    tables += [build_function(xy, params, 2) for params in (f9, f7)]
+    # every distance-1 neighbour of x**2 over F_3 and F_9, planar ones included
+    for params in (f3, f9):
+        base = build_function(square, params, 1).values
+        for w in range(params.q):
+            for v in range(params.q):
+                if v != base[w]:
+                    tables.append(FnTable(params, 1, np.where(np.arange(params.q) == w, v, base)))
+    # a 4093-entry digit group, and F_2^13's two groups under the 2**20 bound
+    f4093 = make_field(4093, 1, modulus=[0, 1])
+    f8192 = make_field(2, 13, modulus=[1, 1, 0, 1, 1] + [0] * 8 + [1])  # t^13+t^4+t^3+t+1
+    tables += [random_function(params, 1, seed) for params in (f4093, f8192) for seed in range(2)]
     # PN in the low digits plus a random part in the top ones: the first
     # failing shift lies past every shift that only moves the low digits.
     rng = np.random.default_rng(7)
@@ -174,6 +199,38 @@ def test_is_pn_witness_is_the_brute_force_least_failure():
         if expected is not None:
             w = verdict.witness
             assert (w.a.index, w.value.index, w.count) == expected
+
+
+def test_difference_codes_match_digit_subtraction():
+    rng = np.random.default_rng(11)
+    for p, ell, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 1, None),
+                                    (2, 20, 2, 10**4), (3, 12, 2, 10**4)):
+        q = p**ell
+        if pairs is None:  # every pair
+            b, c = np.divmod(np.arange(q * q), q)
+        else:
+            b, c = rng.integers(0, q, (2, pairs))
+        codes = _difference_codes(p, ell)
+        assert len(codes) == n_groups
+        assert all(fold.size <= 2**20 for _, _, fold in codes)
+        got = sum(fold[plus[b] + minus[c]] for plus, minus, fold in codes)
+        assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
+
+
+def test_warm_pn_scan_does_no_digit_work_per_shift(monkeypatch):
+    # F_125 has 124 shifts and F_3125 has 3124: a digit call per shift
+    # would show up as a difference in the counts
+    calls = []
+    original = _modp.digits_of
+    monkeypatch.setattr(_modp, "digits_of", lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for ell in (3, 5):
+        f = build_function(FnSpec.univariate([0, 0, 1]), make_field(5, ell), 1)
+        is_pn(f)
+        calls.clear()
+        assert is_pn(f).is_pn
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_hamming_distance():
