@@ -88,7 +88,7 @@ def _build_power(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTabl
     e = int(args.get("e", 3))
     if e < 1:
         raise BadExponent("exponent must be >= 1")
-    return build_function(FnSpec.univariate([0] * e + [1]), params, 1)
+    return build_function(FnSpec.from_monomials([(1, (e,))]), params, 1)
 
 
 def _build_bilinear(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTable:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import NonPrime, PrimeMismatch
 
 
+@lru_cache(maxsize=64)  # exceptions are not cached, so a non-prime raises every time
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NonPrime(f"zeta order {p!r} is not prime")

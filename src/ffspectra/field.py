@@ -160,8 +160,7 @@ class FieldParams:
             [trace(self.from_index(self.p**j)) for j in range(self.ell)],
             dtype=np.int64,
         )
-        digits = _modp.digits_of(np.arange(self.q), self.p, self.ell)
-        return (digits @ weights) % self.p
+        return (element_digits(self) @ weights) % self.p
 
     # -- element construction -------------------------------------------
 
@@ -393,6 +392,16 @@ def vec_add(params: FieldParams, a, b) -> np.ndarray:
 
 def vec_sub(params: FieldParams, a, b) -> np.ndarray:
     return _modp.sub_indices(a, b, params.p, params.ell)
+
+
+@lru_cache(maxsize=8)  # one field takes at most 20 MB: F_2**20, one byte per digit
+def element_digits(params: FieldParams) -> np.ndarray:
+    """Read-only (q, ell) base-p digits of every element of F_q, by index,
+    in the narrowest unsigned type that holds p - 1."""
+    digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
+    digits = digits.astype(np.min_scalar_type(params.p - 1))
+    digits.setflags(write=False)
+    return digits
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)

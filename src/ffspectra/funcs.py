@@ -128,10 +128,13 @@ def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _eval_monomials(
-    params: FieldParams, d: int, terms, coords: list[np.ndarray]
-) -> np.ndarray:
-    n = coords[0].shape[0]
+def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
+    """Sum of the terms over every point.  A coordinate array is built only
+    while its factor is evaluated, so at most one of the d is alive at once,
+    and nothing is allocated past the point cap."""
+    n = params.q**d
+    if n > MAX_POINTS:
+        raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
     acc = np.zeros(n, dtype=np.int64)
     for c, exps in terms:
         if len(exps) != d:
@@ -143,20 +146,20 @@ def _eval_monomials(
         if not 0 <= int(c) < params.q:
             raise IndexOutOfRange(f"element index {c} outside [0, {params.q})")
         term = np.full(n, params.one().index, dtype=np.int64)
-        for xi, e in zip(coords, exps):
+        for j, e in enumerate(exps):
             if int(e):
-                term = field_mod.vec_mul(params, term, _vec_pow(params, xi, e))
+                term = field_mod.vec_mul(params, term, _vec_pow(params, _point_coord(params, d, j), e))
         if int(c) != params.one().index:
             term = field_mod.vec_mul(params, term, np.int64(int(c)))
         acc = field_mod.vec_add(params, acc, term)
     return acc
 
 
-def _point_coords(params: FieldParams, d: int) -> list[np.ndarray]:
-    """Coordinate j of every point index, as element-index arrays."""
-    idx = np.arange(params.q**d, dtype=np.int64)
+def _point_coord(params: FieldParams, d: int, j: int) -> np.ndarray:
+    """Coordinate j of every point index, as an element-index array."""
     q = params.q
-    return [(idx // q**j) % q for j in range(d)]
+    axes = np.arange(q, dtype=np.int64).reshape(q, 1)
+    return np.broadcast_to(axes, (q ** (d - 1 - j), q, q**j)).ravel()
 
 
 @lru_cache(maxsize=16)
@@ -190,7 +193,7 @@ def _spot_check(table: "FnTable", spec: FnSpec) -> None:
         return
     log, antilog = _log_tables(params)
     order = params.q - 1
-    coords = _point_coords(params, d)
+    coords = [_point_coord(params, d, j) for j in range(d)]
     acc = np.zeros(table.n_points, dtype=np.int64)
     for c, exps in spec.monomials:
         exponent = np.full(table.n_points, log[c])
@@ -216,8 +219,7 @@ def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
             raise SpecDimensionMismatch("univariate specs require d = 1")
         spec = FnSpec.from_monomials([(c, (k,)) for k, c in enumerate(spec.coeffs) if c])
     if spec.kind == "monomials":
-        coords = _point_coords(params, d)
-        table = FnTable(params, d, _eval_monomials(params, d, spec.monomials, coords))
+        table = FnTable(params, d, _eval_monomials(params, d, spec.monomials))
         _spot_check(table, spec)
         return table
     if spec.kind == "table":

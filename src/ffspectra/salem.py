@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _modp
+from . import field as field_mod
 from .cyclotomic import CycInt
 from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector
-from .spectrum import SpectrumReport, _AbsSq, _cell_counts, is_bent_exact
+from .spectrum import SpectrumReport, _AbsSq, _cell_counts, _trace_rows, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +78,9 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
     if m.params != params or m.d != e.d:
         raise FieldMismatch("frequency incompatible with this set")
     exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
-    digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
-    u_index = 1 if u is None else u.index
-    counts = _cell_counts(params, exponents, digits, u_index, m.index, e.bitmap)
+    rows = _trace_rows(params, 1 if u is None else u.index)
+    digits = field_mod.element_digits(params)
+    counts = _cell_counts(params, exponents, digits, rows, m.index, e.bitmap)
     return CycInt.from_histogram(params.p, counts.tolist())
 
 

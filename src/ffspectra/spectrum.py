@@ -86,8 +86,8 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     one-coordinate map on [0, q) applied to every base-q digit of m.
     """
     q = params.q
-    one = _modp.apply_linear(np.arange(q, dtype=np.int64), _gram(params, u_index), params.p)
-    perm = one
+    images = field_mod.element_digits(params) @ _gram(params, u_index).T % params.p
+    perm = one = _modp.index_of_digits(images, params.p)
     for j in range(1, d):
         perm = (one[:, None] * q**j + perm).ravel()
     return perm
@@ -132,16 +132,16 @@ def _exact_coeff_rows(
 
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
-    """Tr(u * f(x)) for every point, vectorized through trace weights.
+    """Tr(u * f(x)) for every point: the q-entry row Tr(u * y) from the
+    element digits and trace weights, gathered at the values of f.
 
     Every character sum over f starts here, so this is where u = 0 is refused.
     """
     if u_index == 0:
         raise TrivialCharacter("u = 0 names the trivial character")
     params = f.params
-    w = np.asarray(field_mod.trace_weights(params, u_index))
-    digits = _modp.digits_of(f.values, params.p, params.ell)
-    return (digits @ w) % params.p
+    row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
+    return row[f.values]
 
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
@@ -236,17 +236,33 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
 
+def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
+    """rows[i, x] = -Tr(u * t**i * x) mod p for every x in F_q, as float64:
+    a digit row times rows is then one BLAS product whose entries, integers
+    below ell*p**2 <= 2**41, are exact.
+
+    Built from the matrix of multiplication by u and the trace forms of the
+    basis, Tr(t**i * t**k), never from the transform's Gram matrix or
+    frequency map, so that the oracle stays independent of them.
+    """
+    p = params.p
+    basis_forms = np.array([field_mod.trace_weights(params, p**i) for i in range(params.ell)])
+    forms = -basis_forms @ field_mod.mul_matrix(params, u_index) % p  # -Tr(t**i * u * t**k)
+    return (forms @ field_mod.element_digits(params).T % p).astype(np.float64)
+
+
 class _OracleState:
     """The per-(f, u) invariants of exact_cell: Tr(u*f(x)) for every point,
-    shaped (q,)*d so that axis d-1-j runs over the coordinate x_j, and the
-    digits of every element of F_q."""
+    shaped (q,)*d so that axis d-1-j runs over the coordinate x_j, the digits
+    of every element of F_q, and the negated trace rows of u."""
 
     def __init__(self, f: FnTable, u_index: int) -> None:
         params = f.params
         self.f = f
         self.u_index = u_index
         self.exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)
-        self.digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
+        self.digits = field_mod.element_digits(params)
+        self.rows = _trace_rows(params, u_index)
 
 
 # One slot: the spot checks ask for many cells of one (f, u) in a row.  Tables
@@ -266,32 +282,31 @@ def _cell_counts(
     params: FieldParams,
     exponents: np.ndarray,
     digits: np.ndarray,
-    u_index: int,
+    rows: np.ndarray,
     m_index: int,
     members: np.ndarray | None = None,
 ) -> np.ndarray:
     """Histogram over points x of exponents[x] - Tr(u*(x.m)) mod p.
 
-    exponents is shaped (q,)*d with axis d-1-j over x_j, and digits holds the
-    base-p digits of every element of F_q.  The boolean mask members restricts
-    the point set (defaults to all points).  Each nonzero m_j subtracts one
-    q-entry trace table by broadcasting.
+    exponents is shaped (q,)*d with axis d-1-j over x_j, digits holds the
+    base-p digits of every element of F_q and rows[i, y] = -Tr(u*t**i*y) mod
+    p (see _trace_rows), so digits[m_j] @ rows reduced mod p is
+    -Tr(u*m_j*x_j) for every x_j.  The boolean mask members restricts the
+    point set (defaults to all points).  The nonzero m_j add these q-entry
+    rows by broadcasting, and the sums, below (d+1)*p, are histogrammed once
+    and folded p-wide: no reduction mod p per point.
     """
     p, q, d = params.p, params.q, exponents.ndim
-    u = params.from_index(u_index)
-    exps = exponents.copy()
+    offset = 0
     for j in range(d):
-        mj = (m_index // q**j) % q
-        if mj == 0:
-            continue
-        umj = (u * params.from_index(mj)).index
-        # term[x_j] = Tr((u*m_j)*x_j) for every x_j in F_q.
-        term = (digits @ np.asarray(field_mod.trace_weights(params, umj))) % p
-        shape = [1] * d
-        shape[d - 1 - j] = q
-        exps -= term.reshape(shape)
-    exps = exps.ravel() if members is None else exps.ravel()[members]
-    return np.bincount(exps % p, minlength=p)
+        mj = m_index // q**j % q
+        if mj:
+            shape = [1] * d
+            shape[d - 1 - j] = q
+            offset = offset + ((digits[mj] @ rows).astype(np.intp) % p).reshape(shape)
+    values = (exponents + offset).ravel()
+    hist = np.bincount(values if members is None else values[members], minlength=(d + 1) * p)
+    return hist.reshape(-1, p).sum(axis=0)
 
 
 def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
@@ -307,7 +322,7 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
             f"cell (u, m) = ({u_index}, {m_index}) outside [1, {params.q}) x [0, {f.n_points})"
         )
     state = _oracle_state(f, u_index)  # refuses u = 0
-    counts = _cell_counts(params, state.exponents, state.digits, u_index, m_index)
+    counts = _cell_counts(params, state.exponents, state.digits, state.rows, m_index)
     return CycInt.from_histogram(params.p, counts.tolist())
 
 
@@ -423,11 +438,8 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     params = f.params
     p = params.p
     n = f.d * params.ell
-    exponents = _trace_exponents(f, u.index)
-    if p == 2:
-        values = 1 - 2 * exponents.astype(np.int64)
-    else:
-        values = np.exp(2j * math.pi * exponents / p)
+    roots = np.array([1, -1]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
+    values = roots[_trace_exponents(f, u.index)]
     w = _butterfly_matrix(p)
     tensor = values.reshape((p,) * n)
     for axis in range(n):

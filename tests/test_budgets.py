@@ -1,6 +1,7 @@
-"""Memory budgets: the fast bent path and a failing PN scan at the
-2**20-point cap, the exhaustive decomposition certificate, a full PN scan
-and the graph spectrum report at desk scale, and a finite bound on every
+"""Memory budgets: the fast and exact bent paths and a failing PN scan at
+the 2**20-point cap, the exhaustive decomposition certificate, a full PN
+scan and the graph spectrum report at desk scale, a power map whose
+exponent is far larger than the field, and a finite bound on every
 lru_cache in the package."""
 
 import importlib
@@ -31,7 +32,7 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-FAST_RSS_BUDGET_MB = 300
+FAST_RSS_BUDGET_MB = 160
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
 PN_RSS_BUDGET_MB = 128
@@ -42,8 +43,15 @@ PN_DESK_RSS_BUDGET_MB = 64
 @pytest.mark.parametrize(
     "argv,expected,code,budget_mb",
     [
+        # the table is built one point coordinate at a time
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
+            '"verdict": "bent"',
+            0,
+            FAST_RSS_BUDGET_MB,
+        ),
+        (
+            ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--exact"],
             '"verdict": "bent"',
             0,
             FAST_RSS_BUDGET_MB,
@@ -84,9 +92,17 @@ PN_DESK_RSS_BUDGET_MB = 64
             0,
             PN_DESK_RSS_BUDGET_MB,
         ),
+        # x**e is built by squaring, never from a list of e + 1 coefficients;
+        # 4 | e, so x**e is 1 off zero and not PN
+        (
+            ["test", "pn", "--catalog", "power", "--p", "5", "--params", "e=1000000000"],
+            '"verdict": "not_pn"',
+            1,
+            PN_DESK_RSS_BUDGET_MB,
+        ),
     ],
-    ids=["bent-fast-2pow20", "decomp-square-q3125", "decomp-random-p2-d12", "salem-thm1-q343",
-         "pn-random-p2-d20", "pn-square-q3125"],
+    ids=["bent-fast-2pow20", "bent-exact-2pow20", "decomp-square-q3125", "decomp-random-p2-d12",
+         "salem-thm1-q343", "pn-random-p2-d20", "pn-square-q3125", "pn-power-e1e9"],
 )
 def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):
     env = dict(os.environ)

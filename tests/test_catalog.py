@@ -84,6 +84,11 @@ def test_get_function_power_and_affine():
     assert cube.values.tolist() == [0, 1, 3, 2, 4]
     fifth = get_function("power", make_field(7), e=5)
     assert fifth == build_function(FnSpec.univariate([0, 0, 0, 0, 0, 1]), make_field(7), 1)
+    # the monomial build of x**e is the univariate one, below and above q - 1
+    for params in (F5, make_field(3, 3), make_field(2, 4)):
+        for e in (1, 3, 7, 26):
+            want = build_function(FnSpec.univariate([0] * e + [1]), params, 1)
+            assert get_function("power", params, e=e) == want
     aff = get_function("affine", F5)
     assert aff.values.tolist() == [0, 1, 2, 3, 4]  # identity by default
     shifted = get_function("affine", F5, b=2, c=3)

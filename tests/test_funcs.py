@@ -97,6 +97,9 @@ def test_raw_spec_and_table_guards():
         FnTable(F5, 1, np.array([0, 1, 2, 3, 5]))  # value out of range
     with pytest.raises(UnsupportedSize):
         FnTable(make_field(2), 21, np.zeros(2**21, dtype=np.int64))
+    # a spec is refused before its 2**40 points are allocated
+    with pytest.raises(UnsupportedSize):
+        build_function(FnSpec.from_monomials([(1, (1,) * 40)]), make_field(2), 40)
 
 
 def test_delta_table_frozen():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ffspectra import (
+    FieldElement,
     FieldParams,
     FnSpec,
     FnTable,
@@ -18,7 +19,7 @@ from ffspectra import (
     spectrum,
     trace,
 )
-from ffspectra import _modp
+from ffspectra import _modp, field
 from ffspectra.catalog import random_function
 from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
@@ -483,20 +484,28 @@ def test_frequency_map_is_identity_for_p2_u1():
 def test_exact_cell_matches_pointwise_on_random_tables():
     # |S|^2 is always rational for p <= 3, so F_25 supplies the irrational cells.
     irrational = 0
-    for params, seed, us, m_step in [
-        (make_field(2, 2), 4, range(1, 4), 1),
-        (make_field(3, 2), 7, range(1, 9), 3),
-        (make_field(5, 2), 5, (1, 2, 8, 24), 53),
+    for params, d, seed, us, m_step in [
+        (make_field(2, 2), 2, 4, range(1, 4), 1),
+        (make_field(3, 2), 2, 7, range(1, 9), 3),
+        (make_field(5, 2), 2, 5, (1, 2, 8, 24), 53),
+        (FieldParams(5, 2, (2, 1, 1)), 2, 6, (1, 19), 131),
+        (FieldParams(3, 3, (2, 1, 1, 1)), 2, 8, (1, 26), 181),
+        (make_field(2), 6, 2, (1,), 2),
+        (make_field(3), 3, 9, (1, 2), 2),
+        (FieldParams(37, 1, (0, 1)), 1, 10, (1, 5, 36), 4),  # above the engine's p <= 31
     ]:
-        f = random_function(params, 2, seed)
-        assert not is_bent_exact(f).is_bent
+        f = random_function(params, d, seed)
+        if params.p <= 31:
+            assert not is_bent_exact(f).is_bent
+        full = 0  # cells whose every coordinate of m is nonzero
         for u in us:
             cells = []
             for m_idx in range(u % m_step, f.n_points, m_step):
                 cell = exact_cell(f, u, m_idx)
-                m = PointVector.from_index(params, 2, m_idx)
+                m = PointVector.from_index(params, d, m_idx)
                 assert cell == walsh_exact(f, params.from_index(u), m)
                 irrational += cell.abs_sq().as_integer() is None
+                full += not any(c.is_zero() for c in m.coords)
                 cells.append(cell)
             # the spot checks' route: the engine's |S|^2 step on stacked rows
             rows = np.array([c.coeffs for c in cells], dtype=np.int64)
@@ -508,7 +517,78 @@ def test_exact_cell_matches_pointwise_on_random_tables():
                 assert (spec.ints[i] if spec.defined[i] else None) == exact
                 root = math.sqrt(z.to_complex().real)
                 assert abs(mags[i] - root) <= 1e-12 * root
+        assert full > 0
     assert irrational > 0
+
+
+def test_oracle_is_independent_of_the_transform(monkeypatch):
+    from ffspectra.salem import PointSet, indicator_sum
+
+    cases = [
+        (random_function(FieldParams(5, 2, (2, 1, 1)), 2, 3), 7),
+        (random_function(make_field(3), 3, 4), 2),
+        (random_function(FieldParams(37, 1, (0, 1)), 1, 5), 11),
+    ]
+    sets = [PointSet(f.params, f.d, f.values % 3 == 0) for f, _ in cases]
+
+    def cells():
+        monkeypatch.setattr(spectrum, "_oracle", None)
+        out = []
+        for (f, u), e in zip(cases, sets):
+            u_elem = f.params.from_index(u)
+            for m_idx in range(0, f.n_points, 5):
+                m = PointVector.from_index(f.params, f.d, m_idx)
+                out += [exact_cell(f, u, m_idx), indicator_sum(e, m), indicator_sum(e, m, u_elem)]
+        return out
+
+    want = cells()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the transform's machinery")
+
+    for name in ("_gram", "_frequency_map", "_exact_coeff_rows"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    assert cells() == want
+
+
+def test_fast_path_does_per_field_and_per_u_work_only(monkeypatch):
+    # bilinear over F_25**2: N = 625 points, q = 25, ell = 2
+    f = get_function("bilinear", make_field(5, 2), d=2)
+    params = f.params
+
+    def clear_per_u_caches():
+        for cache in (field.mul_matrix, field.trace_weights, spectrum._gram):
+            cache.cache_clear()
+
+    clear_per_u_caches()  # so that the warm run reaches this table's own params
+    is_bent_fast(f)  # warm the per-field tables
+    digit_sizes = []
+    digits_of = _modp.digits_of
+
+    def recording_digits_of(indices, *args):
+        digit_sizes.append(np.size(indices))
+        return digits_of(indices, *args)
+
+    monkeypatch.setattr(_modp, "digits_of", recording_digits_of)
+    products = 0
+    mul = FieldElement.__mul__
+
+    def counting_mul(self, other):
+        nonlocal products
+        products += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+    counts = []
+    for spots in (6, 40):  # 6 is the default at N = 625
+        monkeypatch.setattr(spectrum, "_spot_count", lambda n, d, k=spots: k)
+        clear_per_u_caches()  # redo the per-u work; the per-field tables stay warm
+        products = 0
+        verdict = is_bent_fast(f)
+        assert verdict.certified and verdict.sampled == (params.q - 1) * spots
+        counts.append(products)
+    assert digit_sizes and max(digit_sizes) <= params.q
+    assert counts[0] == counts[1] <= params.ell * (params.q - 1) + 8
 
 
 def test_exact_cell_memo_never_serves_stale_state(monkeypatch):
