@@ -442,10 +442,27 @@ def vec_scalar_mul(params: FieldParams, a, u_index: int) -> np.ndarray:
     return _modp.apply_linear(a, mul_matrix(params, int(u_index)), params.p)
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)  # ell <= 20: at most 8,400 int64s per field
+def trace_forms(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
+    """The pair forms P[i, j] = Tr(t**i * t**j) and the triple forms
+    H[i, j, k] = Tr(t**i * t**j * t**k) of the basis.
+
+    The trace is F_p-linear, so Tr(y * t**k) = digits(y) . P[:, k]: H comes
+    from the digits of the ell**2 products t**i * t**j, one vec_mul.
+    """
+    p = params.p
+    basis = _modp.powers(p, params.ell)
+    pairs = vec_mul(params, basis[:, None], basis[None, :])
+    forms = params.trace_table[pairs]
+    triples = element_digits(params)[pairs] @ forms % p
+    forms.setflags(write=False)
+    triples.setflags(write=False)
+    return forms, triples
+
+
 @lru_cache(maxsize=PER_U_CACHE_SIZE)
 def trace_weights(params: FieldParams, u_index: int) -> np.ndarray:
-    """w[j] = Tr(u * t**j); then Tr(u*x) = digits(x) . w mod p."""
-    basis = _modp.powers(params.p, params.ell)
-    w = params.trace_table[vec_mul(params, u_index, basis)]
+    """w[j] = Tr(u * t**j) = digits(u) . P[:, j]; then Tr(u*x) = digits(x) . w mod p."""
+    w = element_digits(params)[u_index] @ trace_forms(params)[0] % params.p
     w.setflags(write=False)
     return w

@@ -117,15 +117,17 @@ class FnSpec:
 
 
 def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
-    out = np.full(base.shape, params.one().index, dtype=np.int64)
-    acc = base
+    """base**e for e >= 1 by squaring: the product starts at the lowest set
+    bit of e, so it never multiplies by one, and the top square is skipped."""
+    out = None
     e = int(e)
-    while e:
+    while True:
         if e & 1:
-            out = field_mod.vec_mul(params, out, acc)
-        acc = field_mod.vec_mul(params, acc, acc)
+            out = base if out is None else field_mod.vec_mul(params, out, base)
         e >>= 1
-    return out
+        if not e:
+            return out
+        base = field_mod.vec_mul(params, base, base)
 
 
 def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
@@ -145,11 +147,14 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
             raise ValueError("exponents must be nonnegative")
         if not 0 <= int(c) < params.q:
             raise IndexOutOfRange(f"element index {c} outside [0, {params.q})")
-        term = np.full(n, params.one().index, dtype=np.int64)
+        term = None  # the product of the factors x_j**e_j, from the first one on
         for j, e in enumerate(exps):
             if int(e):
-                term = field_mod.vec_mul(params, term, _vec_pow(params, _point_coord(params, d, j), e))
-        if int(c) != params.one().index:
+                power = _vec_pow(params, _point_coord(params, d, j), e)
+                term = power if term is None else field_mod.vec_mul(params, term, power)
+        if term is None:
+            term = np.full(n, int(c), dtype=np.int64)
+        elif int(c) != params.one().index:
             term = field_mod.vec_mul(params, term, np.int64(int(c)))
         acc = field_mod.vec_add(params, acc, term)
     return acc

@@ -77,6 +77,8 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
     params = e.params
     if m.params != params or m.d != e.d:
         raise FieldMismatch("frequency incompatible with this set")
+    if u is not None and u.params != params:
+        raise FieldMismatch("character parameter from a different field")
     exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
     rows = _trace_rows(params, 1 if u is None else u.index)
     digits = field_mod.element_digits(params)

@@ -33,7 +33,13 @@ import numpy as np
 from . import _modp, field as field_mod
 from .catalog import splitmix64
 from .cyclotomic import CycInt
-from .errors import EvenCharacteristic, IndexOutOfRange, TrivialCharacter, UnsupportedSize
+from .errors import (
+    EvenCharacteristic,
+    FieldMismatch,
+    IndexOutOfRange,
+    TrivialCharacter,
+    UnsupportedSize,
+)
 from .field import FieldElement, FieldParams, trace
 from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
 from .space import PointVector
@@ -70,11 +76,11 @@ def characters(params: FieldParams) -> Iterator[Character]:
 
 @lru_cache(maxsize=field_mod.PER_U_CACHE_SIZE)
 def _gram(params: FieldParams, u_index: int) -> np.ndarray:
-    """G[j,k] = Tr(u * t**j * t**k); then Tr(u*(x.m)) = digits(x).T B digits(m)
-    with B = I_d kron G."""
-    basis = _modp.powers(params.p, params.ell)
-    u_basis = field_mod.vec_mul(params, u_index, basis)
-    g = params.trace_table[field_mod.vec_mul(params, u_basis[:, None], basis[None, :])]
+    """G[j,k] = Tr(u * t**j * t**k), the digits of u times the field's triple
+    trace forms; then Tr(u*(x.m)) = digits(x).T B digits(m) with B = I_d kron G."""
+    ell = params.ell
+    triples = field_mod.trace_forms(params)[1].reshape(ell, ell * ell)
+    g = (field_mod.element_digits(params)[u_index] @ triples % params.p).reshape(ell, ell)
     g.setflags(write=False)
     return g
 
@@ -131,17 +137,29 @@ def _exact_coeff_rows(
     return h.reshape(size, p).astype(np.int64)[_frequency_map(params, d, u_index)]
 
 
+# One read-only slot: the float transform and the spot-check oracle of one u
+# ask for the same row in turn.  Tables are frozen, so the identity of f and
+# the index u key the slot.
+_exponents: tuple[FnTable, int, np.ndarray] | None = None
+
+
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
-    """Tr(u * f(x)) for every point: the q-entry row Tr(u * y) from the
-    element digits and trace weights, gathered at the values of f.
+    """Tr(u * f(x)) for every point, read-only: the q-entry row Tr(u * y)
+    from the element digits and trace weights, gathered at the values of f.
 
     Every character sum over f starts here, so this is where u = 0 is refused.
     """
+    global _exponents
     if u_index == 0:
         raise TrivialCharacter("u = 0 names the trivial character")
-    params = f.params
-    row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
-    return row[f.values]
+    slot = _exponents
+    if slot is None or slot[0] is not f or slot[1] != u_index:
+        params = f.params
+        row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
+        values = row[f.values]
+        values.setflags(write=False)
+        slot = _exponents = (f, u_index, values)
+    return slot[2]
 
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
@@ -219,6 +237,13 @@ class _AbsSq:
 # Public exact operations.
 
 
+def _check_field(f: FnTable, u: FieldElement) -> None:
+    """Refuse a character parameter from another field (or another modulus),
+    whose index would name some unrelated element of f's field."""
+    if u.params != f.params:
+        raise FieldMismatch("character parameter from a different field")
+
+
 def walsh_exact(f: FnTable, u: FieldElement, m: PointVector) -> CycInt:
     """Reference S(u, m): pointwise field-element evaluation, p-bin histogram."""
     chi = Character(u)  # validates u != 0
@@ -232,6 +257,7 @@ def walsh_exact(f: FnTable, u: FieldElement, m: PointVector) -> CycInt:
 
 def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
+    _check_field(f, u)
     rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
@@ -246,8 +272,8 @@ def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
     frequency map, so that the oracle stays independent of them.
     """
     p = params.p
-    basis_forms = np.array([field_mod.trace_weights(params, p**i) for i in range(params.ell)])
-    forms = -basis_forms @ field_mod.mul_matrix(params, u_index) % p  # -Tr(t**i * u * t**k)
+    pair_forms = field_mod.trace_forms(params)[0]
+    forms = -pair_forms @ field_mod.mul_matrix(params, u_index) % p  # -Tr(t**i * u * t**k)
     return (forms @ field_mod.element_digits(params).T % p).astype(np.float64)
 
 
@@ -303,7 +329,8 @@ def _cell_counts(
         if mj:
             shape = [1] * d
             shape[d - 1 - j] = q
-            offset = offset + ((digits[mj] @ rows).astype(np.intp) % p).reshape(shape)
+            s = (digits[mj] @ rows).astype(np.intp)
+            offset = offset + (s - s // p * p).reshape(shape)  # s mod p, cheaper than %
     values = (exponents + offset).ravel()
     hist = np.bincount(values if members is None else values[members], minlength=(d + 1) * p)
     return hist.reshape(-1, p).sum(axis=0)
@@ -323,11 +350,12 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
         )
     state = _oracle_state(f, u_index)  # refuses u = 0
     counts = _cell_counts(params, state.exponents, state.digits, state.rows, m_index)
-    return CycInt.from_histogram(params.p, counts.tolist())
+    return CycInt(params.p, tuple((counts - counts[-1]).tolist()))  # normalized: last slot 0
 
 
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
+    _check_field(f, u)
     total = _AbsSq.of(f, u.index).table.sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
@@ -435,18 +463,15 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     Floating point for odd p; for p = 2 the transform is the integer
     Walsh-Hadamard transform and the returned floats are exact.
     """
+    _check_field(f, u)
     params = f.params
     p = params.p
-    n = f.d * params.ell
     roots = np.array([1, -1]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
-    values = roots[_trace_exponents(f, u.index)]
-    w = _butterfly_matrix(p)
-    tensor = values.reshape((p,) * n)
-    for axis in range(n):
-        moved = np.moveaxis(tensor, axis, 0)
-        tensor = np.moveaxis(np.tensordot(w, moved, axes=([1], [0])), 0, axis)
-    flat = tensor.reshape(f.n_points)
-    return np.abs(flat[_frequency_map(params, f.d, u.index)]).astype(np.float64)
+    h = roots[_trace_exponents(f, u.index)]
+    w = _butterfly_matrix(p)  # symmetric
+    for _ in range(f.d * params.ell):  # each pass moves the leading digit axis to the end
+        h = h.reshape(p, -1).T @ w
+    return np.abs(h.ravel()[_frequency_map(params, f.d, u.index)]).astype(np.float64)
 
 
 _SPOT_SEED = 0x5BD1E995
@@ -578,6 +603,7 @@ class SpectrumReport:
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
+    _check_field(f, u)
     return _AbsSq.of(f, u.index).report(f, u.index)
 
 

@@ -33,6 +33,7 @@ sys.exit(code)
 """
 
 FAST_RSS_BUDGET_MB = 160
+FAST_2POW20_RSS_BUDGET_MB = 90
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
 PN_RSS_BUDGET_MB = 128
@@ -43,12 +44,13 @@ PN_DESK_RSS_BUDGET_MB = 64
 @pytest.mark.parametrize(
     "argv,expected,code,budget_mb",
     [
-        # the table is built one point coordinate at a time
+        # the table is built one point coordinate at a time, each term from
+        # its first factor, with no array of ones and no unused square
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
             '"verdict": "bent"',
             0,
-            FAST_RSS_BUDGET_MB,
+            FAST_2POW20_RSS_BUDGET_MB,
         ),
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--exact"],

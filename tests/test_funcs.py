@@ -15,6 +15,7 @@ from ffspectra.errors import (
 )
 from ffspectra.funcs import (
     _difference_codes,
+    _vec_pow,
     delta_table,
     dump_table,
     hamming_distance,
@@ -63,6 +64,46 @@ def test_build_function_monomials_multivariate():
     for coeffs in ([0, -1], [7], [0, 0, 25]):  # coefficients are element indices
         with pytest.raises(IndexOutOfRange):
             build_function(FnSpec.univariate(coeffs), F5, 1)
+
+
+@pytest.mark.parametrize(
+    "params", [make_field(3, 2), make_field(2, 4), FieldParams(5, 2, (2, 1, 1))], ids=repr
+)
+def test_vec_pow_matches_scalar_powers_without_products_by_one(monkeypatch, params):
+    products = 0
+    vec_mul = field.vec_mul
+
+    def counting(*args):
+        nonlocal products
+        products += 1
+        return vec_mul(*args)
+
+    monkeypatch.setattr(field, "vec_mul", counting)
+    for e in range(1, 18):
+        products = 0
+        got = _vec_pow(params, np.arange(params.q), e)
+        assert got.tolist() == [(x**e).index for x in params.elements()]
+        # one square per bit below the top one, one product per further set bit
+        assert products == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+
+
+def test_build_function_takes_no_product_by_one(monkeypatch):
+    factors = []
+    vec_mul = field.vec_mul
+
+    def recording(params, a, b):
+        factors.append((np.asarray(a).copy(), np.asarray(b).copy()))
+        return vec_mul(params, a, b)
+
+    monkeypatch.setattr(field, "vec_mul", recording)
+    f2 = make_field(2)
+    build_function(FnSpec.from_monomials([(1, (1, 1, 0, 0)), (1, (0, 0, 1, 1))]), f2, 4)
+    assert len(factors) == 2  # one product per two-factor term, nothing else
+    f25 = FieldParams(5, 2, (2, 1, 1))
+    factors.clear()
+    build_function(FnSpec.from_monomials([(7, (2, 1)), (3, (0, 0))]), f25, 2)
+    assert len(factors) == 3  # x**2 (one square), x**2 * y, and the coefficient 7
+    assert not any(np.all(b == 1) or np.all(a == 1) for a, b in factors)
 
 
 def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):

@@ -17,7 +17,7 @@ from ffspectra import (
     trace,
 )
 from ffspectra.catalog import random_function
-from ffspectra.errors import EmptySet, HypothesisFailed
+from ffspectra.errors import EmptySet, FieldMismatch, HypothesisFailed
 from ffspectra.salem import (
     PointSet,
     graph_of,
@@ -68,6 +68,19 @@ def test_indicator_sum_frozen_cases():
     assert indicator_ft_abs_sq(e, m_case1).as_integer() == 0
     m_case2 = PointVector(F5, (F5.zero(), F5.one()))
     assert indicator_ft_abs_sq(e, m_case2).as_integer() == 5
+
+
+def test_indicator_sum_refuses_a_u_from_another_field():
+    e = graph_of(SQ5)
+    m = PointVector.from_index(F5, 2, 7)
+    for u in (make_field(7).from_index(1), make_field(7).from_index(6)):
+        with pytest.raises(FieldMismatch):
+            indicator_sum(e, m, u)
+    sq25 = get_function("square", make_field(5, 2))
+    m25 = PointVector.from_index(sq25.params, 2, 30)
+    u25 = FieldParams(5, 2, (2, 1, 1)).from_index(7)  # same q, another modulus
+    with pytest.raises(FieldMismatch):
+        indicator_sum(graph_of(sq25), m25, u25)
 
 
 def test_indicator_matches_complex_oracle():

@@ -25,6 +25,7 @@ from ffspectra.cli import main
 from ffspectra.cyclotomic import CycInt
 from ffspectra.errors import (
     EvenCharacteristic,
+    FieldMismatch,
     IndexOutOfRange,
     TrivialCharacter,
     UnsupportedSize,
@@ -283,6 +284,35 @@ def test_walsh_fast_frozen_examples():
         walsh_fast_all(SQ5, F5.zero())
 
 
+@pytest.mark.parametrize(
+    "f,u",
+    [
+        (SQ5, make_field(7).from_index(6)),  # index 6 would wrap to 1 mod 5
+        (
+            get_function("square", make_field(5, 2)),
+            FieldParams(5, 2, (2, 1, 1)).from_index(7),  # same q, another modulus
+        ),
+    ],
+    ids=["F7_in_F5", "F25_other_modulus"],
+)
+def test_spectral_calls_refuse_a_u_from_another_field(monkeypatch, f, u):
+    def refuse(*args):
+        raise AssertionError("spectral work began before the field check")
+
+    monkeypatch.setattr(spectrum, "_trace_exponents", refuse)
+    m = PointVector.from_index(f.params, f.d, 1)
+    calls = [
+        lambda: walsh_fast_all(f, u),
+        lambda: spectrum_report(f, u),
+        lambda: walsh_exact_all(f, u),
+        lambda: parseval_total(f, u),
+        lambda: walsh_exact(f, u, m),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call()
+
+
 def test_spectrum_report_pairing():
     rep = spectrum_report(SQ5, F5.one())
     assert rep.u_index == 1 and len(rep.rows) == 5
@@ -427,7 +457,8 @@ def test_is_bent_fast_counts_spot_check_mismatches(monkeypatch, capsys):
 # Array-built trace weights, Gram matrices and frequency maps, pinned to the
 # scalar formulas.
 
-# Default moduli plus one non-default modulus each of F_25 and F_27.
+# Default moduli, two non-default moduli each of F_25 and F_27, and the
+# longer bases of F_2**6 and F_3**5.
 TRACE_FORM_FIELDS = [
     make_field(3, 2),
     make_field(3, 3),
@@ -435,6 +466,10 @@ TRACE_FORM_FIELDS = [
     make_field(2, 4),
     FieldParams(5, 2, (3, 0, 1)),
     FieldParams(3, 3, (2, 2, 0, 1)),
+    FieldParams(5, 2, (2, 1, 1)),  # t**2 + t + 2
+    FieldParams(3, 3, (2, 1, 1, 1)),  # t**3 + t**2 + t + 2
+    make_field(2, 6),
+    make_field(3, 5),
 ]
 
 
@@ -445,6 +480,15 @@ def test_trace_weights_and_gram_match_scalar_trace(params):
         assert trace_weights(params, u.index).tolist() == [trace(u * b) for b in basis]
         want = [[trace(u * a * b) for b in basis] for a in basis]
         assert spectrum._gram(params, u.index).tolist() == want
+
+
+@pytest.mark.parametrize("params", TRACE_FORM_FIELDS, ids=repr)
+def test_walsh_fast_matches_exact_magnitudes_on_every_modulus(params):
+    f = random_function(params, 1, params.q)
+    for u in range(1, params.q):
+        mags = walsh_fast_all(f, params.from_index(u))
+        want = spectrum._AbsSq.of(f, u).magnitudes()
+        assert np.all(np.abs(mags - want) <= 1e-9 * np.maximum(want, 1.0))
 
 
 def _frequency_map_reference(params, d, u_index):
@@ -570,6 +614,15 @@ def test_fast_path_does_per_field_and_per_u_work_only(monkeypatch):
         return digits_of(indices, *args)
 
     monkeypatch.setattr(_modp, "digits_of", recording_digits_of)
+    vec_products = 0
+    vec_mul = field.vec_mul
+
+    def counting_vec_mul(*args):
+        nonlocal vec_products
+        vec_products += 1
+        return vec_mul(*args)
+
+    monkeypatch.setattr(field, "vec_mul", counting_vec_mul)
     products = 0
     mul = FieldElement.__mul__
 
@@ -587,7 +640,9 @@ def test_fast_path_does_per_field_and_per_u_work_only(monkeypatch):
         verdict = is_bent_fast(f)
         assert verdict.certified and verdict.sampled == (params.q - 1) * spots
         counts.append(products)
-    assert digit_sizes and max(digit_sizes) <= params.q
+    # the per-u work reads the per-field digits and trace forms: no digit
+    # expansion and no vector field product
+    assert digit_sizes == [] and vec_products == 0
     assert counts[0] == counts[1] <= params.ell * (params.q - 1) + 8
 
 
@@ -608,15 +663,40 @@ def test_exact_cell_memo_never_serves_stale_state(monkeypatch):
         f = tables[(k // 3) % len(tables)]
         calls.append((f, 1 + (k // 2) % (f.params.q - 1), (37 * k) % f.n_points))
 
-    def fresh(f, u, m):
+    def empty_slots():
         monkeypatch.setattr(spectrum, "_oracle", None)
-        return exact_cell(f, u, m)
+        monkeypatch.setattr(spectrum, "_exponents", None)
+
+    def fresh(f, u, m):
+        empty_slots()
+        return exact_cell(f, u, m), spectrum._trace_exponents(f, u).tolist()
+
+    def served(f, u, m):
+        return exact_cell(f, u, m), spectrum._trace_exponents(f, u).tolist()
 
     want = [fresh(*c) for c in calls]
-    monkeypatch.setattr(spectrum, "_oracle", None)
-    assert [exact_cell(*c) for c in calls] == want
-    # and again in reverse, starting from whatever the slot holds now
-    assert [exact_cell(*c) for c in reversed(calls)] == want[::-1]
+    empty_slots()
+    assert [served(*c) for c in calls] == want
+    # and again in reverse, starting from whatever the slots hold now
+    assert [served(*c) for c in reversed(calls)] == want[::-1]
+    with pytest.raises(ValueError):  # the served row is shared, so read-only
+        spectrum._trace_exponents(*calls[-1][:2])[0] = 0
+
+
+def test_fast_path_builds_one_trace_exponent_row_per_u(monkeypatch):
+    # walsh_fast_all and the spot-check oracle of one u share one row
+    f = get_function("square", make_field(5, 2))
+    rows = []
+    original = field.trace_weights
+
+    def counting(params, u_index):
+        rows.append(u_index)
+        return original(params, u_index)
+
+    monkeypatch.setattr(field, "trace_weights", counting)
+    monkeypatch.setattr(spectrum, "_exponents", None)
+    assert is_bent_fast(f).certified
+    assert rows == list(range(1, f.params.q))
 
 
 @pytest.mark.parametrize(
