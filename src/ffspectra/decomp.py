@@ -15,18 +15,22 @@ telescopes to exactly this convention.  identity_suite exposes the
 off-by-one variant (inner index starting at 1) so its failure stays pinned
 by a negative-control test.
 
-reconstruct_delta evaluates the formula for one shift.  verify_decomposition
-certifies it for all q**d - 1 shifts in one process by walking them
-in prefix order: a + g_s, for s at least the top nonzero digit of a, adds
-the formula's next term D_{f,g_s}(x + a) to a's reconstruction.  Each
-digit's chain of p - 1 steps is a loop, so the walk is at most n levels
-deep for every p, and memory is linear in q**d (n translation gathers and
-one chain position per level); no q**d x q**d addition table is built.
+reconstruct_delta (the formula for one shift, the tests' oracle) and
+identity_suite are one chain sum, sum_i D_{f,s_i}(x + o_i) with
+o_{i+1} = o_i + s_i.  verify_decomposition certifies the formula for all
+q**d - 1 shifts in one process by walking them in prefix order: a + g_s,
+for s at least the top nonzero digit of a, adds the formula's next term
+D_{f,g_s}(x + a) to a's reconstruction, a field-index array added through
+the PN scan's carry-free codes.  Each digit's chain of p - 1 steps is a
+loop, so the walk is at most n levels deep for every p, and memory is
+linear in q**d (n translation gathers and one chain position per level);
+no q**d x q**d addition table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,21 +95,19 @@ class DecompPlan:
         return cls(tuple(digits), tuple(offsets), a.index)
 
 
-def _reconstruct_values(b: BaseDeltaSet, plan: DecompPlan) -> np.ndarray:
-    params, d = b.params, b.d
-    n_points = params.q**d
-    idx = np.arange(n_points, dtype=np.int64)
-    acc = np.zeros(n_points, dtype=np.int64)
-    for i, k in enumerate(plan.digits):
-        if not k:
-            continue
-        table = b.tables[i].values
-        g_index = b.basis.vectors[i].index
-        shift = plan.offsets[i]
-        for _ in range(k):
-            gathered = table[space.vec_point_add(params, d, idx, np.int64(shift))]
-            acc = field_mod.vec_add(params, acc, gathered)
-            shift = int(space.vec_point_add(params, d, np.int64(shift), np.int64(g_index)))
+def _chain_sum(params: field_mod.FieldParams, d: int, links, offset: int = 0) -> np.ndarray:
+    """sum_i table_i[x + o_i] over all x, for links (table_i, step_i) of value
+    arrays and point indices, with o_0 = offset and o_{i+1} = o_i + step_i.
+
+    Every form of the chain identity is one such sum: its terms are difference
+    tables read at the running partial sums of their shifts.
+    """
+    idx = np.arange(params.q**d, dtype=np.int64)
+    acc = np.zeros(params.q**d, dtype=np.int64)
+    at = np.int64(offset)
+    for table, step in links:
+        acc = field_mod.vec_add(params, acc, table[space.vec_point_add(params, d, idx, at)])
+        at = space.vec_point_add(params, d, at, np.int64(step))
     return acc
 
 
@@ -114,7 +116,12 @@ def reconstruct_delta(b: BaseDeltaSet, a: PointVector) -> FnTable:
     if a.params != b.params or a.d != b.d:
         raise FieldMismatch("shift incompatible with this basis")
     plan = DecompPlan.for_shift(b.basis, a)
-    return FnTable(b.params, b.d, _reconstruct_values(b, plan))
+    links = [
+        (table.values, g.index)
+        for k, table, g in zip(plan.digits, b.tables, b.basis.vectors)
+        for _ in range(k)
+    ]
+    return FnTable(b.params, b.d, _chain_sum(b.params, b.d, links))
 
 
 # ---------------------------------------------------------------------------
@@ -147,67 +154,46 @@ class IdentityResult:
     rhs_value: FieldElement | None
 
 
-def _compare_tables(
-    f: FnTable, kind: str, lhs: np.ndarray, rhs: np.ndarray
-) -> IdentityResult:
-    diff = np.nonzero(lhs != rhs)[0]
+def _trial_chain(trial: IdentityTrial, p: int) -> tuple[tuple[PointVector, ...], int]:
+    """The trial's right-hand side as (parts, offset): the chain sum of
+    D_{part} from that point index.  The left-hand side is D at the sum of
+    the parts.  Raises ValueError for an unknown kind or convention, a field
+    the kind needs left unset, or k outside [1, p)."""
+    needs = {"combine": ("b", "c"), "kbeq": ("b", "k"), "allbut": ("parts",)}
+    if trial.kind not in needs:
+        raise ValueError(f"unknown identity kind {trial.kind!r}")
+    missing = [name for name in needs[trial.kind] if getattr(trial, name) in (None, ())]
+    if missing:
+        raise ValueError(f"{trial.kind!r} trial needs {', '.join(missing)}")
+    if trial.kind == "combine":
+        return (trial.b, trial.c), 0
+    if trial.kind == "allbut":
+        return tuple(trial.parts), 0
+    k = int(trial.k)
+    if not 1 <= k < p:
+        raise ValueError("k must lie in [1, p)")
+    starts = {"corrected": 0, "printed": trial.b.index}
+    if trial.convention not in starts:
+        raise ValueError(f"unknown convention {trial.convention!r}")
+    return (trial.b,) * k, starts[trial.convention]
+
+
+def identity_suite(f: FnTable, trial: IdentityTrial) -> IdentityResult:
+    """Pointwise check of one difference-operator identity over all x."""
+    parts, offset = _trial_chain(trial, f.params.p)
+    lhs = delta_table(f, reduce(PointVector.__add__, parts)).values
+    rhs = _chain_sum(f.params, f.d, [(delta_table(f, g).values, g.index) for g in parts], offset)
+    diff = np.flatnonzero(lhs != rhs)
     if diff.size == 0:
-        return IdentityResult(kind, True, None, None, None)
+        return IdentityResult(trial.kind, True, None, None, None)
     x = int(diff[0])
     return IdentityResult(
-        kind,
+        trial.kind,
         False,
         PointVector.from_index(f.params, f.d, x),
         f.params.from_index(int(lhs[x])),
         f.params.from_index(int(rhs[x])),
     )
-
-
-def identity_suite(f: FnTable, trial: IdentityTrial) -> IdentityResult:
-    """Pointwise check of one difference-operator identity over all x."""
-    params, d = f.params, f.d
-    idx = np.arange(f.n_points, dtype=np.int64)
-    if trial.kind == "combine":
-        b, c = trial.b, trial.c
-        lhs = delta_table(f, b + c).values
-        dc = delta_table(f, c).values
-        db = delta_table(f, b).values
-        rhs = field_mod.vec_add(
-            params, dc[space.vec_point_add(params, d, idx, np.int64(b.index))], db
-        )
-        return _compare_tables(f, trial.kind, lhs, rhs)
-    if trial.kind == "kbeq":
-        b, k = trial.b, int(trial.k)
-        if not 1 <= k < params.p:
-            raise ValueError("k must lie in [1, p)")
-        start = 0 if trial.convention == "corrected" else 1
-        lhs = delta_table(f, b.scale(k)).values
-        db = delta_table(f, b).values
-        rhs = np.zeros(f.n_points, dtype=np.int64)
-        for j in range(start, start + k):
-            shift = b.scale(j).index
-            rhs = field_mod.vec_add(
-                params, rhs, db[space.vec_point_add(params, d, idx, np.int64(shift))]
-            )
-        return _compare_tables(f, trial.kind, lhs, rhs)
-    if trial.kind == "allbut":
-        parts = trial.parts
-        total = PointVector.zero(params, d)
-        for piece in parts:
-            total = total + piece
-        lhs = delta_table(f, total).values
-        rhs = np.zeros(f.n_points, dtype=np.int64)
-        offset = PointVector.zero(params, d)
-        for piece in parts:
-            dpiece = delta_table(f, piece).values
-            rhs = field_mod.vec_add(
-                params,
-                rhs,
-                dpiece[space.vec_point_add(params, d, idx, np.int64(offset.index))],
-            )
-            offset = offset + piece
-        return _compare_tables(f, trial.kind, lhs, rhs)
-    raise ValueError(f"unknown identity kind {trial.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,35 +217,43 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     node is then extended by the digits above s.  Only the base tables are
     read on the reconstruction side.  Recursion goes one level per digit
     position (depth at most n) and keeps one chain position per level, so
-    memory is O(n * q**d).  Values are F_p digit arrays; the reconstruction
-    keeps its int32 digit sums unreduced (at most n*(p-1)**2 < 2**31 for
-    q**d <= 4096) and each comparison reduces recon + f(x) - f(x + a) mod p
-    once.  x + a is one gather per node.
+    memory is O(n * q**d).  The reconstruction is an array of field
+    indices, and both sides are read through the PN scan's carry-free codes
+    (`_modp.difference_codes`): a chain step is recon + D_{f,g_s}(x + a) and
+    the comparison is against f(x + a) - f(x), each one gather-add-gather
+    per digit group, with x + a one gather per node.
     """
-    params, d = f.params, f.d
-    p, ell, n = params.p, params.ell, b.basis.n
-    idx = np.arange(f.n_points, dtype=np.int64)
-    plus = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
-    f_digits = _modp.digits_of(f.values, p, ell).astype(np.int32)
-    base_digits = [_modp.digits_of(t.values, p, ell).astype(np.int32) for t in b.tables]
+    params, d, n = f.params, f.d, b.basis.n
+    idx = np.arange(f.n_points, dtype=np.intp)
+    along = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
+    codes = _modp.difference_codes(params.p, params.ell)
+    f_codes = [
+        (plus[f.values].astype(np.intp), minus[f.values].astype(np.intp)) for plus, minus, _ in codes
+    ]
+    base_codes = [[plus[t.values].astype(np.intp) for plus, _, _ in codes] for t in b.tables]
     least = None
 
     def extend(at: np.ndarray, recon: np.ndarray, start: int) -> None:
         # at[x] = index(x + a) for a node a with no nonzero digit at or above start
         nonlocal least
         for s in range(start, n):
-            chain_at, chain_recon = at, recon.copy()
-            for _ in range(p - 1):
-                chain_recon += base_digits[s][chain_at]
-                chain_at = plus[s][chain_at]
-                residue = chain_recon + f_digits
-                residue -= f_digits[chain_at]
-                if (residue % p).any():
+            chain_at, chain_recon = at, recon
+            for _ in range(params.p - 1):
+                chain_recon = reduce(np.add, (
+                    fold[plus[chain_recon] + base[chain_at]]
+                    for (plus, _, fold), base in zip(codes, base_codes[s])
+                ))
+                chain_at = along[s][chain_at]
+                target = reduce(np.add, (
+                    fold[f_plus[chain_at] + f_minus]
+                    for (_, _, fold), (f_plus, f_minus) in zip(codes, f_codes)
+                ))
+                if not np.array_equal(chain_recon, target):
                     a = int(chain_at[0])
                     least = a if least is None else min(least, a)
                 extend(chain_at, chain_recon, s + 1)
 
-    extend(idx, np.zeros_like(f_digits), 0)
+    extend(idx, np.zeros(f.n_points, dtype=np.intp), 0)
     return least
 
 

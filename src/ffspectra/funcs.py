@@ -4,7 +4,8 @@ operators, and the PN/planar primitives.
 The dense table is the single source of truth: polynomial and monomial specs
 are constructors only, and every property test reduces to table arithmetic.
 Values are stored as an immutable int64 array of element indices in point
-index order.
+index order.  The PN scan reads f(x + a) - f(x) through the carry-free
+codes in `_modp`, which the decomposition walk shares.
 """
 
 from __future__ import annotations
@@ -268,57 +269,6 @@ class PnVerdict:
         return "pn" if self.is_pn else "not_pn"
 
 
-# A digit group's reduction table holds at most this many entries; a group
-# always takes at least one digit, so a prime above 2**19 gets 2p - 1.
-_GROUP_TABLE_BOUND = 1 << 20
-
-
-@lru_cache(maxsize=4)  # over F_2**20 one field's codes take about 20 MB
-def _difference_codes(p: int, ell: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Carry-free codes for b - c on the element indices of F_p**ell: one
-    (plus, minus, fold) triple per group of value digits.
-
-    A group's digits are written in radix r = 2p - 1: plus[b] holds the
-    digits of b and minus[c] those of -c, so every digit of
-    plus[b] + minus[c] is at most 2p - 2 and the sum never carries.
-    fold[plus[b] + minus[c]] is the group's share of the index of b - c,
-    and that index is the sum of the shares.
-    """
-    r, q = 2 * p - 1, p**ell
-    width = 1
-    while width < ell and r ** (width + 1) <= _GROUP_TABLE_BOUND:
-        width += 1
-    elements = np.arange(q, dtype=np.int32)
-    groups = []
-    for start in range(0, ell, width):
-        size = min(width, ell - start)
-        plus = np.zeros(q, dtype=np.int32)
-        minus = np.zeros(q, dtype=np.int32)
-        sums = np.arange(r**size, dtype=np.intp)
-        fold = np.zeros(r**size, dtype=np.intp)
-        for j in range(size):
-            digit = elements // p ** (start + j) % p
-            plus += digit * r**j
-            minus += (p - digit) % p * r**j
-            fold += sums // r**j % r % p * p ** (start + j)
-        for table in (plus, minus, fold):
-            table.setflags(write=False)
-        groups.append((plus, minus, fold))
-    return tuple(groups)
-
-
-@lru_cache(maxsize=32)  # a 2**20-point space has 20 digits
-def _unit_translation(p: int, n: int, j: int) -> np.ndarray:
-    """x -> x + e_j on the indices of F_p**n: digit j of x goes up by one,
-    and p - 1 wraps to 0."""
-    idx = np.arange(p**n, dtype=np.intp)
-    w = p**j
-    out = idx + w
-    out[idx // w % p == p - 1] -= p * w
-    out.setflags(write=False)
-    return out
-
-
 def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | None:
     """Least failing (a, v, count) over the nonzero shifts a in index order:
     the first shift whose value counts are not all q**(d-1), and its first
@@ -327,7 +277,8 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     The shifts are counted like an odometer over the base-p digits of a:
     level[j][x] is the index of x + (a with its digits below j cleared), so
     each shift is one gather through the unit translation of the digit that
-    went up.  The values are encoded once per call (`_difference_codes`);
+    went up.  The values are encoded once per call in the carry-free codes
+    shared with the decomposition walk (`_modp.difference_codes`);
     the index of f(x + a) - f(x) is then one gather-add-gather per digit
     group, with no digit arithmetic per shift.
     """
@@ -336,14 +287,14 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     digits = d * params.ell
     codes = [
         (plus[values].astype(np.intp), minus[values].astype(np.intp), fold)
-        for plus, minus, fold in _difference_codes(p, params.ell)
+        for plus, minus, fold in _modp.difference_codes(p, params.ell)
     ]
     level = [np.arange(n, dtype=np.intp)] * digits
     for a_index in range(1, n):
         j, rest = 0, a_index
         while rest % p == 0:
             j, rest = j + 1, rest // p
-        level[: j + 1] = [_unit_translation(p, digits, j)[level[j]]] * (j + 1)
+        level[: j + 1] = [_modp.unit_translation(p, digits, j)[level[j]]] * (j + 1)
         shifted = level[0]
         delta = reduce(np.add, (fold[plus[shifted] + minus] for plus, minus, fold in codes))
         counts = np.bincount(delta, minlength=q)

@@ -1,6 +1,8 @@
 """Difference-operator reconstruction from basis deltas, the identity chain,
 and the exhaustive decomposition certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,23 @@ def test_identity_allbut():
     assert single.passed
 
 
+def test_identity_suite_rejects_malformed_trials():
+    b1 = PointVector.from_index(F5, 1, 1)
+    bad = [
+        IdentityTrial(kind="kbeq", b=b1, k=1, convention="corected"),
+        IdentityTrial(kind="kbeq", b=b1, k=5),
+        IdentityTrial(kind="combine", b=b1),
+        IdentityTrial(kind="combine", c=b1),
+        IdentityTrial(kind="kbeq", k=1),
+        IdentityTrial(kind="kbeq", b=b1),
+        IdentityTrial(kind="allbut"),
+        IdentityTrial(kind="shift", b=b1),
+    ]
+    for trial in bad:
+        with pytest.raises(ValueError):
+            identity_suite(SQ5, trial)
+
+
 def test_verify_decomposition_pass():
     f9 = make_field(3, 2)
     sq9 = build_function(FnSpec.univariate([0, 0, 1]), f9, 1)
@@ -183,6 +202,39 @@ def test_base_delta_set_construction_checks():
     assert b.basis is basis
 
 
+def _moduli(p, ell):
+    """Every monic irreducible of degree ell <= 3 over F_p: a polynomial of
+    degree 2 or 3 is irreducible exactly when it has no root in F_p."""
+    for low in itertools.product(range(p), repeat=ell):
+        m = (*low, 1)
+        if all(sum(c * x**j for j, c in enumerate(m)) % p for x in range(p)):
+            yield m
+
+
+SMALL_EXTENSIONS = ((3, 2), (5, 2), (3, 3), (7, 2))
+MODULI = [(p, ell, m) for p, ell in SMALL_EXTENSIONS for m in _moduli(p, ell)]
+
+
+def _modulus_id(p, ell, m):
+    return f"q{p**ell}-m{''.join(map(str, m))}"
+
+
+def test_moduli_enumeration_is_complete():
+    # there are (p**ell - p) / ell monic irreducibles of prime degree ell
+    assert [len(list(_moduli(p, ell))) for p, ell in SMALL_EXTENSIONS] == [3, 10, 8, 21]
+
+
+@pytest.mark.parametrize("p,ell,modulus", [pytest.param(*c, id=_modulus_id(*c)) for c in MODULI])
+def test_verify_decomposition_every_modulus(p, ell, modulus):
+    params = make_field(p, ell, modulus)
+    basis = standard_basis(params, 1)
+    square = build_function(FnSpec.univariate([0, 0, 1]), params, 1)
+    for f in (square, random_function(params, 1, 13)):
+        v = verify_decomposition(f, basis)
+        assert v.passed and v.failing_a is None
+        assert v.shifts_checked == params.q - 1
+
+
 def _corrupted_cases():
     f9 = make_field(3, 2)
     skewed9 = (PointVector.from_index(f9, 1, 4), PointVector.from_index(f9, 1, 3))
@@ -199,6 +251,9 @@ def _corrupted_cases():
                 yield pytest.param(
                     params, d, vectors, which, where, id=f"q{params.q}-d{d}-{which}-{where}"
                 )
+    # every modulus of F_9, F_25, F_27 and F_49, the built-in one included
+    for p, ell, m in MODULI:
+        yield pytest.param(make_field(p, ell, m), 1, None, "last", "high", id=_modulus_id(p, ell, m))
 
 
 @pytest.mark.parametrize("params,d,vectors,which,where", _corrupted_cases())

@@ -14,7 +14,6 @@ from ffspectra.errors import (
     UnsupportedSize,
 )
 from ffspectra.funcs import (
-    _difference_codes,
     _vec_pow,
     delta_table,
     dump_table,
@@ -243,22 +242,6 @@ def test_is_pn_witness_is_the_brute_force_least_failure():
         if expected is not None:
             w = verdict.witness
             assert (w.a.index, w.value.index, w.count) == expected
-
-
-def test_difference_codes_match_digit_subtraction():
-    rng = np.random.default_rng(11)
-    for p, ell, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 1, None),
-                                    (2, 20, 2, 10**4), (3, 12, 2, 10**4)):
-        q = p**ell
-        if pairs is None:  # every pair
-            b, c = np.divmod(np.arange(q * q), q)
-        else:
-            b, c = rng.integers(0, q, (2, pairs))
-        codes = _difference_codes(p, ell)
-        assert len(codes) == n_groups
-        assert all(fold.size <= 2**20 for _, _, fold in codes)
-        got = sum(fold[plus[b] + minus[c]] for plus, minus, fold in codes)
-        assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
 
 
 def test_warm_pn_scan_does_no_digit_work_per_shift(monkeypatch):

@@ -81,3 +81,23 @@ def test_invert_matrix():
     sing = np.array([[1, 2], [2, 4]])
     assert _modp.invert_matrix(sing, 5) is None
     assert _modp.invert_matrix(np.zeros((2, 2), dtype=int), 3) is None
+
+
+def test_difference_codes_match_digit_subtraction():
+    # the PN scan reads b - c through plus + minus, and the decomposition
+    # walk reads b + c through plus + plus, from the same fold tables
+    rng = np.random.default_rng(11)
+    for p, ell, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 1, None),
+                                    (2, 20, 2, 10**4), (3, 12, 2, 10**4)):
+        q = p**ell
+        if pairs is None:  # every pair
+            b, c = np.divmod(np.arange(q * q), q)
+        else:
+            b, c = rng.integers(0, q, (2, pairs))
+        codes = _modp.difference_codes(p, ell)
+        assert len(codes) == n_groups
+        assert all(fold.size <= 2**20 for _, _, fold in codes)
+        got = sum(fold[plus[b] + minus[c]] for plus, minus, fold in codes)
+        assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
+        got = sum(fold[plus[b] + plus[c]] for plus, _, fold in codes)
+        assert np.array_equal(got, _modp.add_indices(b, c, p, ell))
