@@ -71,28 +71,18 @@ def base_deltas(f: FnTable, basis: SpaceBasis) -> BaseDeltaSet:
 
 @dataclass(frozen=True)
 class DecompPlan:
-    """Digits of a target shift over a basis, with running offsets.
-
-    offsets[i] is the point index of b_i = sum_{j<i} digits[j] * g_j; the
-    final running sum must recompose the target, which for_shift asserts.
-    """
+    """Digits of a target shift over a basis; for_shift asserts that they
+    recompose the target."""
 
     digits: tuple[int, ...]
-    offsets: tuple[int, ...]
     target_index: int
 
     @classmethod
     def for_shift(cls, basis: SpaceBasis, a: PointVector) -> "DecompPlan":
         digits = basis.decompose(a)
-        offsets = []
-        b = PointVector.zero(basis.params, basis.d)
-        for k, g in zip(digits, basis.vectors):
-            offsets.append(b.index)
-            if k:
-                b = b + g.scale(k)
-        if b.index != a.index:
+        if basis.recompose(digits).index != a.index:
             raise AssertionError("digit expansion failed to recompose the shift")
-        return cls(tuple(digits), tuple(offsets), a.index)
+        return cls(digits, a.index)
 
 
 def _chain_sum(params: field_mod.FieldParams, d: int, links, offset: int = 0) -> np.ndarray:

@@ -20,9 +20,10 @@ from .errors import (
     NoOpPerturbation,
     NotPlanarBase,
     NotPlanarEntry,
+    UnsupportedSize,
 )
 from .field import FieldElement, FieldParams
-from .funcs import FnTable, PnWitness, _pn_scan, is_pn
+from .funcs import MAX_POINTS, FnTable, PnWitness, _pn_scan, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -85,12 +86,14 @@ class PerturbationReport:
 def perturbation_sweep(f: FnTable) -> PerturbationReport:
     """Test all q*(q-1) distance-1 neighbors of a planar f for planarity."""
     _require_univariate(f)
+    params = f.params
+    if params.q * (params.q - 1) > MAX_POINTS:  # one entry and one PN scan per neighbor
+        raise UnsupportedSize(f"the sweep takes q*(q-1) <= {MAX_POINTS} neighbors")
     base = is_pn(f)
     if not base.is_pn:
         exc = NotPlanarBase("the base table is not planar; sweep hypothesis fails")
         exc.witness = base.witness
         raise exc
-    params = f.params
     scope = SCOPE_THEOREM if params.p > 3 else SCOPE_OUTSIDE
     entries = []
     values = f.values.copy()

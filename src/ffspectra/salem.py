@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,15 @@ from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector
-from .spectrum import SpectrumReport, _AbsSq, _cell_counts, _trace_rows, is_bent_exact
+from .spectrum import (
+    SpectrumReport,
+    _AbsSq,
+    _abs_sq_table,
+    _cell_counts,
+    _exact_coeff_rows,
+    _trace_rows,
+    is_bent_exact,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +106,7 @@ def salem_constant(e: PointSet) -> tuple[float, PointVector]:
     return report.salem_constant, report.argmax_m
 
 
-@dataclass(frozen=True)
-class SalemRow:
+class SalemRow(NamedTuple):
     m_index: int
     case_tag: str
     abs_sq_int: int | None
@@ -164,7 +172,8 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
     # the canonical character u = 1: exponent 0 at every member
-    spec = _AbsSq(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
+    exponents = np.zeros(e.params.q**e.d, dtype=np.int64)
+    spec = _AbsSq(_abs_sq_table(_exact_coeff_rows(e.params, e.d, 1, exponents, e.bitmap)))
     mags = spec.magnitudes()
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -175,32 +175,15 @@ def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
 
 
 class _AbsSq:
-    """|S(u, m)|^2 for every m of one u, from one exact transform.
+    """|S(u, m)|^2 for every m of one u, from an unreduced |S|^2 table
+    (see _abs_sq_table).
 
     table[m, k] is the unreduced coefficient of zeta^k in S(u,m)*conj(S(u,m)).
     Where defined[m] holds, the value is the rational integer ints[m];
     floats[m] is the real value of every row.
     """
 
-    def __init__(
-        self,
-        params: FieldParams,
-        d: int,
-        u_index: int,
-        exponents: np.ndarray,
-        members: np.ndarray | None = None,
-    ) -> None:
-        # one expression, so the coefficient rows are freed before the fill
-        self._fill(_abs_sq_table(_exact_coeff_rows(params, d, u_index, exponents, members)))
-
-    @classmethod
-    def of_table(cls, t: np.ndarray) -> "_AbsSq":
-        """The views of an unreduced |S|^2 table, without a transform."""
-        spec = object.__new__(cls)
-        spec._fill(t)
-        return spec
-
-    def _fill(self, t: np.ndarray) -> None:
+    def __init__(self, t: np.ndarray) -> None:
         self.p = p = t.shape[1]
         self.table = t
         self.defined = np.all(t[:, 1:] == t[:, 1:2], axis=1)
@@ -213,11 +196,13 @@ class _AbsSq:
 
     def galois(self, t: int) -> "_AbsSq":
         """The table of t*u, t in F_p^*: slot k of sigma_t(z) is slot k/t of z."""
-        return _AbsSq.of_table(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
+        return _AbsSq(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
 
     @classmethod
     def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
-        return cls(f.params, f.d, u_index, _trace_exponents(f, u_index))
+        exponents = _trace_exponents(f, u_index)
+        # one expression, so the coefficient rows are freed before the views
+        return cls(_abs_sq_table(_exact_coeff_rows(f.params, f.d, u_index, exponents)))
 
     def report(self, f: FnTable, u_index: int) -> "SpectrumReport":
         return SpectrumReport(f.params, f.d, u_index, self.defined, self.ints, self.magnitudes())
@@ -262,6 +247,7 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
 
+@lru_cache(maxsize=1)  # the spot checks ask for many cells of one u in a row
 def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
     """rows[i, x] = -Tr(u * t**i * x) mod p for every x in F_q, as float64:
     a digit row times rows is then one BLAS product whose entries, integers
@@ -274,34 +260,9 @@ def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
     p = params.p
     pair_forms = field_mod.trace_forms(params)[0]
     forms = -pair_forms @ field_mod.mul_matrix(params, u_index) % p  # -Tr(t**i * u * t**k)
-    return (forms @ field_mod.element_digits(params).T % p).astype(np.float64)
-
-
-class _OracleState:
-    """The per-(f, u) invariants of exact_cell: Tr(u*f(x)) for every point,
-    shaped (q,)*d so that axis d-1-j runs over the coordinate x_j, the digits
-    of every element of F_q, and the negated trace rows of u."""
-
-    def __init__(self, f: FnTable, u_index: int) -> None:
-        params = f.params
-        self.f = f
-        self.u_index = u_index
-        self.exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)
-        self.digits = field_mod.element_digits(params)
-        self.rows = _trace_rows(params, u_index)
-
-
-# One slot: the spot checks ask for many cells of one (f, u) in a row.  Tables
-# are frozen, so the identity of f and the index u key the slot.
-_oracle: _OracleState | None = None
-
-
-def _oracle_state(f: FnTable, u_index: int) -> _OracleState:
-    global _oracle
-    state = _oracle
-    if state is None or state.f is not f or state.u_index != u_index:
-        state = _oracle = _OracleState(f, u_index)
-    return state
+    rows = (forms @ field_mod.element_digits(params).T % p).astype(np.float64)
+    rows.setflags(write=False)  # shared through the cache
+    return rows
 
 
 def _cell_counts(
@@ -348,8 +309,9 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
         raise IndexOutOfRange(
             f"cell (u, m) = ({u_index}, {m_index}) outside [1, {params.q}) x [0, {f.n_points})"
         )
-    state = _oracle_state(f, u_index)  # refuses u = 0
-    counts = _cell_counts(params, state.exponents, state.digits, state.rows, m_index)
+    exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)  # refuses u = 0
+    digits = field_mod.element_digits(params)
+    counts = _cell_counts(params, exponents, digits, _trace_rows(params, u_index), m_index)
     return CycInt(params.p, tuple((counts - counts[-1]).tolist()))  # normalized: last slot 0
 
 
@@ -526,7 +488,7 @@ def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
     n = f.n_points
     ms = [splitmix64(_SPOT_SEED ^ u_index, i) % n for i in range(_spot_count(n, f.d))]
     rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.int64)
-    roots = _AbsSq.of_table(_abs_sq_table(rows)).magnitudes()
+    roots = _AbsSq(_abs_sq_table(rows)).magnitudes()
     bad = np.abs(mags[ms] - roots) > _FAST_REL_TOL * np.maximum(roots, 1.0)
     return len(ms), int(np.count_nonzero(bad))
 
@@ -561,8 +523,7 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
 # Reports and the PN/bent crosscheck.
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     m_index: int
     abs_sq_int: int | None
     magnitude: float
@@ -583,6 +544,8 @@ class SpectrumReport:
 
     @property
     def abs_sq_ints(self) -> list[int | None]:
+        if self.defined.all():
+            return self.ints.tolist()
         return [v if ok else None for ok, v in zip(self.defined.tolist(), self.ints.tolist())]
 
     @property

@@ -2,8 +2,11 @@
 
 The acceptance module records one line per criterion; echo them in the
 terminal summary so a plain `pytest -v` run shows the pass/fail table.
+The modulus enumeration serves the suites that run over every modulus of
+a small extension field.
 """
 
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -12,6 +15,18 @@ from pathlib import Path
 # that start a child process (`python -m ffspectra`) find it through this.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+
+def _moduli(p, ell):
+    """Every monic irreducible of degree ell <= 3 over F_p: a polynomial of
+    degree 2 or 3 is irreducible exactly when it has no root in F_p."""
+    for low in itertools.product(range(p), repeat=ell):
+        m = (*low, 1)
+        if all(sum(c * x**j for j, c in enumerate(m)) % p for x in range(p)):
+            yield m
+
+
+SMALL_EXTENSIONS = ((3, 2), (5, 2), (3, 3), (7, 2))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,9 +1,10 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
 the 2**20-point cap, the exhaustive decomposition certificate, a full PN
 scan and the graph spectrum report at desk scale, a power map whose
-exponent is far larger than the field, and a finite bound on every
-lru_cache in the package."""
+exponent is far larger than the field, a finite bound on every
+lru_cache in the package, and its single per-(f, u) slot."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -136,6 +137,7 @@ def test_every_cache_is_bounded():
     caches = _package_caches()
     for cache in (
         spectrum._gram,
+        spectrum._trace_rows,
         field.trace_weights,
         field.mul_matrix,
         spectrum._orbit_reps,
@@ -148,3 +150,19 @@ def test_every_cache_is_bounded():
     # every u of a field with q - 1 <= 4096 stays warm in the per-u caches
     for cache in (spectrum._gram, field.trace_weights, field.mul_matrix):
         assert cache.cache_info().maxsize >= 4096
+    # one entry is ell * q float64s, about 168 MB at F_2**20
+    assert spectrum._trace_rows.cache_info().maxsize == 1
+
+
+def test_the_only_global_statement_is_the_exponent_slot():
+    found = []
+    for path in sorted((SRC / "ffspectra").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    (path.stem, fn.name, tuple(node.names))
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Global)
+                ]
+    assert found == [("spectrum", "_trace_exponents", ("_exponents",))]

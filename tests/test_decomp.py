@@ -1,8 +1,6 @@
 """Difference-operator reconstruction from basis deltas, the identity chain,
 and the exhaustive decomposition certificate."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -18,6 +16,8 @@ from ffspectra.decomp import (
 )
 from ffspectra.errors import UnsupportedSize
 from ffspectra.funcs import delta_table
+
+from conftest import SMALL_EXTENSIONS, _moduli
 
 F5 = make_field(5)
 SQ5 = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
@@ -202,16 +202,6 @@ def test_base_delta_set_construction_checks():
     assert b.basis is basis
 
 
-def _moduli(p, ell):
-    """Every monic irreducible of degree ell <= 3 over F_p: a polynomial of
-    degree 2 or 3 is irreducible exactly when it has no root in F_p."""
-    for low in itertools.product(range(p), repeat=ell):
-        m = (*low, 1)
-        if all(sum(c * x**j for j, c in enumerate(m)) % p for x in range(p)):
-            yield m
-
-
-SMALL_EXTENSIONS = ((3, 2), (5, 2), (3, 3), (7, 2))
 MODULI = [(p, ell, m) for p, ell in SMALL_EXTENSIONS for m in _moduli(p, ell)]
 
 

@@ -4,12 +4,14 @@ pairwise distance matrix."""
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, make_field
+from ffspectra import FnSpec, PointVector, build_function, make_field, mindist
+from ffspectra.cli import main
 from ffspectra.errors import (
     FieldMismatch,
     NoOpPerturbation,
     NotPlanarBase,
     NotPlanarEntry,
+    UnsupportedSize,
 )
 from ffspectra.funcs import translate
 from ffspectra.mindist import (
@@ -150,3 +152,17 @@ def test_translation_closure_distances():
         m = pairwise_min_distance(list(uniq.values()))
         if m.min_distance is not None:
             assert m.min_distance >= 2
+
+
+def test_sweep_refuses_more_than_max_points_neighbors(monkeypatch, capsys):
+    # square over F_3125 has 3125 * 3124 neighbors, about 7.8 GB of entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep scanned a table before its size check")
+
+    monkeypatch.setattr(mindist, "is_pn", refuse)
+    monkeypatch.setattr(mindist, "_pn_scan", refuse)
+    f = build_function(FnSpec.univariate([0, 0, 1]), make_field(5, 5), 1)
+    with pytest.raises(UnsupportedSize):
+        perturbation_sweep(f)
+    assert main(["mindist", "sweep", "--catalog", "square", "--p", "5", "--ell", "5"]) == 2
+    assert "q*(q-1) <= 1048576" in capsys.readouterr().err

@@ -31,7 +31,8 @@ from ffspectra.errors import (
     UnsupportedSize,
 )
 from ffspectra.field import trace_weights
-from ffspectra.funcs import is_pn
+from ffspectra.funcs import image_size, is_pn
+from ffspectra.salem import verify_theorem1
 from ffspectra.space import dot
 from ffspectra.spectrum import (
     characters,
@@ -45,6 +46,8 @@ from ffspectra.spectrum import (
     walsh_exact_all,
     walsh_fast_all,
 )
+
+from conftest import SMALL_EXTENSIONS, _moduli
 
 F5 = make_field(5)
 SQ5 = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
@@ -155,13 +158,13 @@ def test_is_bent_exact_verdicts():
 
 def test_is_bent_exact_stops_at_the_first_failing_orbit(monkeypatch, capsys):
     built = []
-    init = spectrum._AbsSq.__init__
+    transform = spectrum._exact_coeff_rows
 
-    def counting_init(self, params, d, u_index, *args, **kwargs):
+    def counting_transform(params, d, u_index, *args, **kwargs):
         built.append(u_index)
-        init(self, params, d, u_index, *args, **kwargs)
+        return transform(params, d, u_index, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum._AbsSq, "__init__", counting_init)
+    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
     f25 = make_field(5, 2)
     assert len(spectrum._orbit_reps(f25)) == 6
     bad = is_bent_exact(random_function(f25, 1, 3))
@@ -335,6 +338,34 @@ def test_crosscheck_pn_bent():
     assert rep3.agree and rep3.pn.is_pn
     with pytest.raises(EvenCharacteristic):
         crosscheck_pn_bent(build_function(FnSpec.univariate([0, 1]), make_field(2), 1))
+
+
+def _spectral_summary(f):
+    """Everything about f that a change of modulus must leave alone."""
+    check = crosscheck_pn_bent(f)
+    salem = verify_theorem1(f).salem_constant if check.bent.is_bent else None
+    cells = sorted(
+        (v is None, v or 0, mag)
+        for rep in spectrum.spectrum_reports(f)
+        for v, mag in zip(rep.abs_sq_ints, rep.magnitudes.tolist())
+    )
+    return check.pn.is_pn, check.bent.is_bent, check.agree, image_size(f), salem, cells
+
+
+@pytest.mark.parametrize("p,ell", SMALL_EXTENSIONS, ids=[f"q{p**ell}" for p, ell in SMALL_EXTENSIONS])
+def test_spectral_verdicts_agree_on_every_modulus(p, ell):
+    # Moduli give isomorphic fields, and the trace, x**e and x*y commute with
+    # the isomorphism, so the verdicts and the multiset of S(u, m) agree.
+    summaries = []
+    for modulus in _moduli(p, ell):
+        params = make_field(p, ell, modulus)
+        fns = [build_function(FnSpec.univariate([0] * e + [1]), params, 1) for e in (2, 3, 5)]
+        if params.q <= 27:
+            fns.append(build_function(FnSpec.from_monomials([(1, (1, 1))]), params, 2))
+        summaries.append([_spectral_summary(f) for f in fns])
+    assert len(summaries) > 1 and all(s == summaries[0] for s in summaries)
+    # x**2 is planar, bent, hits (q + 1) / 2 values and has a flat graph
+    assert summaries[0][0][:5] == (True, True, True, (p**ell + 1) // 2, 1.0)
 
 
 def test_character_additivity_on_traces():
@@ -553,7 +584,7 @@ def test_exact_cell_matches_pointwise_on_random_tables():
                 cells.append(cell)
             # the spot checks' route: the engine's |S|^2 step on stacked rows
             rows = np.array([c.coeffs for c in cells], dtype=np.int64)
-            spec = spectrum._AbsSq.of_table(spectrum._abs_sq_table(rows))
+            spec = spectrum._AbsSq(spectrum._abs_sq_table(rows))
             mags = spec.magnitudes()
             for i, cell in enumerate(cells):
                 z = cell.abs_sq()
@@ -576,7 +607,7 @@ def test_oracle_is_independent_of_the_transform(monkeypatch):
     sets = [PointSet(f.params, f.d, f.values % 3 == 0) for f, _ in cases]
 
     def cells():
-        monkeypatch.setattr(spectrum, "_oracle", None)
+        spectrum._trace_rows.cache_clear()
         out = []
         for (f, u), e in zip(cases, sets):
             u_elem = f.params.from_index(u)
@@ -601,7 +632,7 @@ def test_fast_path_does_per_field_and_per_u_work_only(monkeypatch):
     params = f.params
 
     def clear_per_u_caches():
-        for cache in (field.mul_matrix, field.trace_weights, spectrum._gram):
+        for cache in (field.mul_matrix, field.trace_weights, spectrum._gram, spectrum._trace_rows):
             cache.cache_clear()
 
     clear_per_u_caches()  # so that the warm run reaches this table's own params
@@ -664,7 +695,7 @@ def test_exact_cell_memo_never_serves_stale_state(monkeypatch):
         calls.append((f, 1 + (k // 2) % (f.params.q - 1), (37 * k) % f.n_points))
 
     def empty_slots():
-        monkeypatch.setattr(spectrum, "_oracle", None)
+        spectrum._trace_rows.cache_clear()
         monkeypatch.setattr(spectrum, "_exponents", None)
 
     def fresh(f, u, m):
@@ -836,13 +867,13 @@ def test_spectrum_reports_match_one_transform_per_u(name):
 
 def test_spectrum_reports_run_one_transform_per_orbit(monkeypatch, tmp_path, capsys):
     built = []
-    init = spectrum._AbsSq.__init__
+    transform = spectrum._exact_coeff_rows
 
-    def counting_init(self, params, d, u_index, *args, **kwargs):
+    def counting_transform(params, d, u_index, *args, **kwargs):
         built.append(u_index)
-        init(self, params, d, u_index, *args, **kwargs)
+        return transform(params, d, u_index, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum._AbsSq, "__init__", counting_init)
+    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
     params = make_field(7, 3)
     f = get_function("square", params)
     built.clear()
