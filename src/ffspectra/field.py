@@ -128,7 +128,7 @@ class FieldParams:
         if not _is_irreducible(mod, self.p):
             raise ReducibleModulus(f"{mod} factors over F_{self.p}")
 
-    @property
+    @cached_property  # read in every per-cell and per-element hot loop
     def q(self) -> int:
         return self.p**self.ell
 

@@ -132,13 +132,14 @@ def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
 
 
 def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
-    """Sum of the terms over every point.  A coordinate array is built only
-    while its factor is evaluated, so at most one of the d is alive at once,
-    and nothing is allocated past the point cap."""
-    n = params.q**d
-    if n > MAX_POINTS:
-        raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
-    acc = np.zeros(n, dtype=np.int64)
+    """Sum of the terms over every point, on the (q,)*d grid whose axis
+    d-1-j is x_j.  Each coordinate is a q-entry view along its own axis, so
+    powers take q entries and a term or the sum grows to the grid only by
+    broadcasting where its factors meet; nothing is allocated past the cap."""
+    q = params.q
+    if q**d > MAX_POINTS:
+        raise UnsupportedSize(f"{q**d} points exceeds the supported {MAX_POINTS}")
+    acc = np.zeros((1,) * d, dtype=np.int64)
     for c, exps in terms:
         if len(exps) != d:
             raise SpecDimensionMismatch(
@@ -151,14 +152,14 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
         term = None  # the product of the factors x_j**e_j, from the first one on
         for j, e in enumerate(exps):
             if int(e):
-                power = _vec_pow(params, _point_coord(params, d, j), e)
+                power = _vec_pow(params, np.arange(q, dtype=np.int64).reshape((q,) + (1,) * j), e)
                 term = power if term is None else field_mod.vec_mul(params, term, power)
         if term is None:
-            term = np.full(n, int(c), dtype=np.int64)
+            term = np.int64(int(c))
         elif int(c) != params.one().index:
             term = field_mod.vec_mul(params, term, np.int64(int(c)))
         acc = field_mod.vec_add(params, acc, term)
-    return acc
+    return np.broadcast_to(acc, (q,) * d).ravel()
 
 
 def _point_coord(params: FieldParams, d: int, j: int) -> np.ndarray:

@@ -13,8 +13,8 @@ Two independent routes compute it:
   intermediate is a point count <= q**d <= 2**20, so the result is the exact
   cyclotomic integer.  The per-(u, m) reference (walsh_exact) computes the
   same histogram pointwise with field elements.
-* fast: the same butterfly over complex128 (integer Walsh-Hadamard for
-  p = 2, where it stays exact).
+* fast: the same butterfly over complex128 (Walsh-Hadamard in float64 for
+  p = 2, where its integer sums stay exact).
 
 S(t*u, m) for t in F_p^* is the conjugate sigma_t(S(u, m)), so one exact
 transform per Galois orbit serves the bent verdict and every per-u report.
@@ -85,6 +85,16 @@ def _gram(params: FieldParams, u_index: int) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=field_mod.PARAMS_CACHE_SIZE)
+def _identity_u(params: FieldParams) -> int | None:
+    """The u whose G, and so frequency map, is the identity, or None; the
+    transforms skip that gather (u = 1 over a prime field).  Row 0 of G is
+    digits(u) @ P, P the pair trace forms, so only u = e_0 P**-1 qualifies."""
+    dual = _modp.invert_matrix(field_mod.trace_forms(params)[0], params.p)
+    u = int(_modp.index_of_digits(dual[0], params.p))
+    return u if np.array_equal(_gram(params, u), np.eye(params.ell)) else None
+
+
 def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     """perm[m] = flat transform index holding S(u, m).
 
@@ -134,7 +144,8 @@ def _exact_coeff_rows(
     m = _pass_matrix(p)
     for _ in range(n):
         h = h.reshape(p, -1, p).transpose(1, 0, 2).reshape(-1, p * p) @ m
-    return h.reshape(size, p).astype(np.int64)[_frequency_map(params, d, u_index)]
+    h = h.reshape(size, p).astype(np.int64)
+    return h if u_index == _identity_u(params) else h[_frequency_map(params, d, u_index)]
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -144,8 +155,8 @@ _exponents: tuple[FnTable, int, np.ndarray] | None = None
 
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
-    """Tr(u * f(x)) for every point, read-only: the q-entry row Tr(u * y)
-    from the element digits and trace weights, gathered at the values of f.
+    """Tr(u * f(x)) for every point in the narrowest unsigned type, read-only:
+    the q-entry row Tr(u * y) from digits and trace weights, gathered at f.
 
     Every character sum over f starts here, so this is where u = 0 is refused.
     """
@@ -156,7 +167,7 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     if slot is None or slot[0] is not f or slot[1] != u_index:
         params = f.params
         row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
-        values = row[f.values]
+        values = row.astype(np.min_scalar_type(params.p - 1))[f.values]
         values.setflags(write=False)
         slot = _exponents = (f, u_index, values)
     return slot[2]
@@ -280,10 +291,11 @@ def _cell_counts(
     p (see _trace_rows), so digits[m_j] @ rows reduced mod p is
     -Tr(u*m_j*x_j) for every x_j.  The boolean mask members restricts the
     point set (defaults to all points).  The nonzero m_j add these q-entry
-    rows by broadcasting, and the sums, below (d+1)*p, are histogrammed once
-    and folded p-wide: no reduction mod p per point.
+    rows by broadcasting, in the narrowest type holding their sums, at most
+    (d+1)*(p-1), histogrammed once and folded p-wide: no reduction per point.
     """
     p, q, d = params.p, params.q, exponents.ndim
+    narrow = np.min_scalar_type((d + 1) * (p - 1))
     offset = 0
     for j in range(d):
         mj = m_index // q**j % q
@@ -291,7 +303,7 @@ def _cell_counts(
             shape = [1] * d
             shape[d - 1 - j] = q
             s = (digits[mj] @ rows).astype(np.intp)
-            offset = offset + (s - s // p * p).reshape(shape)  # s mod p, cheaper than %
+            offset = offset + (s - s // p * p).astype(narrow).reshape(shape)  # s mod p
     values = (exponents + offset).ravel()
     hist = np.bincount(values if members is None else values[members], minlength=(d + 1) * p)
     return hist.reshape(-1, p).sum(axis=0)
@@ -414,7 +426,7 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
 
 def _butterfly_matrix(p: int) -> np.ndarray:
     if p == 2:
-        return np.array([[1, 1], [1, -1]], dtype=np.int64)
+        return np.array([[1.0, 1.0], [1.0, -1.0]])
     jk = np.outer(np.arange(p), np.arange(p))
     return np.exp(-2j * math.pi * jk / p)
 
@@ -422,18 +434,22 @@ def _butterfly_matrix(p: int) -> np.ndarray:
 def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     """All q^d magnitudes |S(u, m)| by a multidimensional size-p butterfly.
 
-    Floating point for odd p; for p = 2 the transform is the integer
-    Walsh-Hadamard transform and the returned floats are exact.
+    Floating point for odd p; for p = 2 the float64 Walsh-Hadamard sums are
+    integers of size <= 2**20, so exact.  The passes alternate two buffers.
     """
     _check_field(f, u)
     params = f.params
     p = params.p
-    roots = np.array([1, -1]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
+    roots = np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
     h = roots[_trace_exponents(f, u.index)]
+    out = np.empty_like(h)
     w = _butterfly_matrix(p)  # symmetric
     for _ in range(f.d * params.ell):  # each pass moves the leading digit axis to the end
-        h = h.reshape(p, -1).T @ w
-    return np.abs(h.ravel()[_frequency_map(params, f.d, u.index)]).astype(np.float64)
+        np.matmul(h.reshape(p, -1).T, w, out=out.reshape(-1, p))
+        h, out = out, h
+    del out
+    mags = np.abs(h, out=h) if p == 2 else np.abs(h)
+    return mags if u.index == _identity_u(params) else mags[_frequency_map(params, f.d, u.index)]
 
 
 _SPOT_SEED = 0x5BD1E995
@@ -509,13 +525,16 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
         k, bad = _spot_check(f, u_index, mags)
         sampled += k
         mismatches += bad
-        sq = mags * mags
-        failing = np.nonzero(np.abs(sq - target) > 1e-6 * target)[0]
+        dev = np.multiply(mags, mags)  # |S|^2 - q^d in place, in one buffer
+        dev -= target
+        failing = np.flatnonzero(np.abs(dev, out=dev) > 1e-6 * target)
         if witness is None and failing.size:
             m = int(failing[0])
+            sq = mags[m] * mags[m]
             witness = FastBentWitness(
-                params.from_index(u_index), PointVector.from_index(params, f.d, m), float(sq[m])
+                params.from_index(u_index), PointVector.from_index(params, f.d, m), float(sq)
             )
+        mags = dev = None  # freed before the next transform
     return FastBentVerdict(witness is None, witness, sampled, mismatches)
 
 

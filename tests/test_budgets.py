@@ -1,8 +1,9 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
-the 2**20-point cap, the exhaustive decomposition certificate, a full PN
-scan and the graph spectrum report at desk scale, a power map whose
-exponent is far larger than the field, a finite bound on every
-lru_cache in the package, and its single per-(f, u) slot."""
+the 2**20-point cap, the point-sized buffers of the fast path, the
+exhaustive decomposition certificate, a full PN scan and the graph
+spectrum report at desk scale, a power map whose exponent is far larger
+than the field, a finite bound on every lru_cache in the package, and its
+single per-(f, u) slot."""
 
 import ast
 import importlib
@@ -10,12 +11,13 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ffspectra
-from ffspectra import field, spectrum
+from ffspectra import field, get_function, is_bent_fast, make_field, spectrum
 
 SRC = Path(ffspectra.__file__).resolve().parents[1]
 
@@ -33,8 +35,8 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-FAST_RSS_BUDGET_MB = 160
-FAST_2POW20_RSS_BUDGET_MB = 90
+EXACT_2POW20_RSS_BUDGET_MB = 160
+FAST_2POW20_RSS_BUDGET_MB = 70
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
 PN_RSS_BUDGET_MB = 128
@@ -45,8 +47,8 @@ PN_DESK_RSS_BUDGET_MB = 64
 @pytest.mark.parametrize(
     "argv,expected,code,budget_mb",
     [
-        # the table is built one point coordinate at a time, each term from
-        # its first factor, with no array of ones and no unused square
+        # the table is built on q-entry coordinate views that meet only by
+        # broadcasting, and the fast path holds about two point-sized buffers
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
             '"verdict": "bent"',
@@ -57,7 +59,7 @@ PN_DESK_RSS_BUDGET_MB = 64
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--exact"],
             '"verdict": "bent"',
             0,
-            FAST_RSS_BUDGET_MB,
+            EXACT_2POW20_RSS_BUDGET_MB,
         ),
         # the decomposition certificate holds digit arrays linear in q**d,
         # never a q**d x q**d addition table
@@ -119,6 +121,26 @@ def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("peak_rss_kb=")
     assert int(last.split("=")[1]) / 1024 <= budget_mb
+
+
+def test_fast_path_holds_few_point_sized_buffers():
+    # tracemalloc counts the arrays themselves, whatever the allocator keeps
+    f2, d = make_field(2), 16
+    buffer = 8 * 2**d  # one float64 or int64 per point
+    is_bent_fast(get_function("bool_quadratic", f2, d=4))  # warm the per-field tables
+    tracemalloc.start()
+    try:
+        f = get_function("bool_quadratic", f2, d=d)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]  # the table
+        verdict = is_bent_fast(f)
+        bent_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert verdict.certified
+    assert build_peak <= 2.5 * buffer
+    assert bent_peak <= 3 * buffer
 
 
 def _package_caches():

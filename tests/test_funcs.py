@@ -14,6 +14,7 @@ from ffspectra.errors import (
     UnsupportedSize,
 )
 from ffspectra.funcs import (
+    _eval_monomials,
     _vec_pow,
     delta_table,
     dump_table,
@@ -103,6 +104,37 @@ def test_build_function_takes_no_product_by_one(monkeypatch):
     build_function(FnSpec.from_monomials([(7, (2, 1)), (3, (0, 0))]), f25, 2)
     assert len(factors) == 3  # x**2 (one square), x**2 * y, and the coefficient 7
     assert not any(np.all(b == 1) or np.all(a == 1) for a, b in factors)
+
+
+@pytest.mark.parametrize(
+    "params,d",
+    [(make_field(3, 2), 3), (make_field(2, 2), 4), (make_field(7), 3), (FieldParams(5, 2, (2, 1, 1)), 2)],
+    ids=["F9-d3", "F4-d4", "F7-d3", "F25-d2"],
+)
+def test_eval_monomials_matches_pointwise_evaluation(params, d):
+    # the broadcast build against FieldElement arithmetic at every point
+    q = params.q
+    terms = [
+        (2, (0,) * d),  # a constant-only term
+        (1, (1,) + (0,) * (d - 1)),  # zero exponents on all but x_0
+        (q - 1, tuple(range(d))),  # a non-unit coefficient, x_0**0
+        (q // 2, (0,) * (d - 1) + (2 * q + 3,)),  # an exponent above q
+        (3, (q + 1,) * d),  # every factor present, above q
+        (0, (1,) * d),  # a zero coefficient
+    ]
+    got = _eval_monomials(params, d, terms)
+    assert got.shape == (q**d,)
+    want = []
+    for i in range(q**d):
+        x = PointVector.from_index(params, d, i).coords
+        value = params.zero()
+        for c, exps in terms:
+            term = params.from_index(c)
+            for xj, e in zip(x, exps):
+                term = term * xj**e
+            value = value + term
+        want.append(value.index)
+    assert got.tolist() == want
 
 
 def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):

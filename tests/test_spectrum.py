@@ -552,6 +552,45 @@ def test_frequency_map_is_identity_for_p2_u1():
         assert np.array_equal(spectrum._frequency_map(f2, d, 1), np.arange(2**d))
 
 
+def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(monkeypatch):
+    f25 = FieldParams(5, 2, (2, 1, 1))
+    for params in (make_field(2), make_field(2, 2), make_field(7), make_field(3, 2), f25):
+        grams = [spectrum._gram(params, u) for u in range(1, params.q)]
+        identity = [u for u, g in enumerate(grams, 1) if np.array_equal(g, np.eye(params.ell))]
+        want = spectrum._identity_u(params)
+        assert identity == ([] if want is None else [want])
+    assert spectrum._identity_u(make_field(7)) == 1 and spectrum._identity_u(f25) is None
+
+    gathers = []
+    frequency_map = spectrum._frequency_map
+    monkeypatch.setattr(spectrum, "_frequency_map", lambda *a: gathers.append(a[2]) or frequency_map(*a))
+
+    def spectra(f, u_indices):
+        out = []
+        for u_index in u_indices:
+            u = f.params.from_index(u_index)
+            report = spectrum_report(f, u)
+            out.append((walsh_fast_all(f, u), report.defined, report.ints, report.magnitudes))
+        return out
+
+    # no u of F_25 mod t**2 + t + 2, and no u != 1 of F_7, skips the gather
+    cases = [random_function(make_field(2), 10, 1), random_function(make_field(7), 3, 2)]
+    for f, u_indices in ((random_function(f25, 2, 3), range(1, 25)), (cases[1], range(2, 7))):
+        gathers.clear()
+        spectra(f, u_indices)
+        assert gathers == [u for u in u_indices for _ in range(2)]
+
+    # u = 1 over F_2**10 and F_7**3 skips it, and the gather gives the same arrays
+    gathers.clear()
+    skipped = [spectra(f, [1])[0] for f in cases]
+    assert gathers == []
+    monkeypatch.setattr(spectrum, "_identity_u", lambda params: None)
+    gathered = [spectra(f, [1])[0] for f in cases]
+    assert gathers == [1] * 4
+    for a, b in zip(skipped, gathered):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 # ---------------------------------------------------------------------------
 # The spot-check oracle and its per-(f, u) memo.
 
