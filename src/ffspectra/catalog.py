@@ -21,7 +21,7 @@ from .errors import (
     UnknownCatalogEntry,
 )
 from .field import FieldParams
-from .funcs import FnSpec, FnTable, build_function, is_pn
+from .funcs import FnSpec, FnTable, _refuse_past_cap, build_function, is_pn
 from .space import DESK_SCALE_POINTS
 
 _MASK64 = (1 << 64) - 1
@@ -50,6 +50,7 @@ def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
     freezes golden tables against an independent scalar implementation.
     """
     n = params.q**d
+    _refuse_past_cap(n)  # before the four n-entry work arrays
     with np.errstate(over="ignore"):
         i = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(seed & _MASK64) + i * np.uint64(_GOLDEN)

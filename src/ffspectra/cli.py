@@ -13,8 +13,9 @@ Commands
   catalog list       built-in function families
   field info         resolved field parameters
 
-Exit codes: 0 all checks pass; 1 a mathematical check failed (the report
-carries the witness); 2 usage or input error.
+Exit codes: 0 when the command's library verdict holds (or it has none);
+1 when it fails or a theorem's hypothesis fails (the report carries the
+witness); 2 on a usage or input error, or an input past a size cap.
 
 Reports are canonical: JSON with sorted keys and two-space indent, CSV
 with LF line endings, and no timing dependent content (wall time goes to
@@ -69,22 +70,25 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-
-
-def _emit(args, name: str, text: str | None) -> None:
+def _emit(args, name: str, text: str) -> None:
     if args.emit is not None:
-        _write_text(Path(args.emit) / name, text)
+        Path(args.emit).mkdir(parents=True, exist_ok=True)
+        with open(Path(args.emit) / name, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
 
 
-def _output(args, name: str, payload: dict) -> None:
-    """Print the canonical JSON payload and write the same bytes to --emit."""
+def _finish(
+    args, stem: str, payload: dict, passed: bool | None = None, csv: str | None = None
+) -> int:
+    """Print the canonical JSON payload (or, under --format csv, the CSV of a
+    command that has one), write both to --emit as stem.json and stem.csv,
+    and exit 1 exactly when the library verdict passed is False."""
     text = canonical_json(payload)
-    sys.stdout.write(text)
-    _emit(args, name, text)
+    sys.stdout.write(csv if csv is not None and args.format == "csv" else text)
+    _emit(args, f"{stem}.json", text)
+    if csv is not None:
+        _emit(args, f"{stem}.csv", csv)
+    return 1 if passed is False else 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,43 +128,37 @@ def _resolve_field(args) -> FieldParams:
     return make_field(args.p, args.ell if args.ell is not None else 1, _parse_modulus(args.modulus))
 
 
-def _resolve_function(args) -> tuple[FnTable, dict]:
-    """Build the requested table and a serializable source descriptor."""
+def _field_json(params: FieldParams) -> dict:
+    return {"p": params.p, "ell": params.ell, "modulus": list(params.modulus)}
+
+
+def _table(args, command: str) -> tuple[FnTable, dict]:
+    """The requested table and the payload head: the command and everything
+    that determines a run's output, in echoable form."""
     if args.input is not None and args.catalog is not None:
         raise UsageError("--catalog and --input are mutually exclusive")
     if args.input is not None:
         for flag in ("p", "ell", "modulus", "d"):
             if getattr(args, flag) is not None:
                 raise UsageError(f"--{flag} conflicts with --input; the table file carries the field")
-        f = load_table(args.input)
-        return f, {"input": Path(args.input).name}
-    if args.catalog is None:
+        f, source = load_table(args.input), {"input": Path(args.input).name}
+    elif args.catalog is None:
         raise UsageError("one of --catalog or --input is required")
-    params = _resolve_field(args)
-    kv = _parse_params_arg(args.params)
-    if args.seed is not None:
-        kv.setdefault("seed", args.seed)
-    f = get_function(args.catalog, params, d=args.d, **kv)
-    return f, {"catalog": args.catalog, "params": kv}
-
-
-def _mode(args) -> str:
-    return "fast" if getattr(args, "fast", False) else "exact"
-
-
-def _field_json(params: FieldParams) -> dict:
-    return {"p": params.p, "ell": params.ell, "modulus": list(params.modulus)}
-
-
-def _run_config(f: FnTable, source: dict, args) -> dict:
-    """Everything that determines a run's output, in echoable form."""
-    return {
+    else:
+        params = _resolve_field(args)
+        kv = _parse_params_arg(args.params)
+        if args.seed is not None:
+            kv.setdefault("seed", args.seed)
+        f = get_function(args.catalog, params, d=args.d, **kv)
+        source = {"catalog": args.catalog, "params": kv}
+    config = {
         **_field_json(f.params),
         "d": f.d,
         "source": source,
-        "format": getattr(args, "format", "json"),
-        "mode": _mode(args),
+        "format": args.format,
+        "mode": "fast" if args.fast else "exact",
     }
+    return f, {"command": command, "config": config}
 
 
 # ---------------------------------------------------------------------------
@@ -216,69 +214,73 @@ def _salem_csv(report: SalemReport) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Refusals: a theorem's hypothesis fails, and the payload carries the witness.
+
+_REFUSALS = {  # error tag and witness renderer; the pairwise refusal names no witness
+    HypothesisFailed: ("hypothesis_failed", _bent_witness_json),
+    NotPlanarBase: ("not_planar_base", _pn_witness_json),
+    NotPlanarEntry: ("not_planar_entry", None),
+}
+
+
+def _refuse(args, stem: str, head: dict, exc: HypothesisFailed) -> int:
+    error, witness_json = _REFUSALS[type(exc)]
+    payload = {**head, "error": error, "detail": str(exc)}
+    if witness_json is not None:
+        payload["witness"] = witness_json(exc.witness)
+    return _finish(args, stem, payload, False)
+
+
+# ---------------------------------------------------------------------------
 # Command handlers.
 
 
 def _cmd_test_pn(args) -> int:
-    f, source = _resolve_function(args)
+    f, head = _table(args, "test pn")
     verdict = is_pn(f)
-    report = {
-        "command": "test pn",
-        "config": _run_config(f, source, args),
-        "verdict": verdict.verdict,
-        "witness": _pn_witness_json(verdict.witness),
-    }
-    _output(args, "pn.json", report)
-    return 0 if verdict.is_pn else 1
+    payload = {**head, "verdict": verdict.verdict, "witness": _pn_witness_json(verdict.witness)}
+    return _finish(args, "pn", payload, verdict.is_pn)
 
 
 def _cmd_test_bent(args) -> int:
-    f, source = _resolve_function(args)
-    report = {
-        "command": "test bent",
-        "config": _run_config(f, source, args),
-        "target_abs_sq": f.n_points,
-    }
-    if _mode(args) == "fast":
-        fast = is_bent_fast(f)
-        report["spot_checks"] = {"sampled": fast.sampled, "mismatches": fast.mismatches}
-        verdict, ok = fast, fast.certified
+    f, head = _table(args, "test bent")
+    payload = {**head, "target_abs_sq": f.n_points}
+    if args.fast:
+        verdict = is_bent_fast(f)
+        payload["spot_checks"] = {"sampled": verdict.sampled, "mismatches": verdict.mismatches}
+        passed = verdict.certified
     else:
         verdict = is_bent_exact(f)
-        ok = verdict.is_bent
+        passed = verdict.is_bent
         if args.emit is not None:
             m_column = _m_column(f.params, f.d)
             for rep in spectrum_reports(f):
                 cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
                 text = _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
                 _emit(args, f"spectrum_u{rep.u_index}.csv", text)
-    report["verdict"] = verdict.verdict
-    report["witness"] = _bent_witness_json(verdict.witness)
-    _output(args, "bent.json", report)
-    return 0 if ok else 1
+    payload["verdict"] = verdict.verdict
+    payload["witness"] = _bent_witness_json(verdict.witness)
+    return _finish(args, "bent", payload, passed)
 
 
 def _cmd_crosscheck(args) -> int:
-    f, source = _resolve_function(args)
+    f, head = _table(args, "crosscheck")
     result = crosscheck_pn_bent(f)
-    report = {
-        "command": "crosscheck",
-        "config": _run_config(f, source, args),
+    payload = {
+        **head,
         "pn": result.pn.verdict,
         "bent": result.bent.verdict,
         "agree": result.agree,
         "pn_witness": _pn_witness_json(result.pn.witness),
         "bent_witness": _bent_witness_json(result.bent.witness),
     }
-    _output(args, "crosscheck.json", report)
-    return 0 if result.agree else 1
+    return _finish(args, "crosscheck", payload, result.agree)
 
 
-def _salem_output(args, command: str, config: dict, report: SalemReport) -> None:
-    """Print the JSON or CSV report per --format; --emit gets both."""
+def _salem_finish(args, head: dict, report: SalemReport) -> int:
+    """The JSON or CSV report per --format; --emit gets both."""
     payload = {
-        "command": command,
-        "config": config,
+        **head,
         "q": report.params.q,
         "d": report.d,
         "cardinality": report.cardinality,
@@ -288,69 +290,49 @@ def _salem_output(args, command: str, config: dict, report: SalemReport) -> None
         "theorem1_pass": report.theorem1_pass,
         "wall_time": None,
     }
-    json_text = canonical_json(payload)
-    csv_text = _salem_csv(report) if args.format == "csv" or args.emit is not None else None
-    sys.stdout.write(csv_text if args.format == "csv" else json_text)
-    _emit(args, "salem.json", json_text)
-    _emit(args, "salem.csv", csv_text)
+    csv = _salem_csv(report) if args.format == "csv" or args.emit is not None else None
+    return _finish(args, "salem", payload, report.theorem1_pass, csv)
 
 
 def _cmd_salem_report(args) -> int:
-    f, source = _resolve_function(args)
-    report = salem_report(graph_of(f))
-    _salem_output(args, "salem report", _run_config(f, source, args), report)
-    return 0
+    f, head = _table(args, "salem report")
+    return _salem_finish(args, head, salem_report(graph_of(f)))
 
 
 def _cmd_salem_verify(args) -> int:
-    f, source = _resolve_function(args)
-    config = _run_config(f, source, args)
+    f, head = _table(args, "salem verify-thm1")
     try:
         report = verify_theorem1(f)
     except HypothesisFailed as exc:
-        payload = {
-            "command": "salem verify-thm1",
-            "config": config,
-            "error": "hypothesis_failed",
-            "detail": str(exc),
-            "witness": _bent_witness_json(getattr(exc, "witness", None)),
-        }
-        _output(args, "salem.json", payload)
-        return 1
-    _salem_output(args, "salem verify-thm1", config, report)
-    return 0 if report.theorem1_pass else 1
+        return _refuse(args, "salem", head, exc)
+    return _salem_finish(args, head, report)
 
 
-def _parse_basis(args, f: FnTable) -> tuple[SpaceBasis, list[int]]:
-    params, d = f.params, f.d
+def _parse_basis(args, f: FnTable) -> SpaceBasis:
     if args.basis is None or args.basis == "standard":
-        basis = standard_basis(params, d)
-    else:
-        try:
-            indices = [int(c) for c in args.basis.replace(",", " ").split()]
-        except ValueError:
-            raise UsageError("--basis is 'standard' or comma-separated point indices") from None
-        vectors = tuple(PointVector.from_index(params, d, i) for i in indices)
-        basis = SpaceBasis(params, d, vectors)
-    return basis, [v.index for v in basis.vectors]
+        return standard_basis(f.params, f.d)
+    try:
+        indices = [int(c) for c in args.basis.replace(",", " ").split()]
+    except ValueError:
+        raise UsageError("--basis is 'standard' or comma-separated point indices") from None
+    vectors = tuple(PointVector.from_index(f.params, f.d, i) for i in indices)
+    return SpaceBasis(f.params, f.d, vectors)
 
 
 def _cmd_decomp_verify(args) -> int:
-    f, source = _resolve_function(args)
-    basis, basis_indices = _parse_basis(args, f)
+    f, head = _table(args, "decomp verify")
+    basis = _parse_basis(args, f)
     verdict = verify_decomposition(f, basis)
-    report = {
-        "command": "decomp verify",
-        "config": _run_config(f, source, args),
+    payload = {
+        **head,
         "field": _field_json(f.params),
         "d": f.d,
-        "basis": basis_indices,
+        "basis": [v.index for v in basis.vectors],
         "shifts_checked": verdict.shifts_checked,
         "pass": verdict.passed,
         "failing_a": None if verdict.failing_a is None else verdict.failing_a.index,
     }
-    _output(args, "decomp.json", report)
-    return 0 if verdict.passed else 1
+    return _finish(args, "decomp", payload, verdict.passed)
 
 
 def _source_label(source: dict) -> str:
@@ -361,62 +343,39 @@ def _source_label(source: dict) -> str:
 
 
 def _cmd_mindist_sweep(args) -> int:
-    f, source = _resolve_function(args)
-    config = _run_config(f, source, args)
+    f, head = _table(args, "mindist sweep")
     try:
         report = perturbation_sweep(f)
-    except NotPlanarBase as exc:
-        payload = {
-            "command": "mindist sweep",
-            "config": config,
-            "error": "not_planar_base",
-            "detail": str(exc),
-            "witness": _pn_witness_json(getattr(exc, "witness", None)),
-        }
-        _output(args, "sweep.json", payload)
-        return 1
+    except HypothesisFailed as exc:
+        return _refuse(args, "sweep", head, exc)
     samples = [
-        {
-            "w_index": e.w_index,
-            "v_index": e.v_index,
-            "witness": _pn_witness_json(e.witness),
-        }
+        {"w_index": e.w_index, "v_index": e.v_index, "witness": _pn_witness_json(e.witness)}
         for e in report.entries[:10]
     ]
     payload = {
-        "command": "mindist sweep",
-        "config": config,
+        **head,
         "field": _field_json(f.params),
-        "base_fn": _source_label(source),
+        "base_fn": _source_label(head["config"]["source"]),
         "scope": report.scope,
         "pairs_tested": report.pairs_tested,
         "planar_found": report.planar_found,
         "sample_witnesses": samples,
         "wall_time": None,
     }
-    _output(args, "sweep.json", payload)
-    if report.scope == "theorem" and report.planar_found > 0:
-        return 1
-    return 0
+    return _finish(args, "sweep", payload, report.passed)
 
 
 def _cmd_mindist_pairwise(args) -> int:
     if not args.input or len(args.input) < 2:
         raise UsageError("mindist pairwise needs at least two --input table files")
     fns = [load_table(path) for path in args.input]
-    labels = tuple(Path(path).name for path in args.input)
+    head = {"command": "mindist pairwise"}
     try:
-        matrix = pairwise_min_distance(fns, labels)
-    except NotPlanarEntry as exc:
-        payload = {
-            "command": "mindist pairwise",
-            "error": "not_planar_entry",
-            "detail": str(exc),
-        }
-        _output(args, "pairwise.json", payload)
-        return 1
-    report = {
-        "command": "mindist pairwise",
+        matrix = pairwise_min_distance(fns, tuple(Path(path).name for path in args.input))
+    except HypothesisFailed as exc:
+        return _refuse(args, "pairwise", head, exc)
+    payload = {
+        **head,
         "field": _field_json(fns[0].params),
         "d": fns[0].d,
         "labels": list(matrix.labels),
@@ -424,10 +383,7 @@ def _cmd_mindist_pairwise(args) -> int:
         "min_distance": matrix.min_distance,
         "duplicates": [list(pair) for pair in matrix.duplicates],
     }
-    _output(args, "pairwise.json", report)
-    if matrix.min_distance is not None and matrix.min_distance < 2:
-        return 1
-    return 0
+    return _finish(args, "pairwise", payload, matrix.passed)
 
 
 def _cmd_catalog_list(args) -> int:
@@ -440,14 +396,12 @@ def _cmd_catalog_list(args) -> int:
         }
         for e in list_entries()
     ]
-    _output(args, "catalog.json", {"command": "catalog list", "entries": entries})
-    return 0
+    return _finish(args, "catalog", {"command": "catalog list", "entries": entries})
 
 
 def _cmd_field_info(args) -> int:
     params = _resolve_field(args)
-    _output(args, "field.json", {"command": "field info", "q": params.q, **_field_json(params)})
-    return 0
+    return _finish(args, "field", {"command": "field info", "q": params.q, **_field_json(params)})
 
 
 # ---------------------------------------------------------------------------

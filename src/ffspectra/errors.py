@@ -66,18 +66,23 @@ class EmptySet(FFSpectraError):
 
 
 class HypothesisFailed(FFSpectraError):
-    """A theorem check was invoked on input that violates its hypothesis."""
+    """A theorem check was invoked on input that violates its hypothesis;
+    witness, when known, is the verdict object that shows the violation."""
+
+    def __init__(self, message: str, witness=None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class NoOpPerturbation(FFSpectraError):
     """A perturbation that does not change the table was requested."""
 
 
-class NotPlanarBase(FFSpectraError):
+class NotPlanarBase(HypothesisFailed):
     """The base table of a perturbation sweep is not planar."""
 
 
-class NotPlanarEntry(FFSpectraError):
+class NotPlanarEntry(HypothesisFailed):
     """A distance-matrix input failed planarity verification."""
 
 

@@ -153,15 +153,6 @@ class FieldParams:
             rows.append(tuple(cur))
         return tuple(rows)
 
-    @cached_property
-    def trace_table(self) -> np.ndarray:
-        """trace of every element by index, as an int64 array of length q."""
-        weights = np.array(
-            [trace(self.from_index(self.p**j)) for j in range(self.ell)],
-            dtype=np.int64,
-        )
-        return (element_digits(self) @ weights) % self.p
-
     # -- element construction -------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
@@ -447,14 +438,16 @@ def trace_forms(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
     """The pair forms P[i, j] = Tr(t**i * t**j) and the triple forms
     H[i, j, k] = Tr(t**i * t**j * t**k) of the basis.
 
-    The trace is F_p-linear, so Tr(y * t**k) = digits(y) . P[:, k]: H comes
-    from the digits of the ell**2 products t**i * t**j, one vec_mul.
+    The trace is F_p-linear, so Tr(y) = digits(y) . w with w[j] = Tr(t**j),
+    and Tr(y * t**k) = digits(y) . P[:, k]: P and H come from the digits of
+    the ell**2 products t**i * t**j, one vec_mul.
     """
     p = params.p
     basis = _modp.powers(p, params.ell)
-    pairs = vec_mul(params, basis[:, None], basis[None, :])
-    forms = params.trace_table[pairs]
-    triples = element_digits(params)[pairs] @ forms % p
+    weights = np.array([trace(params.from_index(int(b))) for b in basis], dtype=np.int64)
+    pair_digits = element_digits(params)[vec_mul(params, basis[:, None], basis[None, :])]
+    forms = pair_digits @ weights % p
+    triples = pair_digits @ forms % p
     forms.setflags(write=False)
     triples.setflags(write=False)
     return forms, triples

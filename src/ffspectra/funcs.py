@@ -32,6 +32,12 @@ from .space import PointVector
 MAX_POINTS = 1 << 20
 
 
+def _refuse_past_cap(n: int) -> None:
+    """Raise UnsupportedSize for a table of n > MAX_POINTS points, before it is built."""
+    if n > MAX_POINTS:
+        raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
+
+
 def _freeze(values) -> np.ndarray:
     arr = np.array(values, dtype=np.int64)
     arr.setflags(write=False)
@@ -50,8 +56,7 @@ class FnTable:
         if self.d < 1:
             raise DimensionMismatch("dimension must be >= 1")
         n = self.params.q**self.d
-        if n > MAX_POINTS:
-            raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
+        _refuse_past_cap(n)
         arr = _freeze(self.values)
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
@@ -137,8 +142,7 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
     powers take q entries and a term or the sum grows to the grid only by
     broadcasting where its factors meet; nothing is allocated past the cap."""
     q = params.q
-    if q**d > MAX_POINTS:
-        raise UnsupportedSize(f"{q**d} points exceeds the supported {MAX_POINTS}")
+    _refuse_past_cap(q**d)
     acc = np.zeros((1,) * d, dtype=np.int64)
     for c, exps in terms:
         if len(exps) != d:

@@ -82,6 +82,11 @@ class PerturbationReport:
     def planar_found(self) -> int:
         return sum(1 for e in self.entries if e.planar)
 
+    @property
+    def passed(self) -> bool:
+        """False only when a theorem-scope sweep finds a planar neighbor."""
+        return self.scope != SCOPE_THEOREM or self.planar_found == 0
+
 
 def perturbation_sweep(f: FnTable) -> PerturbationReport:
     """Test all q*(q-1) distance-1 neighbors of a planar f for planarity."""
@@ -91,9 +96,7 @@ def perturbation_sweep(f: FnTable) -> PerturbationReport:
         raise UnsupportedSize(f"the sweep takes q*(q-1) <= {MAX_POINTS} neighbors")
     base = is_pn(f)
     if not base.is_pn:
-        exc = NotPlanarBase("the base table is not planar; sweep hypothesis fails")
-        exc.witness = base.witness
-        raise exc
+        raise NotPlanarBase("the base table is not planar; sweep hypothesis fails", base.witness)
     scope = SCOPE_THEOREM if params.p > 3 else SCOPE_OUTSIDE
     entries = []
     values = f.values.copy()
@@ -115,6 +118,11 @@ class DistanceMatrix:
     min_distance: int | None  # over pairs of distinct tables; None if < 2 distinct
     duplicates: tuple[tuple[int, int], ...]
 
+    @property
+    def passed(self) -> bool:
+        """False when two distinct tables are at distance < 2."""
+        return self.min_distance is None or self.min_distance >= 2
+
 
 def pairwise_min_distance(
     fns: Sequence[FnTable], labels: Sequence[str] | None = None
@@ -132,8 +140,9 @@ def pairwise_min_distance(
         if f.params != params or f.d != d:
             raise FieldMismatch(f"function {i} is over a different space")
         _require_univariate(f)
-        if not is_pn(f).is_pn:
-            raise NotPlanarEntry(f"function {i} is not planar")
+        verdict = is_pn(f)
+        if not verdict.is_pn:
+            raise NotPlanarEntry(f"function {i} is not planar", verdict.witness)
     if labels is None:
         labels = tuple(f"f{i}" for i in range(len(fns)))
     else:

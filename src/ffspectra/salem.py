@@ -28,6 +28,7 @@ from .spectrum import (
     _abs_sq_table,
     _cell_counts,
     _exact_coeff_rows,
+    _require_exact_size,
     _trace_rows,
     is_bent_exact,
 )
@@ -192,13 +193,15 @@ def verify_theorem1(f: FnTable) -> SalemReport:
     """Flat-graph certification for a bent f: case-1 frequencies vanish,
     case-2 frequencies carry exactly q**(f.d), so the Salem constant is 1.
 
-    Raises HypothesisFailed (with the bent witness attached) when f is not
+    Raises UnsupportedSize for a graph past the exact engine's cap before
+    any scan, and HypothesisFailed (with the bent witness) when f is not
     bent; the theorem presupposes bentness.
     """
+    _require_exact_size(f.params.p, (f.d + 1) * f.params.ell)
     verdict = is_bent_exact(f)
     if not verdict.is_bent:
-        exc = HypothesisFailed("the input is not bent; flat-graph statement does not apply")
-        exc.witness = verdict.witness
-        raise exc
+        raise HypothesisFailed(
+            "the input is not bent; flat-graph statement does not apply", verdict.witness
+        )
     e = graph_of(f)
     return _build_report(e, (e.cardinality**2, 0, f.n_points))

@@ -24,6 +24,7 @@ The test suite pins both reductions against the direct route.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -119,6 +120,12 @@ def _pass_matrix(p: int) -> np.ndarray:
     return m
 
 
+def _require_exact_size(p: int, n: int) -> None:
+    """Refuse an exact transform of p**n points before anything is built."""
+    if p**n > MAX_POINTS or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
+        raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
+
+
 def _exact_coeff_rows(
     params: FieldParams,
     d: int,
@@ -137,8 +144,7 @@ def _exact_coeff_rows(
     p = params.p
     n = d * params.ell
     size = p**n
-    if size > MAX_POINTS or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
-        raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
+    _require_exact_size(p, n)
     h = np.zeros((size, p))
     h[np.arange(size), exponents] = 1.0 if members is None else members
     m = _pass_matrix(p)
@@ -150,8 +156,8 @@ def _exact_coeff_rows(
 
 # One read-only slot: the float transform and the spot-check oracle of one u
 # ask for the same row in turn.  Tables are frozen, so the identity of f and
-# the index u key the slot.
-_exponents: tuple[FnTable, int, np.ndarray] | None = None
+# the index u key the slot; f is held weakly, so the slot never keeps it alive.
+_exponents: tuple[weakref.ref, int, np.ndarray] | None = None
 
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
@@ -164,12 +170,12 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     if u_index == 0:
         raise TrivialCharacter("u = 0 names the trivial character")
     slot = _exponents
-    if slot is None or slot[0] is not f or slot[1] != u_index:
+    if slot is None or slot[0]() is not f or slot[1] != u_index:
         params = f.params
         row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
         values = row.astype(np.min_scalar_type(params.p - 1))[f.values]
         values.setflags(write=False)
-        slot = _exponents = (f, u_index, values)
+        slot = _exponents = (weakref.ref(f), u_index, values)
     return slot[2]
 
 

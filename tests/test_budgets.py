@@ -1,5 +1,6 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
-the 2**20-point cap, the point-sized buffers of the fast path, the
+the 2**20-point cap, a random table past the cap refused before its work
+arrays are allocated, the point-sized buffers of the fast path, the
 exhaustive decomposition certificate, a full PN scan and the graph
 spectrum report at desk scale, a power map whose exponent is far larger
 than the field, a finite bound on every lru_cache in the package, and its
@@ -18,6 +19,7 @@ import pytest
 
 import ffspectra
 from ffspectra import field, get_function, is_bent_fast, make_field, spectrum
+from ffspectra.errors import UnsupportedSize
 
 SRC = Path(ffspectra.__file__).resolve().parents[1]
 
@@ -141,6 +143,18 @@ def test_fast_path_holds_few_point_sized_buffers():
     assert verdict.certified
     assert build_peak <= 2.5 * buffer
     assert bent_peak <= 3 * buffer
+
+
+def test_random_table_past_the_cap_is_refused_before_allocating():
+    f2 = make_field(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedSize):
+            get_function("random", f2, d=22)  # its four work arrays would take 128 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _package_caches():

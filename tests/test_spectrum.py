@@ -2,7 +2,9 @@
 the fast float transform, Parseval, and bent verdicts."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -751,6 +753,15 @@ def test_exact_cell_memo_never_serves_stale_state(monkeypatch):
     assert [served(*c) for c in reversed(calls)] == want[::-1]
     with pytest.raises(ValueError):  # the served row is shared, so read-only
         spectrum._trace_exponents(*calls[-1][:2])[0] = 0
+
+
+def test_exponent_slot_does_not_keep_its_table_alive():
+    f = get_function("bool_quadratic", make_field(2), d=8)
+    assert is_bent_fast(f).certified
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
 
 
 def test_fast_path_builds_one_trace_exponent_row_per_u(monkeypatch):
