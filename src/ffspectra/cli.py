@@ -48,6 +48,7 @@ from .mindist import pairwise_min_distance, perturbation_sweep
 from .salem import SalemReport, graph_of, salem_report, verify_theorem1
 from .space import PointVector, SpaceBasis, standard_basis
 from .spectrum import (
+    BentVerdict,
     BentWitness,
     FastBentWitness,
     crosscheck_pn_bent,
@@ -250,17 +251,25 @@ def _cmd_test_bent(args) -> int:
         payload["spot_checks"] = {"sampled": verdict.sampled, "mismatches": verdict.mismatches}
         passed = verdict.certified
     else:
-        verdict = is_bent_exact(f)
+        verdict = is_bent_exact(f) if args.emit is None else _emit_spectra(args, f)
         passed = verdict.is_bent
-        if args.emit is not None:
-            m_column = _m_column(f.params, f.d)
-            for rep in spectrum_reports(f):
-                cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
-                text = _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
-                _emit(args, f"spectrum_u{rep.u_index}.csv", text)
     payload["verdict"] = verdict.verdict
     payload["witness"] = _bent_witness_json(verdict.witness)
     return _finish(args, "bent", payload, passed)
+
+
+def _emit_spectra(args, f: FnTable) -> BentVerdict:
+    """One CSV file per u from the exact orbit pass; returns its verdict."""
+    m_column = _m_column(f.params, f.d)
+    reports = spectrum_reports(f)
+    while True:
+        try:
+            rep = next(reports)
+        except StopIteration as done:
+            return done.value
+        cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
+        text = _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
+        _emit(args, f"spectrum_u{rep.u_index}.csv", text)
 
 
 def _cmd_crosscheck(args) -> int:

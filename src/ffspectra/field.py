@@ -54,7 +54,7 @@ def _is_prime(n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_p.  Coefficient sequences are little endian and
-# only used at construction time, so plain Python loops are fine.
+# short (below 2*ell entries), so plain Python loops are fine.
 
 
 def _poly_rem(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
@@ -131,27 +131,6 @@ class FieldParams:
     @cached_property  # read in every per-cell and per-element hot loop
     def q(self) -> int:
         return self.p**self.ell
-
-    # -- reduction data ------------------------------------------------
-
-    @cached_property
-    def _overflow_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Coefficients of t**(ell+k) mod modulus for k = 0..ell-2."""
-        if self.ell == 1:
-            return ()
-        rows = []
-        cur = [(-c) % self.p for c in self.modulus[:-1]]  # t**ell
-        rows.append(tuple(cur))
-        for _ in range(self.ell - 2):
-            shifted = [0] + cur[:-1]
-            if cur[-1]:
-                lead = cur[-1]
-                shifted = [
-                    (shifted[j] + lead * rows[0][j]) % self.p for j in range(self.ell)
-                ]
-            cur = shifted
-            rows.append(tuple(cur))
-        return tuple(rows)
 
     # -- element construction -------------------------------------------
 
@@ -242,15 +221,7 @@ class FieldElement:
             if a:
                 for j, b in enumerate(other.coeffs):
                     conv[i + j] += a * b
-        out = list(conv[:ell])
-        rows = self.params._overflow_rows
-        for k in range(ell - 1):
-            hi = conv[ell + k]
-            if hi:
-                row = rows[k]
-                for j in range(ell):
-                    out[j] += hi * row[j]
-        return FieldElement(self.params, tuple(c % p for c in out))
+        return FieldElement(self.params, tuple(_poly_rem(conv, self.params.modulus, p)))
 
     def scale(self, k: int) -> "FieldElement":
         """Prime-field scalar multiple k * self."""
@@ -397,7 +368,10 @@ def element_digits(params: FieldParams) -> np.ndarray:
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def _overflow_matrix(params: FieldParams) -> np.ndarray:
-    m = np.array(params._overflow_rows, dtype=np.int64).reshape(params.ell - 1, params.ell)
+    """Row k holds the coefficients of t**(ell+k) mod the modulus, k < ell - 1."""
+    ell = params.ell
+    rows = [_poly_rem([0] * (ell + k) + [1], params.modulus, params.p) for k in range(ell - 1)]
+    m = np.array(rows, dtype=np.int64).reshape(ell - 1, ell)
     m.setflags(write=False)
     return m
 

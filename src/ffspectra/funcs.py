@@ -10,6 +10,7 @@ codes in `_modp`, which the decomposition walk shares.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -365,26 +366,31 @@ def save_table(f: FnTable, path) -> None:
 
 
 def parse_table(text: str) -> FnTable:
-    lines = text.splitlines()
-    if len(lines) < 3:
-        raise BadTableFile("expected three lines: header, modulus, values")
+    return _read_table(io.StringIO(text, newline=None))
+
+
+def load_table(path) -> FnTable:
+    with open(path, "r", encoding="ascii") as fh:
+        return _read_table(fh)
+
+
+def _read_table(fh) -> FnTable:
+    """The header and modulus lines, then the size check, then the values:
+    a table past the cap is refused before its values are read."""
+    header = fh.readline()
     try:
-        p, ell, d = (int(tok) for tok in lines[0].split())
+        p, ell, d = (int(tok) for tok in header.split())
     except ValueError as exc:
-        raise BadTableFile(f"bad header line: {lines[0]!r}") from exc
-    try:
-        modulus = [int(tok) for tok in lines[1].split()]
-        values = [int(tok) for chunk in lines[2:] for tok in chunk.split()]
-    except ValueError as exc:
-        raise BadTableFile("non-integer token in table file") from exc
+        raise BadTableFile(f"bad header line: {header.rstrip()!r}") from exc
+    modulus = _tokens(fh.readline())
     if len(modulus) != ell + 1:
         raise BadTableFile(f"expected {ell + 1} modulus coefficients")
     try:
         params = make_field(p, ell, modulus)
+        _refuse_past_cap(params.q**d)
+        values = _tokens(fh.read())
         if len(values) != params.q**d:
-            raise BadTableFile(
-                f"expected {params.q ** d} values, got {len(values)}"
-            )
+            raise BadTableFile(f"expected {params.q ** d} values, got {len(values)}")
         return FnTable(params, d, np.array(values, dtype=np.int64))
     except BadTableFile:
         raise
@@ -392,6 +398,8 @@ def parse_table(text: str) -> FnTable:
         raise BadTableFile(f"invalid table file: {exc}") from exc
 
 
-def load_table(path) -> FnTable:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_table(fh.read())
+def _tokens(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split()]
+    except ValueError as exc:
+        raise BadTableFile("non-integer token in table file") from exc

@@ -70,7 +70,6 @@ class PerturbEntry:
 @dataclass(frozen=True)
 class PerturbationReport:
     params: FieldParams
-    base_values: tuple[int, ...]
     scope: str
     entries: tuple[PerturbEntry, ...]
 
@@ -108,7 +107,7 @@ def perturbation_sweep(f: FnTable) -> PerturbationReport:
             values[w] = v
             entries.append(PerturbEntry(w, v, _pn_scan(params, 1, values)))
         values[w] = original
-    return PerturbationReport(params, tuple(int(v) for v in f.values), scope, tuple(entries))
+    return PerturbationReport(params, scope, tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import field as field_mod
 from .cyclotomic import CycInt
-from .errors import DimensionMismatch, EmptySet, FieldMismatch, HypothesisFailed
+from .errors import EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector

@@ -27,7 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
 
@@ -402,28 +402,34 @@ def _witness_m(spec: _AbsSq, target: int) -> int:
     return int(np.nonzero(spec.fails(target))[0][0])
 
 
-def is_bent_exact(f: FnTable) -> BentVerdict:
-    """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m.
+def _orbit_walk(f: FnTable) -> Iterator[tuple[int, _AbsSq, BentWitness | None]]:
+    """One exact transform per Galois orbit of u, by ascending least member:
+    that member, its |S|^2 tables and its least failing cell, or None.
 
-    u is scanned by ascending index, one transform per Galois orbit: scaling
-    u by t in F_p^* conjugates every S(u, m), which changes neither rational
-    integrality nor rational values of |S|^2, so a whole orbit shares one
-    pass/fail pattern over m.  The scan stops at the first failing orbit,
-    whose least member is the least failing u.
+    Scaling u by t in F_p^* conjugates every S(u, m), which changes neither
+    rational integrality nor rational values of |S|^2, so a whole orbit
+    shares one pass/fail pattern over m: the first failing orbit's least
+    member is the least failing u.
     """
     params = f.params
-    target = f.n_points
     for u_index in _orbit_reps(params):
         spec = _AbsSq.of(f, u_index)
-        if np.any(spec.fails(target)):
-            m_index = _witness_m(spec, target)
+        witness = None
+        if np.any(spec.fails(f.n_points)):
+            m_index = _witness_m(spec, f.n_points)
             witness = BentWitness(
                 params.from_index(u_index),
                 PointVector.from_index(params, f.d, m_index),
                 CycInt.from_coeffs(params.p, spec.table[m_index].tolist()),
             )
-            return BentVerdict(False, witness)
-    return BentVerdict(True, None)
+        yield u_index, spec, witness
+
+
+def is_bent_exact(f: FnTable) -> BentVerdict:
+    """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m, by the
+    orbit walk, which stops at the first failing orbit."""
+    witness = next((w for _, _, w in _orbit_walk(f) if w is not None), None)
+    return BentVerdict(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -595,17 +601,20 @@ def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     return _AbsSq.of(f, u.index).report(f, u.index)
 
 
-def spectrum_reports(f: FnTable) -> Iterator[SpectrumReport]:
+def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]:
     """spectrum_report(f, u) for every u in F_q^*, one exact transform per
     Galois orbit: each orbit's least member first, then its multiples t*u
-    for t = 2, ..., p-1, whose tables are slot permutations of it."""
+    for t = 2, ..., p-1, whose tables are slot permutations of it.  Returns
+    the is_bent_exact verdict of the same transforms (StopIteration.value)."""
     params = f.params
-    for rep in _orbit_reps(params):
-        spec = _AbsSq.of(f, rep)
+    witness = None
+    for rep, spec, found in _orbit_walk(f):
+        witness = witness or found  # the least failing orbit's
         yield spec.report(f, rep)
         for t in range(2, params.p):
             u_index = int(_modp.scale_indices(rep, t, params.p, params.ell))
             yield spec.galois(t).report(f, u_index)
+    return BentVerdict(witness is None, witness)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
 the 2**20-point cap, a random table past the cap refused before its work
-arrays are allocated, the point-sized buffers of the fast path, the
-exhaustive decomposition certificate, a full PN scan and the graph
-spectrum report at desk scale, a power map whose exponent is far larger
-than the field, a finite bound on every lru_cache in the package, and its
-single per-(f, u) slot."""
+arrays are allocated, a table file past the cap refused from its header,
+the point-sized buffers of the fast path, the exhaustive decomposition
+certificate, a full PN scan and the graph spectrum report at desk scale, a
+power map whose exponent is far larger than the field, a finite bound on
+every lru_cache in the package, and its single per-(f, u) slot."""
 
 import ast
 import importlib
@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import ffspectra
-from ffspectra import field, get_function, is_bent_fast, make_field, spectrum
-from ffspectra.errors import UnsupportedSize
+from ffspectra import field, get_function, is_bent_fast, load_table, make_field, spectrum
+from ffspectra.cli import main
+from ffspectra.errors import BadTableFile, UnsupportedSize
 
 SRC = Path(ffspectra.__file__).resolve().parents[1]
 
@@ -155,6 +156,21 @@ def test_random_table_past_the_cap_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_table_file_past_the_cap_is_refused_from_its_header(tmp_path, capsys):
+    path = tmp_path / "big.tbl"
+    path.write_text("2 1 21\n0 1\n" + "0 " * 2**21 + "\n", encoding="ascii")  # 4 MB of values
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadTableFile, match="2097152 points exceeds the supported 1048576"):
+            load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["test", "pn", "--input", str(path)]) == 2
+    assert "invalid table file: 2097152 points exceeds the supported 1048576" in capsys.readouterr().err
 
 
 def _package_caches():

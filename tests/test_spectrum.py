@@ -929,13 +929,41 @@ def test_spectrum_reports_run_one_transform_per_orbit(monkeypatch, tmp_path, cap
     built.clear()
     assert len(list(spectrum.spectrum_reports(f))) == 342
     assert built == list(spectrum._orbit_reps(params)) and len(built) == 57
-    # The CLI's verdict scans 57 orbits; --emit adds 57 more, not 342.
+    # The CLI's verdict scans 57 orbits, and --emit takes it from the same 57.
     argv = ["test", "bent", "--catalog", "square", "--p", "7", "--ell", "3", "--exact"]
     built.clear()
     assert main(argv) == 0
     verdict_only = len(built)
     built.clear()
     assert main([*argv, "--emit", str(tmp_path)]) == 0
-    assert verdict_only == 57 and len(built) == 57 + 57
+    assert verdict_only == 57 and len(built) == 57
     assert len(list(tmp_path.glob("spectrum_u*.csv"))) == 342
     capsys.readouterr()
+
+
+def test_emit_takes_a_failing_verdict_from_its_one_pass(monkeypatch, tmp_path, capsys):
+    built = []
+    transform = spectrum._exact_coeff_rows
+
+    def counting_transform(params, d, u_index, *args, **kwargs):
+        built.append(u_index)
+        return transform(params, d, u_index, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
+    argv = ["test", "bent", "--catalog", "random", "--p", "5", "--ell", "2", "--seed", "3", "--exact"]
+    assert main(argv) == 1
+    assert built == [1]  # the verdict alone stops at the first failing orbit
+    verdict_only = capsys.readouterr().out
+    built.clear()
+    assert main([*argv, "--emit", str(tmp_path)]) == 1
+    assert built == [1, 5, 6, 7, 8, 9]  # every orbit once, none twice
+    assert capsys.readouterr().out == verdict_only
+    assert len(list(tmp_path.glob("spectrum_u*.csv"))) == 24
+
+
+def test_is_bent_exact_builds_no_galois_tables(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError("is_bent_exact built a Galois table")
+
+    monkeypatch.setattr(spectrum._AbsSq, "galois", refuse)
+    assert is_bent_exact(get_function("square", make_field(7, 3))).is_bent

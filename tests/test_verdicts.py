@@ -40,10 +40,10 @@ def test_sweep_passes_unless_a_theorem_scope_sweep_finds_a_planar_neighbor():
     refuted = PerturbEntry(0, 1, perturbation_sweep(_univariate([0, 0, 1])).entries[0].witness)
     planar = PerturbEntry(0, 2, None)
     for scope in (SCOPE_THEOREM, SCOPE_OUTSIDE):
-        assert PerturbationReport(F5, (0,) * 5, scope, (refuted,)).passed
-        assert PerturbationReport(F5, (0,) * 5, scope, ()).passed
-    assert not PerturbationReport(F5, (0,) * 5, SCOPE_THEOREM, (refuted, planar)).passed
-    assert PerturbationReport(F5, (0,) * 5, SCOPE_OUTSIDE, (refuted, planar)).passed
+        assert PerturbationReport(F5, scope, (refuted,)).passed
+        assert PerturbationReport(F5, scope, ()).passed
+    assert not PerturbationReport(F5, SCOPE_THEOREM, (refuted, planar)).passed
+    assert PerturbationReport(F5, SCOPE_OUTSIDE, (refuted, planar)).passed
     # x**2 on F_3 has planar neighbors, but p = 3 is outside the theorem
     assert perturbation_sweep(_univariate([0, 0, 1], make_field(3))).passed
 
