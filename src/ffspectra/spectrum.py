@@ -112,10 +112,10 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
 
 @lru_cache(maxsize=4)  # at most 4 * 31**4 float64s, 30 MB
 def _pass_matrix(p: int) -> np.ndarray:
-    """One exact size-p pass on (t, slot) pairs: out[s, k] = sum_t h[t, (k + s*t) mod p],
+    """One exact size-p pass on (slot, t) pairs: out[k, s] = sum_t h[(k + s*t) mod p, t],
     i.e. sum_t h[t] * zeta^(-s*t), as multiplying by zeta^r shifts slots by r."""
-    t, j, s, k = np.ogrid[:p, :p, :p, :p]
-    m = ((k + s * t - j) % p == 0).astype(np.float64).reshape(p * p, p * p)
+    k, j, t, s = np.ogrid[:p, :p, :p, :p]
+    m = ((k + s * t - j) % p == 0).astype(np.float64).reshape(p, p * p, p)
     m.setflags(write=False)
     return m
 
@@ -124,6 +124,20 @@ def _require_exact_size(p: int, n: int) -> None:
     """Refuse an exact transform of p**n points before anything is built."""
     if p**n > MAX_POINTS or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
         raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
+
+
+def _butterfly(params: FieldParams, d: int, u_index: int, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The d*ell size-p passes over h, shaped (c, q**d) with c slots per point
+    and overwritten, then column m placed at frequency m.  w, shaped
+    (c, c*p, p), maps one axis's (slot, digit) pairs to each slot's p outputs.
+    Each pass moves the leading digit axis to the end, alternating two buffers."""
+    c, p = w.shape[0], params.p
+    out = np.empty_like(h)
+    for _ in range(d * params.ell):
+        np.matmul(h.reshape(c * p, -1).T, w, out=out.reshape(c, -1, p))
+        h, out = out, h
+    del out
+    return h if u_index == _identity_u(params) else h[:, _frequency_map(params, d, u_index)]
 
 
 def _exact_coeff_rows(
@@ -137,21 +151,15 @@ def _exact_coeff_rows(
 
     exponents[x] = Tr(u*f(x)) (any F_p-valued array); the boolean mask
     members restricts the point set (defaults to all points).  Returns an
-    (N, p) int64 array whose row m is the unnormalized coefficient vector of
-    S(u, m).  Each pass moves the leading digit axis to the end, so n passes
-    restore the order; all entries are point counts <= N, exact in float64.
+    (N, p) float64 view whose row m is the unnormalized coefficient vector of
+    S(u, m): every entry is a point count <= N <= 2**20 < 2**53, so exact.
     """
     p = params.p
-    n = d * params.ell
-    size = p**n
-    _require_exact_size(p, n)
-    h = np.zeros((size, p))
-    h[np.arange(size), exponents] = 1.0 if members is None else members
-    m = _pass_matrix(p)
-    for _ in range(n):
-        h = h.reshape(p, -1, p).transpose(1, 0, 2).reshape(-1, p * p) @ m
-    h = h.reshape(size, p).astype(np.int64)
-    return h if u_index == _identity_u(params) else h[_frequency_map(params, d, u_index)]
+    _require_exact_size(p, d * params.ell)
+    h = (np.arange(p)[:, None] == exponents).astype(np.float64)  # slot-major one-hot
+    if members is not None:
+        h *= members
+    return _butterfly(params, d, u_index, h, _pass_matrix(p)).T
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -181,11 +189,11 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
     """Unreduced |S|^2 of stacked zeta-coefficient rows: out[i, k] is the
-    coefficient of zeta^k in S_i*conj(S_i).  |out| <= max|row| * sum|row|,
-    under 2**61 for the point counts of N <= 2**20 points or their
-    normalized CycInt coefficients, so int64 holds it."""
+    coefficient of zeta^k in S_i*conj(S_i).  |out| <= max|row| * sum|row| < 2**46
+    for the point counts of N <= 2**20 points or their normalized CycInt
+    coefficients, so float64 rows give it exactly; it is cast once, to int64."""
     p = rows.shape[1]
-    t = np.empty_like(rows)
+    t = np.empty(rows.shape, np.int64)
     for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
         t[:, k] = t[:, -k] = np.einsum("ij,ij->i", rows, rows[:, np.arange(-k, p - k) % p])
     return t
@@ -453,15 +461,9 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     params = f.params
     p = params.p
     roots = np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
-    h = roots[_trace_exponents(f, u.index)]
-    out = np.empty_like(h)
-    w = _butterfly_matrix(p)  # symmetric
-    for _ in range(f.d * params.ell):  # each pass moves the leading digit axis to the end
-        np.matmul(h.reshape(p, -1).T, w, out=out.reshape(-1, p))
-        h, out = out, h
-    del out
-    mags = np.abs(h, out=h) if p == 2 else np.abs(h)
-    return mags if u.index == _identity_u(params) else mags[_frequency_map(params, f.d, u.index)]
+    h = roots[None, _trace_exponents(f, u.index)]
+    h = _butterfly(params, f.d, u.index, h, _butterfly_matrix(p)[None])[0]
+    return np.abs(h, out=h) if p == 2 else np.abs(h)
 
 
 _SPOT_SEED = 0x5BD1E995
