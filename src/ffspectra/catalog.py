@@ -21,8 +21,8 @@ from .errors import (
     UnknownCatalogEntry,
 )
 from .field import FieldParams
-from .funcs import FnSpec, FnTable, _refuse_past_cap, build_function, is_pn
-from .space import DESK_SCALE_POINTS
+from .funcs import FnSpec, FnTable, build_function, is_pn
+from .space import DESK_SCALE_POINTS, _refuse_past_cap
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,8 +49,8 @@ def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
     Deterministic and platform-independent bit for bit; the test suite
     freezes golden tables against an independent scalar implementation.
     """
+    _refuse_past_cap(params.q, d)  # before the four n-entry work arrays
     n = params.q**d
-    _refuse_past_cap(n)  # before the four n-entry work arrays
     with np.errstate(over="ignore"):
         i = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(seed & _MASK64) + i * np.uint64(_GOLDEN)
@@ -185,6 +185,7 @@ def get_function(
     entry = _CATALOG[name]
     if d is None:
         d = entry.default_d
+    _refuse_past_cap(params.q, d)  # before any entry builds its spec
     table = entry.builder(params, d, args)
     if table.n_points <= DESK_SCALE_POINTS:
         for prop, expected in entry.expects:

@@ -90,11 +90,14 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
 def default_modulus(p: int, ell: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree ell over F_p.
 
-    Coverage is bounded (p <= 13, ell <= 6, p**ell <= 2**20); outside that
-    range callers must supply a modulus explicitly.
+    Every monic of degree 1 is irreducible, so a prime field of p <= 2**20
+    takes t.  Extension fields are covered for p <= 13, ell <= 6 and
+    p**ell <= 2**20; outside that range callers must supply a modulus.
     """
     if not _is_prime(p):
         raise NonPrime(f"characteristic {p!r} is not prime")
+    if ell == 1 and p <= MAX_Q:
+        return (0, 1)
     if not (1 <= ell <= _TABLE_MAX_ELL and p <= _TABLE_MAX_P and p**ell <= MAX_Q):
         raise UnsupportedSize(
             f"no built-in modulus for p={p}, ell={ell}; pass one explicitly"

@@ -25,18 +25,9 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     SpecDimensionMismatch,
-    UnsupportedSize,
 )
 from .field import FieldElement, FieldParams, make_field
-from .space import PointVector
-
-MAX_POINTS = 1 << 20
-
-
-def _refuse_past_cap(n: int) -> None:
-    """Raise UnsupportedSize for a table of n > MAX_POINTS points, before it is built."""
-    if n > MAX_POINTS:
-        raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
+from .space import MAX_POINTS, PointVector, _refuse_past_cap
 
 
 def _freeze(values) -> np.ndarray:
@@ -56,8 +47,8 @@ class FnTable:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise DimensionMismatch("dimension must be >= 1")
+        _refuse_past_cap(self.params.q, self.d)
         n = self.params.q**self.d
-        _refuse_past_cap(n)
         arr = _freeze(self.values)
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
@@ -141,9 +132,8 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
     """Sum of the terms over every point, on the (q,)*d grid whose axis
     d-1-j is x_j.  Each coordinate is a q-entry view along its own axis, so
     powers take q entries and a term or the sum grows to the grid only by
-    broadcasting where its factors meet; nothing is allocated past the cap."""
+    broadcasting where its factors meet; build_function has refused q**d past the cap."""
     q = params.q
-    _refuse_past_cap(q**d)
     acc = np.zeros((1,) * d, dtype=np.int64)
     for c, exps in terms:
         if len(exps) != d:
@@ -225,7 +215,9 @@ def _spot_check(table: "FnTable", spec: FnSpec) -> None:
 
 def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
     """Materialize a dense table from a spec; at desk scale the evaluation
-    is re-checked through the log tables of a generator."""
+    is re-checked through the log tables of a generator.  A d past the cap
+    is refused before anything is built."""
+    _refuse_past_cap(params.q, d)
     if spec.kind == "univariate":
         if d != 1:
             raise SpecDimensionMismatch("univariate specs require d = 1")
@@ -370,7 +362,8 @@ def parse_table(text: str) -> FnTable:
 
 
 def load_table(path) -> FnTable:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte reads as a backslash escape, which no header or token parses
+    with open(path, "r", encoding="ascii", errors="backslashreplace") as fh:
         return _read_table(fh)
 
 
@@ -387,7 +380,7 @@ def _read_table(fh) -> FnTable:
         raise BadTableFile(f"expected {ell + 1} modulus coefficients")
     try:
         params = make_field(p, ell, modulus)
-        _refuse_past_cap(params.q**d)
+        _refuse_past_cap(params.q, d)
         values = _tokens(fh.read())
         if len(values) != params.q**d:
             raise BadTableFile(f"expected {params.q ** d} values, got {len(values)}")

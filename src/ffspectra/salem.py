@@ -21,7 +21,7 @@ from .cyclotomic import CycInt
 from .errors import EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
-from .space import PointVector
+from .space import PointVector, _refuse_past_cap
 from .spectrum import (
     SpectrumReport,
     _AbsSq,
@@ -43,6 +43,7 @@ class PointSet:
     bitmap: np.ndarray
 
     def __post_init__(self) -> None:
+        _refuse_past_cap(self.params.q, self.d)
         arr = np.array(self.bitmap, dtype=bool)
         if arr.shape != (self.params.q**self.d,):
             raise ValueError(f"bitmap must have length {self.params.q ** self.d}")
@@ -51,6 +52,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, params: FieldParams, d: int, indices) -> "PointSet":
+        _refuse_past_cap(params.q, d)
         bitmap = np.zeros(params.q**d, dtype=bool)
         bitmap[np.asarray(indices, dtype=np.int64)] = True
         return cls(params, d, bitmap)
@@ -77,6 +79,7 @@ class PointSet:
 
 def graph_of(f: FnTable) -> PointSet:
     """The graph {(x, f(x))} as a subset of F_q**(f.d + 1)."""
+    _refuse_past_cap(f.params.q, f.d + 1)  # before the member indices
     n = f.n_points
     member = np.arange(n, dtype=np.int64) + f.values * np.int64(n)
     return PointSet.from_indices(f.params, f.d + 1, member)

@@ -20,6 +20,7 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     NotABasis,
+    UnsupportedSize,
 )
 from .field import FieldElement, FieldParams
 
@@ -27,6 +28,20 @@ from .field import FieldElement, FieldParams
 # catalog expectations, the decomposition certificate) run only on spaces
 # with at most this many points.
 DESK_SCALE_POINTS = 4096
+MAX_POINTS = 1 << 20
+
+
+def _past_cap(q: int, d: int) -> bool:
+    """q**d > MAX_POINTS; q >= 2, so every d > 20 is past it, and q**d is
+    never computed at a huge d."""
+    return d >= MAX_POINTS.bit_length() or q**d > MAX_POINTS
+
+
+def _refuse_past_cap(q: int, d: int) -> None:
+    """Raise UnsupportedSize for q**d > MAX_POINTS points, before any is built."""
+    if _past_cap(q, d):
+        n = q**d if d <= 64 else f"{q}**{d}"  # a huge d is named, not written out
+        raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +70,7 @@ class PointVector:
     @classmethod
     def from_index(cls, params: FieldParams, d: int, i: int) -> "PointVector":
         i = int(i)
+        _refuse_past_cap(params.q, d)
         if not 0 <= i < params.q**d:
             raise IndexOutOfRange(f"point index {i} outside [0, {params.q ** d})")
         q = params.q
@@ -191,6 +207,7 @@ class SpaceBasis:
 
 def standard_basis(params: FieldParams, d: int) -> SpaceBasis:
     """Vectors t**i * e_j, ordered coordinate-major to match point indexing."""
+    _refuse_past_cap(params.q, d)  # d*ell vectors of d coordinates each
     vectors = []
     zero = params.zero()
     for j in range(d):

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldParams, trace
 from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
-from .space import PointVector
+from .space import PointVector, _past_cap
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _pass_matrix(p: int) -> np.ndarray:
 
 def _require_exact_size(p: int, n: int) -> None:
     """Refuse an exact transform of p**n points before anything is built."""
-    if p**n > MAX_POINTS or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
+    if _past_cap(p, n) or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
         raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
 
 

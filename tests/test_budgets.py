@@ -3,8 +3,9 @@ the 2**20-point cap, a random table past the cap refused before its work
 arrays are allocated, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, the exhaustive decomposition
 certificate, a full PN scan and the graph spectrum report at desk scale, a
-power map whose exponent is far larger than the field, a finite bound on
-every lru_cache in the package, and its single per-(f, u) slot."""
+power map whose exponent is far larger than the field, every size-taking
+entry point refused past its cap before it builds anything, a finite bound
+on every lru_cache in the package, and its single per-(f, u) slot."""
 
 import ast
 import importlib
@@ -15,12 +16,34 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffspectra
-from ffspectra import field, get_function, is_bent_fast, load_table, make_field, spectrum
+from ffspectra import (
+    FnSpec,
+    FnTable,
+    PointSet,
+    PointVector,
+    build_function,
+    field,
+    get_function,
+    graph_of,
+    is_bent_exact,
+    is_bent_fast,
+    load_table,
+    make_field,
+    pairwise_min_distance,
+    perturbation_sweep,
+    random_function,
+    spectrum,
+    standard_basis,
+    verify_decomposition,
+)
 from ffspectra.cli import main
 from ffspectra.errors import BadTableFile, UnsupportedSize
+from ffspectra.funcs import parse_table
+from ffspectra.salem import salem_report
 
 SRC = Path(ffspectra.__file__).resolve().parents[1]
 
@@ -38,7 +61,7 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-EXACT_2POW20_RSS_BUDGET_MB = 160
+EXACT_2POW20_RSS_BUDGET_MB = 120
 FAST_2POW20_RSS_BUDGET_MB = 70
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
@@ -146,6 +169,23 @@ def test_fast_path_holds_few_point_sized_buffers():
     assert bent_peak <= 3 * buffer
 
 
+def test_exact_coeff_rows_hold_few_point_sized_buffers():
+    # the one-hot and the two pass buffers, each p = 2 float64s per point
+    f2, d = make_field(2), 16
+    buffer = 8 * 2**d
+    f = get_function("bool_quadratic", f2, d=d)
+    spectrum._exact_coeff_rows(f2, 4, 1, np.zeros(16, dtype=np.int64))  # warm the pass matrix
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        rows = spectrum._exact_coeff_rows(f2, d, 1, spectrum._trace_exponents(f, 1))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2**d, 2)
+    assert peak <= 4.5 * buffer
+
+
 def test_random_table_past_the_cap_is_refused_before_allocating():
     f2 = make_field(2)
     tracemalloc.start()
@@ -171,6 +211,152 @@ def test_table_file_past_the_cap_is_refused_from_its_header(tmp_path, capsys):
     assert peak < 2**20
     assert main(["test", "pn", "--input", str(path)]) == 2
     assert "invalid table file: 2097152 points exceeds the supported 1048576" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every entry point that takes a size, just past its cap and at a huge d.
+
+HUGE_D = 100_000  # q**d would have 30,103 digits or more
+F2, F3, F1031 = make_field(2), make_field(3), make_field(1031)  # 1031**2 > 2**20
+
+
+def _table_files(tmp_path, d):
+    paths = [tmp_path / "a.tbl", tmp_path / "b.tbl"]
+    for path in paths:
+        path.write_text(f"2 1 {d}\n0 1\n0 1\n", encoding="ascii")
+    return [str(path) for path in paths]
+
+
+def _catalog_case(name, params, d):
+    argv = ["test", "pn", "--catalog", name, "--p", str(params.p), "--d", str(d)]
+    return (lambda tmp: lambda: get_function(name, params, d=d)), UnsupportedSize, lambda tmp: argv
+
+
+def _pairwise_case(d):
+    def call(tmp):
+        paths = _table_files(tmp, d)
+        return lambda: pairwise_min_distance([load_table(path) for path in paths])
+
+    def argv(tmp):
+        a, b = _table_files(tmp, d)
+        return ["mindist", "pairwise", "--input", a, "--input", b]
+
+    return call, BadTableFile, argv
+
+
+REFUSALS = {
+    **{
+        f"catalog-{name}-{label}": _catalog_case(name, params, d)
+        for name in ("affine", "bilinear", "power", "square")
+        for label, params, d in (("past", F1031, 2), ("huge", F3, HUGE_D))
+    },
+    "catalog-bool_quadratic-past": _catalog_case("bool_quadratic", F2, 22),
+    # 1,000 terms of 2,000 exponents: the parent built them first (32 MB)
+    "catalog-bool_quadratic-huge": _catalog_case("bool_quadratic", F2, 2000),
+    "catalog-random-past": _catalog_case("random", F2, 21),
+    "catalog-random-huge": _catalog_case("random", F2, HUGE_D),
+    "random_function-huge": (
+        lambda tmp: lambda: random_function(F2, HUGE_D, 0), UnsupportedSize, None,
+    ),
+    "input-past": (
+        lambda tmp: lambda: load_table(_table_files(tmp, 21)[0]),
+        BadTableFile,
+        lambda tmp: ["test", "pn", "--input", _table_files(tmp, 21)[0]],
+    ),
+    "input-huge": (
+        lambda tmp: lambda: load_table(_table_files(tmp, HUGE_D)[0]),
+        BadTableFile,
+        lambda tmp: ["test", "pn", "--input", _table_files(tmp, HUGE_D)[0]],
+    ),
+    "parse_table-huge": (
+        lambda tmp: lambda: parse_table(f"2 1 {HUGE_D}\n0 1\n0\n"), BadTableFile, None,
+    ),
+    "raw-spec-past": (
+        lambda tmp: (lambda spec: lambda: build_function(spec, F2, 21))(FnSpec.raw([0] * 2**21)),
+        UnsupportedSize,
+        None,
+    ),
+    "raw-spec-huge": (
+        lambda tmp: lambda: build_function(FnSpec.raw([0, 1]), F2, HUGE_D), UnsupportedSize, None,
+    ),
+    "FnTable-past": (
+        lambda tmp: (lambda values: lambda: FnTable(F2, 21, values))(np.zeros(2**21, dtype=np.int64)),
+        UnsupportedSize,
+        None,
+    ),
+    "FnTable-huge": (
+        lambda tmp: lambda: FnTable(F2, HUGE_D, np.zeros(2, dtype=np.int64)), UnsupportedSize, None,
+    ),
+    "point-index-huge": (
+        lambda tmp: lambda: PointVector.from_index(F2, HUGE_D, -1), UnsupportedSize, None,
+    ),
+    "salem-graph-past": (
+        lambda tmp: (lambda f: lambda: salem_report(graph_of(f)))(random_function(F2, 20, 1)),
+        UnsupportedSize,
+        lambda tmp: ["salem", "report", "--catalog", "random", "--p", "2", "--d", "20"],
+    ),
+    "salem-graph-huge": (
+        lambda tmp: lambda: PointSet.from_indices(F2, HUGE_D, [0]),
+        UnsupportedSize,
+        lambda tmp: ["salem", "report", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
+    ),
+    "sweep-past": (
+        lambda tmp: (lambda f: lambda: perturbation_sweep(f))(get_function("square", F1031)),
+        UnsupportedSize,
+        lambda tmp: ["mindist", "sweep", "--catalog", "square", "--p", "1031"],
+    ),
+    "sweep-huge": (
+        lambda tmp: lambda: perturbation_sweep(get_function("square", F3, d=HUGE_D)),
+        UnsupportedSize,
+        lambda tmp: ["mindist", "sweep", "--catalog", "square", "--p", "3", "--d", str(HUGE_D)],
+    ),
+    "pairwise-past": _pairwise_case(21),
+    "pairwise-huge": _pairwise_case(HUGE_D),
+    "decomp-past": (  # 8,192 points: past the 4,096-point certificate
+        lambda tmp: (lambda f, basis: lambda: verify_decomposition(f, basis))(
+            random_function(F2, 13, 0), standard_basis(F2, 13)
+        ),
+        UnsupportedSize,
+        lambda tmp: ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "13"],
+    ),
+    "decomp-huge": (
+        lambda tmp: lambda: verify_decomposition(random_function(F2, HUGE_D, 0), standard_basis(F2, 1)),
+        UnsupportedSize,
+        lambda tmp: ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
+    ),
+    "standard-basis-past": (  # d*ell vectors of d coordinates each
+        lambda tmp: lambda: standard_basis(F2, 21), UnsupportedSize, None,
+    ),
+    "exact-past-p31": (
+        lambda tmp: (lambda f: lambda: is_bent_exact(f))(get_function("square", make_field(37))),
+        UnsupportedSize,
+        lambda tmp: ["test", "bent", "--catalog", "square", "--p", "37", "--exact"],
+    ),
+    "exact-huge": (
+        lambda tmp: lambda: spectrum._exact_coeff_rows(F2, HUGE_D, 1, np.zeros(1, dtype=np.int64)),
+        UnsupportedSize,
+        lambda tmp: ["test", "bent", "--catalog", "random", "--p", "2", "--d", str(HUGE_D), "--exact"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_every_size_taking_entry_point_refuses_before_building(name, tmp_path, capsys):
+    make_call, error, make_argv = REFUSALS[name]
+    call = make_call(tmp_path)  # the inputs themselves are built before tracing
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(error):
+            call()
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    if make_argv is not None:
+        assert main(make_argv(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
 
 
 def _package_caches():

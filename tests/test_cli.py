@@ -282,6 +282,10 @@ def test_field_info(capsys):
     code, doc, _ = run_json(capsys, "field", "info", "--p", "7", "--ell", "2")
     assert code == 0
     assert doc == {"command": "field info", "ell": 2, "modulus": [1, 0, 1], "p": 7, "q": 49}
+    # a prime field past the extension-field table takes the modulus t
+    code, doc, _ = run_json(capsys, "field", "info", "--p", "1009")
+    assert code == 0
+    assert doc == {"command": "field info", "ell": 1, "modulus": [0, 1], "p": 1009, "q": 1009}
 
 
 def test_usage_errors(capsys):

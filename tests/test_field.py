@@ -107,7 +107,8 @@ def test_make_field_basics_and_errors():
     with pytest.raises(ReducibleModulus):
         make_field(5, 2, modulus=[4, 0, 1])  # t^2+4 = (t+2)(t+3)
     with pytest.raises(UnsupportedSize):
-        make_field(17)  # beyond the built-in modulus table
+        make_field(17, 2)  # beyond the built-in modulus table
+    assert make_field(17).modulus == (0, 1)  # a prime field needs no table
     with pytest.raises(UnsupportedSize):
         make_field(2, 21, modulus=[1] * 21 + [1])  # q > 2**20
     # an explicit modulus unlocks fields outside the table

@@ -6,6 +6,7 @@ import pytest
 
 from ffspectra import FieldParams, _modp, FnSpec, FnTable, PointVector, build_function, field, make_field
 from ffspectra.catalog import random_function
+from ffspectra.cli import main
 from ffspectra.errors import (
     BadTableFile,
     FieldMismatch,
@@ -360,6 +361,24 @@ def test_table_file_errors():
         parse_table("5 1 1\n4 0 1\n0 1 4 4 1\n")  # reducible modulus
     with pytest.raises(BadTableFile):
         parse_table("5 1 1\n0 1\n0 1 x 4 1\n")  # non-integer entry
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"2 1 \xe91\n0 1\n0 1\n",
+        b"2 1 13\n0 1\n" + b"0 " * 8191 + b"\xe9\n",  # past the header line's first read
+    ],
+    ids=["header", "values"],
+)
+def test_non_ascii_table_file_is_refused(data, tmp_path, capsys):
+    path = tmp_path / "latin1.tbl"
+    path.write_bytes(data)
+    with pytest.raises(BadTableFile):
+        load_table(path)
+    assert main(["test", "pn", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
 
 
 def test_catalog_spec_kind_dispatches():

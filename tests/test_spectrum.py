@@ -662,7 +662,7 @@ def test_oracle_is_independent_of_the_transform(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle reached the transform's machinery")
 
-    for name in ("_gram", "_frequency_map", "_exact_coeff_rows"):
+    for name in ("_gram", "_frequency_map", "_exact_coeff_rows", "_butterfly"):
         monkeypatch.setattr(spectrum, name, refuse)
     assert cells() == want
 
@@ -831,6 +831,27 @@ def test_matmul_butterfly_matches_pointwise_on_every_cell(name):
             m = PointVector.from_index(params, f.d, m_idx)
             want = walsh_exact(f, params.from_index(u), m)
             assert CycInt.from_coeffs(params.p, rows[m_idx].tolist()) == want
+
+
+def test_exact_and_float_transforms_share_one_pass_routine(monkeypatch):
+    from ffspectra.salem import PointSet, salem_report
+
+    f = random_function(F5, 2, 4)
+    u = F5.from_index(2)
+    e = PointSet(F5, 2, f.values % 2 == 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shared pass routine ran")
+
+    monkeypatch.setattr(spectrum, "_butterfly", refuse)
+    for call in (
+        lambda: walsh_fast_all(f, u),
+        lambda: walsh_exact_all(f, u),
+        lambda: spectrum_report(f, u),
+        lambda: salem_report(e),
+    ):
+        with pytest.raises(AssertionError, match="shared pass routine"):
+            call()
 
 
 def test_pass_matrix_is_the_exact_size_p_pass():
