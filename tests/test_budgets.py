@@ -14,6 +14,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -220,30 +221,38 @@ HUGE_D = 100_000  # q**d would have 30,103 digits or more
 F2, F3, F1031 = make_field(2), make_field(3), make_field(1031)  # 1031**2 > 2**20
 
 
-def _table_files(tmp_path, d):
-    paths = [tmp_path / "a.tbl", tmp_path / "b.tbl"]
-    for path in paths:
-        path.write_text(f"2 1 {d}\n0 1\n0 1\n", encoding="ascii")
-    return [str(path) for path in paths]
+def _table_file(tmp_path, d, name="a.tbl"):
+    path = tmp_path / name
+    path.write_text(f"2 1 {d}\n0 1\n0 1\n", encoding="ascii")
+    return str(path)
 
 
 def _catalog_case(name, params, d):
     argv = ["test", "pn", "--catalog", name, "--p", str(params.p), "--d", str(d)]
-    return (lambda tmp: lambda: get_function(name, params, d=d)), UnsupportedSize, lambda tmp: argv
+    return lambda tmp: partial(get_function, name, params, d=d), UnsupportedSize, argv
+
+
+def _pairwise(*paths):
+    return pairwise_min_distance([load_table(path) for path in paths])
 
 
 def _pairwise_case(d):
-    def call(tmp):
-        paths = _table_files(tmp, d)
-        return lambda: pairwise_min_distance([load_table(path) for path in paths])
+    def files(tmp):
+        return _table_file(tmp, d), _table_file(tmp, d, "b.tbl")
 
     def argv(tmp):
-        a, b = _table_files(tmp, d)
+        a, b = files(tmp)
         return ["mindist", "pairwise", "--input", a, "--input", b]
 
-    return call, BadTableFile, argv
+    return lambda tmp: partial(_pairwise, *files(tmp)), BadTableFile, argv
 
 
+def _graph_report(f):
+    return salem_report(graph_of(f))
+
+
+# name: (the call, built from its inputs before tracing; the refusal; the
+# CLI argv that reaches the same entry point, or None)
 REFUSALS = {
     **{
         f"catalog-{name}-{label}": _catalog_case(name, params, d)
@@ -256,94 +265,88 @@ REFUSALS = {
     "catalog-random-past": _catalog_case("random", F2, 21),
     "catalog-random-huge": _catalog_case("random", F2, HUGE_D),
     "random_function-huge": (
-        lambda tmp: lambda: random_function(F2, HUGE_D, 0), UnsupportedSize, None,
+        lambda tmp: partial(random_function, F2, HUGE_D, 0), UnsupportedSize, None,
     ),
     "input-past": (
-        lambda tmp: lambda: load_table(_table_files(tmp, 21)[0]),
+        lambda tmp: partial(load_table, _table_file(tmp, 21)),
         BadTableFile,
-        lambda tmp: ["test", "pn", "--input", _table_files(tmp, 21)[0]],
+        lambda tmp: ["test", "pn", "--input", _table_file(tmp, 21)],
     ),
     "input-huge": (
-        lambda tmp: lambda: load_table(_table_files(tmp, HUGE_D)[0]),
+        lambda tmp: partial(load_table, _table_file(tmp, HUGE_D)),
         BadTableFile,
-        lambda tmp: ["test", "pn", "--input", _table_files(tmp, HUGE_D)[0]],
+        lambda tmp: ["test", "pn", "--input", _table_file(tmp, HUGE_D)],
     ),
     "parse_table-huge": (
-        lambda tmp: lambda: parse_table(f"2 1 {HUGE_D}\n0 1\n0\n"), BadTableFile, None,
+        lambda tmp: partial(parse_table, f"2 1 {HUGE_D}\n0 1\n0\n"), BadTableFile, None,
     ),
     "raw-spec-past": (
-        lambda tmp: (lambda spec: lambda: build_function(spec, F2, 21))(FnSpec.raw([0] * 2**21)),
-        UnsupportedSize,
-        None,
+        lambda tmp: partial(build_function, FnSpec.raw([0] * 2**21), F2, 21), UnsupportedSize, None,
     ),
     "raw-spec-huge": (
-        lambda tmp: lambda: build_function(FnSpec.raw([0, 1]), F2, HUGE_D), UnsupportedSize, None,
+        lambda tmp: partial(build_function, FnSpec.raw([0, 1]), F2, HUGE_D), UnsupportedSize, None,
     ),
     "FnTable-past": (
-        lambda tmp: (lambda values: lambda: FnTable(F2, 21, values))(np.zeros(2**21, dtype=np.int64)),
-        UnsupportedSize,
-        None,
+        lambda tmp: partial(FnTable, F2, 21, np.zeros(2**21, dtype=np.int64)), UnsupportedSize, None,
     ),
     "FnTable-huge": (
-        lambda tmp: lambda: FnTable(F2, HUGE_D, np.zeros(2, dtype=np.int64)), UnsupportedSize, None,
+        lambda tmp: partial(FnTable, F2, HUGE_D, np.zeros(2, dtype=np.int64)), UnsupportedSize, None,
     ),
     "point-index-huge": (
-        lambda tmp: lambda: PointVector.from_index(F2, HUGE_D, -1), UnsupportedSize, None,
+        lambda tmp: partial(PointVector.from_index, F2, HUGE_D, -1), UnsupportedSize, None,
     ),
     "salem-graph-past": (
-        lambda tmp: (lambda f: lambda: salem_report(graph_of(f)))(random_function(F2, 20, 1)),
+        lambda tmp: partial(_graph_report, random_function(F2, 20, 1)),
         UnsupportedSize,
-        lambda tmp: ["salem", "report", "--catalog", "random", "--p", "2", "--d", "20"],
+        ["salem", "report", "--catalog", "random", "--p", "2", "--d", "20"],
     ),
     "salem-graph-huge": (
-        lambda tmp: lambda: PointSet.from_indices(F2, HUGE_D, [0]),
+        lambda tmp: partial(PointSet.from_indices, F2, HUGE_D, [0]),
         UnsupportedSize,
-        lambda tmp: ["salem", "report", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
+        ["salem", "report", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
     ),
     "sweep-past": (
-        lambda tmp: (lambda f: lambda: perturbation_sweep(f))(get_function("square", F1031)),
+        lambda tmp: partial(perturbation_sweep, get_function("square", F1031)),
         UnsupportedSize,
-        lambda tmp: ["mindist", "sweep", "--catalog", "square", "--p", "1031"],
+        ["mindist", "sweep", "--catalog", "square", "--p", "1031"],
     ),
     "sweep-huge": (
-        lambda tmp: lambda: perturbation_sweep(get_function("square", F3, d=HUGE_D)),
+        lambda tmp: partial(get_function, "square", F3, d=HUGE_D),  # the sweep's table
         UnsupportedSize,
-        lambda tmp: ["mindist", "sweep", "--catalog", "square", "--p", "3", "--d", str(HUGE_D)],
+        ["mindist", "sweep", "--catalog", "square", "--p", "3", "--d", str(HUGE_D)],
     ),
     "pairwise-past": _pairwise_case(21),
     "pairwise-huge": _pairwise_case(HUGE_D),
     "decomp-past": (  # 8,192 points: past the 4,096-point certificate
-        lambda tmp: (lambda f, basis: lambda: verify_decomposition(f, basis))(
-            random_function(F2, 13, 0), standard_basis(F2, 13)
-        ),
+        lambda tmp: partial(verify_decomposition, random_function(F2, 13, 0), standard_basis(F2, 13)),
         UnsupportedSize,
-        lambda tmp: ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "13"],
+        ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "13"],
     ),
     "decomp-huge": (
-        lambda tmp: lambda: verify_decomposition(random_function(F2, HUGE_D, 0), standard_basis(F2, 1)),
+        lambda tmp: partial(random_function, F2, HUGE_D, 0),  # the certificate's table
         UnsupportedSize,
-        lambda tmp: ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
+        ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", str(HUGE_D)],
     ),
     "standard-basis-past": (  # d*ell vectors of d coordinates each
-        lambda tmp: lambda: standard_basis(F2, 21), UnsupportedSize, None,
+        lambda tmp: partial(standard_basis, F2, 21), UnsupportedSize, None,
     ),
     "exact-past-p31": (
-        lambda tmp: (lambda f: lambda: is_bent_exact(f))(get_function("square", make_field(37))),
+        lambda tmp: partial(is_bent_exact, get_function("square", make_field(37))),
         UnsupportedSize,
-        lambda tmp: ["test", "bent", "--catalog", "square", "--p", "37", "--exact"],
+        ["test", "bent", "--catalog", "square", "--p", "37", "--exact"],
     ),
     "exact-huge": (
-        lambda tmp: lambda: spectrum._exact_coeff_rows(F2, HUGE_D, 1, np.zeros(1, dtype=np.int64)),
+        lambda tmp: partial(spectrum._exact_coeff_rows, F2, HUGE_D, 1, np.zeros(1, dtype=np.int64)),
         UnsupportedSize,
-        lambda tmp: ["test", "bent", "--catalog", "random", "--p", "2", "--d", str(HUGE_D), "--exact"],
+        ["test", "bent", "--catalog", "random", "--p", "2", "--d", str(HUGE_D), "--exact"],
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))
 def test_every_size_taking_entry_point_refuses_before_building(name, tmp_path, capsys):
-    make_call, error, make_argv = REFUSALS[name]
-    call = make_call(tmp_path)  # the inputs themselves are built before tracing
+    make_call, error, argv = REFUSALS[name]
+    call = make_call(tmp_path)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -353,8 +356,8 @@ def test_every_size_taking_entry_point_refuses_before_building(name, tmp_path, c
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    if make_argv is not None:
-        assert main(make_argv(tmp_path)) == 2
+    if argv is not None:
+        assert main(argv(tmp_path) if callable(argv) else argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
 
