@@ -862,7 +862,7 @@ def test_pass_matrix_is_the_exact_size_p_pass():
         want = np.array(
             [[sum(h[t, (k + s * t) % p] for t in range(p)) for k in range(p)] for s in range(p)]
         )
-        got = (h.T.reshape(1, p * p) @ spectrum._pass_matrix(p)).reshape(p, p).T  # (slot, t) in
+        got = (h.T.reshape(1, p * p) @ spectrum._pass_matrix(p)).reshape(p, p).T  # reads (slot, t), writes [k, s]
         assert np.array_equal(got, want)
 
 
