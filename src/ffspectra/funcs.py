@@ -358,6 +358,9 @@ def save_table(f: FnTable, path) -> None:
 
 
 def parse_table(text: str) -> FnTable:
+    # load_table reads a non-ASCII byte as a backslash escape; refuse what it refuses
+    if not text.isascii():
+        raise BadTableFile("table text is not ASCII")
     return _read_table(io.StringIO(text, newline=None))
 
 
@@ -372,8 +375,8 @@ def _read_table(fh) -> FnTable:
     a table past the cap is refused before its values are read."""
     header = fh.readline()
     try:
-        p, ell, d = (int(tok) for tok in header.split())
-    except ValueError as exc:
+        p, ell, d = _tokens(header)
+    except (BadTableFile, ValueError) as exc:
         raise BadTableFile(f"bad header line: {header.rstrip()!r}") from exc
     modulus = _tokens(fh.readline())
     if len(modulus) != ell + 1:
@@ -392,7 +395,10 @@ def _read_table(fh) -> FnTable:
 
 
 def _tokens(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise BadTableFile("non-integer token in table file") from exc
+    """The whitespace-separated tokens, each a plain ASCII digit string:
+    int() alone would also read '+1', '0_4' and non-ASCII digits."""
+    tokens = text.split()
+    digits = "".join(tokens)  # all digits exactly when every token is
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        raise BadTableFile("non-integer token in table file")
+    return [int(tok) for tok in tokens]

@@ -5,15 +5,30 @@ bijection) is certified isolated: all q*(q-1) tables at Hamming distance 1
 fail planarity, each with a concrete non-bijectivity witness.  The sweep is
 stated for p > 3; for p = 3 it still runs but the report carries an
 outside-theorem-scope label and asserts nothing.
+
+The sweep scans only the base table; each neighbor's witness follows from
+the local rule.  Let g differ from the planar f only at w, with g(w) = v.
+For a shift a, D_a g differs from the bijection D_a f only at x = w, which
+takes A1 = f(w + a) - v in place of f(w + a) - f(w), and at x = w - a,
+which takes A2 = v - f(w - a) in place of f(w) - f(w - a).  So D_a g is a
+bijection exactly when v = v*(w, a) = f(w + a) + f(w - a) - f(w), and
+otherwise neither added value is a removed one: both are over-hit, the
+least over-hit value is the one of A1, A2 with the smaller index, and it is
+hit 3 times if A1 = A2 and twice otherwise.  The least failing shift is
+a = 1 for every v but v*(w, 1), which is never f(w) since D_1 f is
+injective.  That one neighbor per w fails first at the least a with
+v*(w, a) != v*(w, 1); if there is none it is planar, as happens over F_3.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
 
 import numpy as np
 
+from . import _modp, field as field_mod
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -52,8 +67,7 @@ def perturb(f: FnTable, w: PointVector, v: FieldElement) -> FnTable:
 def planarity_witness(g: FnTable) -> PnWitness | None:
     """Least (index(a), index(v)) with an over-hit value; None iff planar."""
     _require_univariate(g)
-    verdict = is_pn(g)
-    return verdict.witness
+    return _pn_scan(g.params, 1, g.values)
 
 
 @dataclass(frozen=True)
@@ -67,19 +81,32 @@ class PerturbEntry:
         return self.witness is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationReport:
+    """The sweep by column: one row per neighbor (w, v), in index order,
+    with its least failing shift a, that shift's least over-hit value and
+    the value's count.  A planar neighbor has a = value = count = 0."""
+
     params: FieldParams
     scope: str
-    entries: tuple[PerturbEntry, ...]
+    w_index: np.ndarray
+    v_index: np.ndarray
+    a_index: np.ndarray
+    value_index: np.ndarray
+    count: np.ndarray
+
+    @property
+    def entries(self) -> Sequence[PerturbEntry]:
+        """The rows as PerturbEntry objects, each built when it is read."""
+        return _Entries(self)
 
     @property
     def pairs_tested(self) -> int:
-        return len(self.entries)
+        return int(self.w_index.size)
 
     @property
     def planar_found(self) -> int:
-        return sum(1 for e in self.entries if e.planar)
+        return int(np.count_nonzero(self.count == 0))
 
     @property
     def passed(self) -> bool:
@@ -87,27 +114,101 @@ class PerturbationReport:
         return self.scope != SCOPE_THEOREM or self.planar_found == 0
 
 
+class _Entries(Sequence):
+    """PerturbationReport.entries: a read-only view of the columns."""
+
+    def __init__(self, report: PerturbationReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.pairs_tested
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # negative indices and IndexError
+        r = self._report
+        witness = None
+        if r.count[k]:
+            witness = PnWitness(
+                PointVector.from_index(r.params, 1, int(r.a_index[k])),
+                r.params.from_index(int(r.value_index[k])),
+                int(r.count[k]),
+            )
+        return PerturbEntry(int(r.w_index[k]), int(r.v_index[k]), witness)
+
+
+def _shifted(params: FieldParams, values: np.ndarray, w: np.ndarray, a) -> tuple[np.ndarray, np.ndarray]:
+    """f(w + a) and f(w - a) for element indices w and shift indices a."""
+    return values[field_mod.vec_add(params, w, a)], values[field_mod.vec_sub(params, w, a)]
+
+
+def _planar_value(params: FieldParams, values: np.ndarray, w: np.ndarray, a) -> np.ndarray:
+    """v*(w, a) = f(w + a) + f(w - a) - f(w), the one value at w that
+    leaves D_a a bijection."""
+    up, down = _shifted(params, values, w, a)
+    return field_mod.vec_sub(params, field_mod.vec_add(params, up, down), values[w])
+
+
+def _witnesses(codes, up: np.ndarray, down: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least of A1 = up - v and A2 = v - down, broadcast, and its count:
+    3 where they agree, else 2.  The differences are one carry-free gather
+    per digit group, in the narrow dtype of the codes' fold tables."""
+    a1 = reduce(np.add, (fold[plus[up] + minus[v]] for plus, minus, fold in codes))
+    a2 = reduce(np.add, (fold[plus[v] + minus[down]] for plus, minus, fold in codes))
+    return np.minimum(a1, a2), (a1 == a2) + np.uint8(2)
+
+
 def perturbation_sweep(f: FnTable) -> PerturbationReport:
-    """Test all q*(q-1) distance-1 neighbors of a planar f for planarity."""
+    """Witnesses for all q*(q-1) distance-1 neighbors of a planar f, by the
+    local rule of the module docstring: one PN scan, of f itself."""
     _require_univariate(f)
     params = f.params
-    if params.q * (params.q - 1) > MAX_POINTS:  # one entry and one PN scan per neighbor
+    q = params.q
+    if q * (q - 1) > MAX_POINTS:  # one report row per neighbor
         raise UnsupportedSize(f"the sweep takes q*(q-1) <= {MAX_POINTS} neighbors")
     base = is_pn(f)
     if not base.is_pn:
         raise NotPlanarBase("the base table is not planar; sweep hypothesis fails", base.witness)
     scope = SCOPE_THEOREM if params.p > 3 else SCOPE_OUTSIDE
-    entries = []
-    values = f.values.copy()
-    for w in range(params.q):
-        original = int(values[w])
-        for v in range(params.q):
-            if v == original:
-                continue
-            values[w] = v
-            entries.append(PerturbEntry(w, v, _pn_scan(params, 1, values)))
-        values[w] = original
-    return PerturbationReport(params, scope, tuple(entries))
+    dtype = np.min_scalar_type(q - 1)  # element indices in one or two bytes
+    values, w, v = f.values, np.arange(q), np.arange(q)
+    v_star = _planar_value(params, values, w, 1)
+    # the least failing shift of each neighbor (w, v*(w, 1)); 0 while none fails
+    shift = np.zeros(q, dtype=dtype)
+    pending = w
+    for a in range(2, q):
+        if not pending.size:
+            break
+        fails = _planar_value(params, values, pending, a) != v_star[pending]
+        shift[pending[fails]] = a
+        pending = pending[~fails]
+
+    codes = [
+        (plus, minus, fold.astype(dtype))
+        for plus, minus, fold in _modp.difference_codes(params.p, params.ell)
+    ]
+    # every (w, v) of the grid at a = 1, then the q neighbors (w, v*(w, 1))
+    up, down = _shifted(params, values, w, 1)
+    value, count = _witnesses(codes, up[:, None], down[:, None], v)
+    shifts = np.ones((q, q), dtype=dtype)
+    up, down = _shifted(params, values, w, shift)
+    star_value, star_count = _witnesses(codes, up, down, v_star)
+    planar = shift == 0
+    star_value[planar] = star_count[planar] = 0
+    shifts[w, v_star] = shift
+    value[w, v_star] = star_value
+    count[w, v_star] = star_count
+    neighbor = v != values[:, None]  # drops the base table's own (w, f(w))
+    return PerturbationReport(
+        params,
+        scope,
+        np.repeat(w.astype(dtype), q - 1),
+        np.broadcast_to(v.astype(dtype), (q, q))[neighbor],
+        shifts[neighbor],
+        value[neighbor],
+        count[neighbor],
+    )
 
 
 @dataclass(frozen=True)

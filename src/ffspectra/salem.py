@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -119,6 +120,7 @@ class SalemRow(NamedTuple):
     bound_ratio: float
 
 
+_salem_row = partial(tuple.__new__, SalemRow)  # as spectrum._spectrum_row
 _TAG_NAMES = ("zero", "case1", "case2")
 
 
@@ -143,7 +145,7 @@ class SalemReport(SpectrumReport):
         names = [_TAG_NAMES[t] for t in tags]
         want = [self.expected[t] for t in tags]
         mags, ratios = self.magnitudes.tolist(), self.ratios.tolist()
-        return tuple(map(SalemRow, range(len(tags)), names, self.abs_sq_ints, want, mags, ratios))
+        return tuple(map(_salem_row, zip(range(len(tags)), names, self.abs_sq_ints, want, mags, ratios)))
 
     @property
     def argmax_m_index(self) -> int:

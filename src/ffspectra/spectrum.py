@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Generator, Iterator, NamedTuple
 
 import numpy as np
@@ -562,6 +562,11 @@ class SpectrumRow(NamedTuple):
     magnitude: float
 
 
+# builds a row from one (m_index, abs_sq_int, magnitude) tuple, without the
+# generated Python __new__ of the named tuple
+_spectrum_row = partial(tuple.__new__, SpectrumRow)
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Per-frequency spectrum of one (f, u) pair with exact/float pairing,
@@ -584,7 +589,7 @@ class SpectrumReport:
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:
         mags = self.magnitudes.tolist()
-        return tuple(map(SpectrumRow, range(len(mags)), self.abs_sq_ints, mags))
+        return tuple(map(_spectrum_row, zip(range(len(mags)), self.abs_sq_ints, mags)))
 
     @property
     def max_magnitude(self) -> float:

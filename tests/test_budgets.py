@@ -3,9 +3,10 @@ the 2**20-point cap, a random table past the cap refused before its work
 arrays are allocated, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, the exhaustive decomposition
 certificate, a full PN scan and the graph spectrum report at desk scale, a
-power map whose exponent is far larger than the field, every size-taking
-entry point refused past its cap before it builds anything, a finite bound
-on every lru_cache in the package, and its single per-(f, u) slot."""
+power map whose exponent is far larger than the field, the distance-1
+sweep at q = 625 and q = 1009, every size-taking entry point refused past
+its cap before it builds anything, a finite bound on every lru_cache in the
+package, and its single per-(f, u) slot."""
 
 import ast
 import importlib
@@ -68,6 +69,7 @@ DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
 PN_RSS_BUDGET_MB = 128
 PN_DESK_RSS_BUDGET_MB = 64
+SWEEP_RSS_BUDGET_MB = 100
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
@@ -132,9 +134,24 @@ PN_DESK_RSS_BUDGET_MB = 64
             1,
             PN_DESK_RSS_BUDGET_MB,
         ),
+        # the sweep holds its q*(q-1) rows in one-byte or two-byte columns
+        # and scans only the base table
+        (
+            ["mindist", "sweep", "--catalog", "square", "--p", "1009"],
+            '"planar_found": 0',
+            0,
+            SWEEP_RSS_BUDGET_MB,
+        ),
+        (
+            ["mindist", "sweep", "--catalog", "square", "--p", "5", "--ell", "4"],
+            '"planar_found": 0',
+            0,
+            PN_DESK_RSS_BUDGET_MB,
+        ),
     ],
     ids=["bent-fast-2pow20", "bent-exact-2pow20", "decomp-square-q3125", "decomp-random-p2-d12",
-         "salem-thm1-q343", "pn-random-p2-d20", "pn-square-q3125", "pn-power-e1e9"],
+         "salem-thm1-q343", "pn-random-p2-d20", "pn-square-q3125", "pn-power-e1e9",
+         "sweep-square-q1009", "sweep-square-q625"],
 )
 def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):
     env = dict(os.environ)

@@ -364,6 +364,34 @@ def test_table_file_errors():
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "2 1 1\n0 1\n\u0661 \u0660\n",  # Arabic-Indic digits one and zero
+        "5 1 1\n0 1\n0 \uff11 4 4 1\n",  # a fullwidth one
+        "5 1 1\n0 1\n0 +1 0_4 4 1\n",
+        "5 1 1\n0 1\n0 1 4 4 -0\n",
+        "5 1 1\n0 +1\n0 1 4 4 1\n",
+        "+5 1 1\n0 1\n0 1 4 4 1\n",
+        "5 1 0_1\n0 1\n0 1 4 4 1\n",
+        "5 1 1\n0 1\n0\u20031 4 4 1\n",  # an em space between two values
+    ],
+    ids=["arabic-indic", "fullwidth", "sign-underscore", "minus-zero", "modulus-sign",
+         "header-sign", "header-underscore", "em-space"],
+)
+def test_table_tokens_are_ascii_digit_strings(text, tmp_path):
+    # int() reads all of these; the file format has plain ASCII digits only
+    path = tmp_path / "t.tbl"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(BadTableFile):
+        parse_table(text)
+    with pytest.raises(BadTableFile):
+        load_table(path)
+    plain = "5 1 1\n0 1\n0 1 4 4 1\n"
+    path.write_text(plain, encoding="ascii")
+    assert parse_table(plain) == load_table(path) == _sq()
+
+
+@pytest.mark.parametrize(
     "data",
     [
         b"2 1 \xe91\n0 1\n0 1\n",

@@ -1,10 +1,11 @@
-"""Distance-1 perturbations of planar tables, the neighbor sweep, and the
-pairwise distance matrix."""
+"""Distance-1 perturbations of planar tables, the neighbor sweep (every
+witness against a PN scan of the neighbor), and the pairwise distance
+matrix."""
 
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, build_function, make_field, mindist
+from ffspectra import FnSpec, PointVector, _modp, build_function, funcs, make_field, mindist
 from ffspectra.cli import main
 from ffspectra.errors import (
     FieldMismatch,
@@ -13,7 +14,7 @@ from ffspectra.errors import (
     NotPlanarEntry,
     UnsupportedSize,
 )
-from ffspectra.funcs import translate
+from ffspectra.funcs import _pn_scan, translate
 from ffspectra.mindist import (
     SCOPE_OUTSIDE,
     SCOPE_THEOREM,
@@ -166,3 +167,89 @@ def test_sweep_refuses_more_than_max_points_neighbors(monkeypatch, capsys):
         perturbation_sweep(f)
     assert main(["mindist", "sweep", "--catalog", "square", "--p", "5", "--ell", "5"]) == 2
     assert "q*(q-1) <= 1048576" in capsys.readouterr().err
+
+
+def _power(params, e):
+    return build_function(FnSpec.from_monomials([(1, (e,))]), params, 1)
+
+
+def _assert_sweep_matches_pn_scan(f, monkeypatch):
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return _pn_scan(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(funcs, "_pn_scan", counted)
+        m.setattr(mindist, "_pn_scan", counted)
+        report = perturbation_sweep(f)
+    assert len(scans) == 1 and scans[0][2] is f.values  # the base check only
+    params, q = f.params, f.params.q
+    assert report.pairs_tested == len(report.entries) == q * (q - 1)
+    values = f.values.copy()
+    planar = 0
+    for e in report.entries:
+        original = values[e.w_index]
+        values[e.w_index] = e.v_index
+        want = _pn_scan(params, 1, values)
+        values[e.w_index] = original
+        got = e.witness
+        if want is None:
+            assert got is None
+            planar += 1
+        else:
+            assert got.a.index == want.a.index
+            assert (got.value.index, got.count) == (want.value.index, want.count)
+    assert report.planar_found == planar
+    return report
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_sweep_matches_a_pn_scan_of_every_neighbor(p, ell, monkeypatch):
+    report = _assert_sweep_matches_pn_scan(_power(make_field(p, ell), 2), monkeypatch)
+    assert report.planar_found == (3 if p**ell == 3 else 0)
+
+
+@pytest.mark.parametrize(
+    "p,ell,e",
+    [(5, 3, 6), (3, 5, 14)],  # Dembowski-Ostrom x**6 = x**(5 + 1); Coulter-Matthews x**((3**3 + 1) / 2)
+    ids=["x6-q125", "x14-q243"],
+)
+def test_sweep_matches_a_pn_scan_off_the_square_map(p, ell, e, monkeypatch):
+    f = _power(make_field(p, ell), e)
+    assert _assert_sweep_matches_pn_scan(f, monkeypatch).planar_found == 0
+    assert np.any(f.values != _power(f.params, 2).values)
+
+
+def test_sweep_matches_a_pn_scan_across_digit_groups(monkeypatch):
+    # two carry-free digit groups over F_27: (2p - 1)**2 = 25 entries per table
+    monkeypatch.setattr(_modp, "GROUP_TABLE_BOUND", 25)
+    _modp.difference_codes.cache_clear()
+    try:
+        assert len(_modp.difference_codes(3, 3)) == 2
+        _assert_sweep_matches_pn_scan(_power(make_field(3, 3), 2), monkeypatch)
+    finally:
+        _modp.difference_codes.cache_clear()
+
+
+def test_sweep_entries_are_built_on_access(monkeypatch):
+    params = make_field(11, 2)
+    report = perturbation_sweep(_power(params, 2))
+    columns = (report.w_index, report.v_index, report.a_index, report.value_index, report.count)
+    assert all(col.dtype == np.uint8 for col in columns)
+    built = []
+
+    class Counted(mindist.PerturbEntry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(mindist, "PerturbEntry", Counted)
+    head = report.entries[:10]
+    last = report.entries[-1]
+    assert len(head) == 10 and len(built) == 11
+    assert [(e.w_index, e.v_index) for e in head] == [(0, v) for v in range(1, 11)]
+    assert (last.w_index, last.v_index) == (params.q - 1, params.q - 1)
+    with pytest.raises(IndexError):
+        report.entries[params.q * (params.q - 1)]
