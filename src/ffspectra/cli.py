@@ -196,8 +196,11 @@ def _m_column(params: FieldParams, d: int) -> list[str]:
 
 
 def _cells(values: list) -> list[str]:
-    """Exact integers and floats by repr; None is an empty cell."""
-    return ["" if v is None else repr(v) for v in values]
+    """Exact integers and floats by repr, each distinct value rendered once;
+    None is an empty cell.  None and the zeros skip the memo, because
+    0.0 == -0.0 while their reprs differ."""
+    rendered = {v: repr(v) for v in set(values) if v}
+    return [rendered[v] if v else "" if v is None else repr(v) for v in values]
 
 
 def _csv(header: str, *columns: list[str]) -> str:

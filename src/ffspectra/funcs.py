@@ -394,11 +394,15 @@ def _read_table(fh) -> FnTable:
         raise BadTableFile(f"invalid table file: {exc}") from exc
 
 
+_DIGITS_AND_SEPARATORS = b"0123456789 \t\n\v\f\r"
+
+
 def _tokens(text: str) -> list[int]:
-    """The whitespace-separated tokens, each a plain ASCII digit string:
-    int() alone would also read '+1', '0_4' and non-ASCII digits."""
-    tokens = text.split()
-    digits = "".join(tokens)  # all digits exactly when every token is
-    if tokens and not (digits.isascii() and digits.isdigit()):
-        raise BadTableFile("non-integer token in table file")
-    return [int(tok) for tok in tokens]
+    """The tokens between ASCII whitespace (space, tab, LF, VT, FF, CR), each
+    a plain ASCII digit string.  str.split() would also split on the controls
+    0x1c-0x1f and on non-ASCII spaces, and int() would also read '+1', '0_4'
+    and non-ASCII digits; bytes.split() splits on exactly these six bytes."""
+    data = text.encode("ascii", "replace")  # a non-ASCII character becomes '?'
+    if data.translate(None, _DIGITS_AND_SEPARATORS):
+        raise BadTableFile("table files hold ASCII digits separated by ASCII whitespace")
+    return [int(tok) for tok in data.split()]

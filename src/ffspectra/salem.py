@@ -29,6 +29,7 @@ from .spectrum import (
     _abs_sq_table,
     _cell_counts,
     _exact_coeff_rows,
+    _in_m_order,
     _require_exact_size,
     _trace_rows,
     is_bent_exact,
@@ -179,7 +180,11 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
         raise EmptySet("spectral report of the empty set")
     # the canonical character u = 1: exponent 0 at every member
     exponents = np.zeros(e.params.q**e.d, dtype=np.int64)
-    spec = _AbsSq(_abs_sq_table(_exact_coeff_rows(e.params, e.d, 1, exponents, e.bitmap)))
+    # one expression, so the coefficient rows, then the unplaced table, are
+    # freed as soon as the next step has read them
+    spec = _AbsSq(_in_m_order(
+        e.params, e.d, 1, _abs_sq_table(_exact_coeff_rows(e.params, e.d, 1, exponents, e.bitmap))
+    ))
     mags = spec.magnitudes()
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero

@@ -126,18 +126,28 @@ def _require_exact_size(p: int, n: int) -> None:
         raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
 
 
-def _butterfly(params: FieldParams, d: int, u_index: int, h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The d*ell size-p passes over h, shaped (c, q**d) with c slots per point
-    and overwritten, then column m placed at frequency m.  w, shaped
-    (c, c*p, p), maps one axis's (slot, digit) pairs to each slot's p outputs.
-    Each pass moves the leading digit axis to the end, alternating two buffers."""
-    c, p = w.shape[0], params.p
+def _butterfly(h: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """n size-p passes over h, shaped (c, N) with c slots per point and
+    overwritten, in transform order: column perm[m] holds frequency m (see
+    _frequency_map and _in_m_order).  w, shaped (c, c*p, p), maps one axis's
+    (slot, digit) pairs to each slot's p outputs.  Each pass moves the
+    leading digit axis to the end, alternating two buffers."""
+    c, p = w.shape[0], w.shape[2]
     out = np.empty_like(h)
-    for _ in range(d * params.ell):
+    for _ in range(n):
         np.matmul(h.reshape(c * p, -1).T, w, out=out.reshape(c, -1, p))
         h, out = out, h
-    del out
-    return h if u_index == _identity_u(params) else h[:, _frequency_map(params, d, u_index)]
+    return h
+
+
+def _in_m_order(params: FieldParams, d: int, u_index: int, a: np.ndarray) -> np.ndarray:
+    """Placement: a, indexed on its first axis by u's transform position,
+    indexed by m instead.  The identity u (see _identity_u) returns a itself;
+    every other u gathers through _frequency_map.  Only what hands out values
+    by m calls this: a flat verdict reads the transform order."""
+    if u_index == _identity_u(params):
+        return a
+    return a[_frequency_map(params, d, u_index)]
 
 
 def _exact_coeff_rows(
@@ -151,15 +161,17 @@ def _exact_coeff_rows(
 
     exponents[x] = Tr(u*f(x)) (any F_p-valued array); the boolean mask
     members restricts the point set (defaults to all points).  Returns an
-    (N, p) float64 view whose row m is the unnormalized coefficient vector of
-    S(u, m): every entry is a point count <= N <= 2**20 < 2**53, so exact.
+    (N, p) float64 view of slot-major rows in transform order: row perm[m]
+    (see _frequency_map) is the unnormalized coefficient vector of S(u, m),
+    and _in_m_order places it at row m.  Every entry is a point count
+    <= N <= 2**20 < 2**53, so exact.
     """
     p = params.p
     _require_exact_size(p, d * params.ell)
     h = (np.arange(p)[:, None] == exponents).astype(np.float64)  # slot-major one-hot
     if members is not None:
         h *= members
-    return _butterfly(params, d, u_index, h, _pass_matrix(p)).T
+    return _butterfly(h, _pass_matrix(p), d * params.ell).T
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -189,29 +201,61 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
     """Unreduced |S|^2 of stacked zeta-coefficient rows: out[i, k] is the
-    coefficient of zeta^k in S_i*conj(S_i).  |out| <= max|row| * sum|row| < 2**46
-    for the point counts of N <= 2**20 points or their normalized CycInt
-    coefficients, so float64 rows give it exactly; it is cast once, to int64."""
+    coefficient of zeta^k in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod p],
+    in the rows' order.  Column k is two products of contiguous slot slices
+    of the slot-major rows, so no rolled copy is made.  |out| <= max|row| *
+    sum|row| < 2**46 for the point counts of N <= 2**20 points or their
+    normalized CycInt coefficients, so float64 rows give it exactly; it is
+    cast once, to int64."""
     p = rows.shape[1]
+    slots = rows.T
     t = np.empty(rows.shape, np.int64)
     for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
-        t[:, k] = t[:, -k] = np.einsum("ij,ij->i", rows, rows[:, np.arange(-k, p - k) % p])
+        column = np.einsum("ij,ij->j", slots[k:], slots[: p - k])
+        if k:
+            column += np.einsum("ij,ij->j", slots[:k], slots[p - k :])
+        t[:, k] = t[:, -k] = column
     return t
+
+
+def _transform_table(f: FnTable, u_index: int) -> np.ndarray:
+    """The unreduced |S|^2 table of u in transform order (see _in_m_order);
+    one expression, so the coefficient rows are freed before it returns."""
+    exponents = _trace_exponents(f, u_index)
+    return _abs_sq_table(_exact_coeff_rows(f.params, f.d, u_index, exponents))
+
+
+def _rational_rows(t: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an unreduced |S|^2 table whose value is a rational
+    integer.  The table is symmetric under k -> -k, so a row is rational
+    exactly when its p//2 - 1 columns 2, ..., p//2 equal column 1."""
+    rational = np.ones(len(t), dtype=bool)
+    for k in range(2, t.shape[1] // 2 + 1):
+        rational &= t[:, k] == t[:, 1]
+    return rational
+
+
+def _is_flat(t: np.ndarray, target: int) -> bool:
+    """Every row of an unreduced |S|^2 table is the rational integer target.
+    That holds in any row order and reads no float values, so a flat verdict
+    tests the transform order and builds no _AbsSq."""
+    return bool(np.all(_rational_rows(t) & (t[:, 0] - t[:, 1] == target)))
 
 
 class _AbsSq:
     """|S(u, m)|^2 for every m of one u, from an unreduced |S|^2 table
-    (see _abs_sq_table).
+    (see _abs_sq_table), row by row in the table's own order.
 
-    table[m, k] is the unreduced coefficient of zeta^k in S(u,m)*conj(S(u,m)).
-    Where defined[m] holds, the value is the rational integer ints[m];
-    floats[m] is the real value of every row.
+    table[i, k] is the unreduced coefficient of zeta^k in S*conj(S) for the
+    frequency in row i.  Where defined[i] holds, the value is the rational
+    integer ints[i] (see _rational_rows); floats[i] is the real value of
+    every row.  A witness or a report reads a table placed by m.
     """
 
     def __init__(self, t: np.ndarray) -> None:
         self.p = p = t.shape[1]
         self.table = t
-        self.defined = np.all(t[:, 1:] == t[:, 1:2], axis=1)
+        self.defined = _rational_rows(t)
         self.ints = t[:, 0] - t[:, 1]
         # The p-th root cosines sum to zero, so the value only depends on the
         # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
@@ -225,19 +269,20 @@ class _AbsSq:
 
     @classmethod
     def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
-        exponents = _trace_exponents(f, u_index)
-        # one expression, so the coefficient rows are freed before the views
-        return cls(_abs_sq_table(_exact_coeff_rows(f.params, f.d, u_index, exponents)))
+        """The tables of u, row m holding S(u, m).  The unreduced table is
+        placed before floats is computed: the @ cos product may round a row
+        differently at another row position."""
+        return cls(_in_m_order(f.params, f.d, u_index, _transform_table(f, u_index)))
 
     def report(self, f: FnTable, u_index: int) -> "SpectrumReport":
         return SpectrumReport(f.params, f.d, u_index, self.defined, self.ints, self.magnitudes())
 
     def fails(self, target: int) -> np.ndarray:
-        """Mask of the m whose |S|^2 is not the rational integer target."""
+        """Mask of the rows whose |S|^2 is not the rational integer target."""
         return ~self.defined | (self.ints != target)
 
     def magnitudes(self) -> np.ndarray:
-        """|S(u, m)| per m, fed from the exact integer whenever one exists so
+        """|S| per row, fed from the exact integer whenever one exists so
         that rational cells stay float-exact."""
         exact = self.ints.astype(np.float64)
         return np.sqrt(np.where(self.defined, exact, np.maximum(self.floats, 0.0)))
@@ -269,6 +314,7 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
     _check_field(f, u)
     rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
+    rows = _in_m_order(f.params, f.d, u.index, rows)
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
 
@@ -344,7 +390,7 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
     _check_field(f, u)
-    total = _AbsSq.of(f, u.index).table.sum(axis=0)
+    total = _transform_table(f, u.index).sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -410,45 +456,61 @@ def _witness_m(spec: _AbsSq, target: int) -> int:
     return int(np.nonzero(spec.fails(target))[0][0])
 
 
-def _orbit_walk(f: FnTable) -> Iterator[tuple[int, _AbsSq, BentWitness | None]]:
+def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     """One exact transform per Galois orbit of u, by ascending least member:
-    that member, its |S|^2 tables and its least failing cell, or None.
+    that member and its unreduced |S|^2 table in transform order.
 
     Scaling u by t in F_p^* conjugates every S(u, m), which changes neither
     rational integrality nor rational values of |S|^2, so a whole orbit
     shares one pass/fail pattern over m: the first failing orbit's least
-    member is the least failing u.
+    member is the least failing u.  The walk names no frequency, so it needs
+    no frequency map; the table is yielded without a name in the walk, so a
+    consumer that places it by m frees the transform order.
     """
+    for u_index in _orbit_reps(f.params):
+        yield u_index, _transform_table(f, u_index)
+
+
+def _witness(f: FnTable, u_index: int, spec: _AbsSq) -> BentWitness | None:
+    """The least failing cell of u under the witness rule, from its tables
+    by m (see _AbsSq.of), or None when every |S(u, m)|^2 is q^d."""
+    if not np.any(spec.fails(f.n_points)):
+        return None
     params = f.params
-    for u_index in _orbit_reps(params):
-        spec = _AbsSq.of(f, u_index)
-        witness = None
-        if np.any(spec.fails(f.n_points)):
-            m_index = _witness_m(spec, f.n_points)
-            witness = BentWitness(
-                params.from_index(u_index),
-                PointVector.from_index(params, f.d, m_index),
-                CycInt.from_coeffs(params.p, spec.table[m_index].tolist()),
-            )
-        yield u_index, spec, witness
+    m_index = _witness_m(spec, f.n_points)
+    return BentWitness(
+        params.from_index(u_index),
+        PointVector.from_index(params, f.d, m_index),
+        CycInt.from_coeffs(params.p, spec.table[m_index].tolist()),
+    )
 
 
 def is_bent_exact(f: FnTable) -> BentVerdict:
     """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m, by the
-    orbit walk, which stops at the first failing orbit."""
-    witness = next((w for _, _, w in _orbit_walk(f) if w is not None), None)
-    return BentVerdict(witness is None, witness)
+    orbit walk, which stops at the first failing orbit.  Flatness does not
+    depend on the order of m, so each orbit's table is tested in transform
+    order; only the failing one is placed by m, to name its cell."""
+    for u_index, table in _orbit_walk(f):
+        if not _is_flat(table, f.n_points):
+            table = _in_m_order(f.params, f.d, u_index, table)  # frees the transform order
+            return BentVerdict(False, _witness(f, u_index, _AbsSq(table)))
+    return BentVerdict(True, None)
 
 
 # ---------------------------------------------------------------------------
 # Fast transform path.
 
 
+@lru_cache(maxsize=1)  # 16 * p**2 bytes: 2.7 KB at p = 13, 16 MB at p = 1009
 def _butterfly_matrix(p: int) -> np.ndarray:
+    """The float size-p pass, w[j, k] = zeta^(-j*k).  The fast path runs
+    every u of one table in a row, so one entry serves all q - 1 of them."""
     if p == 2:
-        return np.array([[1.0, 1.0], [1.0, -1.0]])
-    jk = np.outer(np.arange(p), np.arange(p))
-    return np.exp(-2j * math.pi * jk / p)
+        w = np.array([[1.0, 1.0], [1.0, -1.0]])
+    else:
+        w = np.exp(-2j * math.pi * np.outer(np.arange(p), np.arange(p)) / p)
+    w.setflags(write=False)
+    return w
 
 
 def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
@@ -462,8 +524,9 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     p = params.p
     roots = np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
     h = roots[None, _trace_exponents(f, u.index)]
-    h = _butterfly(params, f.d, u.index, h, _butterfly_matrix(p)[None])[0]
-    return np.abs(h, out=h) if p == 2 else np.abs(h)
+    h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
+    h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
+    return _in_m_order(params, f.d, u.index, h)
 
 
 _SPOT_SEED = 0x5BD1E995
@@ -615,8 +678,12 @@ def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]
     the is_bent_exact verdict of the same transforms (StopIteration.value)."""
     params = f.params
     witness = None
-    for rep, spec, found in _orbit_walk(f):
-        witness = witness or found  # the least failing orbit's
+    for rep, table in _orbit_walk(f):
+        # placed by rep's map, which every multiple t*rep shares; rebinding
+        # frees the transform order before the tables are built
+        table = _in_m_order(params, f.d, rep, table)
+        spec = _AbsSq(table)
+        witness = witness or _witness(f, rep, spec)  # the least failing orbit's
         yield spec.report(f, rep)
         for t in range(2, params.p):
             u_index = int(_modp.scale_indices(rep, t, params.p, params.ell))

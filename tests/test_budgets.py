@@ -63,7 +63,7 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-EXACT_2POW20_RSS_BUDGET_MB = 120
+EXACT_2POW20_RSS_BUDGET_MB = 100
 FAST_2POW20_RSS_BUDGET_MB = 70
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
@@ -202,6 +202,44 @@ def test_exact_coeff_rows_hold_few_point_sized_buffers():
         tracemalloc.stop()
     assert rows.shape == (2**d, 2)
     assert peak <= 4.5 * buffer
+
+
+def test_abs_sq_table_holds_few_point_sized_buffers():
+    # the int64 table (p = 2 columns) and the two einsum columns of one slot
+    # pair; no rolled copy of the rows
+    f2, d = make_field(2), 16
+    buffer = 8 * 2**d
+    f = get_function("bool_quadratic", f2, d=d)
+    rows = spectrum._exact_coeff_rows(f2, d, 1, spectrum._trace_exponents(f, 1))
+    spectrum._abs_sq_table(rows[:4])  # warm einsum
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        table = spectrum._abs_sq_table(rows)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.all(table[:, 0] - table[:, 1] == 2**d)  # bent: |S|^2 = q**d at every m
+    assert peak <= 4.25 * buffer
+
+
+def test_flat_exact_verdict_builds_no_float_values():
+    # a flat verdict reads the table's exact columns only: at its peak it holds
+    # the coefficient rows, the int64 table and two einsum columns, never the
+    # float values that a witness or a report computes from the table
+    f2, d = make_field(2), 16
+    buffer = 8 * 2**d
+    is_bent_exact(get_function("bool_quadratic", f2, d=4))  # warm the per-field tables
+    f = get_function("bool_quadratic", f2, d=d)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        verdict = is_bent_exact(f)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert verdict.is_bent
+    assert peak <= 6.5 * buffer
 
 
 def test_random_table_past_the_cap_is_refused_before_allocating():

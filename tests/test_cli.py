@@ -137,6 +137,29 @@ def test_salem_csv_format(capsys, tmp_path):
     assert (emit / "salem.json").exists()
 
 
+def test_csv_cells_render_each_value_by_its_own_repr():
+    import dataclasses
+
+    import numpy as np
+
+    from ffspectra import cli
+    from ffspectra.salem import PointSet, salem_report
+
+    nan = float("nan")
+    values = [0.0, -0.0, 0, None, 1.5, 2.0**0.5, 1.5, -0.0, nan, 7, 7]
+    assert cli._cells(values) == [repr(v) if v is not None else "" for v in values]
+    assert cli._cells(values)[:4] == ["0.0", "-0.0", "0", ""]
+
+    # a report whose magnitudes and ratios hold both zeros, in either order
+    f5 = make_field(5)
+    report = salem_report(PointSet(f5, 1, np.array([True, True, False, False, False])))
+    mags = np.array([2.0, -0.0, 0.0, -0.0, 0.0])
+    signed = dataclasses.replace(report, magnitudes=mags, ratios=mags / 2.0)
+    rows = [line.split(",") for line in cli._salem_csv(signed).splitlines()[1:]]
+    assert [r[4] for r in rows] == ["2.0", "-0.0", "0.0", "-0.0", "0.0"]
+    assert [r[5] for r in rows] == ["1.0", "-0.0", "0.0", "-0.0", "0.0"]
+
+
 def test_salem_csv_rendered_only_when_asked(capsys, tmp_path, monkeypatch):
     from ffspectra import cli
 

@@ -374,9 +374,14 @@ def test_table_file_errors():
         "+5 1 1\n0 1\n0 1 4 4 1\n",
         "5 1 0_1\n0 1\n0 1 4 4 1\n",
         "5 1 1\n0 1\n0\u20031 4 4 1\n",  # an em space between two values
+        "5 1 1\n0 1\n0\x1c1\x1d4\x1e4\x1f1\n",  # str.split() splits on these
+        "5\x1f1 1\n0 1\n0 1 4 4 1\n",
+        "5 1 1\n0\x1c1\n0 1 4 4 1\n",
+        "5 1 1\n0 1\n0 1 4 4 1\x00\n",
     ],
     ids=["arabic-indic", "fullwidth", "sign-underscore", "minus-zero", "modulus-sign",
-         "header-sign", "header-underscore", "em-space"],
+         "header-sign", "header-underscore", "em-space", "value-separators",
+         "header-separator", "modulus-separator", "nul"],
 )
 def test_table_tokens_are_ascii_digit_strings(text, tmp_path):
     # int() reads all of these; the file format has plain ASCII digits only
@@ -389,6 +394,28 @@ def test_table_tokens_are_ascii_digit_strings(text, tmp_path):
     plain = "5 1 1\n0 1\n0 1 4 4 1\n"
     path.write_text(plain, encoding="ascii")
     assert parse_table(plain) == load_table(path) == _sq()
+
+
+def test_table_separators_are_the_six_ascii_whitespace_bytes(tmp_path, capsys):
+    path = tmp_path / "t.tbl"
+    # the header and modulus are lines; the values may span lines
+    for sep, eol in [(" ", "\n"), ("\t", "\r\n"), ("\v", "\r"), ("\f", "\n")]:
+        for values_sep in (sep, "\n", "\r"):
+            values = values_sep.join("01441")
+            text = f"5{sep}1{sep}1{eol}0{sep}1{eol}{values}{eol}"
+            path.write_text(text, encoding="ascii", newline="")
+            assert parse_table(text) == load_table(path) == _sq()
+    # every other control splits under str.split() but is refused here
+    for sep in "\x1c\x1d\x1e\x1f":
+        text = f"5 1 1\n0 1\n0{sep}1 4 4 1\n"
+        path.write_text(text, encoding="ascii", newline="")
+        with pytest.raises(BadTableFile):
+            parse_table(text)
+        with pytest.raises(BadTableFile):
+            load_table(path)
+        assert main(["test", "pn", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
 
 
 @pytest.mark.parametrize(

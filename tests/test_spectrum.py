@@ -593,6 +593,27 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatch):
+    # neither field has an identity u, so placing any u by m gathers through the map
+    fields = [make_field(5, 5), FieldParams(5, 2, (2, 1, 1))]  # F_25 mod t**2 + t + 2
+    assert all(spectrum._identity_u(params) is None for params in fields)
+    maps = []
+    frequency_map = spectrum._frequency_map
+    monkeypatch.setattr(spectrum, "_frequency_map", lambda *a: maps.append(a[2]) or frequency_map(*a))
+    for params in fields:
+        maps.clear()
+        assert is_bent_exact(get_function("square", params)).is_bent
+        assert maps == []
+        maps.clear()
+        f = random_function(params, 1, 3)
+        bad = is_bent_exact(f)
+        u, m = bad.witness.u.index, bad.witness.m.index
+        assert not bad.is_bent and maps == [u]
+        # the witness rule on the tables by m, and the cell's exact value
+        assert m == spectrum._witness_m(spectrum._AbsSq.of(f, u), f.n_points)
+        assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
+
+
 # ---------------------------------------------------------------------------
 # The spot-check oracle and its per-(f, u) memo.
 
@@ -789,20 +810,29 @@ def test_fast_path_builds_one_trace_exponent_row_per_u(monkeypatch):
     ids=["square_F25", "bool_quadratic_F2^8"],
 )
 def test_spot_checks_call_exact_cell_once_per_sampled_cell(monkeypatch, make):
-    # Traced benchmark runs count exact_cell calls against `sampled`, so the
-    # spot checks must go through the module-level oracle once per cell.
+    # Traced benchmark runs count exact_cell calls against `sampled` and
+    # walsh_fast_all calls against q - 1, so the fast verdict must go through
+    # the module-level oracle once per cell and the transform once per u.
     f = make()
     calls = []
+    transforms = []
     original = spectrum.exact_cell
+    transform = spectrum.walsh_fast_all
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
+    def counting_transform(f, u):
+        transforms.append(u.index)
+        return transform(f, u)
+
     monkeypatch.setattr(spectrum, "exact_cell", counting)
+    monkeypatch.setattr(spectrum, "walsh_fast_all", counting_transform)
     verdict = is_bent_fast(f)
     assert verdict.certified
     assert len(calls) == verdict.sampled > 0
+    assert transforms == list(range(1, f.params.q))
 
 
 # ---------------------------------------------------------------------------
@@ -826,6 +856,7 @@ def test_matmul_butterfly_matches_pointwise_on_every_cell(name):
     params = f.params
     for u in range(1, params.q):
         rows = spectrum._exact_coeff_rows(params, f.d, u, spectrum._trace_exponents(f, u))
+        rows = spectrum._in_m_order(params, f.d, u, rows)  # the engine's rows are in transform order
         assert np.array_equal(rows, np.rint(rows))
         for m_idx in range(f.n_points):
             m = PointVector.from_index(params, f.d, m_idx)
@@ -875,6 +906,7 @@ def test_member_mask_path_matches_indicator_sum():
         for _ in range(3):
             e = PointSet(params, d, rng.random(n) < 0.3)
             rows = spectrum._exact_coeff_rows(params, d, 1, np.zeros(n, dtype=np.int64), e.bitmap)
+            rows = spectrum._in_m_order(params, d, 1, rows)
             for m_idx in range(n):
                 m = PointVector.from_index(params, d, m_idx)
                 got = CycInt.from_coeffs(params.p, rows[m_idx].tolist())
