@@ -15,11 +15,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import NonPrime, PrimeMismatch
+from .field import _is_prime
 
 
 @lru_cache(maxsize=64)  # exceptions are not cached, so a non-prime raises every time
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not _is_prime(p):
         raise NonPrime(f"zeta order {p!r} is not prime")
 
 

@@ -17,23 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import field as field_mod
 from .cyclotomic import CycInt
 from .errors import EmptySet, FieldMismatch, HypothesisFailed
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
-from .spectrum import (
-    SpectrumReport,
-    _AbsSq,
-    _abs_sq_table,
-    _cell_counts,
-    _exact_coeff_rows,
-    _in_m_order,
-    _require_exact_size,
-    _trace_rows,
-    is_bent_exact,
-)
+from .spectrum import SpectrumReport, _AbsSq, _cell_counts, _require_exact_size, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +84,7 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
     if u is not None and u.params != params:
         raise FieldMismatch("character parameter from a different field")
     exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
-    rows = _trace_rows(params, 1 if u is None else u.index)
-    digits = field_mod.element_digits(params)
-    counts = _cell_counts(params, exponents, digits, rows, m.index, e.bitmap)
+    counts = _cell_counts(params, 1 if u is None else u.index, exponents, m.index, e.bitmap)
     return CycInt.from_histogram(params.p, counts.tolist())
 
 
@@ -179,12 +166,7 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
     # the canonical character u = 1: exponent 0 at every member
-    exponents = np.zeros(e.params.q**e.d, dtype=np.int64)
-    # one expression, so the coefficient rows, then the unplaced table, are
-    # freed as soon as the next step has read them
-    spec = _AbsSq(_in_m_order(
-        e.params, e.d, 1, _abs_sq_table(_exact_coeff_rows(e.params, e.d, 1, exponents, e.bitmap))
-    ))
+    spec = _AbsSq.of(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
     mags = spec.magnitudes()
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -122,11 +122,6 @@ class PointVector:
 def dot(x: PointVector, m: PointVector) -> FieldElement:
     """Bilinear form x . m = sum of coordinatewise products."""
     return x.dot(m)
-
-
-def all_points(params: FieldParams, d: int) -> Iterator[PointVector]:
-    for i in range(params.q**d):
-        yield PointVector.from_index(params, d, i)
 
 
 @dataclass(frozen=True)

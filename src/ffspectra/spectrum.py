@@ -65,12 +65,6 @@ class Character:
         return complex(math.cos(angle), math.sin(angle))
 
 
-def characters(params: FieldParams) -> Iterator[Character]:
-    """All q-1 nontrivial additive characters, by ascending u index."""
-    for i in range(1, params.q):
-        yield Character(params.from_index(i))
-
-
 # ---------------------------------------------------------------------------
 # Exact engine.
 
@@ -84,16 +78,6 @@ def _gram(params: FieldParams, u_index: int) -> np.ndarray:
     g = (field_mod.element_digits(params)[u_index] @ triples % params.p).reshape(ell, ell)
     g.setflags(write=False)
     return g
-
-
-@lru_cache(maxsize=field_mod.PARAMS_CACHE_SIZE)
-def _identity_u(params: FieldParams) -> int | None:
-    """The u whose G, and so frequency map, is the identity, or None; the
-    transforms skip that gather (u = 1 over a prime field).  Row 0 of G is
-    digits(u) @ P, P the pair trace forms, so only u = e_0 P**-1 qualifies."""
-    dual = _modp.invert_matrix(field_mod.trace_forms(params)[0], params.p)
-    u = int(_modp.index_of_digits(dual[0], params.p))
-    return u if np.array_equal(_gram(params, u), np.eye(params.ell)) else None
 
 
 def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
@@ -142,10 +126,10 @@ def _butterfly(h: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
 
 def _in_m_order(params: FieldParams, d: int, u_index: int, a: np.ndarray) -> np.ndarray:
     """Placement: a, indexed on its first axis by u's transform position,
-    indexed by m instead.  The identity u (see _identity_u) returns a itself;
-    every other u gathers through _frequency_map.  Only what hands out values
-    by m calls this: a flat verdict reads the transform order."""
-    if u_index == _identity_u(params):
+    indexed by m instead.  Over a prime field G(u) = [u], so u = 1 returns a
+    itself; every other u gathers through _frequency_map.  Only what hands
+    out values by m calls this: a flat verdict reads the transform order."""
+    if params.ell == 1 and u_index == 1:
         return a
     return a[_frequency_map(params, d, u_index)]
 
@@ -218,11 +202,13 @@ def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
     return t
 
 
-def _transform_table(f: FnTable, u_index: int) -> np.ndarray:
-    """The unreduced |S|^2 table of u in transform order (see _in_m_order);
+def _transform_table(
+    params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
+) -> np.ndarray:
+    """The unreduced |S|^2 table of u in transform order (see _in_m_order)
+    of a function table or a point set (arguments as _exact_coeff_rows);
     one expression, so the coefficient rows are freed before it returns."""
-    exponents = _trace_exponents(f, u_index)
-    return _abs_sq_table(_exact_coeff_rows(f.params, f.d, u_index, exponents))
+    return _abs_sq_table(_exact_coeff_rows(params, d, u_index, exponents, members))
 
 
 def _rational_rows(t: np.ndarray) -> np.ndarray:
@@ -268,11 +254,15 @@ class _AbsSq:
         return _AbsSq(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
 
     @classmethod
-    def of(cls, f: FnTable, u_index: int) -> "_AbsSq":
-        """The tables of u, row m holding S(u, m).  The unreduced table is
-        placed before floats is computed: the @ cos product may round a row
-        differently at another row position."""
-        return cls(_in_m_order(f.params, f.d, u_index, _transform_table(f, u_index)))
+    def of(
+        cls, params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
+    ) -> "_AbsSq":
+        """The tables of u, row m holding S(u, m) (arguments as _transform_table).
+        The unreduced table is placed before floats is computed: the @ cos
+        product may round a row differently at another row position."""
+        table = _transform_table(params, d, u_index, exponents, members)
+        table = _in_m_order(params, d, u_index, table)  # frees the transform order
+        return cls(table)
 
     def report(self, f: FnTable, u_index: int) -> "SpectrumReport":
         return SpectrumReport(f.params, f.d, u_index, self.defined, self.ints, self.magnitudes())
@@ -338,23 +328,23 @@ def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
 
 def _cell_counts(
     params: FieldParams,
+    u_index: int,
     exponents: np.ndarray,
-    digits: np.ndarray,
-    rows: np.ndarray,
     m_index: int,
     members: np.ndarray | None = None,
 ) -> np.ndarray:
     """Histogram over points x of exponents[x] - Tr(u*(x.m)) mod p.
 
-    exponents is shaped (q,)*d with axis d-1-j over x_j, digits holds the
+    exponents is shaped (q,)*d with axis d-1-j over x_j.  With digits the
     base-p digits of every element of F_q and rows[i, y] = -Tr(u*t**i*y) mod
-    p (see _trace_rows), so digits[m_j] @ rows reduced mod p is
-    -Tr(u*m_j*x_j) for every x_j.  The boolean mask members restricts the
-    point set (defaults to all points).  The nonzero m_j add these q-entry
-    rows by broadcasting, in the narrowest type holding their sums, at most
+    p (see _trace_rows), digits[m_j] @ rows reduced mod p is -Tr(u*m_j*x_j)
+    for every x_j.  The boolean mask members restricts the point set
+    (defaults to all points).  The nonzero m_j add these q-entry rows by
+    broadcasting, in the narrowest type holding their sums, at most
     (d+1)*(p-1), histogrammed once and folded p-wide: no reduction per point.
     """
     p, q, d = params.p, params.q, exponents.ndim
+    digits, rows = field_mod.element_digits(params), _trace_rows(params, u_index)
     narrow = np.min_scalar_type((d + 1) * (p - 1))
     offset = 0
     for j in range(d):
@@ -382,15 +372,14 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
             f"cell (u, m) = ({u_index}, {m_index}) outside [1, {params.q}) x [0, {f.n_points})"
         )
     exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)  # refuses u = 0
-    digits = field_mod.element_digits(params)
-    counts = _cell_counts(params, exponents, digits, _trace_rows(params, u_index), m_index)
+    counts = _cell_counts(params, u_index, exponents, m_index)
     return CycInt(params.p, tuple((counts - counts[-1]).tolist()))  # normalized: last slot 0
 
 
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
     _check_field(f, u)
-    total = _transform_table(f, u.index).sum(axis=0)
+    total = _transform_table(f.params, f.d, u.index, _trace_exponents(f, u.index)).sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -468,7 +457,7 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     consumer that places it by m frees the transform order.
     """
     for u_index in _orbit_reps(f.params):
-        yield u_index, _transform_table(f, u_index)
+        yield u_index, _transform_table(f.params, f.d, u_index, _trace_exponents(f, u_index))
 
 
 def _witness(f: FnTable, u_index: int, spec: _AbsSq) -> BentWitness | None:
@@ -522,6 +511,8 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     _check_field(f, u)
     params = f.params
     p = params.p
+    if p**2 > MAX_POINTS:  # the pass matrix has p**2 entries, as the exact one p**4
+        raise UnsupportedSize(f"fast transforms take p**2 <= {MAX_POINTS}: p <= 1021")
     roots = np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
     h = roots[None, _trace_exponents(f, u.index)]
     h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
@@ -668,7 +659,7 @@ class SpectrumReport:
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     _check_field(f, u)
-    return _AbsSq.of(f, u.index).report(f, u.index)
+    return _AbsSq.of(f.params, f.d, u.index, _trace_exponents(f, u.index)).report(f, u.index)
 
 
 def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]:

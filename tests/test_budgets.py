@@ -395,6 +395,11 @@ REFUSALS = {
         UnsupportedSize,
         ["test", "bent", "--catalog", "random", "--p", "2", "--d", str(HUGE_D), "--exact"],
     ),
+    "fast-past-p1021": (  # the float pass matrix has p**2 entries: 17 MB at p = 1031
+        lambda tmp: partial(is_bent_fast, get_function("square", F1031)),
+        UnsupportedSize,
+        ["test", "bent", "--catalog", "square", "--p", "1031", "--fast"],
+    ),
 }
 
 

@@ -37,7 +37,6 @@ from ffspectra.funcs import image_size, is_pn
 from ffspectra.salem import verify_theorem1
 from ffspectra.space import dot
 from ffspectra.spectrum import (
-    characters,
     crosscheck_pn_bent,
     exact_cell,
     is_bent_exact,
@@ -64,12 +63,6 @@ def _walsh_oracle(f, u, m):
         y = u * (f.value_at(x) - dot(x, m))
         total += cmath.exp(2j * cmath.pi * trace(y) / p)
     return total
-
-
-def test_characters_enumeration():
-    f9 = make_field(3, 2)
-    us = [c.u.index for c in characters(f9)]
-    assert us == list(range(1, 9))
 
 
 def test_walsh_exact_frozen_examples():
@@ -99,8 +92,7 @@ def test_engine_matches_pointwise_and_complex_oracle():
     for params, d, spec in cases:
         f = build_function(spec, params, d)
         n = f.n_points
-        for c in characters(params):
-            u = c.u
+        for u in map(params.from_index, range(1, params.q)):
             table = walsh_exact_all(f, u)
             assert len(table) == n
             for m_idx in range(n):
@@ -134,8 +126,8 @@ def test_parseval_exact():
         (make_field(2, 2), 1, FnSpec.univariate([1, 2])),
     ]:
         f = build_function(spec, params, d)
-        for c in characters(params):
-            assert parseval_total(f, c.u) == params.q ** (2 * d)
+        for u in map(params.from_index, range(1, params.q)):
+            assert parseval_total(f, u) == params.q ** (2 * d)
     # seeded random tables obey it too
     for seed in range(5):
         f = random_function(F5, 2, seed)
@@ -221,10 +213,10 @@ def test_bent_verdict_matches_brute_force_scan():
     target = params.q
     for f in fns:
         brute_u = None
-        for c in characters(params):
-            table = walsh_exact_all(f, c.u)
+        for u in map(params.from_index, range(1, params.q)):
+            table = walsh_exact_all(f, u)
             if any(s.abs_sq().as_integer() != target for s in table):
-                brute_u = c.u.index
+                brute_u = u.index
                 break
         verdict = is_bent_exact(f)
         assert verdict.is_bent == (brute_u is None)
@@ -263,9 +255,9 @@ def test_walsh_fast_matches_exact():
     ]
     for params, d, spec in cases:
         f = build_function(spec, params, d)
-        for c in characters(params):
-            mags = walsh_fast_all(f, c.u)
-            exact = walsh_exact_all(f, c.u)
+        for u in map(params.from_index, range(1, params.q)):
+            mags = walsh_fast_all(f, u)
+            exact = walsh_exact_all(f, u)
             for m_idx in range(f.n_points):
                 z = exact[m_idx].abs_sq()
                 v = z.as_integer()
@@ -373,12 +365,12 @@ def test_spectral_verdicts_agree_on_every_modulus(p, ell):
 def test_character_additivity_on_traces():
     # chi_u(y+z) = chi_u(y) chi_u(z) reduces to trace additivity of u*(y+z)
     for params in (make_field(5), make_field(3, 2), make_field(2, 3)):
-        for c in characters(params):
+        for u in map(params.from_index, range(1, params.q)):
             for yi in range(params.q):
                 for zi in range(params.q):
                     y, z = params.from_index(yi), params.from_index(zi)
-                    lhs = trace(c.u * (y + z))
-                    rhs = (trace(c.u * y) + trace(c.u * z)) % params.p
+                    lhs = trace(u * (y + z))
+                    rhs = (trace(u * y) + trace(u * z)) % params.p
                     assert lhs == rhs
 
 
@@ -520,7 +512,7 @@ def test_walsh_fast_matches_exact_magnitudes_on_every_modulus(params):
     f = random_function(params, 1, params.q)
     for u in range(1, params.q):
         mags = walsh_fast_all(f, params.from_index(u))
-        want = spectrum._AbsSq.of(f, u).magnitudes()
+        want = spectrum._AbsSq.of(f.params, f.d, u, spectrum._trace_exponents(f, u)).magnitudes()
         assert np.all(np.abs(mags - want) <= 1e-9 * np.maximum(want, 1.0))
 
 
@@ -554,14 +546,17 @@ def test_frequency_map_is_identity_for_p2_u1():
         assert np.array_equal(spectrum._frequency_map(f2, d, 1), np.arange(2**d))
 
 
+def _identity_grams(params):
+    grams = [spectrum._gram(params, u) for u in range(1, params.q)]
+    return [u for u, g in enumerate(grams, 1) if np.array_equal(g, np.eye(params.ell))]
+
+
 def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(monkeypatch):
-    f25 = FieldParams(5, 2, (2, 1, 1))
-    for params in (make_field(2), make_field(2, 2), make_field(7), make_field(3, 2), f25):
-        grams = [spectrum._gram(params, u) for u in range(1, params.q)]
-        identity = [u for u, g in enumerate(grams, 1) if np.array_equal(g, np.eye(params.ell))]
-        want = spectrum._identity_u(params)
-        assert identity == ([] if want is None else [want])
-    assert spectrum._identity_u(make_field(7)) == 1 and spectrum._identity_u(f25) is None
+    # over a prime field G(u) = [u], so exactly u = 1 has G = I and skips;
+    # F_4's u = 3 also has G = I, but placement skips only for ell = 1
+    assert all(_identity_grams(make_field(p)) == [1] for p in (2, 7, 13))
+    f4, f25 = make_field(2, 2), FieldParams(5, 2, (2, 1, 1))
+    assert _identity_grams(f4) == [3] and _identity_grams(f25) == []
 
     gathers = []
     frequency_map = spectrum._frequency_map
@@ -575,9 +570,10 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
             out.append((walsh_fast_all(f, u), report.defined, report.ints, report.magnitudes))
         return out
 
-    # no u of F_25 mod t**2 + t + 2, and no u != 1 of F_7, skips the gather
+    # no u of F_25 mod t**2 + t + 2 or of F_4, and no u != 1 of F_7, skips the gather
     cases = [random_function(make_field(2), 10, 1), random_function(make_field(7), 3, 2)]
-    for f, u_indices in ((random_function(f25, 2, 3), range(1, 25)), (cases[1], range(2, 7))):
+    extension = ((random_function(f25, 2, 3), range(1, 25)), (random_function(f4, 3, 4), range(1, 4)))
+    for f, u_indices in (*extension, (cases[1], range(2, 7))):
         gathers.clear()
         spectra(f, u_indices)
         assert gathers == [u for u in u_indices for _ in range(2)]
@@ -586,7 +582,11 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
     gathers.clear()
     skipped = [spectra(f, [1])[0] for f in cases]
     assert gathers == []
-    monkeypatch.setattr(spectrum, "_identity_u", lambda params: None)
+
+    def always_gather(params, d, u_index, a):
+        return a[spectrum._frequency_map(params, d, u_index)]
+
+    monkeypatch.setattr(spectrum, "_in_m_order", always_gather)
     gathered = [spectra(f, [1])[0] for f in cases]
     assert gathers == [1] * 4
     for a, b in zip(skipped, gathered):
@@ -594,9 +594,9 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
 
 
 def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatch):
-    # neither field has an identity u, so placing any u by m gathers through the map
+    # both are extension fields, so placing any u by m gathers through the map
     fields = [make_field(5, 5), FieldParams(5, 2, (2, 1, 1))]  # F_25 mod t**2 + t + 2
-    assert all(spectrum._identity_u(params) is None for params in fields)
+    assert all(params.ell > 1 for params in fields)
     maps = []
     frequency_map = spectrum._frequency_map
     monkeypatch.setattr(spectrum, "_frequency_map", lambda *a: maps.append(a[2]) or frequency_map(*a))
@@ -610,7 +610,8 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         u, m = bad.witness.u.index, bad.witness.m.index
         assert not bad.is_bent and maps == [u]
         # the witness rule on the tables by m, and the cell's exact value
-        assert m == spectrum._witness_m(spectrum._AbsSq.of(f, u), f.n_points)
+        spec = spectrum._AbsSq.of(f.params, f.d, u, spectrum._trace_exponents(f, u))
+        assert m == spectrum._witness_m(spec, f.n_points)
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
 
@@ -943,6 +944,7 @@ ORBIT_CASES = {
     "F_7^2": (make_field(7), 2),
     "F_13": (make_field(13), 1),
     "F_2^4": (make_field(2), 4),  # p = 2: every orbit is a singleton
+    "F_4^2": (make_field(2, 2), 2),  # u = 3 has G = I but gathers: ell > 1
 }
 
 
