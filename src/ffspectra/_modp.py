@@ -44,11 +44,6 @@ def sub_indices(a, b, p: int, n: int):
     return index_of_digits((digits_of(a, p, n) - digits_of(b, p, n)) % p, p)
 
 
-def scale_indices(a, k: int, p: int, n: int):
-    """Multiply every digit by the integer scalar k mod p."""
-    return index_of_digits((digits_of(a, p, n) * (k % p)) % p, p)
-
-
 def apply_linear(a, matrix: np.ndarray, p: int):
     """Apply an (n_out, n_in) mod-p matrix to the digit vectors of `a`."""
     m = np.asarray(matrix, dtype=np.int64)

@@ -30,17 +30,21 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def splitmix64(seed: int, i: int) -> int:
-    """Output i of the splitmix64 counter sequence for this seed.
+def splitmix64(seed: int, i: int | np.ndarray) -> int | np.ndarray:
+    """Output i of the splitmix64 counter sequence for this seed; i may be
+    an index array, and a scalar i gives a Python int.
 
     z = seed + (i+1)*0x9E3779B97F4A7C15 mod 2**64, then the standard
     finalizer: z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
     z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2**64).
     """
-    z = (seed + (i + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
+    # an array wraps mod 2**64 silently, where a numpy scalar warns on overflow
+    z = (np.atleast_1d(np.asarray(i, dtype=np.uint64)) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z if np.ndim(i) else int(z[0])
 
 
 def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
@@ -49,15 +53,8 @@ def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
     Deterministic and platform-independent bit for bit; the test suite
     freezes golden tables against an independent scalar implementation.
     """
-    _refuse_past_cap(params.q, d)  # before the four n-entry work arrays
-    n = params.q**d
-    with np.errstate(over="ignore"):
-        i = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(seed & _MASK64) + i * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        values = (z % np.uint64(params.q)).astype(np.int64)
+    _refuse_past_cap(params.q, d)  # before the n-entry work arrays
+    values = splitmix64(seed, np.arange(params.q**d, dtype=np.uint64)) % np.uint64(params.q)
     return FnTable(params, d, values)
 
 

@@ -24,7 +24,6 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     NonPrime,
-    NotABasis,
     ReducibleModulus,
     UnsupportedSize,
     ZeroInverse,
@@ -302,42 +301,30 @@ def trace(a: FieldElement) -> int:
 
 @dataclass(frozen=True)
 class FpBasis:
-    """An F_p-basis of F_q, with digit decomposition against it."""
+    """An F_p-basis of F_q: the one-coordinate SpaceBasis of its elements."""
 
     params: FieldParams
     elements: tuple[FieldElement, ...]
 
     def __post_init__(self) -> None:
-        if len(self.elements) != self.params.ell:
-            raise NotABasis(f"need exactly {self.params.ell} elements")
-        for e in self.elements:
-            if e.params != self.params:
-                raise FieldMismatch("basis element from a different field")
-        if self._inverse_matrix is None:
-            raise NotABasis("elements are linearly dependent over F_p")
+        from .space import PointVector, SpaceBasis  # space imports this module
 
-    @cached_property
+        # each point keeps its element's field, so SpaceBasis refuses a foreign one
+        points = tuple(PointVector(e.params, (e,)) for e in self.elements)
+        object.__setattr__(self, "_space", SpaceBasis(self.params, 1, points))
+
+    @property
     def matrix(self) -> np.ndarray:
         """Columns are the coefficient vectors of the basis elements."""
-        m = np.array([e.coeffs for e in self.elements], dtype=np.int64).T
-        m.setflags(write=False)
-        return m
-
-    @cached_property
-    def _inverse_matrix(self) -> np.ndarray | None:
-        return _modp.invert_matrix(np.array(self.matrix), self.params.p)
+        return self._space.matrix
 
     def decompose(self, a: FieldElement) -> tuple[int, ...]:
         if a.params != self.params:
             raise FieldMismatch("element from a different field")
-        digits = (self._inverse_matrix @ np.array(a.coeffs)) % self.params.p
-        return tuple(int(d) for d in digits)
+        return tuple(int(k) for k in self._space.decompose_indices(np.array([a.index]))[0])
 
     def combine(self, digits: Sequence[int]) -> FieldElement:
-        if len(digits) != self.params.ell:
-            raise ValueError(f"need exactly {self.params.ell} digits")
-        coeffs = (self.matrix @ (np.array(digits, dtype=np.int64) % self.params.p)) % self.params.p
-        return self.params.element([int(c) for c in coeffs])
+        return self._space.recompose(digits).coords[0]
 
 
 def standard_fp_basis(params: FieldParams) -> FpBasis:

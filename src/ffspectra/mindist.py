@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .field import FieldElement, FieldParams
-from .funcs import MAX_POINTS, FnTable, PnWitness, _pn_scan, is_pn
+from .funcs import MAX_POINTS, FnTable, PnWitness, _pn_scan, hamming_distance, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -256,7 +256,7 @@ def pairwise_min_distance(
     best: int | None = None
     for i in range(k):
         for j in range(i + 1, k):
-            dist = int(np.count_nonzero(fns[i].values != fns[j].values))
+            dist = hamming_distance(fns[i], fns[j])
             matrix[i][j] = matrix[j][i] = dist
             if dist == 0:
                 duplicates.append((i, j))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import EmptySet, FieldMismatch, HypothesisFailed
+from .errors import EmptySet, FieldMismatch, HypothesisFailed, TrivialCharacter
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
@@ -83,6 +83,8 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
         raise FieldMismatch("frequency incompatible with this set")
     if u is not None and u.params != params:
         raise FieldMismatch("character parameter from a different field")
+    if u is not None and u.is_zero():
+        raise TrivialCharacter("u = 0 names the trivial character")
     exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
     counts = _cell_counts(params, 1 if u is None else u.index, exponents, m.index, e.bitmap)
     return CycInt.from_histogram(params.p, counts.tolist())

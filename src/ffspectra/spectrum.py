@@ -540,21 +540,16 @@ class FastBentWitness:
 
 
 @dataclass(frozen=True)
-class FastBentVerdict:
+class FastBentVerdict(BentVerdict):
     """Float flat-spectrum verdict with its exact spot-check tally.
 
     sampled cells were recomputed by exact_cell; mismatches counts those
     whose float magnitude disagreed beyond the relative tolerance.
     """
 
-    is_bent: bool
     witness: FastBentWitness | None
     sampled: int
     mismatches: int
-
-    @property
-    def verdict(self) -> str:
-        return "bent" if self.is_bent else "not_bent"
 
     @property
     def certified(self) -> bool:
@@ -570,7 +565,7 @@ def _spot_count(n_points: int, d: int) -> int:
 def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
     """Exactly recompute a deterministic sample of cells; return (sampled, bad)."""
     n = f.n_points
-    ms = [splitmix64(_SPOT_SEED ^ u_index, i) % n for i in range(_spot_count(n, f.d))]
+    ms = (splitmix64(_SPOT_SEED ^ u_index, np.arange(_spot_count(n, f.d))) % np.uint64(n)).tolist()
     rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.int64)
     roots = _AbsSq(_abs_sq_table(rows)).magnitudes()
     bad = np.abs(mags[ms] - roots) > _FAST_REL_TOL * np.maximum(roots, 1.0)
@@ -677,8 +672,7 @@ def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]
         witness = witness or _witness(f, rep, spec)  # the least failing orbit's
         yield spec.report(f, rep)
         for t in range(2, params.p):
-            u_index = int(_modp.scale_indices(rep, t, params.p, params.ell))
-            yield spec.galois(t).report(f, u_index)
+            yield spec.galois(t).report(f, params.from_index(rep).scale(t).index)
     return BentVerdict(witness is None, witness)
 
 

@@ -42,6 +42,8 @@ def test_splitmix64_reference_vector():
     for seed in (0, 1, 42, 2**63):
         for i in range(50):
             assert splitmix64(seed, i) == ref(seed, i)
+        # an index array draws the same outputs in one call
+        assert splitmix64(seed, np.arange(50)).tolist() == [ref(seed, i) for i in range(50)]
 
 
 def test_random_function_frozen_tables():

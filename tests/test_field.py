@@ -6,11 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from ffspectra import FieldParams, field_arithmetic, make_field, trace
+from ffspectra import FieldParams, FpBasis, field_arithmetic, make_field, trace
 from ffspectra.errors import (
     FieldMismatch,
     IndexOutOfRange,
     NonPrime,
+    NotABasis,
     ReducibleModulus,
     UnsupportedSize,
     ZeroInverse,
@@ -270,6 +271,42 @@ def test_fp_basis_round_trip():
         digits = basis.decompose(a)
         assert digits == a.coeffs
         assert basis.combine(digits) == a
+
+
+def test_fp_basis_round_trip_against_a_non_standard_basis():
+    f9 = make_field(3, 2)
+    one, t = f9.one(), f9.from_index(3)
+    basis = FpBasis(f9, (one + t, t))
+    assert basis.matrix.tolist() == [[1, 0], [1, 1]]
+    for a in f9.elements():
+        digits = basis.decompose(a)
+        assert all(0 <= k < 3 for k in digits)
+        assert (one + t).scale(digits[0]) + t.scale(digits[1]) == a
+        assert basis.combine(digits) == a
+    assert basis.combine((4, -1)) == basis.combine((1, 2))  # digits are read mod p
+
+
+def test_fp_basis_refusals():
+    f9, f9b = make_field(3, 2), make_field(3, 2, modulus=[2, 2, 1])
+    one, t = f9.one(), f9.from_index(3)
+    with pytest.raises(NotABasis):
+        FpBasis(f9, (one,))  # too few
+    with pytest.raises(NotABasis):
+        FpBasis(f9, (one, t, one + t))  # too many
+    with pytest.raises(NotABasis):
+        FpBasis(f9, (t, t.scale(2)))  # dependent
+    with pytest.raises(NotABasis):
+        FpBasis(f9, (one, f9.zero()))
+    with pytest.raises(FieldMismatch):
+        FpBasis(f9, (one, f9b.from_index(3)))  # same q, another modulus
+    basis = FpBasis(f9, (one, t))
+    with pytest.raises(FieldMismatch):
+        basis.decompose(f9b.from_index(4))
+    with pytest.raises(FieldMismatch):
+        basis.decompose(make_field(7).one())
+    for digits in [(1,), (1, 2, 0)]:
+        with pytest.raises(ValueError):
+            basis.combine(digits)
 
 
 @pytest.mark.parametrize(

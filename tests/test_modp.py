@@ -42,18 +42,6 @@ def test_p2_shortcut_is_xor():
     assert np.array_equal(_modp.sub_indices(a, b, 2, 6), a ^ b)
 
 
-def test_scale_indices():
-    # scaling digits by k mod p; k=0 collapses everything to zero
-    a = np.arange(25)
-    assert np.array_equal(_modp.scale_indices(a, 0, 5, 2), np.zeros(25, dtype=np.int64))
-    assert np.array_equal(_modp.scale_indices(a, 1, 5, 2), a)
-    doubled = _modp.scale_indices(a, 2, 5, 2)
-    want = _modp.index_of_digits((_modp.digits_of(a, 5, 2) * 2) % 5, 5)
-    assert np.array_equal(doubled, want)
-    # k and k+p act identically
-    assert np.array_equal(_modp.scale_indices(a, 7, 5, 2), doubled)
-
-
 def test_apply_linear_matches_manual_matmul():
     rng = np.random.default_rng(11)
     for p, n_in, n_out in [(3, 4, 4), (5, 2, 3), (2, 6, 2)]:

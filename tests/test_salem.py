@@ -17,7 +17,7 @@ from ffspectra import (
     trace,
 )
 from ffspectra.catalog import random_function
-from ffspectra.errors import EmptySet, FieldMismatch, HypothesisFailed
+from ffspectra.errors import EmptySet, FieldMismatch, HypothesisFailed, TrivialCharacter
 from ffspectra.salem import (
     PointSet,
     graph_of,
@@ -83,9 +83,21 @@ def test_indicator_sum_refuses_a_u_from_another_field():
         indicator_sum(graph_of(sq25), m25, u25)
 
 
+def test_indicator_sum_refuses_the_trivial_character():
+    # u = 0 names the trivial character, which every spectral entry refuses
+    e = graph_of(SQ5)
+    m = PointVector.from_index(F5, 2, 7)
+    with pytest.raises(TrivialCharacter):
+        indicator_sum(e, m, F5.zero())
+    with pytest.raises(TrivialCharacter):
+        indicator_ft_abs_sq(e, m, F5.zero())
+    with pytest.raises(FieldMismatch):  # the field is checked first
+        indicator_sum(e, m, make_field(7).zero())
+
+
 def test_indicator_matches_complex_oracle():
-    # every u, u = 0 included, on d = 1 and d = 2 sets, a graph, and a
-    # non-default modulus
+    # every u != 0 on d = 1 and d = 2 sets, a graph, and a non-default
+    # modulus (u = 0 is refused: see the test above)
     f25 = FieldParams(5, 2, (2, 1, 1))
     rng = np.random.default_rng(9)
     for e in [
@@ -95,7 +107,7 @@ def test_indicator_matches_complex_oracle():
         PointSet(f25, 1, rng.random(25) < 0.5),
     ]:
         params = e.params
-        for u in params.elements():
+        for u in map(params.from_index, range(1, params.q)):
             for m_idx in range(params.q**e.d):
                 m = PointVector.from_index(params, e.d, m_idx)
                 want = _indicator_oracle(e, m, u.index)
@@ -103,8 +115,6 @@ def test_indicator_matches_complex_oracle():
                 assert abs(exact.to_complex() - want) < 1e-9
                 got = indicator_ft_abs_sq(e, m, u)
                 assert abs(got.to_complex().real - abs(want) ** 2) < 1e-6
-                if u.is_zero():  # the trivial character counts the members
-                    assert exact.as_integer() == e.cardinality
 
 
 def test_character_choice_permutes_spectrum():

@@ -836,6 +836,31 @@ def test_spot_checks_call_exact_cell_once_per_sampled_cell(monkeypatch, make):
     assert transforms == list(range(1, f.params.q))
 
 
+def test_spot_check_sample_is_the_seeded_counter_stream(monkeypatch):
+    # the cells of u are splitmix64(0x5BD1E995 ^ u, i) mod q**d for i < k,
+    # recomputed here with Python ints, in the order they are checked
+    mask = (1 << 64) - 1
+
+    def ref(seed, i):
+        z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    f = random_function(make_field(3, 2), 3, 7)
+    n, k = f.n_points, 7  # k = 729 // 100 cells per u
+    calls = {}
+    original = spectrum.exact_cell
+
+    def recording(f, u, m):
+        calls.setdefault(u, []).append(m)
+        return original(f, u, m)
+
+    monkeypatch.setattr(spectrum, "exact_cell", recording)
+    assert is_bent_fast(f).sampled == k * (f.params.q - 1)
+    assert calls == {u: [ref(0x5BD1E995 ^ u, i) % n for i in range(k)] for u in range(1, f.params.q)}
+
+
 # ---------------------------------------------------------------------------
 # The matrix-product butterfly and one transform per Galois orbit.
 
