@@ -4,12 +4,15 @@ An integer in [0, p**n) encodes a length-n vector of base-p digits, little
 endian (digit j has weight p**j).  Every dense table operation in the package
 reduces to componentwise mod-p arithmetic on arrays of such indices, so the
 helpers here work directly on numpy int64 arrays and never materialize Python
-objects.  The PN scan and the decomposition walk do no digit arithmetic per
-shift: they share the carry-free codes of `difference_codes`.
+objects.  The PN scan, the decomposition walk and the distance-1 sweep do no
+digit arithmetic per shift: they encode values once as the carry-free code
+words of `difference_codes` and fold sums of words back to element indices,
+without knowing how the words split the digits.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -44,13 +47,6 @@ def sub_indices(a, b, p: int, n: int):
     return index_of_digits((digits_of(a, p, n) - digits_of(b, p, n)) % p, p)
 
 
-def apply_linear(a, matrix: np.ndarray, p: int):
-    """Apply an (n_out, n_in) mod-p matrix to the digit vectors of `a`."""
-    m = np.asarray(matrix, dtype=np.int64)
-    d = digits_of(a, p, m.shape[1])
-    return index_of_digits((d @ m.T) % p, p)
-
-
 def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:
     """Inverse of a square matrix mod p via Gauss-Jordan, or None if singular."""
     m = np.asarray(matrix, dtype=np.int64) % p
@@ -80,40 +76,54 @@ def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:
 # A digit group's reduction table holds at most this many entries; a group
 # always takes at least one digit, so a prime above 2**19 gets 2p - 1.
 GROUP_TABLE_BOUND = 1 << 20
+GROUP_BITS = 21  # bits per group in a code word; a sum of two words stays below 2**21 in each
+
+# plus[b] and minus[c] are intp code words; fold(plus[b] + minus[c]) and
+# fold(plus[b] + plus[c]) are the element indices of b - c and b + c
+DifferenceCodes = namedtuple("DifferenceCodes", "plus minus fold")
 
 
 @lru_cache(maxsize=4)  # over F_2**20 one field's codes take about 20 MB
-def difference_codes(p: int, ell: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Carry-free codes for b - c and b + c on the element indices of
-    F_p**ell: one (plus, minus, fold) triple per group of value digits.
+def difference_codes(p: int, ell: int) -> DifferenceCodes:
+    """Carry-free code words for b - c and b + c on the element indices of
+    F_p**ell.
 
-    A group's digits are written in radix r = 2p - 1: plus[b] holds the
-    digits of b and minus[c] those of -c, so every digit of
-    plus[b] + minus[c] or plus[b] + plus[c] is at most 2p - 2 and the sum
-    never carries.  fold of such a sum is the group's share of the index of
-    b - c or b + c, and that index is the sum of the shares.
+    Each group of value digits fills its own bit field, in radix r = 2p - 1:
+    plus[b] holds the digits of b and minus[c] those of -c, so every digit
+    of plus[b] + minus[c] or plus[b] + plus[c] is at most 2p - 2 and the sum
+    never carries.  fold maps each field through its group's table to that
+    group's share of the index, as intp, and adds the shares; with one group
+    it is a single gather.
     """
     r, q = 2 * p - 1, p**ell
     width = 1
     while width < ell and r ** (width + 1) <= GROUP_TABLE_BOUND:
         width += 1
-    elements = np.arange(q, dtype=np.int32)
-    groups = []
+    elements = np.arange(q, dtype=np.intp)
+    plus = np.zeros(q, dtype=np.intp)
+    minus = np.zeros(q, dtype=np.intp)
+    tables = []
     for start in range(0, ell, width):
         size = min(width, ell - start)
-        plus = np.zeros(q, dtype=np.int32)
-        minus = np.zeros(q, dtype=np.int32)
+        shift = GROUP_BITS * len(tables)
         sums = np.arange(r**size, dtype=np.intp)
-        fold = np.zeros(r**size, dtype=np.intp)
+        table = np.zeros(r**size, dtype=np.intp)
         for j in range(size):
             digit = elements // p ** (start + j) % p
-            plus += digit * r**j
-            minus += (p - digit) % p * r**j
-            fold += sums // r**j % r % p * p ** (start + j)
-        for table in (plus, minus, fold):
-            table.setflags(write=False)
-        groups.append((plus, minus, fold))
-    return tuple(groups)
+            plus += digit * r**j << shift
+            minus += (p - digit) % p * r**j << shift
+            table += sums // r**j % r % p * p ** (start + j)
+        tables.append((shift, table))
+    for array in (plus, minus, *(table for _, table in tables)):
+        array.setflags(write=False)
+    if len(tables) == 1:
+        return DifferenceCodes(plus, minus, tables[0][1].__getitem__)
+    mask = (1 << GROUP_BITS) - 1
+
+    def fold(words: np.ndarray) -> np.ndarray:
+        return sum(table[words >> shift & mask] for shift, table in tables)
+
+    return DifferenceCodes(plus, minus, fold)
 
 
 @lru_cache(maxsize=32)  # a 2**20-point space has 20 digits

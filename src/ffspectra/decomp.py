@@ -21,7 +21,7 @@ o_{i+1} = o_i + s_i.  verify_decomposition certifies the formula for all
 q**d - 1 shifts in one process by walking them in prefix order: a + g_s,
 for s at least the top nonzero digit of a, adds the formula's next term
 D_{f,g_s}(x + a) to a's reconstruction, a field-index array added through
-the PN scan's carry-free codes.  Each digit's chain of p - 1 steps is a
+the PN scan's carry-free code words.  Each digit's chain of p - 1 steps is a
 loop, so the walk is at most n levels deep for every p, and memory is
 linear in q**d (n translation gathers and one chain position per level);
 no q**d x q**d addition table is built.
@@ -207,20 +207,17 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     node is then extended by the digits above s.  Only the base tables are
     read on the reconstruction side.  Recursion goes one level per digit
     position (depth at most n) and keeps one chain position per level, so
-    memory is O(n * q**d).  The reconstruction is an array of field
-    indices, and both sides are read through the PN scan's carry-free codes
-    (`_modp.difference_codes`): a chain step is recon + D_{f,g_s}(x + a) and
-    the comparison is against f(x + a) - f(x), each one gather-add-gather
-    per digit group, with x + a one gather per node.
+    memory is O(n * q**d).  Both sides are field-index arrays read through
+    the PN scan's code words (`_modp.difference_codes`): a chain step folds
+    recon + D_{f,g_s}(x + a), the comparison folds f(x + a) - f(x), and
+    x + a is one gather per node.
     """
     params, d, n = f.params, f.d, b.basis.n
     idx = np.arange(f.n_points, dtype=np.intp)
     along = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
     codes = _modp.difference_codes(params.p, params.ell)
-    f_codes = [
-        (plus[f.values].astype(np.intp), minus[f.values].astype(np.intp)) for plus, minus, _ in codes
-    ]
-    base_codes = [[plus[t.values].astype(np.intp) for plus, _, _ in codes] for t in b.tables]
+    f_plus, f_minus = codes.plus[f.values], codes.minus[f.values]
+    base_plus = [codes.plus[t.values] for t in b.tables]
     least = None
 
     def extend(at: np.ndarray, recon: np.ndarray, start: int) -> None:
@@ -229,16 +226,9 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
         for s in range(start, n):
             chain_at, chain_recon = at, recon
             for _ in range(params.p - 1):
-                chain_recon = reduce(np.add, (
-                    fold[plus[chain_recon] + base[chain_at]]
-                    for (plus, _, fold), base in zip(codes, base_codes[s])
-                ))
+                chain_recon = codes.fold(codes.plus[chain_recon] + base_plus[s][chain_at])
                 chain_at = along[s][chain_at]
-                target = reduce(np.add, (
-                    fold[f_plus[chain_at] + f_minus]
-                    for (_, _, fold), (f_plus, f_minus) in zip(codes, f_codes)
-                ))
-                if not np.array_equal(chain_recon, target):
+                if not np.array_equal(chain_recon, codes.fold(f_plus[chain_at] + f_minus)):
                     a = int(chain_at[0])
                     least = a if least is None else min(least, a)
                 extend(chain_at, chain_recon, s + 1)
@@ -257,7 +247,5 @@ def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
             f"exhaustive decomposition check is desk-scale: q**d <= {space.DESK_SCALE_POINTS}"
         )
     least = _least_failing_shift(f, base_deltas(f, basis))
-    n = f.n_points
-    if least is None:
-        return DecompVerdict(True, None, n - 1)
-    return DecompVerdict(False, PointVector.from_index(f.params, f.d, least), n - 1)
+    failing = None if least is None else PointVector.from_index(f.params, f.d, least)
+    return DecompVerdict(least is None, failing, f.n_points - 1)

@@ -85,6 +85,13 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
     return True
 
 
+def _refuse_past_max_q(p: int, ell: int) -> None:
+    """Raise UnsupportedSize for p**ell > MAX_Q before any primality or
+    irreducibility test, never computing p**ell at a huge ell."""
+    if p >= 2 and (p > MAX_Q or ell >= MAX_Q.bit_length() or p**ell > MAX_Q):
+        raise UnsupportedSize(f"q = {p}**{ell} exceeds {MAX_Q}")
+
+
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)
 def default_modulus(p: int, ell: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree ell over F_p.
@@ -93,11 +100,12 @@ def default_modulus(p: int, ell: int) -> tuple[int, ...]:
     takes t.  Extension fields are covered for p <= 13, ell <= 6 and
     p**ell <= 2**20; outside that range callers must supply a modulus.
     """
+    _refuse_past_max_q(p, ell)
     if not _is_prime(p):
         raise NonPrime(f"characteristic {p!r} is not prime")
-    if ell == 1 and p <= MAX_Q:
+    if ell == 1:
         return (0, 1)
-    if not (1 <= ell <= _TABLE_MAX_ELL and p <= _TABLE_MAX_P and p**ell <= MAX_Q):
+    if not (1 <= ell <= _TABLE_MAX_ELL and p <= _TABLE_MAX_P):
         raise UnsupportedSize(
             f"no built-in modulus for p={p}, ell={ell}; pass one explicitly"
         )
@@ -117,12 +125,11 @@ class FieldParams:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _refuse_past_max_q(self.p, self.ell)
         if not _is_prime(self.p):
             raise NonPrime(f"characteristic {self.p!r} is not prime")
         if self.ell < 1:
             raise UnsupportedSize("extension degree must be >= 1")
-        if self.p**self.ell > MAX_Q:
-            raise UnsupportedSize(f"q = {self.p}**{self.ell} exceeds {MAX_Q}")
         mod = tuple(int(c) % self.p for c in self.modulus)
         if len(mod) != self.ell + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree ell")
@@ -394,7 +401,7 @@ def mul_matrix(params: FieldParams, u_index: int) -> np.ndarray:
 
 def vec_scalar_mul(params: FieldParams, a, u_index: int) -> np.ndarray:
     """Componentwise product of an index array with the fixed element u."""
-    return _modp.apply_linear(a, mul_matrix(params, int(u_index)), params.p)
+    return vec_mul(params, a, int(u_index))
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)  # ell <= 20: at most 8,400 int64s per field

@@ -4,15 +4,15 @@ operators, and the PN/planar primitives.
 The dense table is the single source of truth: polynomial and monomial specs
 are constructors only, and every property test reduces to table arithmetic.
 Values are stored as an immutable int64 array of element indices in point
-index order.  The PN scan reads f(x + a) - f(x) through the carry-free
-codes in `_modp`, which the decomposition walk shares.
+index order.  The PN scan reads f(x + a) - f(x) through the carry-free code
+words of `_modp`, which the decomposition walk and the sweep share.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,12 +30,6 @@ from .field import FieldElement, FieldParams, make_field
 from .space import MAX_POINTS, PointVector, _refuse_past_cap
 
 
-def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class FnTable:
     """A function F_q**d -> F_q as a dense table of element indices."""
@@ -49,16 +43,23 @@ class FnTable:
             raise DimensionMismatch("dimension must be >= 1")
         _refuse_past_cap(self.params.q, self.d)
         n = self.params.q**self.d
-        arr = _freeze(self.values)
+        arr = np.array(self.values, dtype=np.int64)
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
         if arr.size and (arr.min() < 0 or arr.max() >= self.params.q):
             raise ValueError("table values must be element indices in [0, q)")
+        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
     def n_points(self) -> int:
         return self.params.q**self.d
+
+    @cached_property
+    def _pn_witness(self) -> "PnWitness | None":
+        """The PN scan of these frozen values, made at most once per table:
+        a catalog load check and the command after it share it."""
+        return _pn_scan(self.params, self.d, self.values)
 
     def value_at(self, x: PointVector) -> FieldElement:
         if x.params != self.params or x.d != self.d:
@@ -275,26 +276,23 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     The shifts are counted like an odometer over the base-p digits of a:
     level[j][x] is the index of x + (a with its digits below j cleared), so
     each shift is one gather through the unit translation of the digit that
-    went up.  The values are encoded once per call in the carry-free codes
-    shared with the decomposition walk (`_modp.difference_codes`);
-    the index of f(x + a) - f(x) is then one gather-add-gather per digit
-    group, with no digit arithmetic per shift.
+    went up.  The values are encoded once per call as the carry-free code
+    words shared with the decomposition walk (`_modp.difference_codes`), so
+    the index of f(x + a) - f(x) is one fold of a gathered sum, with no
+    digit arithmetic per shift.
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
     digits = d * params.ell
-    codes = [
-        (plus[values].astype(np.intp), minus[values].astype(np.intp), fold)
-        for plus, minus, fold in _modp.difference_codes(p, params.ell)
-    ]
+    codes = _modp.difference_codes(p, params.ell)
+    plus, minus = codes.plus[values], codes.minus[values]
     level = [np.arange(n, dtype=np.intp)] * digits
     for a_index in range(1, n):
         j, rest = 0, a_index
         while rest % p == 0:
             j, rest = j + 1, rest // p
         level[: j + 1] = [_modp.unit_translation(p, digits, j)[level[j]]] * (j + 1)
-        shifted = level[0]
-        delta = reduce(np.add, (fold[plus[shifted] + minus] for plus, minus, fold in codes))
+        delta = codes.fold(plus[level[0]] + minus)
         counts = np.bincount(delta, minlength=q)
         if counts.max() > expected:  # the counts sum to q * expected
             v = int(np.flatnonzero(counts > expected)[0])
@@ -310,7 +308,7 @@ def is_pn(f: FnTable) -> PnVerdict:
     The witness is the least (index(a), index(v)) whose preimage count under
     the difference operator exceeds the required q**(d-1).
     """
-    witness = _pn_scan(f.params, f.d, f.values)
+    witness = f._pn_witness
     return PnVerdict(witness is None, witness)
 
 
@@ -390,7 +388,7 @@ def _read_table(fh) -> FnTable:
         return FnTable(params, d, np.array(values, dtype=np.int64))
     except BadTableFile:
         raise
-    except (FFSpectraError, ValueError) as exc:
+    except (FFSpectraError, ValueError, OverflowError) as exc:  # a value past int64 overflows
         raise BadTableFile(f"invalid table file: {exc}") from exc
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -150,12 +149,12 @@ def _planar_value(params: FieldParams, values: np.ndarray, w: np.ndarray, a) -> 
     return field_mod.vec_sub(params, field_mod.vec_add(params, up, down), values[w])
 
 
-def _witnesses(codes, up: np.ndarray, down: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _witnesses(codes, up: np.ndarray, down: np.ndarray, v: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The least of A1 = up - v and A2 = v - down, broadcast, and its count:
-    3 where they agree, else 2.  The differences are one carry-free gather
-    per digit group, in the narrow dtype of the codes' fold tables."""
-    a1 = reduce(np.add, (fold[plus[up] + minus[v]] for plus, minus, fold in codes))
-    a2 = reduce(np.add, (fold[plus[v] + minus[down]] for plus, minus, fold in codes))
+    3 where they agree, else 2.  Each difference is one fold of carry-free
+    code words, kept in the narrow index dtype."""
+    a1 = codes.fold(codes.plus[up] + codes.minus[v]).astype(dtype)
+    a2 = codes.fold(codes.plus[v] + codes.minus[down]).astype(dtype)
     return np.minimum(a1, a2), (a1 == a2) + np.uint8(2)
 
 
@@ -184,16 +183,13 @@ def perturbation_sweep(f: FnTable) -> PerturbationReport:
         shift[pending[fails]] = a
         pending = pending[~fails]
 
-    codes = [
-        (plus, minus, fold.astype(dtype))
-        for plus, minus, fold in _modp.difference_codes(params.p, params.ell)
-    ]
+    codes = _modp.difference_codes(params.p, params.ell)
     # every (w, v) of the grid at a = 1, then the q neighbors (w, v*(w, 1))
     up, down = _shifted(params, values, w, 1)
-    value, count = _witnesses(codes, up[:, None], down[:, None], v)
+    value, count = _witnesses(codes, up[:, None], down[:, None], v, dtype)
     shifts = np.ones((q, q), dtype=dtype)
     up, down = _shifted(params, values, w, shift)
-    star_value, star_count = _witnesses(codes, up, down, v_star)
+    star_value, star_count = _witnesses(codes, up, down, v_star, dtype)
     planar = shift == 0
     star_value[planar] = star_count[planar] = 0
     shifts[w, v_star] = shift

@@ -3,9 +3,11 @@
 The acceptance module records one line per criterion; echo them in the
 terminal summary so a plain `pytest -v` run shows the pass/fail table.
 The modulus enumeration serves the suites that run over every modulus of
-a small extension field.
+a small extension field, and `two_digit_groups` the suites that check each
+consumer of the carry-free code words when they split into two groups.
 """
 
+import contextlib
 import itertools
 import os
 import sys
@@ -27,6 +29,23 @@ def _moduli(p, ell):
 
 
 SMALL_EXTENSIONS = ((3, 2), (5, 2), (3, 3), (7, 2))
+
+
+@contextlib.contextmanager
+def two_digit_groups(monkeypatch):
+    """Within the block, F_27's code words take two digit groups: a bound of
+    (2p - 1)**2 = 25 entries per group table holds two of its three digits."""
+    from ffspectra import _modp
+
+    with monkeypatch.context() as m:
+        m.setattr(_modp, "GROUP_TABLE_BOUND", 25)
+        _modp.difference_codes.cache_clear()
+        try:
+            # the second group fills the bit field above the first
+            assert int(_modp.difference_codes(3, 3).plus.max()) >> _modp.GROUP_BITS
+            yield
+        finally:
+            _modp.difference_codes.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -276,9 +276,9 @@ HUGE_D = 100_000  # q**d would have 30,103 digits or more
 F2, F3, F1031 = make_field(2), make_field(3), make_field(1031)  # 1031**2 > 2**20
 
 
-def _table_file(tmp_path, d, name="a.tbl"):
+def _table_file(tmp_path, d, name="a.tbl", header="2 1"):
     path = tmp_path / name
-    path.write_text(f"2 1 {d}\n0 1\n0 1\n", encoding="ascii")
+    path.write_text(f"{header} {d}\n0 1\n0 1\n", encoding="ascii")
     return str(path)
 
 
@@ -306,9 +306,33 @@ def _graph_report(f):
     return salem_report(graph_of(f))
 
 
+HUGE_P = 2**61 - 1  # prime; trial division to its square root would not return
+
+
+def _field_case(p, ell, modulus, argv):
+    return lambda tmp: partial(make_field, p, ell, modulus), UnsupportedSize, ["field", "info", *argv]
+
+
 # name: (the call, built from its inputs before tracing; the refusal; the
 # CLI argv that reaches the same entry point, or None)
 REFUSALS = {
+    "field-huge-p": _field_case(HUGE_P, 1, None, ["--p", str(HUGE_P)]),
+    # computing 2**ell before the refusal took 6.1 s and 442 MB
+    "field-huge-ell-modulus": _field_case(2, 10**9, (0, 1), ["--p", "2", "--ell", str(10**9), "--modulus", "0,1"]),
+    "field-huge-ell": _field_case(3, 3 * 10**8, None, ["--p", "3", "--ell", str(3 * 10**8)]),
+    "FieldParams-huge-p": (
+        lambda tmp: partial(field.FieldParams, HUGE_P, 1, (0, 1)), UnsupportedSize, None,
+    ),
+    "catalog-square-huge-p": (
+        lambda tmp: partial(make_field, HUGE_P),  # the field of the catalog table
+        UnsupportedSize,
+        ["test", "pn", "--catalog", "square", "--p", str(HUGE_P)],
+    ),
+    "input-huge-p": (
+        lambda tmp: partial(parse_table, f"{HUGE_P} 1 1\n0 1\n0\n"),
+        BadTableFile,
+        lambda tmp: ["test", "pn", "--input", _table_file(tmp, 1, header=f"{HUGE_P} 1")],
+    ),
     **{
         f"catalog-{name}-{label}": _catalog_case(name, params, d)
         for name in ("affine", "bilinear", "power", "square")

@@ -3,7 +3,7 @@ byte-identical output across worker counts."""
 
 import json
 
-from ffspectra import FnSpec, build_function, make_field
+from ffspectra import FnSpec, build_function, funcs, make_field
 from ffspectra.cli import main
 from ffspectra.funcs import save_table
 
@@ -236,6 +236,18 @@ def test_mindist_sweep_not_planar_base(capsys):
     assert code == 1
     assert doc["error"] == "not_planar_base"
     assert doc["witness"] == {"a_index": 1, "value_index": 1, "count": 2}
+
+
+def test_a_catalog_command_makes_one_pn_scan(capsys, monkeypatch):
+    # the catalog's load check and the command read one scan, held on the table
+    scans = []
+    scan = funcs._pn_scan
+    monkeypatch.setattr(funcs, "_pn_scan", lambda *args: scans.append(args) or scan(*args))
+    for argv in (["mindist", "sweep", "--catalog", "square", "--p", "11", "--ell", "2"],
+                 ["test", "pn", "--catalog", "square", "--p", "5"]):
+        scans.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert len(scans) == 1
 
 
 def _write_tables(tmp_path):

@@ -17,7 +17,7 @@ from ffspectra.decomp import (
 from ffspectra.errors import UnsupportedSize
 from ffspectra.funcs import delta_table
 
-from conftest import SMALL_EXTENSIONS, _moduli
+from conftest import SMALL_EXTENSIONS, _moduli, two_digit_groups
 
 F5 = make_field(5)
 SQ5 = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
@@ -271,3 +271,27 @@ def test_verify_decomposition_reports_least_failing_shift(monkeypatch, params, d
     assert not v.passed
     assert v.shifts_checked == f.n_points - 1
     assert v.failing_a.index == expected
+
+
+def test_verify_decomposition_across_digit_groups(monkeypatch):
+    # x**2 passes and a corrupted base table fails over F_27, with the same
+    # verdicts and least failing shift from one group and from two
+    params = make_field(3, 3)
+    basis = standard_basis(params, 1)
+    square = build_function(FnSpec.univariate([0, 0, 1]), params, 1)
+    f = random_function(params, 1, 5)
+    good = base_deltas(f, basis)
+    values = good.tables[-1].values.copy()
+    values[-2] = (values[-2] + 1) % params.q
+    bad = BaseDeltaSet(basis, good.tables[:-1] + (FnTable(params, 1, values),))
+
+    def verdicts():
+        passing = verify_decomposition(square, basis)
+        with monkeypatch.context() as m:
+            m.setattr(decomp, "base_deltas", lambda f, basis: bad)
+            return passing, verify_decomposition(f, basis)
+
+    want = verdicts()
+    with two_digit_groups(monkeypatch):
+        assert verdicts() == want
+    assert want[0].passed and not want[1].passed

@@ -4,7 +4,7 @@ distance/image helpers, and the text file format."""
 import numpy as np
 import pytest
 
-from ffspectra import FieldParams, _modp, FnSpec, FnTable, PointVector, build_function, field, make_field
+from ffspectra import FieldParams, _modp, FnSpec, FnTable, PointVector, build_function, field, funcs, make_field
 from ffspectra.catalog import random_function
 from ffspectra.cli import main
 from ffspectra.errors import (
@@ -27,6 +27,8 @@ from ffspectra.funcs import (
     save_table,
     translate,
 )
+
+from conftest import two_digit_groups
 
 F5 = make_field(5)
 
@@ -288,9 +290,22 @@ def test_warm_pn_scan_does_no_digit_work_per_shift(monkeypatch):
         f = build_function(FnSpec.univariate([0, 0, 1]), make_field(5, ell), 1)
         is_pn(f)
         calls.clear()
-        assert is_pn(f).is_pn
+        # a fresh table: f holds its own scan's witness
+        assert is_pn(FnTable(f.params, f.d, f.values)).is_pn
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_pn_scan_across_digit_groups(monkeypatch):
+    # planar x**2 and PN x*y over F_27 walk the full odometer; random
+    # tables fail at their least witness
+    params = make_field(3, 3)
+    tables = [_sq(params), build_function(FnSpec.from_monomials([(1, (1, 1))]), params, 2)]
+    tables += [random_function(params, d, seed) for d in (1, 2) for seed in range(2)]
+    want = [funcs._pn_scan(params, f.d, f.values) for f in tables]
+    with two_digit_groups(monkeypatch):
+        assert [funcs._pn_scan(params, f.d, f.values) for f in tables] == want
+    assert want[:2] == [None, None] and None not in want[2:]
 
 
 def test_hamming_distance():
@@ -348,7 +363,7 @@ def test_table_file_round_trip(tmp_path):
     assert parse_table(text9) == g
 
 
-def test_table_file_errors():
+def test_table_file_errors(tmp_path, capsys):
     with pytest.raises(BadTableFile):
         parse_table("")
     with pytest.raises(BadTableFile):
@@ -361,6 +376,14 @@ def test_table_file_errors():
         parse_table("5 1 1\n4 0 1\n0 1 4 4 1\n")  # reducible modulus
     with pytest.raises(BadTableFile):
         parse_table("5 1 1\n0 1\n0 1 x 4 1\n")  # non-integer entry
+    text = "5 1 1\n0 1\n0 1 4 4 9223372036854775808\n"  # a value past int64
+    with pytest.raises(BadTableFile):
+        parse_table(text)
+    path = tmp_path / "t.tbl"
+    path.write_text(text, encoding="ascii")
+    assert main(["test", "pn", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ matrix."""
 import numpy as np
 import pytest
 
-from ffspectra import FnSpec, PointVector, _modp, build_function, funcs, make_field, mindist
+from ffspectra import FnSpec, PointVector, build_function, funcs, make_field, mindist
 from ffspectra.cli import main
 from ffspectra.errors import (
     FieldMismatch,
@@ -23,6 +23,8 @@ from ffspectra.mindist import (
     perturbation_sweep,
     planarity_witness,
 )
+
+from conftest import two_digit_groups
 
 F5 = make_field(5)
 SQ5 = build_function(FnSpec.univariate([0, 0, 1]), F5, 1)
@@ -223,14 +225,8 @@ def test_sweep_matches_a_pn_scan_off_the_square_map(p, ell, e, monkeypatch):
 
 
 def test_sweep_matches_a_pn_scan_across_digit_groups(monkeypatch):
-    # two carry-free digit groups over F_27: (2p - 1)**2 = 25 entries per table
-    monkeypatch.setattr(_modp, "GROUP_TABLE_BOUND", 25)
-    _modp.difference_codes.cache_clear()
-    try:
-        assert len(_modp.difference_codes(3, 3)) == 2
+    with two_digit_groups(monkeypatch):
         _assert_sweep_matches_pn_scan(_power(make_field(3, 3), 2), monkeypatch)
-    finally:
-        _modp.difference_codes.cache_clear()
 
 
 def test_sweep_entries_are_built_on_access(monkeypatch):

@@ -42,17 +42,6 @@ def test_p2_shortcut_is_xor():
     assert np.array_equal(_modp.sub_indices(a, b, 2, 6), a ^ b)
 
 
-def test_apply_linear_matches_manual_matmul():
-    rng = np.random.default_rng(11)
-    for p, n_in, n_out in [(3, 4, 4), (5, 2, 3), (2, 6, 2)]:
-        m = rng.integers(0, p, size=(n_out, n_in))
-        a = rng.integers(0, p**n_in, size=200)
-        got = _modp.apply_linear(a, m, p)
-        d = _modp.digits_of(a, p, n_in)
-        want = _modp.index_of_digits((d @ m.T) % p, p)
-        assert np.array_equal(got, want)
-
-
 def test_invert_matrix():
     rng = np.random.default_rng(3)
     for p in (2, 3, 5, 7):
@@ -73,7 +62,7 @@ def test_invert_matrix():
 
 def test_difference_codes_match_digit_subtraction():
     # the PN scan reads b - c through plus + minus, and the decomposition
-    # walk reads b + c through plus + plus, from the same fold tables
+    # walk reads b + c through plus + plus, through the same fold
     rng = np.random.default_rng(11)
     for p, ell, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 1, None),
                                     (2, 20, 2, 10**4), (3, 12, 2, 10**4)):
@@ -83,9 +72,11 @@ def test_difference_codes_match_digit_subtraction():
         else:
             b, c = rng.integers(0, q, (2, pairs))
         codes = _modp.difference_codes(p, ell)
-        assert len(codes) == n_groups
-        assert all(fold.size <= 2**20 for _, _, fold in codes)
-        got = sum(fold[plus[b] + minus[c]] for plus, minus, fold in codes)
+        assert codes.plus.dtype == codes.minus.dtype == np.intp
+        # a second digit group fills the bit field above the first
+        assert (int(codes.plus.max()) >> _modp.GROUP_BITS > 0) == (n_groups == 2)
+        got = codes.fold(codes.plus[b] + codes.minus[c])
+        assert got.dtype == np.intp
         assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
-        got = sum(fold[plus[b] + plus[c]] for plus, _, fold in codes)
+        got = codes.fold(codes.plus[b] + codes.plus[c])
         assert np.array_equal(got, _modp.add_indices(b, c, p, ell))

@@ -519,7 +519,8 @@ def test_walsh_fast_matches_exact_magnitudes_on_every_modulus(params):
 def _frequency_map_reference(params, d, u_index):
     """The map as I_d kron G applied to the digits of every m."""
     block = np.kron(np.eye(d, dtype=np.int64), np.asarray(spectrum._gram(params, u_index)))
-    return _modp.apply_linear(np.arange(params.q**d, dtype=np.int64), block, params.p)
+    digits = _modp.digits_of(np.arange(params.q**d), params.p, block.shape[1])
+    return _modp.index_of_digits(digits @ block.T % params.p, params.p)
 
 
 @pytest.mark.parametrize(
