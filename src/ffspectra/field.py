@@ -85,10 +85,14 @@ def _is_irreducible(m: Sequence[int], p: int) -> bool:
     return True
 
 
+def _past_cap(q: int, d: int) -> bool:
+    """q**d > MAX_Q, without computing q**d at a huge d (q >= 2: d > 20 is past it)."""
+    return d >= MAX_Q.bit_length() or q**d > MAX_Q
+
+
 def _refuse_past_max_q(p: int, ell: int) -> None:
-    """Raise UnsupportedSize for p**ell > MAX_Q before any primality or
-    irreducibility test, never computing p**ell at a huge ell."""
-    if p >= 2 and (p > MAX_Q or ell >= MAX_Q.bit_length() or p**ell > MAX_Q):
+    """Refuse p > MAX_Q or p**ell > MAX_Q before any primality or irreducibility test."""
+    if p >= 2 and _past_cap(p, max(ell, 1)):
         raise UnsupportedSize(f"q = {p}**{ell} exceeds {MAX_Q}")
 
 

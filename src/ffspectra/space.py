@@ -22,19 +22,13 @@ from .errors import (
     NotABasis,
     UnsupportedSize,
 )
-from .field import FieldElement, FieldParams
+from .field import MAX_Q, FieldElement, FieldParams, _past_cap
 
 # Desk scale: exhaustive checks (basis round trips, spec re-evaluation,
 # catalog expectations, the decomposition certificate) run only on spaces
 # with at most this many points.
 DESK_SCALE_POINTS = 4096
-MAX_POINTS = 1 << 20
-
-
-def _past_cap(q: int, d: int) -> bool:
-    """q**d > MAX_POINTS; q >= 2, so every d > 20 is past it, and q**d is
-    never computed at a huge d."""
-    return d >= MAX_POINTS.bit_length() or q**d > MAX_POINTS
+MAX_POINTS = MAX_Q  # point counts and field sizes share the cap that _past_cap reads
 
 
 def _refuse_past_cap(q: int, d: int) -> None:

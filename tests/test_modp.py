@@ -73,8 +73,15 @@ def test_difference_codes_match_digit_subtraction():
             b, c = rng.integers(0, q, (2, pairs))
         codes = _modp.difference_codes(p, ell)
         assert codes.plus.dtype == codes.minus.dtype == np.intp
-        # a second digit group fills the bit field above the first
-        assert (int(codes.plus.max()) >> _modp.GROUP_BITS > 0) == (n_groups == 2)
+        # the words fill exactly n_groups bit fields, and the largest sum of
+        # two words in a field, the last index of that group's table, keeps
+        # each table within GROUP_TABLE_BOUND entries
+        bits = int(codes.plus.max()).bit_length()
+        assert _modp.GROUP_BITS * (n_groups - 1) < bits <= _modp.GROUP_BITS * n_groups
+        mask = (1 << _modp.GROUP_BITS) - 1
+        for shift in range(0, bits, _modp.GROUP_BITS):
+            top = sum(int((words >> shift & mask).max()) for words in (codes.plus, codes.minus))
+            assert top < _modp.GROUP_TABLE_BOUND
         got = codes.fold(codes.plus[b] + codes.minus[c])
         assert got.dtype == np.intp
         assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
