@@ -4,10 +4,12 @@ An integer in [0, p**n) encodes a length-n vector of base-p digits, little
 endian (digit j has weight p**j).  Every dense table operation in the package
 reduces to componentwise mod-p arithmetic on arrays of such indices, so the
 helpers here work directly on numpy int64 arrays and never materialize Python
-objects.  The PN scan, the decomposition walk and the distance-1 sweep do no
-digit arithmetic per shift: they encode values once as the carry-free code
-words of `difference_codes` and fold sums of words back to element indices,
-without knowing how the words split the digits.
+objects.  Every sum or difference of indices goes through the code words
+of `difference_codes`: `add_indices` and `sub_indices` combine two words,
+and the PN scan, the decomposition walk and the distance-1 sweep encode
+their values once and combine words per shift, without knowing how the
+words split the digits.  For p = 2 an index is its own word and combining
+is XOR.
 """
 
 from __future__ import annotations
@@ -36,15 +38,17 @@ def index_of_digits(digits, p: int) -> np.ndarray:
 
 
 def add_indices(a, b, p: int, n: int):
-    if p == 2:
+    if p == 2:  # each index is its own code word: no gather
         return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return index_of_digits((digits_of(a, p, n) + digits_of(b, p, n)) % p, p)
+    codes = difference_codes(p, n)
+    return codes.combine(codes.plus[a], codes.plus[b])
 
 
 def sub_indices(a, b, p: int, n: int):
     if p == 2:
         return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return index_of_digits((digits_of(a, p, n) - digits_of(b, p, n)) % p, p)
+    codes = difference_codes(p, n)
+    return codes.combine(codes.plus[a], codes.minus[b])
 
 
 def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:
@@ -78,33 +82,37 @@ def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:
 GROUP_TABLE_BOUND = 1 << 20
 GROUP_BITS = 21  # bits per group in a code word; a sum of two words stays below 2**21 in each
 
-# plus[b] and minus[c] are intp code words; fold(plus[b] + minus[c]) and
-# fold(plus[b] + plus[c]) are the element indices of b - c and b + c
-DifferenceCodes = namedtuple("DifferenceCodes", "plus minus fold")
+# plus[b] and minus[c] are intp code words; combine(plus[b], minus[c]) and
+# combine(plus[b], plus[c]) are the indices of b - c and b + c
+DifferenceCodes = namedtuple("DifferenceCodes", "plus minus combine")
 
 
-@lru_cache(maxsize=4)  # over F_2**20 one field's codes take about 20 MB
-def difference_codes(p: int, ell: int) -> DifferenceCodes:
-    """Carry-free code words for b - c and b + c on the element indices of
-    F_p**ell.
+@lru_cache(maxsize=4)  # one space at the cap takes at most about 20 MB
+def difference_codes(p: int, n: int) -> DifferenceCodes:
+    """Carry-free code words for b - c and b + c on the indices of F_p**n.
 
-    Each group of value digits fills its own bit field, in radix r = 2p - 1:
+    For p = 2 every index is its own word, -c = c, and combine is XOR.  For
+    odd p each group of digits fills its own bit field, in radix r = 2p - 1:
     plus[b] holds the digits of b and minus[c] those of -c, so every digit
     of plus[b] + minus[c] or plus[b] + plus[c] is at most 2p - 2 and the sum
-    never carries.  fold maps each field through its group's table to that
-    group's share of the index, as intp, and adds the shares; with one group
-    it is a single gather.
+    never carries.  combine adds two words and maps each field through its
+    group's table to that group's share of the index, as intp, and adds the
+    shares; with one group it is a single gather.
     """
-    r, q = 2 * p - 1, p**ell
+    if p == 2:
+        words = np.arange(2**n, dtype=np.intp)
+        words.setflags(write=False)
+        return DifferenceCodes(words, words, np.bitwise_xor)
+    r, q = 2 * p - 1, p**n
     width = 1
-    while width < ell and r ** (width + 1) <= GROUP_TABLE_BOUND:
+    while width < n and r ** (width + 1) <= GROUP_TABLE_BOUND:
         width += 1
     elements = np.arange(q, dtype=np.intp)
     plus = np.zeros(q, dtype=np.intp)
     minus = np.zeros(q, dtype=np.intp)
     tables = []
-    for start in range(0, ell, width):
-        size = min(width, ell - start)
+    for start in range(0, n, width):
+        size = min(width, n - start)
         shift = GROUP_BITS * len(tables)
         sums = np.arange(r**size, dtype=np.intp)
         table = np.zeros(r**size, dtype=np.intp)
@@ -117,22 +125,12 @@ def difference_codes(p: int, ell: int) -> DifferenceCodes:
     for array in (plus, minus, *(table for _, table in tables)):
         array.setflags(write=False)
     if len(tables) == 1:
-        return DifferenceCodes(plus, minus, tables[0][1].__getitem__)
+        table = tables[0][1]
+        return DifferenceCodes(plus, minus, lambda b, c: table[b + c])
     mask = (1 << GROUP_BITS) - 1
 
-    def fold(words: np.ndarray) -> np.ndarray:
+    def combine(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        words = b + c
         return sum(table[words >> shift & mask] for shift, table in tables)
 
-    return DifferenceCodes(plus, minus, fold)
-
-
-@lru_cache(maxsize=32)  # a 2**20-point space has 20 digits
-def unit_translation(p: int, n: int, j: int) -> np.ndarray:
-    """x -> x + e_j on the indices of F_p**n: digit j of x goes up by one,
-    and p - 1 wraps to 0."""
-    idx = np.arange(p**n, dtype=np.intp)
-    w = p**j
-    out = idx + w
-    out[idx // w % p == p - 1] -= p * w
-    out.setflags(write=False)
-    return out
+    return DifferenceCodes(plus, minus, combine)

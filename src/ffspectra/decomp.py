@@ -20,11 +20,11 @@ identity_suite are one chain sum, sum_i D_{f,s_i}(x + o_i) with
 o_{i+1} = o_i + s_i.  verify_decomposition certifies the formula for all
 q**d - 1 shifts in one process by walking them in prefix order: a + g_s,
 for s at least the top nonzero digit of a, adds the formula's next term
-D_{f,g_s}(x + a) to a's reconstruction, a field-index array added through
-the PN scan's carry-free code words.  Each digit's chain of p - 1 steps is a
-loop, so the walk is at most n levels deep for every p, and memory is
-linear in q**d (n translation gathers and one chain position per level);
-no q**d x q**d addition table is built.
+D_{f,g_s}(x + a) to a's reconstruction, a field-index array added by
+combining code words of `_modp`, as the PN scan does.  Each digit's chain
+of p - 1 steps is a loop, so the walk is at most n levels deep for every p,
+and memory is linear in q**d (n translation gathers and one chain position
+per level); no q**d x q**d addition table is built.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     read on the reconstruction side.  Recursion goes one level per digit
     position (depth at most n) and keeps one chain position per level, so
     memory is O(n * q**d).  Both sides are field-index arrays read through
-    the PN scan's code words (`_modp.difference_codes`): a chain step folds
-    recon + D_{f,g_s}(x + a), the comparison folds f(x + a) - f(x), and
-    x + a is one gather per node.
+    the PN scan's code words (`_modp.difference_codes`): a chain step
+    combines the words of recon and D_{f,g_s}(x + a), the comparison those
+    of f(x + a) and -f(x), and x + a is one gather per node.
     """
     params, d, n = f.params, f.d, b.basis.n
     idx = np.arange(f.n_points, dtype=np.intp)
@@ -226,9 +226,9 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
         for s in range(start, n):
             chain_at, chain_recon = at, recon
             for _ in range(params.p - 1):
-                chain_recon = codes.fold(codes.plus[chain_recon] + base_plus[s][chain_at])
+                chain_recon = codes.combine(codes.plus[chain_recon], base_plus[s][chain_at])
                 chain_at = along[s][chain_at]
-                if not np.array_equal(chain_recon, codes.fold(f_plus[chain_at] + f_minus)):
+                if not np.array_equal(chain_recon, codes.combine(f_plus[chain_at], f_minus)):
                     a = int(chain_at[0])
                     least = a if least is None else min(least, a)
                 extend(chain_at, chain_recon, s + 1)

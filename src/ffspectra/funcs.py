@@ -4,8 +4,8 @@ operators, and the PN/planar primitives.
 The dense table is the single source of truth: polynomial and monomial specs
 are constructors only, and every property test reduces to table arithmetic.
 Values are stored as an immutable int64 array of element indices in point
-index order.  The PN scan reads f(x + a) - f(x) through the carry-free code
-words of `_modp`, which the decomposition walk and the sweep share.
+index order.  The PN scan reads f(x + a) - f(x) by combining the carry-free
+code words of `_modp` (XOR for p = 2), which every sum of indices shares.
 """
 
 from __future__ import annotations
@@ -190,14 +190,14 @@ def _log_tables(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
 
 def _spot_check(table: "FnTable", spec: FnSpec) -> None:
     """Re-evaluate the spec in the log domain of a generator, away from
-    vec_mul and vec_add; desk scale only."""
+    vec_mul and the index adder (it sums digit rows); desk scale only."""
     params, d = table.params, table.d
     if table.n_points > space.DESK_SCALE_POINTS:
         return
     log, antilog = _log_tables(params)
     order = params.q - 1
     coords = [_point_coord(params, d, j) for j in range(d)]
-    acc = np.zeros(table.n_points, dtype=np.int64)
+    acc = np.zeros((table.n_points, params.ell), dtype=np.int64)
     for c, exps in spec.monomials:
         exponent = np.full(table.n_points, log[c])
         nonzero = np.full(table.n_points, c != 0)
@@ -206,8 +206,8 @@ def _spot_check(table: "FnTable", spec: FnSpec) -> None:
                 exponent += int(e) % order * log[xi]
                 nonzero &= xi != 0
         term = np.where(nonzero, antilog[exponent % order], 0)
-        acc = _modp.add_indices(acc, term, params.p, params.ell)
-    wrong = np.flatnonzero(acc != table.values)
+        acc += field_mod.element_digits(params)[term]
+    wrong = np.flatnonzero(_modp.index_of_digits(acc % params.p, params.p) != table.values)
     if wrong.size:
         raise AssertionError(
             f"spec evaluation mismatch at point {int(wrong[0])}: table disagrees with direct evaluation"
@@ -244,8 +244,7 @@ def delta_table(f: FnTable, a: PointVector) -> FnTable:
     """Table of the difference operator x -> f(x+a) - f(x)."""
     if a.params != f.params or a.d != f.d:
         raise FieldMismatch("shift incompatible with this table")
-    idx = np.arange(f.n_points, dtype=np.int64)
-    shifted = space.vec_point_add(f.params, f.d, idx, np.int64(a.index))
+    shifted = space.vec_point_add(f.params, f.d, np.arange(f.n_points), a.index)
     return FnTable(f.params, f.d, field_mod.vec_sub(f.params, f.values[shifted], f.values))
 
 
@@ -275,24 +274,27 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
 
     The shifts are counted like an odometer over the base-p digits of a:
     level[j][x] is the index of x + (a with its digits below j cleared), so
-    each shift is one gather through the unit translation of the digit that
-    went up.  The values are encoded once per call as the carry-free code
-    words shared with the decomposition walk (`_modp.difference_codes`), so
-    the index of f(x + a) - f(x) is one fold of a gathered sum, with no
-    digit arithmetic per shift.
+    each shift is one gather through x -> x + p**j for the digit j that went
+    up, built by the index adder on first use.  The values are encoded once
+    per call as the code words of `_modp.difference_codes`, so the index of
+    f(x + a) - f(x) is one combine of two gathered words (XOR for p = 2).
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
     digits = d * params.ell
     codes = _modp.difference_codes(p, params.ell)
     plus, minus = codes.plus[values], codes.minus[values]
-    level = [np.arange(n, dtype=np.intp)] * digits
+    idx = np.arange(n, dtype=np.intp)
+    units = [None] * digits  # units[j][x] = index of x + p**j
+    level = [idx] * digits
     for a_index in range(1, n):
         j, rest = 0, a_index
         while rest % p == 0:
             j, rest = j + 1, rest // p
-        level[: j + 1] = [_modp.unit_translation(p, digits, j)[level[j]]] * (j + 1)
-        delta = codes.fold(plus[level[0]] + minus)
+        if units[j] is None:
+            units[j] = _modp.add_indices(idx, p**j, p, digits)
+        level[: j + 1] = [units[j][level[j]]] * (j + 1)
+        delta = codes.combine(plus[level[0]], minus)
         counts = np.bincount(delta, minlength=q)
         if counts.max() > expected:  # the counts sum to q * expected
             v = int(np.flatnonzero(counts > expected)[0])
@@ -329,8 +331,7 @@ def translate(f: FnTable, s: PointVector, t: FieldElement) -> FnTable:
         raise FieldMismatch("shift incompatible with this table")
     if t.params != f.params:
         raise FieldMismatch("offset from a different field")
-    idx = np.arange(f.n_points, dtype=np.int64)
-    shifted = space.vec_point_add(f.params, f.d, idx, np.int64(s.index))
+    shifted = space.vec_point_add(f.params, f.d, np.arange(f.n_points), s.index)
     vals = field_mod.vec_add(f.params, f.values[shifted], np.int64(t.index))
     return FnTable(f.params, f.d, vals)
 

@@ -151,13 +151,13 @@ def _planar_value(params: FieldParams, values: np.ndarray, w: np.ndarray, a) -> 
 
 def _witnesses(codes, up: np.ndarray, down: np.ndarray, v: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The least of A1 = up - v and A2 = v - down, broadcast, and its count:
-    3 where they agree, else 2.  Each difference folds carry-free code
+    3 where they agree, else 2.  Each difference combines carry-free code
     words, 16 rows at a time, straight into the narrow index dtype."""
     up, down, v = np.broadcast_arrays(up, down, v)
     a1, a2 = np.empty((2, *v.shape), dtype)
     for rows in (slice(i, i + 16) for i in range(0, len(v), 16)):
-        a1[rows] = codes.fold(codes.plus[up[rows]] + codes.minus[v[rows]])
-        a2[rows] = codes.fold(codes.plus[v[rows]] + codes.minus[down[rows]])
+        a1[rows] = codes.combine(codes.plus[up[rows]], codes.minus[v[rows]])
+        a2[rows] = codes.combine(codes.plus[v[rows]], codes.minus[down[rows]])
     return np.minimum(a1, a2), (a1 == a2) + np.uint8(2)
 
 

@@ -60,30 +60,54 @@ def test_invert_matrix():
     assert _modp.invert_matrix(np.zeros((2, 2), dtype=int), 3) is None
 
 
+def _digit_sum(b, c, p, n, sign):
+    """Index of b + sign * c by inline digit arithmetic, apart from the adder."""
+    return _modp.index_of_digits((_modp.digits_of(b, p, n) + sign * _modp.digits_of(c, p, n)) % p, p)
+
+
 def test_difference_codes_match_digit_subtraction():
-    # the PN scan reads b - c through plus + minus, and the decomposition
-    # walk reads b + c through plus + plus, through the same fold
+    # the PN scan reads b - c through plus and minus, and the decomposition
+    # walk reads b + c through plus and plus, through the same combine
     rng = np.random.default_rng(11)
-    for p, ell, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 1, None),
-                                    (2, 20, 2, 10**4), (3, 12, 2, 10**4)):
-        q = p**ell
+    for p, n, n_groups, pairs in ((3, 2, 1, None), (5, 2, 1, None), (2, 6, 0, None),
+                                  (2, 20, 0, 10**4), (3, 12, 2, 10**4)):
+        q = p**n
         if pairs is None:  # every pair
             b, c = np.divmod(np.arange(q * q), q)
         else:
             b, c = rng.integers(0, q, (2, pairs))
-        codes = _modp.difference_codes(p, ell)
+        codes = _modp.difference_codes(p, n)
         assert codes.plus.dtype == codes.minus.dtype == np.intp
-        # the words fill exactly n_groups bit fields, and the largest sum of
-        # two words in a field, the last index of that group's table, keeps
-        # each table within GROUP_TABLE_BOUND entries
-        bits = int(codes.plus.max()).bit_length()
-        assert _modp.GROUP_BITS * (n_groups - 1) < bits <= _modp.GROUP_BITS * n_groups
-        mask = (1 << _modp.GROUP_BITS) - 1
-        for shift in range(0, bits, _modp.GROUP_BITS):
-            top = sum(int((words >> shift & mask).max()) for words in (codes.plus, codes.minus))
-            assert top < _modp.GROUP_TABLE_BOUND
-        got = codes.fold(codes.plus[b] + codes.minus[c])
+        if p == 2:  # each index is its own word, and combining is XOR
+            assert codes.minus is codes.plus
+            assert np.array_equal(codes.plus, np.arange(q))
+            assert codes.combine is np.bitwise_xor
+        else:
+            # the words fill exactly n_groups bit fields, and the largest sum
+            # of two words in a field, the last index of that group's table,
+            # keeps each table within GROUP_TABLE_BOUND entries
+            bits = int(codes.plus.max()).bit_length()
+            assert _modp.GROUP_BITS * (n_groups - 1) < bits <= _modp.GROUP_BITS * n_groups
+            mask = (1 << _modp.GROUP_BITS) - 1
+            for shift in range(0, bits, _modp.GROUP_BITS):
+                top = sum(int((words >> shift & mask).max()) for words in (codes.plus, codes.minus))
+                assert top < _modp.GROUP_TABLE_BOUND
+        got = codes.combine(codes.plus[b], codes.minus[c])
         assert got.dtype == np.intp
-        assert np.array_equal(got, _modp.sub_indices(b, c, p, ell))
-        got = codes.fold(codes.plus[b] + codes.plus[c])
-        assert np.array_equal(got, _modp.add_indices(b, c, p, ell))
+        assert np.array_equal(got, _digit_sum(b, c, p, n, -1))
+        got = codes.combine(codes.plus[b], codes.plus[c])
+        assert np.array_equal(got, _digit_sum(b, c, p, n, 1))
+
+
+def test_add_sub_indices_on_two_group_point_spaces():
+    # F_3**12 and F_5**8 split into two digit groups; a scalar operand
+    # broadcasts, as a shift does in delta_table
+    rng = np.random.default_rng(5)
+    for p, n in ((3, 12), (5, 8)):
+        q = p**n
+        assert int(_modp.difference_codes(p, n).plus.max()) >> _modp.GROUP_BITS
+        a, b = rng.integers(0, q, (2, 10**4))
+        for sign, op in ((1, _modp.add_indices), (-1, _modp.sub_indices)):
+            assert np.array_equal(op(a, b, p, n), _digit_sum(a, b, p, n, sign))
+            shift = int(b[0])
+            assert np.array_equal(op(a, shift, p, n), _digit_sum(a, np.full_like(a, shift), p, n, sign))
