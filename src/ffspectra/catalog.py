@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     BadExponent,
     EvenCharacteristic,
+    FFSpectraError,
     PropertyMismatch,
     SpecDimensionMismatch,
     UnknownCatalogEntry,
@@ -60,13 +61,15 @@ def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named family: builder plus the properties verified on load."""
+    """A named family: builder plus the properties verified on load, and
+    the names of the parameters the builder reads."""
 
     name: str
     summary: str
     default_d: int
     expects: tuple[tuple[str, bool], ...]
     builder: Callable[[FieldParams, int, Mapping[str, int]], FnTable]
+    reads: tuple[str, ...] = ()
 
     def expectations(self) -> dict[str, bool]:
         return dict(self.expects)
@@ -136,6 +139,7 @@ _CATALOG: dict[str, CatalogEntry] = {
             1,
             (),
             _build_power,
+            ("e",),
         ),
         CatalogEntry(
             "bilinear",
@@ -157,6 +161,7 @@ _CATALOG: dict[str, CatalogEntry] = {
             1,
             (),
             _build_random,
+            ("seed",),
         ),
         CatalogEntry(
             "affine",
@@ -164,6 +169,7 @@ _CATALOG: dict[str, CatalogEntry] = {
             1,
             (("pn", False),),
             _build_affine,
+            ("b", "c"),
         ),
     )
 }
@@ -176,10 +182,15 @@ def list_entries() -> tuple[CatalogEntry, ...]:
 def get_function(
     name: str, params: FieldParams, d: int | None = None, **args: int
 ) -> FnTable:
-    """Materialize a catalog function and verify its declared properties."""
+    """Materialize a catalog function and verify its declared properties.
+    A parameter the entry does not read is refused before anything is built."""
     if name not in _CATALOG:
         raise UnknownCatalogEntry(name)
     entry = _CATALOG[name]
+    unread = sorted(set(args) - set(entry.reads))
+    if unread:
+        reads = ", ".join(entry.reads) or "none"
+        raise FFSpectraError(f"catalog entry {name!r} does not read parameter {unread[0]!r} (it reads: {reads})")
     if d is None:
         d = entry.default_d
     _refuse_past_cap(params.q, d)  # before any entry builds its spec

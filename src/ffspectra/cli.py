@@ -448,9 +448,6 @@ def _add_run_opts(p: argparse.ArgumentParser) -> None:
         default=None,
         help="has no effect: every command runs in one process",
     )
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", help="floating transform with exact spot checks")
-    mode.add_argument("--exact", action="store_true", help="exact cyclotomic path (default)")
 
 
 def _leaf(sub, name: str, handler, field=True, function=True, **kwargs):
@@ -460,7 +457,7 @@ def _leaf(sub, name: str, handler, field=True, function=True, **kwargs):
     if function:
         _add_function_opts(p)
     _add_run_opts(p)
-    p.set_defaults(handler=handler)
+    p.set_defaults(handler=handler, fast=False)  # only test bent takes --fast
     return p
 
 
@@ -474,7 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="single-property verdicts")
     test_sub = test.add_subparsers(dest="what", required=True)
     _leaf(test_sub, "pn", _cmd_test_pn, help="perfect nonlinearity via difference counts")
-    _leaf(test_sub, "bent", _cmd_test_bent, help="flat exact spectrum |S|^2 = q^d")
+    bent = _leaf(test_sub, "bent", _cmd_test_bent, help="flat exact spectrum |S|^2 = q^d")
+    mode = bent.add_mutually_exclusive_group()
+    mode.add_argument("--fast", action="store_true", help="floating transform with exact spot checks")
+    mode.add_argument("--exact", action="store_true", help="exact cyclotomic path (default)")
 
     _leaf(sub, "crosscheck", _cmd_crosscheck, help="PN and bent verdicts must agree (odd p)")
 

@@ -378,19 +378,25 @@ def _overflow_matrix(params: FieldParams) -> np.ndarray:
 
 
 def vec_mul(params: FieldParams, a, b) -> np.ndarray:
-    """Componentwise field product of two index arrays."""
+    """Componentwise field product of two index arrays.  The broadcast
+    operands are multiplied in chunks of about 2**17 digits, so the digit
+    matrices and the convolution stay a fixed size at every field size."""
     p, ell = params.p, params.ell
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if ell == 1:
-        return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % p
-    da = _modp.digits_of(a, p, ell)
-    db = _modp.digits_of(b, p, ell)
-    shape = np.broadcast_shapes(da.shape, db.shape)[:-1]
-    conv = np.zeros(shape + (2 * ell - 1,), dtype=np.int64)
-    for i in range(ell):
-        for j in range(ell):
-            conv[..., i + j] += da[..., i] * db[..., j]
-    out = conv[..., :ell] + conv[..., ell:] @ _overflow_matrix(params)
-    return _modp.index_of_digits(out % p, p)
+        return a * b % p
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=np.int64)
+    flat, rows = out.reshape(-1), max(1, (1 << 17) // ell)
+    for start in range(0, flat.size, rows):
+        da = _modp.digits_of(a.flat[start : start + rows], p, ell)
+        db = _modp.digits_of(b.flat[start : start + rows], p, ell)
+        conv = np.zeros((len(da), 2 * ell - 1), dtype=np.int64)
+        for i in range(ell):
+            conv[:, i : i + ell] += da[:, i : i + 1] * db
+        conv[:, :ell] += conv[:, ell:] @ _overflow_matrix(params)
+        flat[start : start + rows] = _modp.index_of_digits(conv[:, :ell] % p, p)
+    return out
 
 
 @lru_cache(maxsize=PER_U_CACHE_SIZE)

@@ -135,11 +135,7 @@ def _in_m_order(params: FieldParams, d: int, u_index: int, a: np.ndarray) -> np.
 
 
 def _exact_coeff_rows(
-    params: FieldParams,
-    d: int,
-    u_index: int,
-    exponents: np.ndarray,
-    members: np.ndarray | None = None,
+    params: FieldParams, d: int, exponents: np.ndarray, members: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact zeta-coefficient rows of S(u, m) for every m at once.
 
@@ -203,12 +199,12 @@ def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
 
 
 def _transform_table(
-    params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
+    params: FieldParams, d: int, exponents: np.ndarray, members: np.ndarray | None = None
 ) -> np.ndarray:
     """The unreduced |S|^2 table of u in transform order (see _in_m_order)
     of a function table or a point set (arguments as _exact_coeff_rows);
     one expression, so the coefficient rows are freed before it returns."""
-    return _abs_sq_table(_exact_coeff_rows(params, d, u_index, exponents, members))
+    return _abs_sq_table(_exact_coeff_rows(params, d, exponents, members))
 
 
 def _rational_rows(t: np.ndarray) -> np.ndarray:
@@ -257,10 +253,11 @@ class _AbsSq:
     def of(
         cls, params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
     ) -> "_AbsSq":
-        """The tables of u, row m holding S(u, m) (arguments as _transform_table).
+        """The tables of u, row m holding S(u, m) (the other arguments as
+        _transform_table).
         The unreduced table is placed before floats is computed: the @ cos
         product may round a row differently at another row position."""
-        table = _transform_table(params, d, u_index, exponents, members)
+        table = _transform_table(params, d, exponents, members)
         table = _in_m_order(params, d, u_index, table)  # frees the transform order
         return cls(table)
 
@@ -303,7 +300,7 @@ def walsh_exact(f: FnTable, u: FieldElement, m: PointVector) -> CycInt:
 def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
     _check_field(f, u)
-    rows = _exact_coeff_rows(f.params, f.d, u.index, _trace_exponents(f, u.index))
+    rows = _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))
     rows = _in_m_order(f.params, f.d, u.index, rows)
     return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
 
@@ -379,7 +376,7 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
     _check_field(f, u)
-    total = _transform_table(f.params, f.d, u.index, _trace_exponents(f, u.index)).sum(axis=0)
+    total = _transform_table(f.params, f.d, _trace_exponents(f, u.index)).sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -457,7 +454,7 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     consumer that places it by m frees the transform order.
     """
     for u_index in _orbit_reps(f.params):
-        yield u_index, _transform_table(f.params, f.d, u_index, _trace_exponents(f, u_index))
+        yield u_index, _transform_table(f.params, f.d, _trace_exponents(f, u_index))
 
 
 def _witness(f: FnTable, u_index: int, spec: _AbsSq) -> BentWitness | None:

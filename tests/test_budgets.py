@@ -14,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -22,12 +23,14 @@ import numpy as np
 import pytest
 
 import ffspectra
+from ffspectra import _modp
 from ffspectra import (
     FnSpec,
     FnTable,
     PointSet,
     PointVector,
     build_function,
+    delta_table,
     field,
     get_function,
     graph_of,
@@ -40,6 +43,7 @@ from ffspectra import (
     random_function,
     spectrum,
     standard_basis,
+    translate,
     verify_decomposition,
 )
 from ffspectra.cli import main
@@ -187,16 +191,67 @@ def test_fast_path_holds_few_point_sized_buffers():
     assert bent_peak <= 3 * buffer
 
 
+def test_vec_mul_holds_few_point_sized_buffers():
+    # the product of F_3**12 is taken in fixed chunks: the int64 result and
+    # one chunk's digit matrices, never (N, ell) digits of both operands
+    params = make_field(3, 12, (2, 0, 1) + (0,) * 9 + (1,))  # t**12 + t**2 + 2
+    x = np.arange(params.q, dtype=np.int64)
+    buffer = 8 * params.q
+    field.vec_mul(params, x[:9], x[:9])  # warm the overflow matrix
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        squares = field.vec_mul(params, x, x)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    some = np.arange(0, params.q, 4099)
+    assert squares[some].tolist() == [(params.from_index(i) ** 2).index for i in some]
+    assert peak <= 3 * buffer
+    assert seconds < 2
+
+
+def test_delta_table_and_translate_hold_few_point_sized_buffers():
+    # over F_3**12 the adder combines two code words per sum; the digit
+    # matrices it replaced took 25 point-sized buffers
+    f3, d = make_field(3), 12
+    f = random_function(f3, d, 5)
+    a = PointVector.from_index(f3, d, 123_456)
+    buffer = 8 * f.n_points
+    delta_table(f, a), translate(f, a, f3.one())  # warm the code words
+    for call in (partial(delta_table, f, a), partial(translate, f, a, f3.one())):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * buffer
+
+
+def test_p2_code_words_are_one_index_buffer():
+    # for p = 2 an index is its own code word: no reduction table
+    tracemalloc.start()
+    try:
+        codes = _modp.difference_codes.__wrapped__(2, 20)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.plus is codes.minus and codes.plus.nbytes == np.dtype(np.intp).itemsize * 2**20
+    assert peak <= 1.01 * codes.plus.nbytes
+
+
 def test_exact_coeff_rows_hold_few_point_sized_buffers():
     # the one-hot and the two pass buffers, each p = 2 float64s per point
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     f = get_function("bool_quadratic", f2, d=d)
-    spectrum._exact_coeff_rows(f2, 4, 1, np.zeros(16, dtype=np.int64))  # warm the pass matrix
+    spectrum._exact_coeff_rows(f2, 4, np.zeros(16, dtype=np.int64))  # warm the pass matrix
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        rows = spectrum._exact_coeff_rows(f2, d, 1, spectrum._trace_exponents(f, 1))
+        rows = spectrum._exact_coeff_rows(f2, d, spectrum._trace_exponents(f, 1))
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
@@ -210,7 +265,7 @@ def test_abs_sq_table_holds_few_point_sized_buffers():
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     f = get_function("bool_quadratic", f2, d=d)
-    rows = spectrum._exact_coeff_rows(f2, d, 1, spectrum._trace_exponents(f, 1))
+    rows = spectrum._exact_coeff_rows(f2, d, spectrum._trace_exponents(f, 1))
     spectrum._abs_sq_table(rows[:4])  # warm einsum
     tracemalloc.start()
     try:
@@ -415,7 +470,7 @@ REFUSALS = {
         ["test", "bent", "--catalog", "square", "--p", "37", "--exact"],
     ),
     "exact-huge": (
-        lambda tmp: partial(spectrum._exact_coeff_rows, F2, HUGE_D, 1, np.zeros(1, dtype=np.int64)),
+        lambda tmp: partial(spectrum._exact_coeff_rows, F2, HUGE_D, np.zeros(1, dtype=np.int64)),
         UnsupportedSize,
         ["test", "bent", "--catalog", "random", "--p", "2", "--d", str(HUGE_D), "--exact"],
     ),

@@ -12,6 +12,7 @@ from ffspectra.catalog import (
 )
 from ffspectra.errors import (
     EvenCharacteristic,
+    FFSpectraError,
     SpecDimensionMismatch,
     UnknownCatalogEntry,
 )
@@ -127,6 +128,18 @@ def test_get_function_random_seeds():
 def test_unknown_entry():
     with pytest.raises(UnknownCatalogEntry):
         get_function("not_a_thing", F5)
+
+
+def test_entries_refuse_parameters_they_do_not_read():
+    # each refusal names the parameter, before the size check and the build:
+    # at d = 10**5 a build would be refused as past the cap instead
+    f7 = make_field(7)
+    for name, args in (("power", {"exp": 5}), ("square", {"seed": 3}), ("random", {"e": 2}),
+                       ("affine", {"b": 1, "seed": 0}), ("bilinear", {"c": 2})):
+        key = sorted(args)[-1]
+        with pytest.raises(FFSpectraError, match=f"does not read parameter '{key}'"):
+            get_function(name, f7, d=10**5, **args)
+    assert get_function("affine", f7, b=1, c=2) == build_function(FnSpec.univariate([1, 2]), f7, 1)
 
 
 def test_declared_expectations_hold_on_load():

@@ -349,6 +349,22 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_unread_parameters_and_mode_flags_exit_2(capsys):
+    # --seed reaches every entry's parameters, and only test bent takes --fast
+    # or --exact; each refusal writes nothing to stdout
+    for argv, said in (
+        (("test", "pn", "--catalog", "power", "--p", "7", "--params", "exp=5"), "'exp'"),
+        (("test", "pn", "--catalog", "square", "--p", "5", "--seed", "3"), "'seed'"),
+        (("crosscheck", "--catalog", "square", "--p", "5", "--fast"), "--fast"),
+        (("test", "pn", "--catalog", "square", "--p", "5", "--exact"), "--exact"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert said in err
+    code, doc, _ = run_json(capsys, "crosscheck", "--catalog", "square", "--p", "5")
+    assert code == 0 and doc["config"]["mode"] == "exact"
+
+
 def test_json_is_canonical(capsys):
     _, out, _ = run(capsys, "field", "info", "--p", "5")
     assert out.endswith("\n")

@@ -150,15 +150,18 @@ def test_is_bent_exact_verdicts():
     assert is_bent_exact(mm).verdict == "bent"
 
 
+def _record_transforms(monkeypatch):
+    """The u of every exact transform, in order: the transform reads the
+    trace exponents of the u asked for last."""
+    built, asked = [], []
+    exponents, transform = spectrum._trace_exponents, spectrum._exact_coeff_rows
+    monkeypatch.setattr(spectrum, "_trace_exponents", lambda f, u: asked.append(u) or exponents(f, u))
+    monkeypatch.setattr(spectrum, "_exact_coeff_rows", lambda *args: built.append(asked[-1]) or transform(*args))
+    return built
+
+
 def test_is_bent_exact_stops_at_the_first_failing_orbit(monkeypatch, capsys):
-    built = []
-    transform = spectrum._exact_coeff_rows
-
-    def counting_transform(params, d, u_index, *args, **kwargs):
-        built.append(u_index)
-        return transform(params, d, u_index, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
+    built = _record_transforms(monkeypatch)
     f25 = make_field(5, 2)
     assert len(spectrum._orbit_reps(f25)) == 6
     bad = is_bent_exact(random_function(f25, 1, 3))
@@ -882,7 +885,7 @@ def test_matmul_butterfly_matches_pointwise_on_every_cell(name):
     f = ENGINE_TABLES[name]()
     params = f.params
     for u in range(1, params.q):
-        rows = spectrum._exact_coeff_rows(params, f.d, u, spectrum._trace_exponents(f, u))
+        rows = spectrum._exact_coeff_rows(params, f.d, spectrum._trace_exponents(f, u))
         rows = spectrum._in_m_order(params, f.d, u, rows)  # the engine's rows are in transform order
         assert np.array_equal(rows, np.rint(rows))
         for m_idx in range(f.n_points):
@@ -932,7 +935,7 @@ def test_member_mask_path_matches_indicator_sum():
         n = params.q**d
         for _ in range(3):
             e = PointSet(params, d, rng.random(n) < 0.3)
-            rows = spectrum._exact_coeff_rows(params, d, 1, np.zeros(n, dtype=np.int64), e.bitmap)
+            rows = spectrum._exact_coeff_rows(params, d, np.zeros(n, dtype=np.int64), e.bitmap)
             rows = spectrum._in_m_order(params, d, 1, rows)
             for m_idx in range(n):
                 m = PointVector.from_index(params, d, m_idx)
@@ -953,7 +956,7 @@ def test_member_mask_path_matches_indicator_sum():
 def test_exact_coeff_rows_refuses_oversized_transforms(params, d):
     # A one-point exponent array: the refusal must come before any allocation.
     with pytest.raises(UnsupportedSize):
-        spectrum._exact_coeff_rows(params, d, 1, np.zeros(1, dtype=np.int64))
+        spectrum._exact_coeff_rows(params, d, np.zeros(1, dtype=np.int64))
 
 
 def test_exact_engine_refuses_large_primes_with_exit_code_2(capsys):
@@ -997,14 +1000,7 @@ def test_spectrum_reports_match_one_transform_per_u(name):
 
 
 def test_spectrum_reports_run_one_transform_per_orbit(monkeypatch, tmp_path, capsys):
-    built = []
-    transform = spectrum._exact_coeff_rows
-
-    def counting_transform(params, d, u_index, *args, **kwargs):
-        built.append(u_index)
-        return transform(params, d, u_index, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
+    built = _record_transforms(monkeypatch)
     params = make_field(7, 3)
     f = get_function("square", params)
     built.clear()
@@ -1023,14 +1019,7 @@ def test_spectrum_reports_run_one_transform_per_orbit(monkeypatch, tmp_path, cap
 
 
 def test_emit_takes_a_failing_verdict_from_its_one_pass(monkeypatch, tmp_path, capsys):
-    built = []
-    transform = spectrum._exact_coeff_rows
-
-    def counting_transform(params, d, u_index, *args, **kwargs):
-        built.append(u_index)
-        return transform(params, d, u_index, *args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "_exact_coeff_rows", counting_transform)
+    built = _record_transforms(monkeypatch)
     argv = ["test", "bent", "--catalog", "random", "--p", "5", "--ell", "2", "--seed", "3", "--exact"]
     assert main(argv) == 1
     assert built == [1]  # the verdict alone stops at the first failing orbit
