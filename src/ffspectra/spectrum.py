@@ -253,10 +253,10 @@ class _AbsSq:
     def of(
         cls, params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
     ) -> "_AbsSq":
-        """The tables of u, row m holding S(u, m) (the other arguments as
-        _transform_table).
-        The unreduced table is placed before floats is computed: the @ cos
-        product may round a row differently at another row position."""
+        """The tables of u, row m holding S(u, m); the other arguments are
+        as for _transform_table.  The unreduced table is placed before floats
+        is computed: the @ cos product may round a row differently at another
+        row position."""
         table = _transform_table(params, d, exponents, members)
         table = _in_m_order(params, d, u_index, table)  # frees the transform order
         return cls(table)

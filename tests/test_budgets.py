@@ -1,7 +1,8 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
 the 2**20-point cap, a random table past the cap refused before its work
 arrays are allocated, a table file past the cap refused from its header,
-the point-sized buffers of the fast path, the exhaustive decomposition
+the point-sized buffers of the fast path, of vec_mul, of delta_table and
+translate over F_3**12 and of the p = 2 code words, the exhaustive decomposition
 certificate, a full PN scan and the graph spectrum report at desk scale, a
 power map whose exponent is far larger than the field, the distance-1
 sweep at q = 625 and q = 1009, every size-taking entry point refused past
@@ -213,8 +214,8 @@ def test_vec_mul_holds_few_point_sized_buffers():
 
 
 def test_delta_table_and_translate_hold_few_point_sized_buffers():
-    # over F_3**12 the adder combines two code words per sum; the digit
-    # matrices it replaced took 25 point-sized buffers
+    # over F_3**12 (two digit groups) each sum combines two gathered code
+    # words and expands no (N, n) digit matrix
     f3, d = make_field(3), 12
     f = random_function(f3, d, 5)
     a = PointVector.from_index(f3, d, 123_456)
