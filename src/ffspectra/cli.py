@@ -107,8 +107,11 @@ def _parse_params_arg(text: str | None) -> dict[str, int]:
         if "=" not in piece:
             raise UsageError(f"--params entries are k=v, got {piece!r}")
         key, _, value = piece.partition("=")
+        key = key.strip()
+        if key in out:
+            raise UsageError(f"--params names {key!r} twice")
         try:
-            out[key.strip()] = int(value)
+            out[key] = int(value)
         except ValueError:
             raise UsageError(f"--params value for {key!r} is not an integer") from None
     return out
@@ -149,7 +152,9 @@ def _table(args, command: str) -> tuple[FnTable, dict]:
         params = _resolve_field(args)
         kv = _parse_params_arg(args.params)
         if args.seed is not None:
-            kv.setdefault("seed", args.seed)
+            if "seed" in kv:
+                raise UsageError("--seed and --params both name 'seed'")
+            kv["seed"] = args.seed
         f = get_function(args.catalog, params, d=args.d, **kv)
         source = {"catalog": args.catalog, "params": kv}
     config = {
@@ -441,7 +446,6 @@ def _add_function_opts(p: argparse.ArgumentParser) -> None:
 
 def _add_run_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emit", type=str, default=None, help="directory for report files")
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="stdout payload")
     p.add_argument(
         "--threads",
         type=int,
@@ -457,7 +461,8 @@ def _leaf(sub, name: str, handler, field=True, function=True, **kwargs):
     if function:
         _add_function_opts(p)
     _add_run_opts(p)
-    p.set_defaults(handler=handler, fast=False)  # only test bent takes --fast
+    # only test bent takes --fast, and only the salem leaves --format
+    p.set_defaults(handler=handler, fast=False, format="json")
     return p
 
 
@@ -480,8 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     salem = sub.add_parser("salem", help="graph spectrum reports")
     salem_sub = salem.add_subparsers(dest="what", required=True)
-    _leaf(salem_sub, "report", _cmd_salem_report, help="spectrum and Salem constant, no assertions")
-    _leaf(salem_sub, "verify-thm1", _cmd_salem_verify, help="two-case flat-graph certification")
+    for leaf in (
+        _leaf(salem_sub, "report", _cmd_salem_report, help="spectrum and Salem constant, no assertions"),
+        _leaf(salem_sub, "verify-thm1", _cmd_salem_verify, help="two-case flat-graph certification"),
+    ):
+        leaf.add_argument("--format", choices=("json", "csv"), default="json", help="stdout payload")
 
     decomp = sub.add_parser("decomp", help="difference-operator reconstruction")
     decomp_sub = decomp.add_subparsers(dest="what", required=True)
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = mindist_sub.add_parser("pairwise", help="Hamming distance matrix of table files")
     pw.add_argument("--input", type=str, action="append", help="table file (repeat)")
     _add_run_opts(pw)
-    pw.set_defaults(handler=_cmd_mindist_pairwise)
+    pw.set_defaults(handler=_cmd_mindist_pairwise, format="json")
 
     catalog = sub.add_parser("catalog", help="built-in families")
     catalog_sub = catalog.add_subparsers(dest="what", required=True)

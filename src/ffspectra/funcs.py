@@ -43,7 +43,10 @@ class FnTable:
             raise DimensionMismatch("dimension must be >= 1")
         _refuse_past_cap(self.params.q, self.d)
         n = self.params.q**self.d
-        arr = np.array(self.values, dtype=np.int64)
+        arr = np.array(self.values)
+        if arr.dtype.kind in "fc":  # never rounded to an index
+            raise ValueError("table values must be integer element indices")
+        arr = arr.astype(np.int64, copy=False)
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
         if arr.size and (arr.min() < 0 or arr.max() >= self.params.q):

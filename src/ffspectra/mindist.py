@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .field import FieldElement, FieldParams
-from .funcs import MAX_POINTS, FnTable, PnWitness, _pn_scan, hamming_distance, is_pn
+from .funcs import MAX_POINTS, FnTable, PnWitness, hamming_distance, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -66,7 +66,7 @@ def perturb(f: FnTable, w: PointVector, v: FieldElement) -> FnTable:
 def planarity_witness(g: FnTable) -> PnWitness | None:
     """Least (index(a), index(v)) with an over-hit value; None iff planar."""
     _require_univariate(g)
-    return _pn_scan(g.params, 1, g.values)
+    return is_pn(g).witness
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclotomic import CycInt
-from .errors import EmptySet, FieldMismatch, HypothesisFailed, TrivialCharacter
+from .errors import EmptySet, FieldMismatch, HypothesisFailed, IndexOutOfRange, TrivialCharacter
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
-from .spectrum import SpectrumReport, _AbsSq, _cell_counts, _require_exact_size, is_bent_exact
+from .spectrum import SpectrumReport, _cell_counts, _in_m_order, _report, _require_exact_size, _transform_table, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +44,12 @@ class PointSet:
     @classmethod
     def from_indices(cls, params: FieldParams, d: int, indices) -> "PointSet":
         _refuse_past_cap(params.q, d)
-        bitmap = np.zeros(params.q**d, dtype=bool)
-        bitmap[np.asarray(indices, dtype=np.int64)] = True
+        n = params.q**d
+        indices = np.asarray(indices)
+        if indices.size and (indices.dtype.kind in "fc" or not 0 <= indices.min() <= indices.max() < n):
+            raise IndexOutOfRange(f"point indices must be integers in [0, {n})")  # no float is truncated
+        bitmap = np.zeros(n, dtype=bool)
+        bitmap[indices.astype(np.int64, copy=False)] = True
         return cls(params, d, bitmap)
 
     @property
@@ -168,8 +172,10 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
     # the canonical character u = 1: exponent 0 at every member
-    spec = _AbsSq.of(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
-    mags = spec.magnitudes()
+    table = _transform_table(e.params, e.d, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
+    table = _in_m_order(e.params, e.d, 1, table)  # frees the transform order
+    spec = _report(e.params, e.d, 1, table)
+    mags = spec.magnitudes
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero
     return SalemReport(

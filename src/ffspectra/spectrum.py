@@ -220,59 +220,20 @@ def _rational_rows(t: np.ndarray) -> np.ndarray:
 def _is_flat(t: np.ndarray, target: int) -> bool:
     """Every row of an unreduced |S|^2 table is the rational integer target.
     That holds in any row order and reads no float values, so a flat verdict
-    tests the transform order and builds no _AbsSq."""
+    tests the transform order and builds no report."""
     return bool(np.all(_rational_rows(t) & (t[:, 0] - t[:, 1] == target)))
 
 
-class _AbsSq:
-    """|S(u, m)|^2 for every m of one u, from an unreduced |S|^2 table
-    (see _abs_sq_table), row by row in the table's own order.
-
-    table[i, k] is the unreduced coefficient of zeta^k in S*conj(S) for the
-    frequency in row i.  Where defined[i] holds, the value is the rational
-    integer ints[i] (see _rational_rows); floats[i] is the real value of
-    every row.  A witness or a report reads a table placed by m.
-    """
-
-    def __init__(self, t: np.ndarray) -> None:
-        self.p = p = t.shape[1]
-        self.table = t
-        self.defined = _rational_rows(t)
-        self.ints = t[:, 0] - t[:, 1]
-        # The p-th root cosines sum to zero, so the value only depends on the
-        # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
-        # near-uniform rows from cancelling in floats, and makes integer-valued
-        # rows (where t[:, 1:] is constant) come out exactly.
-        self.floats = (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
-
-    def galois(self, t: int) -> "_AbsSq":
-        """The table of t*u, t in F_p^*: slot k of sigma_t(z) is slot k/t of z."""
-        return _AbsSq(self.table[:, np.arange(self.p) * pow(t, -1, self.p) % self.p])
-
-    @classmethod
-    def of(
-        cls, params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
-    ) -> "_AbsSq":
-        """The tables of u, row m holding S(u, m); the other arguments are
-        as for _transform_table.  The unreduced table is placed before floats
-        is computed: the @ cos product may round a row differently at another
-        row position."""
-        table = _transform_table(params, d, exponents, members)
-        table = _in_m_order(params, d, u_index, table)  # frees the transform order
-        return cls(table)
-
-    def report(self, f: FnTable, u_index: int) -> "SpectrumReport":
-        return SpectrumReport(f.params, f.d, u_index, self.defined, self.ints, self.magnitudes())
-
-    def fails(self, target: int) -> np.ndarray:
-        """Mask of the rows whose |S|^2 is not the rational integer target."""
-        return ~self.defined | (self.ints != target)
-
-    def magnitudes(self) -> np.ndarray:
-        """|S| per row, fed from the exact integer whenever one exists so
-        that rational cells stay float-exact."""
-        exact = self.ints.astype(np.float64)
-        return np.sqrt(np.where(self.defined, exact, np.maximum(self.floats, 0.0)))
+def _real_values(t: np.ndarray) -> np.ndarray:
+    """The real value of every row of an unreduced |S|^2 table.  A witness or
+    a report reads it from a table placed by m, since the @ cos product may
+    round a row differently at another row position."""
+    p = t.shape[1]
+    # The p-th root cosines sum to zero, so the value only depends on the
+    # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
+    # near-uniform rows from cancelling in floats, and makes integer-valued
+    # rows (where t[:, 1:] is constant) come out exactly.
+    return (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +387,22 @@ def _orbit_reps(params: FieldParams) -> tuple[int, ...]:
     return tuple(u for j in range(params.ell) for u in range(p**j, 2 * p**j))
 
 
-def _witness_m(spec: _AbsSq, target: int) -> int:
-    """Least excess-valued m, falling back to least failing m.
+def _witness_m(t: np.ndarray, target: int) -> int:
+    """Least excess-valued m of an unreduced |S|^2 table placed by m,
+    falling back to least failing m.
 
     Mirrors the PN witness convention: prefer the least m whose |S|^2
     provably exceeds q^d (exact integer first, then float), else the least
     m failing equality at all.
     """
-    over = np.nonzero(spec.defined & (spec.ints > target))[0]
+    defined, ints = _rational_rows(t), t[:, 0] - t[:, 1]
+    over = np.nonzero(defined & (ints > target))[0]
     if over.size:
         return int(over[0])
-    over = np.nonzero(~spec.defined & (spec.floats > target + 0.25))[0]
+    over = np.nonzero(~defined & (_real_values(t) > target + 0.25))[0]
     if over.size:
         return int(over[0])
-    return int(np.nonzero(spec.fails(target))[0][0])
+    return int(np.nonzero(~defined | (ints != target))[0][0])
 
 
 def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
@@ -457,17 +420,15 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
         yield u_index, _transform_table(f.params, f.d, _trace_exponents(f, u_index))
 
 
-def _witness(f: FnTable, u_index: int, spec: _AbsSq) -> BentWitness | None:
-    """The least failing cell of u under the witness rule, from its tables
-    by m (see _AbsSq.of), or None when every |S(u, m)|^2 is q^d."""
-    if not np.any(spec.fails(f.n_points)):
-        return None
+def _witness(f: FnTable, u_index: int, t: np.ndarray) -> BentWitness:
+    """The least failing cell of u under the witness rule, from its unreduced
+    |S|^2 table placed by m, which is not flat."""
     params = f.params
-    m_index = _witness_m(spec, f.n_points)
+    m_index = _witness_m(t, f.n_points)
     return BentWitness(
         params.from_index(u_index),
         PointVector.from_index(params, f.d, m_index),
-        CycInt.from_coeffs(params.p, spec.table[m_index].tolist()),
+        CycInt.from_coeffs(params.p, t[m_index].tolist()),
     )
 
 
@@ -479,7 +440,7 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
     for u_index, table in _orbit_walk(f):
         if not _is_flat(table, f.n_points):
             table = _in_m_order(f.params, f.d, u_index, table)  # frees the transform order
-            return BentVerdict(False, _witness(f, u_index, _AbsSq(table)))
+            return BentVerdict(False, _witness(f, u_index, table))
     return BentVerdict(True, None)
 
 
@@ -564,7 +525,7 @@ def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
     n = f.n_points
     ms = (splitmix64(_SPOT_SEED ^ u_index, np.arange(_spot_count(n, f.d))) % np.uint64(n)).tolist()
     rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.int64)
-    roots = _AbsSq(_abs_sq_table(rows)).magnitudes()
+    roots = _report(f.params, f.d, u_index, _abs_sq_table(rows)).magnitudes
     bad = np.abs(mags[ms] - roots) > _FAST_REL_TOL * np.maximum(roots, 1.0)
     return len(ms), int(np.count_nonzero(bad))
 
@@ -649,9 +610,26 @@ class SpectrumReport:
         return bool(np.all(self.defined & (self.ints == target)))
 
 
+def _report(params: FieldParams, d: int, u_index: int, t: np.ndarray) -> SpectrumReport:
+    """The report of u from its unreduced |S|^2 table (see _abs_sq_table),
+    row by row in the table's own order: a table placed by m for every
+    caller but the spot checks, which stack their sampled rows.  Where
+    defined[i] holds, |S|^2 is the rational integer ints[i] (see
+    _rational_rows); the magnitudes are fed from that integer whenever it
+    exists, so that rational cells stay float-exact."""
+    defined = _rational_rows(t)
+    ints = t[:, 0] - t[:, 1]
+    floats = _real_values(t)
+    exact = ints.astype(np.float64)
+    magnitudes = np.sqrt(np.where(defined, exact, np.maximum(floats, 0.0)))
+    return SpectrumReport(params, d, u_index, defined, ints, magnitudes)
+
+
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     _check_field(f, u)
-    return _AbsSq.of(f.params, f.d, u.index, _trace_exponents(f, u.index)).report(f, u.index)
+    table = _transform_table(f.params, f.d, _trace_exponents(f, u.index))
+    table = _in_m_order(f.params, f.d, u.index, table)  # frees the transform order
+    return _report(f.params, f.d, u.index, table)
 
 
 def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]:
@@ -663,13 +641,16 @@ def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]
     witness = None
     for rep, table in _orbit_walk(f):
         # placed by rep's map, which every multiple t*rep shares; rebinding
-        # frees the transform order before the tables are built
+        # frees the transform order before the reports are built
         table = _in_m_order(params, f.d, rep, table)
-        spec = _AbsSq(table)
-        witness = witness or _witness(f, rep, spec)  # the least failing orbit's
-        yield spec.report(f, rep)
+        report = _report(params, f.d, rep, table)
+        if witness is None and not report.is_flat(f.n_points):
+            witness = _witness(f, rep, table)  # the least failing orbit's
+        yield report
         for t in range(2, params.p):
-            yield spec.galois(t).report(f, params.from_index(rep).scale(t).index)
+            # the table of t*rep: slot k of sigma_t(z) is slot k/t of z
+            slots = np.arange(params.p) * pow(t, -1, params.p) % params.p
+            yield _report(params, f.d, params.from_index(rep).scale(t).index, table[:, slots])
     return BentVerdict(witness is None, witness)
 
 

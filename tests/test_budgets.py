@@ -125,6 +125,13 @@ SWEEP_RSS_BUDGET_MB = 100
             1,
             PN_RSS_BUDGET_MB,
         ),
+        # two digit groups of code words at odd p
+        (
+            ["test", "pn", "--catalog", "random", "--p", "3", "--d", "12"],
+            '"verdict": "not_pn"',
+            1,
+            PN_RSS_BUDGET_MB,
+        ),
         (
             ["test", "pn", "--catalog", "square", "--p", "5", "--ell", "5"],
             '"verdict": "pn"',
@@ -155,7 +162,7 @@ SWEEP_RSS_BUDGET_MB = 100
         ),
     ],
     ids=["bent-fast-2pow20", "bent-exact-2pow20", "decomp-square-q3125", "decomp-random-p2-d12",
-         "salem-thm1-q343", "pn-random-p2-d20", "pn-square-q3125", "pn-power-e1e9",
+         "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-square-q3125", "pn-power-e1e9",
          "sweep-square-q1009", "sweep-square-q625"],
 )
 def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):

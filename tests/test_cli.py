@@ -350,11 +350,13 @@ def test_usage_errors(capsys):
 
 
 def test_unread_parameters_and_mode_flags_exit_2(capsys):
-    # --seed reaches every entry's parameters, and only test bent takes --fast
-    # or --exact; each refusal writes nothing to stdout
+    # --seed reaches every entry's parameters, each key is named once, and
+    # only test bent takes --fast or --exact; each refusal writes nothing to stdout
     for argv, said in (
         (("test", "pn", "--catalog", "power", "--p", "7", "--params", "exp=5"), "'exp'"),
         (("test", "pn", "--catalog", "square", "--p", "5", "--seed", "3"), "'seed'"),
+        (("test", "pn", "--catalog", "power", "--p", "5", "--params", "e=3,e=5"), "'e'"),
+        (("test", "pn", "--catalog", "random", "--p", "5", "--params", "seed=1", "--seed", "2"), "'seed'"),
         (("crosscheck", "--catalog", "square", "--p", "5", "--fast"), "--fast"),
         (("test", "pn", "--catalog", "square", "--p", "5", "--exact"), "--exact"),
     ):
@@ -363,6 +365,32 @@ def test_unread_parameters_and_mode_flags_exit_2(capsys):
         assert said in err
     code, doc, _ = run_json(capsys, "crosscheck", "--catalog", "square", "--p", "5")
     assert code == 0 and doc["config"]["mode"] == "exact"
+
+
+def test_format_is_taken_only_by_the_salem_leaves(capsys, tmp_path):
+    # the other leaves render JSON only, so argparse refuses the flag there
+    table = tmp_path / "sq5.tbl"
+    save_table(build_function(FnSpec.univariate([0, 0, 1]), make_field(5), 1), table)
+    for argv in (
+        ("test", "pn", "--catalog", "square", "--p", "5"),
+        ("test", "bent", "--catalog", "square", "--p", "5"),
+        ("crosscheck", "--catalog", "square", "--p", "5"),
+        ("decomp", "verify", "--catalog", "square", "--p", "5"),
+        ("mindist", "sweep", "--catalog", "square", "--p", "5"),
+        ("mindist", "pairwise", "--input", str(table), "--input", str(table)),
+        ("catalog", "list"),
+        ("field", "info", "--p", "5"),
+    ):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "--format" in err
+        assert main(list(argv)) in (0, 1)  # and the same leaf runs without it
+        capsys.readouterr()
+    code, doc, _ = run_json(capsys, "test", "pn", "--catalog", "square", "--p", "5")
+    assert code == 0 and doc["config"]["format"] == "json"
+    for leaf in ("report", "verify-thm1"):
+        code, out, _ = run(capsys, "salem", leaf, "--catalog", "square", "--p", "5", "--format", "csv")
+        assert code == 0 and out.startswith("m_index,m_coords,case_tag,")
 
 
 def test_json_is_canonical(capsys):

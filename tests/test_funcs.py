@@ -177,6 +177,17 @@ def test_raw_spec_and_table_guards():
         build_function(FnSpec.from_monomials([(1, (1,) * 40)]), make_field(2), 40)
 
 
+def test_table_refuses_float_and_complex_values():
+    # a float is never rounded to an element index
+    for values in ([0.5, 1.9, 2, 3, 4], np.arange(5.0), np.arange(5) + 0j):
+        with pytest.raises(ValueError, match="integer element indices"):
+            FnTable(F5, 1, values)
+    # integer, bool and object values are taken as before
+    for values in ([4, 3, 2, 1, 0], np.arange(5, dtype=np.uint8), [True, False] * 2 + [True],
+                   np.array([0, 1, 2, 3, 4], dtype=object)):
+        assert FnTable(F5, 1, values).values.tolist() == [int(v) for v in values]
+
+
 def test_delta_table_frozen():
     one = PointVector.from_index(F5, 1, 1)
     two = PointVector.from_index(F5, 1, 2)

@@ -14,7 +14,7 @@ from ffspectra.errors import (
     NotPlanarEntry,
     UnsupportedSize,
 )
-from ffspectra.funcs import _pn_scan, translate
+from ffspectra.funcs import _pn_scan, is_pn, translate
 from ffspectra.mindist import (
     SCOPE_OUTSIDE,
     SCOPE_THEOREM,
@@ -56,6 +56,18 @@ def test_planarity_witness_frozen():
     cube = build_function(FnSpec.univariate([0, 0, 0, 1]), F5, 1)
     w3 = planarity_witness(cube)
     assert (w3.a.index, w3.value.index, w3.count) == (1, 1, 2)
+
+
+def test_planarity_witness_reads_the_scan_held_by_the_table(monkeypatch):
+    scans = []
+    original = funcs._pn_scan
+    monkeypatch.setattr(funcs, "_pn_scan", lambda *args: scans.append(args) or original(*args))
+    g = perturb(SQ5, _pt(0), F5.one())  # a fresh table, never scanned
+    verdict = is_pn(g)
+    assert len(scans) == 1
+    assert verdict.witness is not None
+    assert planarity_witness(g) is verdict.witness  # the held witness, not a rescan's copy
+    assert len(scans) == 1  # no second scan after is_pn
 
 
 def test_sweep_square_f5():
@@ -163,7 +175,6 @@ def test_sweep_refuses_more_than_max_points_neighbors(monkeypatch, capsys):
         raise AssertionError("the sweep scanned a table before its size check")
 
     monkeypatch.setattr(mindist, "is_pn", refuse)
-    monkeypatch.setattr(mindist, "_pn_scan", refuse)
     f = build_function(FnSpec.univariate([0, 0, 1]), make_field(5, 5), 1)
     with pytest.raises(UnsupportedSize):
         perturbation_sweep(f)
@@ -184,7 +195,6 @@ def _assert_sweep_matches_pn_scan(f, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(funcs, "_pn_scan", counted)
-        m.setattr(mindist, "_pn_scan", counted)
         report = perturbation_sweep(f)
     assert len(scans) == 1 and scans[0][2] is f.values  # the base check only
     params, q = f.params, f.params.q

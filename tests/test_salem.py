@@ -17,7 +17,7 @@ from ffspectra import (
     trace,
 )
 from ffspectra.catalog import random_function
-from ffspectra.errors import EmptySet, FieldMismatch, HypothesisFailed, TrivialCharacter
+from ffspectra.errors import EmptySet, FieldMismatch, HypothesisFailed, IndexOutOfRange, TrivialCharacter
 from ffspectra.salem import (
     PointSet,
     graph_of,
@@ -160,6 +160,15 @@ def test_salem_constant_random_sets_reported_not_asserted():
         e = PointSet.from_indices(F5, 2, members)
         c, _ = salem_constant(e)
         assert 0.0 <= c <= math.sqrt(5) + 1e-9
+
+
+def test_from_indices_refuses_indices_outside_the_space():
+    # no negative index wraps around, and no float is truncated to a point
+    for indices in ([-1], [5], [1.7], [0, 4, 5], np.array([2.0])):
+        with pytest.raises(IndexOutOfRange):
+            PointSet.from_indices(F5, 1, indices)
+    assert PointSet.from_indices(F5, 1, []).cardinality == 0
+    assert PointSet.from_indices(F5, 1, [0, 4, 4]).bitmap.tolist() == [True, False, False, False, True]
 
 
 def test_salem_report_case_tags():

@@ -515,7 +515,7 @@ def test_walsh_fast_matches_exact_magnitudes_on_every_modulus(params):
     f = random_function(params, 1, params.q)
     for u in range(1, params.q):
         mags = walsh_fast_all(f, params.from_index(u))
-        want = spectrum._AbsSq.of(f.params, f.d, u, spectrum._trace_exponents(f, u)).magnitudes()
+        want = spectrum_report(f, params.from_index(u)).magnitudes
         assert np.all(np.abs(mags - want) <= 1e-9 * np.maximum(want, 1.0))
 
 
@@ -614,8 +614,8 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         u, m = bad.witness.u.index, bad.witness.m.index
         assert not bad.is_bent and maps == [u]
         # the witness rule on the tables by m, and the cell's exact value
-        spec = spectrum._AbsSq.of(f.params, f.d, u, spectrum._trace_exponents(f, u))
-        assert m == spectrum._witness_m(spec, f.n_points)
+        table = spectrum._transform_table(f.params, f.d, spectrum._trace_exponents(f, u))
+        assert m == spectrum._witness_m(spectrum._in_m_order(f.params, f.d, u, table), f.n_points)
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
 
@@ -651,8 +651,8 @@ def test_exact_cell_matches_pointwise_on_random_tables():
                 cells.append(cell)
             # the spot checks' route: the engine's |S|^2 step on stacked rows
             rows = np.array([c.coeffs for c in cells], dtype=np.int64)
-            spec = spectrum._AbsSq(spectrum._abs_sq_table(rows))
-            mags = spec.magnitudes()
+            spec = spectrum._report(params, d, u, spectrum._abs_sq_table(rows))
+            mags = spec.magnitudes
             for i, cell in enumerate(cells):
                 z = cell.abs_sq()
                 exact = z.as_integer()
@@ -1032,8 +1032,10 @@ def test_emit_takes_a_failing_verdict_from_its_one_pass(monkeypatch, tmp_path, c
 
 
 def test_is_bent_exact_builds_no_galois_tables(monkeypatch):
-    def refuse(self, t):
-        raise AssertionError("is_bent_exact built a Galois table")
+    def refuse(*args):
+        raise AssertionError("is_bent_exact built a report")
 
-    monkeypatch.setattr(spectrum._AbsSq, "galois", refuse)
+    monkeypatch.setattr(spectrum, "_report", refuse)
     assert is_bent_exact(get_function("square", make_field(7, 3))).is_bent
+    # the witness reads the placed table itself
+    assert not is_bent_exact(random_function(make_field(5, 2), 1, 3)).is_bent
