@@ -174,12 +174,12 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
     # the canonical character u = 1: exponent 0 at every member
     table = _transform_table(e.params, e.d, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
     table = _in_m_order(e.params, e.d, 1, table)  # frees the transform order
-    spec = _report(e.params, e.d, 1, table)
-    mags = spec.magnitudes
+    report = _report(e.params, e.d, 1, table)
+    mags = report.magnitudes
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero
     return SalemReport(
-        e.params, e.d, 1, spec.defined, spec.ints, mags,
+        e.params, e.d, 1, report.defined, report.ints, mags,
         e.cardinality, mags / math.sqrt(e.cardinality), tags, expected,
     )
 
