@@ -4,12 +4,12 @@ An integer in [0, p**n) encodes a length-n vector of base-p digits, little
 endian (digit j has weight p**j).  Every dense table operation in the package
 reduces to componentwise mod-p arithmetic on arrays of such indices, so the
 helpers here work directly on numpy int64 arrays and never materialize Python
-objects.  Every sum or difference of indices goes through the code words
-of `difference_codes`: `add_indices` and `sub_indices` combine two words,
-and the PN scan, the decomposition walk and the distance-1 sweep encode
-their values once and combine words per shift, without knowing how the
-words split the digits.  For p = 2 an index is its own word and combining
-is XOR.
+objects.  Every sum or difference of indices but the PN scan's unit steps
+goes through the code words of `difference_codes`: `add_indices` and
+`sub_indices` combine two words, and the PN scan, the decomposition walk
+and the distance-1 sweep encode their values once and combine words per
+shift, without knowing how the words split the digits.  For p = 2 an index
+is its own word and combining is XOR.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ class NonPrime(FFSpectraError):
     """The characteristic passed to a field constructor is not prime."""
 
 
+class BadModulus(FFSpectraError, ValueError):
+    """A modulus that is not monic of the extension degree."""
+
+
 class ReducibleModulus(FFSpectraError):
     """The requested modulus polynomial factors over the prime field."""
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import _modp
 from .errors import (
+    BadModulus,
     FieldMismatch,
     IndexOutOfRange,
     NonPrime,
@@ -136,7 +137,7 @@ class FieldParams:
             raise UnsupportedSize("extension degree must be >= 1")
         mod = tuple(int(c) % self.p for c in self.modulus)
         if len(mod) != self.ell + 1 or mod[-1] != 1:
-            raise ValueError("modulus must be monic of degree ell")
+            raise BadModulus("modulus must be monic of degree ell")
         object.__setattr__(self, "modulus", mod)
         if not _is_irreducible(mod, self.p):
             raise ReducibleModulus(f"{mod} factors over F_{self.p}")

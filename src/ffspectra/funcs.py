@@ -5,7 +5,7 @@ The dense table is the single source of truth: polynomial and monomial specs
 are constructors only, and every property test reduces to table arithmetic.
 Values are stored as an immutable int64 array of element indices in point
 index order.  The PN scan reads f(x + a) - f(x) by combining the carry-free
-code words of `_modp` (XOR for p = 2), which every sum of indices shares.
+code words of `_modp` (XOR for p = 2), as the index adder does.
 """
 
 from __future__ import annotations
@@ -278,24 +278,23 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     The shifts are counted like an odometer over the base-p digits of a:
     level[j][x] is the index of x + (a with its digits below j cleared), so
     each shift is one gather through x -> x + p**j for the digit j that went
-    up, built by the index adder on first use.  The values are encoded once
-    per call as the code words of `_modp.difference_codes`, so the index of
-    f(x + a) - f(x) is one combine of two gathered words (XOR for p = 2).
+    up, built on first use by the carry rule (digit j of x goes up by one,
+    and p - 1 wraps to 0).  The field's code words of `_modp.difference_codes`
+    encode the values once, so f(x + a) - f(x) is one combine of two words.
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
-    digits = d * params.ell
     codes = _modp.difference_codes(p, params.ell)
     plus, minus = codes.plus[values], codes.minus[values]
     idx = np.arange(n, dtype=np.intp)
-    units = [None] * digits  # units[j][x] = index of x + p**j
-    level = [idx] * digits
+    units = [None] * (d * params.ell)  # units[j][x] = index of x + p**j, one per digit
+    level = [idx] * len(units)
     for a_index in range(1, n):
         j, rest = 0, a_index
         while rest % p == 0:
             j, rest = j + 1, rest // p
         if units[j] is None:
-            units[j] = _modp.add_indices(idx, p**j, p, digits)
+            units[j] = idx + p**j - p ** (j + 1) * (idx // p**j % p == p - 1)
         level[: j + 1] = [units[j][level[j]]] * (j + 1)
         delta = codes.combine(plus[level[0]], minus)
         counts = np.bincount(delta, minlength=q)
@@ -373,38 +372,38 @@ def load_table(path) -> FnTable:
 
 
 def _read_table(fh) -> FnTable:
-    """The header and modulus lines, then the size check, then the values:
-    a table past the cap is refused before its values are read."""
+    """Header and modulus as exact ints, then the cap check before any value is
+    read, then the values as one int64 array (a value past int64 saturates)."""
     header = fh.readline()
     try:
-        p, ell, d = _tokens(header)
+        p, ell, d = map(int, _checked(header).split())
     except (BadTableFile, ValueError) as exc:
         raise BadTableFile(f"bad header line: {header.rstrip()!r}") from exc
-    modulus = _tokens(fh.readline())
+    modulus = [int(tok) for tok in _checked(fh.readline()).split()]  # a coefficient >= p is reduced mod p
     if len(modulus) != ell + 1:
         raise BadTableFile(f"expected {ell + 1} modulus coefficients")
     try:
         params = make_field(p, ell, modulus)
         _refuse_past_cap(params.q, d)
-        values = _tokens(fh.read())
-        if len(values) != params.q**d:
-            raise BadTableFile(f"expected {params.q ** d} values, got {len(values)}")
-        return FnTable(params, d, np.array(values, dtype=np.int64))
+        values = np.fromstring(_checked(fh.read()), dtype=np.int64, sep=" ")
+        if values.size != params.q**d:
+            raise BadTableFile(f"expected {params.q ** d} values, got {values.size}")
+        return FnTable(params, d, values)
     except BadTableFile:
         raise
-    except (FFSpectraError, ValueError, OverflowError) as exc:  # a value past int64 overflows
+    except (FFSpectraError, ValueError) as exc:
         raise BadTableFile(f"invalid table file: {exc}") from exc
 
 
 _DIGITS_AND_SEPARATORS = b"0123456789 \t\n\v\f\r"
 
 
-def _tokens(text: str) -> list[int]:
-    """The tokens between ASCII whitespace (space, tab, LF, VT, FF, CR), each
-    a plain ASCII digit string.  str.split() would also split on the controls
-    0x1c-0x1f and on non-ASCII spaces, and int() would also read '+1', '0_4'
-    and non-ASCII digits; bytes.split() splits on exactly these six bytes."""
+def _checked(text: str) -> bytes:
+    """The text as ASCII bytes of plain digits and ASCII whitespace (space, tab,
+    LF, VT, FF, CR).  str.split() would also split on 0x1c-0x1f and non-ASCII
+    spaces, and int() would also read '+1', '0_4' and non-ASCII digits;
+    bytes.split() and np.fromstring split on exactly these six bytes."""
     data = text.encode("ascii", "replace")  # a non-ASCII character becomes '?'
     if data.translate(None, _DIGITS_AND_SEPARATORS):
         raise BadTableFile("table files hold ASCII digits separated by ASCII whitespace")
-    return [int(tok) for tok in data.split()]
+    return b"" if data.isspace() else data  # np.fromstring reads bare whitespace as a 0

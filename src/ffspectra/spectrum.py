@@ -591,7 +591,7 @@ class SpectrumReport:
     def abs_sq_ints(self) -> list[int | None]:
         if self.defined.all():
             return self.ints.tolist()
-        return [v if ok else None for ok, v in zip(self.defined.tolist(), self.ints.tolist())]
+        return np.where(self.defined, self.ints.astype(object), None).tolist()
 
     @property
     def rows(self) -> tuple[SpectrumRow, ...]:

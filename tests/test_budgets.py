@@ -2,7 +2,8 @@
 the 2**20-point cap, a random table past the cap refused before its work
 arrays are allocated, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, of vec_mul, of delta_table and
-translate over F_3**12 and of the p = 2 code words, the exhaustive decomposition
+translate over F_3**12, of the p = 2 code words and of the PN scan at odd p,
+the bytes per value of load_table, the exhaustive decomposition
 certificate, a full PN scan and the graph spectrum report at desk scale, a
 power map whose exponent is far larger than the field, the distance-1
 sweep at q = 625 and q = 1009, every size-taking entry point refused past
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 import ffspectra
-from ffspectra import _modp
+from ffspectra import _modp, funcs
 from ffspectra import (
     FnSpec,
     FnTable,
@@ -42,6 +43,7 @@ from ffspectra import (
     pairwise_min_distance,
     perturbation_sweep,
     random_function,
+    save_table,
     spectrum,
     standard_basis,
     translate,
@@ -72,9 +74,11 @@ EXACT_2POW20_RSS_BUDGET_MB = 100
 FAST_2POW20_RSS_BUDGET_MB = 70
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 80
-PN_RSS_BUDGET_MB = 128
+PN_RSS_BUDGET_MB = 112
 PN_DESK_RSS_BUDGET_MB = 64
 SWEEP_RSS_BUDGET_MB = 100
+
+RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 2 table, saved
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
@@ -125,9 +129,23 @@ SWEEP_RSS_BUDGET_MB = 100
             1,
             PN_RSS_BUDGET_MB,
         ),
-        # two digit groups of code words at odd p
+        # at odd p the translations build no code words for the point space,
+        # of twelve digits or of two
         (
             ["test", "pn", "--catalog", "random", "--p", "3", "--d", "12"],
+            '"verdict": "not_pn"',
+            1,
+            PN_RSS_BUDGET_MB,
+        ),
+        (
+            ["test", "pn", "--catalog", "random", "--p", "1009", "--d", "2"],
+            '"verdict": "not_pn"',
+            1,
+            PN_RSS_BUDGET_MB,
+        ),
+        # the same table read from a file: its values parse to one int64 array
+        (
+            ["test", "pn", "--input", RANDOM_1009SQ_FILE],
             '"verdict": "not_pn"',
             1,
             PN_RSS_BUDGET_MB,
@@ -162,10 +180,14 @@ SWEEP_RSS_BUDGET_MB = 100
         ),
     ],
     ids=["bent-fast-2pow20", "bent-exact-2pow20", "decomp-square-q3125", "decomp-random-p2-d12",
-         "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-square-q3125", "pn-power-e1e9",
-         "sweep-square-q1009", "sweep-square-q625"],
+         "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-random-p1009-d2",
+         "pn-input-1009sq", "pn-square-q3125", "pn-power-e1e9", "sweep-square-q1009", "sweep-square-q625"],
 )
-def test_command_stays_in_memory_budget(argv, expected, code, budget_mb):
+def test_command_stays_in_memory_budget(argv, expected, code, budget_mb, tmp_path):
+    if RANDOM_1009SQ_FILE in argv:  # written here, outside the measured process
+        path = tmp_path / "random_1009sq.tbl"
+        save_table(random_function(make_field(1009), 2, 0), path)
+        argv = [str(path) if arg == RANDOM_1009SQ_FILE else arg for arg in argv]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -248,6 +270,40 @@ def test_p2_code_words_are_one_index_buffer():
         tracemalloc.stop()
     assert codes.plus is codes.minus and codes.plus.nbytes == np.dtype(np.intp).itemsize * 2**20
     assert peak <= 1.01 * codes.plus.nbytes
+
+
+@pytest.mark.parametrize("p,d", [(3, 12), (5, 8), (1009, 2)], ids=["F3-d12", "F5-d8", "F1009-d2"])
+def test_pn_scan_holds_few_point_sized_buffers(p, d):
+    # the gathered field words of the values, the index range, one unit step,
+    # the translation and a combine's temporaries; no point-space code words
+    params = make_field(p)
+    f = random_function(params, d, 0)
+    buffer = 8 * f.n_points
+    _modp.difference_codes(p, 1)  # the field's words, a few q-entry arrays
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        witness = funcs._pn_scan(params, d, f.values)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert witness.a.index == 1
+    assert peak <= 8 * buffer + 2**14  # and a few small objects
+
+
+def test_load_table_takes_few_bytes_per_value(tmp_path):
+    # the text, its checked bytes and one int64 array; no Python int per value
+    f = random_function(make_field(1009), 2, 0)
+    path = tmp_path / "t.tbl"
+    save_table(f, path)
+    tracemalloc.start()
+    try:
+        g = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == f
+    assert peak <= 20 * f.n_points
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():

@@ -350,8 +350,9 @@ def test_usage_errors(capsys):
 
 
 def test_unread_parameters_and_mode_flags_exit_2(capsys):
-    # --seed reaches every entry's parameters, each key is named once, and
-    # only test bent takes --fast or --exact; each refusal writes nothing to stdout
+    # --seed reaches every entry's parameters, each key is named once, only
+    # test bent takes --fast or --exact, and a --modulus is monic of degree
+    # ell; each refusal writes nothing to stdout
     for argv, said in (
         (("test", "pn", "--catalog", "power", "--p", "7", "--params", "exp=5"), "'exp'"),
         (("test", "pn", "--catalog", "square", "--p", "5", "--seed", "3"), "'seed'"),
@@ -359,6 +360,9 @@ def test_unread_parameters_and_mode_flags_exit_2(capsys):
         (("test", "pn", "--catalog", "random", "--p", "5", "--params", "seed=1", "--seed", "2"), "'seed'"),
         (("crosscheck", "--catalog", "square", "--p", "5", "--fast"), "--fast"),
         (("test", "pn", "--catalog", "square", "--p", "5", "--exact"), "--exact"),
+        # a modulus that is not monic of degree ell is bad input, not a failed verdict
+        (("field", "info", "--p", "5", "--modulus", "1,2"), "monic"),
+        (("test", "pn", "--catalog", "square", "--p", "5", "--modulus", "0,1,1"), "monic"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")

@@ -8,6 +8,8 @@ import pytest
 
 from ffspectra import FieldParams, FpBasis, field_arithmetic, make_field, trace
 from ffspectra.errors import (
+    BadModulus,
+    FFSpectraError,
     FieldMismatch,
     IndexOutOfRange,
     NonPrime,
@@ -112,6 +114,12 @@ def test_make_field_basics_and_errors():
     assert make_field(17).modulus == (0, 1)  # a prime field needs no table
     with pytest.raises(UnsupportedSize):
         make_field(2, 21, modulus=[1] * 21 + [1])  # q > 2**20
+    # a modulus that is not monic of degree ell is a package error and a ValueError
+    for modulus in ([1, 2], [0, 1, 1], [1]):
+        with pytest.raises(BadModulus) as info:
+            make_field(5, 1, modulus)
+        assert isinstance(info.value, FFSpectraError) and isinstance(info.value, ValueError)
+    assert make_field(5, 1, [5, 6]).modulus == (0, 1)  # coefficients reduce mod p first
     # an explicit modulus unlocks fields outside the table
     f17 = make_field(17, 1, modulus=[0, 1])
     assert f17.q == 17

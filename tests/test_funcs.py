@@ -1,6 +1,8 @@
 """Dense function tables: construction, difference operators, PN verdicts,
 distance/image helpers, and the text file format."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,45 @@ def test_pn_scan_across_digit_groups(monkeypatch):
     assert want[:2] == [None, None] and None not in want[2:]
 
 
+@pytest.mark.parametrize(
+    "p,d", [(3, 12), (5, 8), (3, 8), (5, 5), (2, 16)], ids=["F3-d12", "F5-d8", "F3-d8", "F5-d5", "F2-d16"]
+)
+def test_scan_steps_by_the_carry_rule(p, d, monkeypatch):
+    # x -> x + p**j is the index adder's sum for every digit j, on spaces of
+    # one digit group (F_3**8, F_5**5) and two (F_3**12, F_5**8), and at
+    # p = 2, where it is x ^ (1 << j).  The scan visits only the shifts p**j,
+    # so at each the odometer gathers through units[j] alone; with one
+    # identity code word per point, combine's first argument is that
+    # translation, and a balanced delta keeps the scan going.
+    params, shifts = make_field(p), [p**j for j in range(d)]
+    idx = np.arange(p**d, dtype=np.intp)
+    pending, wrong = iter(shifts), []
+
+    def combine(b, c):
+        a = next(pending)
+        if not np.array_equal(b, _modp.add_indices(idx, a, p, d)):
+            wrong.append(a)
+        return idx % p
+
+    codes = _modp.DifferenceCodes(idx, idx, combine)
+    monkeypatch.setattr(funcs, "_modp", SimpleNamespace(difference_codes=lambda p, ell: codes))
+    monkeypatch.setattr(funcs, "range", lambda *args: iter(shifts), raising=False)
+    assert funcs._pn_scan(params, d, idx) is None
+    assert next(pending, None) is None and wrong == []
+
+
+def test_scan_caches_only_the_field_code_words():
+    # the translations need no point-space words, so a scan on a d >= 2
+    # space leaves one entry in difference_codes' cache: the field's
+    for params, d in ((make_field(3), 6), (make_field(5, 2), 2), (make_field(2), 10)):
+        _modp.difference_codes.cache_clear()
+        assert not is_pn(random_function(params, d, 1)).is_pn
+        assert _modp.difference_codes.cache_info().currsize == 1
+        hits = _modp.difference_codes.cache_info().hits
+        _modp.difference_codes(params.p, params.ell)
+        assert _modp.difference_codes.cache_info().hits == hits + 1
+
+
 def test_hamming_distance():
     two_sq = build_function(FnSpec.univariate([0, 0, 2]), F5, 1)
     sq_plus_x = build_function(FnSpec.univariate([0, 1, 1]), F5, 1)
@@ -387,14 +428,28 @@ def test_table_file_errors(tmp_path, capsys):
         parse_table("5 1 1\n4 0 1\n0 1 4 4 1\n")  # reducible modulus
     with pytest.raises(BadTableFile):
         parse_table("5 1 1\n0 1\n0 1 x 4 1\n")  # non-integer entry
-    text = "5 1 1\n0 1\n0 1 4 4 9223372036854775808\n"  # a value past int64
-    with pytest.raises(BadTableFile):
-        parse_table(text)
+    with pytest.raises(BadTableFile, match="expected 5 values, got 0"):
+        parse_table("5 1 1\n0 1\n \n")  # whitespace alone holds no value
     path = tmp_path / "t.tbl"
-    path.write_text(text, encoding="ascii")
-    assert main(["test", "pn", "--input", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
+    for value in (2**63, 10**30):  # values past int64 saturate, out of range
+        text = f"5 1 1\n0 1\n0 1 4 4 {value}\n"
+        with pytest.raises(BadTableFile, match="element indices in"):
+            parse_table(text)
+        path.write_text(text, encoding="ascii")
+        assert main(["test", "pn", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
+
+
+def test_table_header_and_modulus_stay_exact_ints():
+    # a modulus coefficient past int64 reduces mod p exactly: saturated to
+    # 2**63 - 1 = 2 mod 5, it would name another polynomial
+    assert parse_table(f"5 1 1\n{5 * 2**70} {5 * 2**70 + 1}\n0 1 4 4 1\n") == _sq()
+    f9 = make_field(3, 2)  # modulus t^2 + 1
+    text = f"3 2 1\n{3 * 2**80 + 1} {3 * 2**65} {3 * 2**64 + 1}\n" + " ".join(map(str, _sq(f9).values)) + "\n"
+    assert parse_table(text) == _sq(f9)
+    with pytest.raises(BadTableFile):
+        parse_table(f"5 1 {2**64 + 1}\n0 1\n0 1 4 4 1\n")  # d past int64 is past the cap
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import cmath
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -322,6 +323,10 @@ def test_spectrum_report_pairing():
     assert rep.is_flat(5)
     assert not rep.is_flat(4)
     assert rep.max_magnitude == rep.min_magnitude
+    # undefined cells read None, the others Python ints, as a branch per cell would
+    mixed = replace(rep, defined=np.arange(5) % 2 == 0, ints=np.array([5, 0, -3, 0, 2**40]))
+    assert mixed.abs_sq_ints == [5, None, -3, None, 2**40]
+    assert {type(v) for v in mixed.abs_sq_ints} == {int, type(None)}
 
 
 def test_crosscheck_pn_bent():
