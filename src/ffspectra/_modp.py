@@ -37,6 +37,16 @@ def index_of_digits(digits, p: int) -> np.ndarray:
     return d @ powers(p, d.shape[-1])
 
 
+def residue_product(a, b, p: int) -> np.ndarray:
+    """a @ b mod p for arrays of residues mod p: one float64 BLAS product,
+    exact since its entries are integers at most n*(p-1)**2 for inner length
+    n, reduced in the narrowest unsigned type that holds that bound."""
+    s = np.matmul(a, b, dtype=np.float64)  # casts both operands contiguous
+    s = s.astype(np.min_scalar_type(np.shape(b)[0] * (p - 1) ** 2))
+    s -= s // p * p
+    return s
+
+
 def add_indices(a, b, p: int, n: int):
     if p == 2:  # each index is its own code word: no gather
         return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))

@@ -13,6 +13,7 @@ serialized tables always reconstruct the same field.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
@@ -91,6 +92,17 @@ def _past_cap(q: int, d: int) -> bool:
     return d >= MAX_Q.bit_length() or q**d > MAX_Q
 
 
+def _checked_index(i, n: int, what: str) -> int:
+    """i as an int in [0, n); a float or a string is refused, never cast."""
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} index {i!r} is not an integer") from None
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"{what} index {i} outside [0, {n})")
+    return i
+
+
 def _refuse_past_max_q(p: int, ell: int) -> None:
     """Refuse p > MAX_Q or p**ell > MAX_Q before any primality or irreducibility test."""
     if p >= 2 and _past_cap(p, max(ell, 1)):
@@ -165,9 +177,7 @@ class FieldParams:
         return self.scalar(1)
 
     def from_index(self, i: int) -> "FieldElement":
-        i = int(i)
-        if not 0 <= i < self.q:
-            raise IndexOutOfRange(f"element index {i} outside [0, {self.q})")
+        i = _checked_index(i, self.q, "element")
         return FieldElement(
             self, tuple((i // self.p**j) % self.p for j in range(self.ell))
         )

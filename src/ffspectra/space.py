@@ -15,14 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _modp
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    IndexOutOfRange,
-    NotABasis,
-    UnsupportedSize,
-)
-from .field import MAX_Q, FieldElement, FieldParams, _past_cap
+from .errors import DimensionMismatch, FieldMismatch, NotABasis, UnsupportedSize
+from .field import MAX_Q, FieldElement, FieldParams, _checked_index, _past_cap
 
 # Desk scale: exhaustive checks (basis round trips, spec re-evaluation,
 # catalog expectations, the decomposition certificate) run only on spaces
@@ -63,11 +57,8 @@ class PointVector:
 
     @classmethod
     def from_index(cls, params: FieldParams, d: int, i: int) -> "PointVector":
-        i = int(i)
         _refuse_past_cap(params.q, d)
-        if not 0 <= i < params.q**d:
-            raise IndexOutOfRange(f"point index {i} outside [0, {params.q ** d})")
-        q = params.q
+        i, q = _checked_index(i, params.q**d, "point"), params.q
         return cls(params, tuple(params.from_index((i // q**j) % q) for j in range(d)))
 
     @classmethod

@@ -37,11 +37,10 @@ from .cyclotomic import CycInt
 from .errors import (
     EvenCharacteristic,
     FieldMismatch,
-    IndexOutOfRange,
     TrivialCharacter,
     UnsupportedSize,
 )
-from .field import FieldElement, FieldParams, trace
+from .field import FieldElement, FieldParams, _checked_index, trace
 from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
 from .space import PointVector, _past_cap
 
@@ -86,8 +85,8 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     B = I_d kron G acts on each coordinate m_j separately, so the map is the
     one-coordinate map on [0, q) applied to every base-q digit of m.
     """
-    q = params.q
-    images = field_mod.element_digits(params) @ _gram(params, u_index).T % params.p
+    q, digits = params.q, field_mod.element_digits(params)
+    images = _modp.residue_product(digits, _gram(params, u_index).T, params.p)
     perm = one = _modp.index_of_digits(images, params.p)
     for j in range(1, d):
         perm = (one[:, None] * q**j + perm).ravel()
@@ -171,8 +170,8 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
         raise TrivialCharacter("u = 0 names the trivial character")
     slot = _exponents
     if slot is None or slot[0]() is not f or slot[1] != u_index:
-        params = f.params
-        row = field_mod.element_digits(params) @ field_mod.trace_weights(params, u_index) % params.p
+        params, digits = f.params, field_mod.element_digits(f.params)
+        row = _modp.residue_product(digits, field_mod.trace_weights(params, u_index), params.p)
         values = row.astype(np.min_scalar_type(params.p - 1))[f.values]
         values.setflags(write=False)
         slot = _exponents = (weakref.ref(f), u_index, values)
@@ -267,21 +266,27 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
 
 
 @lru_cache(maxsize=1)  # the spot checks ask for many cells of one u in a row
-def _trace_rows(params: FieldParams, u_index: int) -> np.ndarray:
-    """rows[i, x] = -Tr(u * t**i * x) mod p for every x in F_q, as float64:
-    a digit row times rows is then one BLAS product whose entries, integers
-    below ell*p**2 <= 2**41, are exact.
+def _trace_rows(params: FieldParams, u_index: int, d: int) -> tuple:
+    """The oracle's constants of u over F_q**d, so that a cell computes no
+    type and no shape: the digits of every element of F_q; rows[i, x] =
+    -Tr(u * t**i * x) mod p for every x in F_q, as float64, so that a digit
+    row times rows is one BLAS product whose entries, integers below
+    ell*(p-1)**2 <= 2**40, are exact; the wide unsigned type holding those
+    entries and the narrow one holding d + 1 summed residues; the broadcast
+    shape of each coordinate; and the histogram length.
 
     Built from the matrix of multiplication by u and the trace forms of the
     basis, Tr(t**i * t**k), never from the transform's Gram matrix or
     frequency map, so that the oracle stays independent of them.
     """
-    p = params.p
-    pair_forms = field_mod.trace_forms(params)[0]
+    p, q, ell = params.p, params.q, params.ell
+    digits, pair_forms = field_mod.element_digits(params), field_mod.trace_forms(params)[0]
     forms = -pair_forms @ field_mod.mul_matrix(params, u_index) % p  # -Tr(t**i * u * t**k)
-    rows = (forms @ field_mod.element_digits(params).T % p).astype(np.float64)
+    rows = _modp.residue_product(forms, digits.T, p).astype(np.float64)
     rows.setflags(write=False)  # shared through the cache
-    return rows
+    wide, narrow = np.min_scalar_type(ell * (p - 1) ** 2), np.min_scalar_type((d + 1) * (p - 1))
+    shapes = tuple((1,) * (d - 1 - j) + (q,) + (1,) * j for j in range(d))
+    return digits, rows, wide, narrow, shapes, (d + 1) * p
 
 
 def _cell_counts(
@@ -295,26 +300,25 @@ def _cell_counts(
 
     exponents is shaped (q,)*d with axis d-1-j over x_j.  With digits the
     base-p digits of every element of F_q and rows[i, y] = -Tr(u*t**i*y) mod
-    p (see _trace_rows), digits[m_j] @ rows reduced mod p is -Tr(u*m_j*x_j)
-    for every x_j.  The boolean mask members restricts the point set
-    (defaults to all points).  The nonzero m_j add these q-entry rows by
-    broadcasting, in the narrowest type holding their sums, at most
+    p (see _trace_rows), digits[m_j] @ rows reduced mod p, in the wide type,
+    is -Tr(u*m_j*x_j) for every x_j.  The boolean mask members restricts the
+    point set (defaults to all points).  The nonzero m_j add these q-entry
+    rows by broadcasting, in the narrow type holding their sums, at most
     (d+1)*(p-1), histogrammed once and folded p-wide: no reduction per point.
     """
-    p, q, d = params.p, params.q, exponents.ndim
-    digits, rows = field_mod.element_digits(params), _trace_rows(params, u_index)
-    narrow = np.min_scalar_type((d + 1) * (p - 1))
-    offset = 0
-    for j in range(d):
-        mj = m_index // q**j % q
+    p, q = params.p, params.q
+    digits, rows, wide, narrow, shapes, minlength = _trace_rows(params, u_index, exponents.ndim)
+    offset = None
+    for shape in shapes:
+        m_index, mj = divmod(m_index, q)
         if mj:
-            shape = [1] * d
-            shape[d - 1 - j] = q
-            s = (digits[mj] @ rows).astype(np.intp)
-            offset = offset + (s - s // p * p).astype(narrow).reshape(shape)  # s mod p
-    values = (exponents + offset).ravel()
-    hist = np.bincount(values if members is None else values[members], minlength=(d + 1) * p)
-    return hist.reshape(-1, p).sum(axis=0)
+            s = np.dot(digits[mj], rows).astype(wide)  # np.dot costs less per call than @
+            s -= s // p * p
+            s = s.astype(narrow, copy=False).reshape(shape)
+            offset = s if offset is None else offset + s
+    values = (exponents if offset is None else exponents + offset).ravel()
+    hist = np.bincount(values if members is None else values[members], minlength=minlength)
+    return np.add.reduce(hist.reshape(-1, p))
 
 
 def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
@@ -325,10 +329,8 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
     as the spot-check oracle behind the floating transform path.
     """
     params = f.params
-    if not (0 <= u_index < params.q and 0 <= m_index < f.n_points):
-        raise IndexOutOfRange(
-            f"cell (u, m) = ({u_index}, {m_index}) outside [1, {params.q}) x [0, {f.n_points})"
-        )
+    u_index = _checked_index(u_index, params.q, "character")
+    m_index = _checked_index(m_index, f.n_points, "frequency")
     exponents = _trace_exponents(f, u_index).reshape((params.q,) * f.d)  # refuses u = 0
     counts = _cell_counts(params, u_index, exponents, m_index)
     return CycInt(params.p, tuple((counts - counts[-1]).tolist()))  # normalized: last slot 0

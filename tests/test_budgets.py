@@ -1,14 +1,14 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
 the 2**20-point cap, a random table past the cap refused before its work
 arrays are allocated, a table file past the cap refused from its header,
-the point-sized buffers of the fast path, of vec_mul, of delta_table and
-translate over F_3**12, of the p = 2 code words and of the PN scan at odd p,
-the bytes per value of load_table, the exhaustive decomposition
-certificate, a full PN scan and the graph spectrum report at desk scale, a
-power map whose exponent is far larger than the field, the distance-1
-sweep at q = 625 and q = 1009, every size-taking entry point refused past
-its cap before it builds anything, a finite bound on every lru_cache in the
-package, and its single per-(f, u) slot."""
+the point-sized buffers of the fast path, of one exact cell, of vec_mul,
+of delta_table and translate over F_3**12, of the p = 2 code words and of
+the PN scan at odd p, the bytes per value of load_table, the exhaustive
+decomposition certificate, a full PN scan and the graph spectrum report at
+desk scale, a power map whose exponent is far larger than the field, the
+distance-1 sweep at q = 625 and q = 1009, every size-taking entry point
+refused past its cap before it builds anything, a finite bound on every
+lru_cache in the package, and its single per-(f, u) slot."""
 
 import ast
 import importlib
@@ -340,6 +340,25 @@ def test_abs_sq_table_holds_few_point_sized_buffers():
         tracemalloc.stop()
     assert np.all(table[:, 0] - table[:, 1] == 2**d)  # bent: |S|^2 = q**d at every m
     assert peak <= 4.25 * buffer
+
+
+def test_exact_cell_holds_few_point_sized_buffers():
+    # the int64 copy that bincount counts from, plus the one-byte offset and
+    # sum of each point; the exponent row and the oracle's constants are warm
+    f2, d = make_field(2), 16
+    buffer = 8 * 2**d
+    f = get_function("bool_quadratic", f2, d=d)
+    spectrum.exact_cell(f, 1, 1)
+    for m in (1, 0xAAAA, 2**d - 1):  # one, half and every coordinate nonzero
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            cell = spectrum.exact_cell(f, 1, m)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert cell.abs_sq().as_integer() == 2**d  # bent
+        assert peak <= 1.3 * buffer
 
 
 def test_flat_exact_verdict_builds_no_float_values():

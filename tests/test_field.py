@@ -253,6 +253,18 @@ def test_element_codec():
         f9.from_index(-1)
 
 
+def test_element_index_refuses_non_integers():
+    # a float is never truncated and a string never parsed to an element
+    f7 = make_field(7)
+    for i in (1.7, 2.0, np.float64(3.0), "3", None):
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            f7.from_index(i)
+    # what operator.index takes is an index: int, numpy integers and bool
+    for i in (3, np.int64(3), np.uint8(3)):
+        assert f7.from_index(i).index == 3
+    assert f7.from_index(True).index == 1
+
+
 def test_field_mismatch_guard():
     a = make_field(5).scalar(2)
     b = make_field(7).scalar(2)

@@ -21,6 +21,20 @@ def test_powers():
     assert _modp.powers(2, 1).tolist() == [1]
 
 
+def test_residue_product_matches_int64():
+    # one float64 product reduced in the narrowest unsigned type holding
+    # n*(p-1)**2: uint8 up to uint64 (p near 2**20), at the bound itself
+    rng = np.random.default_rng(0)
+    for p in (2, 13, 31, 1009, 2**20 - 3):
+        for rows, n, cols in [(5, 3, 2), (4096, 12, 1), (2197, 3, 3), (3, 3, 3000), (3000, 1, 0)]:
+            a, b = rng.integers(0, p, (rows, n)), rng.integers(0, p, (n, max(cols, 1)))
+            a[0], b[:, 0] = p - 1, p - 1  # entry (0, 0) meets the bound n*(p-1)**2
+            b = b if cols else b[:, 0]  # cols 0: a vector
+            got = _modp.residue_product(a.astype(np.min_scalar_type(p - 1)), b, p)
+            assert got.tolist() == (a @ b % p).tolist()
+            assert got.dtype == np.min_scalar_type(n * (p - 1) ** 2)
+
+
 def test_add_sub_neg_match_per_digit_arithmetic():
     rng = np.random.default_rng(7)
     for p, n in [(2, 6), (3, 3), (7, 2), (13, 2)]:

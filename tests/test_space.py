@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ffspectra import PointVector, SpaceBasis, dot, make_field, standard_basis
-from ffspectra.errors import DimensionMismatch, NotABasis
+from ffspectra.errors import DimensionMismatch, IndexOutOfRange, NotABasis
 from ffspectra.space import (
     decompose_over_fp,
     vec_point_add,
@@ -22,6 +22,15 @@ def test_point_index_round_trip():
             assert x.index == i and x.d == d
     with pytest.raises(Exception):
         PointVector.from_index(make_field(5), 2, 25)
+
+
+def test_point_index_refuses_non_integers():
+    f7 = make_field(7)
+    for i in (8.2, 8.0, np.float32(1.0), "8"):
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            PointVector.from_index(f7, 2, i)
+    assert PointVector.from_index(f7, 2, np.int32(8)).index == 8
+    assert PointVector.from_index(f7, 2, True).index == 1
 
 
 def test_point_arithmetic():

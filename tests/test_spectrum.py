@@ -119,6 +119,15 @@ def test_exact_cell_guards():
         assert exact_cell(SQ5, good_u, good_m) == want
 
 
+def test_exact_cell_refuses_non_integer_indices():
+    # neither index is truncated, and numpy's own IndexError never escapes
+    for u, m in [(1.5, 2), (1, 2.5), (1.0, 2), ("1", 2), (1, None)]:
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            exact_cell(SQ5, u, m)
+    want = exact_cell(SQ5, 1, 2)
+    assert exact_cell(SQ5, np.int64(1), np.uint8(2)) == want == exact_cell(SQ5, True, 2)
+
+
 def test_parseval_exact():
     for params, d, spec in [
         (F5, 1, FnSpec.univariate([0, 0, 1])),
@@ -531,6 +540,19 @@ def _frequency_map_reference(params, d, u_index):
     return _modp.index_of_digits(digits @ block.T % params.p, params.p)
 
 
+# The oracle reduces its digit products in the narrowest unsigned type that
+# holds ell*(p-1)**2, and the per-u maps take them as float64 products:
+# fields at each type boundary, against int64 references.
+NARROW_CASES = [
+    (make_field(31), 1, np.uint16),
+    (make_field(1009), 1, np.uint32),
+    (FieldParams(2, 12, (1, 0, 0, 1) + (0,) * 8 + (1,)), 1, np.uint8),  # t**12 + t**3 + 1
+    (make_field(13, 3), 1, np.uint16),
+    (FieldParams(5, 2, (2, 1, 1)), 2, np.uint8),  # t**2 + t + 2
+    (make_field(5), 3, np.uint8),
+]
+
+
 @pytest.mark.parametrize(
     "params,d",
     [
@@ -540,13 +562,32 @@ def _frequency_map_reference(params, d, u_index):
         (make_field(2, 2), 3),
         (make_field(5), 3),
         (FieldParams(5, 2, (3, 0, 1)), 2),
-    ],
+    ]
+    + [(params, d) for params, d, _ in NARROW_CASES],
     ids=str,
 )
 def test_frequency_map_matches_kron_reference(params, d):
-    for u in range(1, params.q):
+    # every u up to q = 1023, about 512 of them past that, and u = q - 1
+    for u in [*range(1, params.q - 1, max(1, params.q // 512)), params.q - 1]:
         got = spectrum._frequency_map(params, d, u)
         assert np.array_equal(got, _frequency_map_reference(params, d, u))
+
+
+@pytest.mark.parametrize("params,d,wide", NARROW_CASES, ids=lambda c: str(c) if isinstance(c, FieldParams) else None)
+def test_narrow_reductions_match_int64_references(params, d, wide):
+    f = random_function(params, d, 7)
+    digits = field.element_digits(params).astype(np.int64)
+    for u in (1, 2, params.q - 1):
+        exponents = (digits @ trace_weights(params, u) % params.p)[f.values]
+        assert spectrum._trace_exponents(f, u).tolist() == exponents.tolist()
+    assert spectrum._trace_rows(params, params.q - 1, d)[2] == wide
+    # every digit of m = N - 1 is p - 1, which makes the largest products; the
+    # pointwise reference takes ell - 1 Frobenius powers per point, so F_2**12
+    # checks that m alone
+    u = params.from_index(params.q - 1)
+    for m_idx in (f.n_points - 1, 1, f.n_points // 3)[: 1 if params.ell > 3 else 3]:
+        m = PointVector.from_index(params, d, m_idx)
+        assert exact_cell(f, u.index, m_idx) == walsh_exact(f, u, m)
 
 
 def test_frequency_map_is_identity_for_p2_u1():
