@@ -81,14 +81,15 @@ def _emit(args, name: str, text: str) -> None:
 def _finish(
     args, stem: str, payload: dict, passed: bool | None = None, csv: str | None = None
 ) -> int:
-    """Print the canonical JSON payload (or, under --format csv, the CSV of a
-    command that has one), write both to --emit as stem.json and stem.csv,
-    and exit 1 exactly when the library verdict passed is False."""
+    """Write the canonical JSON payload and the CSV of a command that has one
+    to --emit as stem.json and stem.csv, then print one of them (the CSV
+    under --format csv), so that an unusable --emit prints nothing; exit 1
+    exactly when the library verdict passed is False."""
     text = canonical_json(payload)
-    sys.stdout.write(csv if csv is not None and args.format == "csv" else text)
     _emit(args, f"{stem}.json", text)
     if csv is not None:
         _emit(args, f"{stem}.csv", csv)
+    sys.stdout.write(csv if csv is not None and args.format == "csv" else text)
     return 1 if passed is False else 0
 
 

@@ -35,9 +35,13 @@ class PointSet:
 
     def __post_init__(self) -> None:
         _refuse_past_cap(self.params.q, self.d)
-        arr = np.array(self.bitmap, dtype=bool)
+        raw = np.asarray(self.bitmap)
+        arr = raw.astype(bool)
         if arr.shape != (self.params.q**self.d,):
             raise ValueError(f"bitmap must have length {self.params.q ** self.d}")
+        # truth values only, so that an index list is never read as a bitmap
+        if raw.dtype != bool and (raw.dtype.kind not in "iuf" or not np.array_equal(raw, arr)):
+            raise ValueError("bitmap entries must be 0/1 or False/True")
         arr.setflags(write=False)
         object.__setattr__(self, "bitmap", arr)
 
@@ -46,8 +50,9 @@ class PointSet:
         _refuse_past_cap(params.q, d)
         n = params.q**d
         indices = np.asarray(indices)
-        if indices.size and (indices.dtype.kind in "fc" or not 0 <= indices.min() <= indices.max() < n):
-            raise IndexOutOfRange(f"point indices must be integers in [0, {n})")  # no float is truncated
+        # no float is truncated to a point, and no bitmap is read as indices
+        if indices.size and (indices.dtype.kind in "bfc" or not 0 <= indices.min() <= indices.max() < n):
+            raise IndexOutOfRange(f"point indices must be integers in [0, {n})")
         bitmap = np.zeros(n, dtype=bool)
         bitmap[indices.astype(np.int64, copy=False)] = True
         return cls(params, d, bitmap)

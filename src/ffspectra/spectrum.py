@@ -68,15 +68,13 @@ class Character:
 # Exact engine.
 
 
-@lru_cache(maxsize=field_mod.PER_U_CACHE_SIZE)
 def _gram(params: FieldParams, u_index: int) -> np.ndarray:
     """G[j,k] = Tr(u * t**j * t**k), the digits of u times the field's triple
-    trace forms; then Tr(u*(x.m)) = digits(x).T B digits(m) with B = I_d kron G."""
+    trace forms; then Tr(u*(x.m)) = digits(x).T B digits(m) with B = I_d kron G.
+    Built at each placement: one placement reads it once."""
     ell = params.ell
     triples = field_mod.trace_forms(params)[1].reshape(ell, ell * ell)
-    g = (field_mod.element_digits(params)[u_index] @ triples % params.p).reshape(ell, ell)
-    g.setflags(write=False)
-    return g
+    return (field_mod.element_digits(params)[u_index] @ triples % params.p).reshape(ell, ell)
 
 
 def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
@@ -377,18 +375,6 @@ class BentVerdict:
         return "bent" if self.is_bent else "not_bent"
 
 
-@lru_cache(maxsize=field_mod.PARAMS_CACHE_SIZE)
-def _orbit_reps(params: FieldParams) -> tuple[int, ...]:
-    """Least index of each orbit of F_p^*-scaling on F_q^*, ascending.
-
-    Scaling u by t keeps the position j of u's top nonzero base-p digit and
-    multiplies that digit by t, so an orbit's least index is its member whose
-    top digit is 1: the reps are exactly the indices in [p**j, 2*p**j).
-    """
-    p = params.p
-    return tuple(u for j in range(params.ell) for u in range(p**j, 2 * p**j))
-
-
 def _witness_m(t: np.ndarray, target: int) -> int:
     """Least excess-valued m of an unreduced |S|^2 table placed by m,
     falling back to least failing m.
@@ -411,15 +397,21 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     """One exact transform per Galois orbit of u, by ascending least member:
     that member and its unreduced |S|^2 table in transform order.
 
-    Scaling u by t in F_p^* conjugates every S(u, m), which changes neither
-    rational integrality nor rational values of |S|^2, so a whole orbit
-    shares one pass/fail pattern over m: the first failing orbit's least
-    member is the least failing u.  The walk names no frequency, so it needs
-    no frequency map; the table is yielded without a name in the walk, so a
-    consumer that places it by m frees the transform order.
+    Scaling u by t in F_p^* keeps the position j of u's top nonzero base-p
+    digit and multiplies that digit by t, so an orbit's least member is the
+    one whose top digit is 1: the least members are exactly the indices in
+    [p**j, 2*p**j), generated as the walk reaches them.  Scaling also
+    conjugates every S(u, m), which changes neither rational integrality nor
+    rational values of |S|^2, so a whole orbit shares one pass/fail pattern
+    over m: the first failing orbit's least member is the least failing u.
+    The walk names no frequency, so it needs no frequency map; the table is
+    yielded without a name in the walk, so a consumer that places it by m
+    frees the transform order.
     """
-    for u_index in _orbit_reps(f.params):
-        yield u_index, _transform_table(f.params, f.d, _trace_exponents(f, u_index))
+    p = f.params.p
+    for j in range(f.params.ell):
+        for u_index in range(p**j, 2 * p**j):
+            yield u_index, _transform_table(f.params, f.d, _trace_exponents(f, u_index))
 
 
 def _witness(f: FnTable, u_index: int, t: np.ndarray) -> BentWitness:

@@ -1,6 +1,7 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
 the 2**20-point cap, a random table past the cap refused before its work
-arrays are allocated, a table file past the cap refused from its header,
+arrays are allocated, an exact verdict over F_2**20 that keeps nothing
+per Galois orbit, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, of one exact cell, of vec_mul,
 of delta_table and translate over F_3**12, of the p = 2 code words and of
 the PN scan at odd p, the bytes per value of load_table, the exhaustive
@@ -380,6 +381,24 @@ def test_flat_exact_verdict_builds_no_float_values():
     assert peak <= 6.5 * buffer
 
 
+def test_exact_verdict_holds_no_per_orbit_state():
+    # a failing verdict over F_2**20 (t**20 + t**3 + 1) stops at its first
+    # orbit; once its table is dropped, what stays traced is the field's
+    # 20 MB digit matrix, and nothing per orbit of the 2**20 - 1
+    params = field.FieldParams(2, 20, (1, 0, 0, 1) + (0,) * 16 + (1,))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f = random_function(params, 1, 5)
+        witness = is_bent_exact(f).witness
+        del f
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert (witness.u.index, witness.m.index) == (1, 0)
+    assert held <= 25 * 2**20
+
+
 def test_random_table_past_the_cap_is_refused_before_allocating():
     f2 = make_field(2)
     tracemalloc.start()
@@ -599,11 +618,9 @@ def _package_caches():
 def test_every_cache_is_bounded():
     caches = _package_caches()
     for cache in (
-        spectrum._gram,
         spectrum._trace_rows,
         field.trace_weights,
         field.mul_matrix,
-        spectrum._orbit_reps,
         field._overflow_matrix,
         field.default_modulus,
     ):
@@ -611,10 +628,13 @@ def test_every_cache_is_bounded():
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
     # every u of a field with q - 1 <= 4096 stays warm in the per-u caches
-    for cache in (spectrum._gram, field.trace_weights, field.mul_matrix):
+    for cache in (field.trace_weights, field.mul_matrix):
         assert cache.cache_info().maxsize >= 4096
     # one entry is ell * q float64s, about 168 MB at F_2**20
     assert spectrum._trace_rows.cache_info().maxsize == 1
+    # read once where they are used: the Gram matrix per placement, the
+    # orbit representatives as the walk reaches them
+    assert not hasattr(spectrum._gram, "cache_info") and not hasattr(spectrum, "_orbit_reps")
 
 
 def test_the_only_global_statement_is_the_exponent_slot():

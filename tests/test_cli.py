@@ -323,7 +323,7 @@ def test_field_info(capsys):
     assert doc == {"command": "field info", "ell": 1, "modulus": [0, 1], "p": 1009, "q": 1009}
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _, _ = run(capsys, "test", "pn", "--catalog", "square")  # missing --p
     assert code == 2
     code, _, _ = run(capsys, "test", "pn", "--p", "5")  # missing function source
@@ -347,6 +347,15 @@ def test_usage_errors(capsys):
     assert code == 2  # mutually exclusive
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+    # an --emit path that names a regular file fails before anything is printed
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ("test", "pn", "--catalog", "square", "--p", "5"),
+        ("salem", "report", "--catalog", "square", "--p", "5", "--format", "csv"),
+    ):
+        code, out, _ = run(capsys, *argv, "--emit", str(taken))
+        assert (code, out) == (2, "")
 
 
 def test_unread_parameters_and_mode_flags_exit_2(capsys):

@@ -163,12 +163,33 @@ def test_salem_constant_random_sets_reported_not_asserted():
 
 
 def test_from_indices_refuses_indices_outside_the_space():
-    # no negative index wraps around, and no float is truncated to a point
-    for indices in ([-1], [5], [1.7], [0, 4, 5], np.array([2.0])):
+    # no negative index wraps around, no float is truncated to a point, and
+    # no bitmap is read as the indices 0 and 1
+    bitmap = np.array([False, True, False, True, True])
+    for indices in ([-1], [5], [1.7], [0, 4, 5], np.array([2.0]), bitmap, [True, False]):
         with pytest.raises(IndexOutOfRange):
             PointSet.from_indices(F5, 1, indices)
     assert PointSet.from_indices(F5, 1, []).cardinality == 0
     assert PointSet.from_indices(F5, 1, [0, 4, 4]).bitmap.tolist() == [True, False, False, False, True]
+
+
+def test_bitmap_takes_only_truth_values():
+    # an index list is not read as truth values, and a bitmap has one entry per point
+    for bitmap in (
+        [0, 2, 3, 4, 1],
+        np.array([0, 1, 0, 1, 2]),
+        [0.0, 0.5, 0, 0, 0],
+        ["0", "1", "0", "0", "1"],
+        [True, False],
+        np.ones(25, dtype=bool),
+    ):
+        with pytest.raises(ValueError):
+            PointSet(F5, 1, bitmap)
+    want = [False, True, False, True, True]
+    for bitmap in (want, np.array(want), [0, 1, 0, 1, 1], np.array(want, dtype=np.uint8), [0.0, 1.0, 0, 1, 1]):
+        e = PointSet(F5, 1, bitmap)
+        assert e.bitmap.dtype == bool and e.bitmap.tolist() == want
+        assert e == PointSet.from_indices(F5, 1, [1, 3, 4])
 
 
 def test_salem_report_case_tags():
