@@ -14,17 +14,9 @@ float paired with its exact counterpart:
 
 from .cyclotomic import CycInt, abs_sq, as_integer, cyc_arithmetic, from_histogram, to_complex
 from .errors import FFSpectraError
-from .field import (
-    FieldElement,
-    FieldParams,
-    FpBasis,
-    field_arithmetic,
-    make_field,
-    standard_fp_basis,
-    trace,
-)
+from .field import FieldElement, FieldParams, field_arithmetic, make_field, trace
 from .funcs import FnSpec, FnTable, build_function, delta_table, hamming_distance, image_size, is_pn, load_table, save_table, translate
-from .space import PointVector, SpaceBasis, decompose_over_fp, dot, standard_basis
+from .space import FpBasis, PointVector, SpaceBasis, decompose_over_fp, dot, standard_basis, standard_fp_basis
 from .spectrum import Character, FastBentVerdict, SpectrumReport, crosscheck_pn_bent, is_bent_exact, is_bent_fast, walsh_exact, walsh_exact_all, walsh_fast_all
 from .salem import PointSet, SalemReport, graph_of, indicator_ft_abs_sq, salem_constant, verify_theorem1
 from .decomp import BaseDeltaSet, DecompPlan, base_deltas, identity_suite, reconstruct_delta, verify_decomposition

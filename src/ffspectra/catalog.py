@@ -22,30 +22,9 @@ from .errors import (
     UnknownCatalogEntry,
 )
 from .field import FieldParams
-from .funcs import FnSpec, FnTable, build_function, is_pn
+from .funcs import FnSpec, FnTable, build_function, is_pn, splitmix64
 from .space import DESK_SCALE_POINTS, _refuse_past_cap
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix64(seed: int, i: int | np.ndarray) -> int | np.ndarray:
-    """Output i of the splitmix64 counter sequence for this seed; i may be
-    an index array, and a scalar i gives a Python int.
-
-    z = seed + (i+1)*0x9E3779B97F4A7C15 mod 2**64, then the standard
-    finalizer: z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
-    z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2**64).
-    """
-    # an array wraps mod 2**64 silently, where a numpy scalar warns on overflow
-    z = (np.atleast_1d(np.asarray(i, dtype=np.uint64)) + np.uint64(1)) * np.uint64(_GOLDEN)
-    z += np.uint64(seed & _MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z if np.ndim(i) else int(z[0])
+from .spectrum import is_bent_exact
 
 
 def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
@@ -200,8 +179,6 @@ def get_function(
             if prop == "pn":
                 actual = is_pn(table).is_pn
             elif prop == "bent":
-                from .spectrum import is_bent_exact
-
                 actual = is_bent_exact(table).is_bent
             else:
                 raise AssertionError(f"unknown expectation {prop!r}")

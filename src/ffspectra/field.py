@@ -142,12 +142,15 @@ class FieldParams:
     modulus: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # a float is refused, never truncated; a numpy integer becomes an int
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "ell", operator.index(self.ell))
         _refuse_past_max_q(self.p, self.ell)
         if not _is_prime(self.p):
             raise NonPrime(f"characteristic {self.p!r} is not prime")
         if self.ell < 1:
             raise UnsupportedSize("extension degree must be >= 1")
-        mod = tuple(int(c) % self.p for c in self.modulus)
+        mod = tuple(operator.index(c) % self.p for c in self.modulus)
         if len(mod) != self.ell + 1 or mod[-1] != 1:
             raise BadModulus("modulus must be monic of degree ell")
         object.__setattr__(self, "modulus", mod)
@@ -161,14 +164,14 @@ class FieldParams:
     # -- element construction -------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        c = tuple(int(x) % self.p for x in coeffs)
+        c = tuple(operator.index(x) % self.p for x in coeffs)
         if len(c) != self.ell:
             raise ValueError(f"need exactly {self.ell} coefficients")
         return FieldElement(self, c)
 
     def scalar(self, n: int) -> "FieldElement":
         """The constant polynomial n mod p (embedding of the integers)."""
-        return FieldElement(self, (int(n) % self.p,) + (0,) * (self.ell - 1))
+        return FieldElement(self, (operator.index(n) % self.p,) + (0,) * (self.ell - 1))
 
     def zero(self) -> "FieldElement":
         return self.scalar(0)
@@ -196,7 +199,7 @@ def make_field(
     """Construct F_{p**ell}; a built-in modulus is used when none is given."""
     if modulus is None:
         modulus = default_modulus(p, ell)
-    return FieldParams(p, ell, tuple(int(c) for c in modulus))
+    return FieldParams(p, ell, tuple(modulus))
 
 
 @dataclass(frozen=True)
@@ -250,7 +253,7 @@ class FieldElement:
     def scale(self, k: int) -> "FieldElement":
         """Prime-field scalar multiple k * self."""
         p = self.params.p
-        k = int(k) % p
+        k = operator.index(k) % p
         return FieldElement(self.params, tuple((k * c) % p for c in self.coeffs))
 
     def inverse(self) -> "FieldElement":
@@ -259,7 +262,7 @@ class FieldElement:
         return self ** (self.params.q - 2)
 
     def __pow__(self, e: int) -> "FieldElement":
-        e = int(e)
+        e = operator.index(e)
         if e < 0:
             return self.inverse() ** (-e)
         result = self.params.one()
@@ -305,7 +308,7 @@ def field_arithmetic(
     if op == "inv":
         return a.inverse()
     if op == "pow":
-        return a ** int(b)
+        return a ** b
     raise ValueError(f"unknown field operation {op!r}")
 
 
@@ -319,39 +322,6 @@ def trace(a: FieldElement) -> int:
     if any(acc.coeffs[1:]):
         raise AssertionError("trace image left the prime field")
     return acc.coeffs[0]
-
-
-@dataclass(frozen=True)
-class FpBasis:
-    """An F_p-basis of F_q: the one-coordinate SpaceBasis of its elements."""
-
-    params: FieldParams
-    elements: tuple[FieldElement, ...]
-
-    def __post_init__(self) -> None:
-        from .space import PointVector, SpaceBasis  # space imports this module
-
-        # each point keeps its element's field, so SpaceBasis refuses a foreign one
-        points = tuple(PointVector(e.params, (e,)) for e in self.elements)
-        object.__setattr__(self, "_space", SpaceBasis(self.params, 1, points))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Columns are the coefficient vectors of the basis elements."""
-        return self._space.matrix
-
-    def decompose(self, a: FieldElement) -> tuple[int, ...]:
-        if a.params != self.params:
-            raise FieldMismatch("element from a different field")
-        return tuple(int(k) for k in self._space.decompose_indices(np.array([a.index]))[0])
-
-    def combine(self, digits: Sequence[int]) -> FieldElement:
-        return self._space.recompose(digits).coords[0]
-
-
-def standard_fp_basis(params: FieldParams) -> FpBasis:
-    """The polynomial basis 1, t, ..., t**(ell-1)."""
-    return FpBasis(params, tuple(params.from_index(params.p**j) for j in range(params.ell)))
 
 
 # ---------------------------------------------------------------------------

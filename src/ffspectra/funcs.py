@@ -11,6 +11,7 @@ code words of `_modp` (XOR for p = 2), as the index adder does.
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -39,6 +40,7 @@ class FnTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))  # a float d is refused
         if self.d < 1:
             raise DimensionMismatch("dimension must be >= 1")
         _refuse_past_cap(self.params.q, self.d)
@@ -84,15 +86,11 @@ class FnTable:
 
 @dataclass(frozen=True)
 class FnSpec:
-    """Recipe for a table: raw values, a univariate polynomial, a sparse
-    monomial list, or a catalog reference."""
+    """Recipe for a table: a univariate polynomial or a sparse monomial list."""
 
     kind: str
     coeffs: tuple[int, ...] = ()
     monomials: tuple[tuple[int, tuple[int, ...]], ...] = ()
-    table: tuple[int, ...] = ()
-    name: str = ""
-    args: tuple[tuple[str, int], ...] = ()
 
     @classmethod
     def univariate(cls, coeffs: Sequence[int]) -> "FnSpec":
@@ -108,14 +106,6 @@ class FnSpec:
             (int(c), tuple(int(e) for e in exps)) for c, exps in terms
         )
         return cls(kind="monomials", monomials=packed)
-
-    @classmethod
-    def raw(cls, values: Sequence[int]) -> "FnSpec":
-        return cls(kind="table", table=tuple(int(v) for v in values))
-
-    @classmethod
-    def catalog(cls, name: str, **args: int) -> "FnSpec":
-        return cls(kind="catalog", name=name, args=tuple(sorted(args.items())))
 
 
 def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
@@ -230,13 +220,33 @@ def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
         table = FnTable(params, d, _eval_monomials(params, d, spec.monomials))
         _spot_check(table, spec)
         return table
-    if spec.kind == "table":
-        return FnTable(params, d, np.array(spec.table, dtype=np.int64))
-    if spec.kind == "catalog":
-        from . import catalog  # deferred: catalog builds on this module
-
-        return catalog.get_function(spec.name, params, d=d, **dict(spec.args))
     raise ValueError(f"unknown spec kind {spec.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# The seeded stream behind random tables and the spot-check cells.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def splitmix64(seed: int, i: int | np.ndarray) -> int | np.ndarray:
+    """Output i of the splitmix64 counter sequence for this seed; i may be
+    an index array, and a scalar i gives a Python int.
+
+    z = seed + (i+1)*0x9E3779B97F4A7C15 mod 2**64, then the standard
+    finalizer: z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
+    z *= 0x94D049BB133111EB; z ^= z>>31 (all mod 2**64).
+    """
+    # an array wraps mod 2**64 silently, where a numpy scalar warns on overflow
+    z = (np.atleast_1d(np.asarray(i, dtype=np.uint64)) + np.uint64(1)) * np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z if np.ndim(i) else int(z[0])
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class PointSet:
         return int(np.count_nonzero(self.bitmap))
 
     def __contains__(self, x: PointVector) -> bool:
+        if x.params != self.params or x.d != self.d:
+            raise FieldMismatch("point incompatible with this set")
         return bool(self.bitmap[x.index])
 
     def __eq__(self, other: object) -> bool:

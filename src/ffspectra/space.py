@@ -8,6 +8,7 @@ relies on that identification.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -180,8 +181,8 @@ class SpaceBasis:
             raise ValueError(f"need exactly {self.n} digits")
         acc = PointVector.zero(self.params, self.d)
         for k, v in zip(digits, self.vectors):
-            if int(k) % self.params.p:
-                acc = acc + v.scale(int(k))
+            if operator.index(k) % self.params.p:  # a float digit is refused, never truncated
+                acc = acc + v.scale(k)
         return acc
 
 
@@ -196,6 +197,37 @@ def standard_basis(params: FieldParams, d: int) -> SpaceBasis:
             coords[j] = params.from_index(params.p**i)
             vectors.append(PointVector(params, tuple(coords)))
     return SpaceBasis(params, d, tuple(vectors))
+
+
+@dataclass(frozen=True)
+class FpBasis:
+    """An F_p-basis of F_q: the one-coordinate SpaceBasis of its elements."""
+
+    params: FieldParams
+    elements: tuple[FieldElement, ...]
+
+    def __post_init__(self) -> None:
+        # each point keeps its element's field, so SpaceBasis refuses a foreign one
+        points = tuple(PointVector(e.params, (e,)) for e in self.elements)
+        object.__setattr__(self, "_space", SpaceBasis(self.params, 1, points))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Columns are the coefficient vectors of the basis elements."""
+        return self._space.matrix
+
+    def decompose(self, a: FieldElement) -> tuple[int, ...]:
+        if a.params != self.params:
+            raise FieldMismatch("element from a different field")
+        return tuple(int(k) for k in self._space.decompose_indices(np.array([a.index]))[0])
+
+    def combine(self, digits: Sequence[int]) -> FieldElement:
+        return self._space.recompose(digits).coords[0]
+
+
+def standard_fp_basis(params: FieldParams) -> FpBasis:
+    """The polynomial basis 1, t, ..., t**(ell-1)."""
+    return FpBasis(params, tuple(params.from_index(params.p**j) for j in range(params.ell)))
 
 
 def decompose_over_fp(a: PointVector, basis: SpaceBasis) -> tuple[int, ...]:

@@ -32,7 +32,6 @@ from typing import Generator, Iterator, NamedTuple
 import numpy as np
 
 from . import _modp, field as field_mod
-from .catalog import splitmix64
 from .cyclotomic import CycInt
 from .errors import (
     EvenCharacteristic,
@@ -41,7 +40,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .field import FieldElement, FieldParams, _checked_index, trace
-from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn
+from .funcs import MAX_POINTS, FnTable, PnVerdict, is_pn, splitmix64
 from .space import PointVector, _past_cap
 
 

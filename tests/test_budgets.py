@@ -516,11 +516,13 @@ REFUSALS = {
     "parse_table-huge": (
         lambda tmp: partial(parse_table, f"2 1 {HUGE_D}\n0 1\n0\n"), BadTableFile, None,
     ),
-    "raw-spec-past": (
-        lambda tmp: partial(build_function, FnSpec.raw([0] * 2**21), F2, 21), UnsupportedSize, None,
+    "monomial-spec-past": (
+        lambda tmp: partial(build_function, FnSpec.from_monomials([(1, (1,) * 21)]), F2, 21),
+        UnsupportedSize,
+        None,
     ),
-    "raw-spec-huge": (
-        lambda tmp: partial(build_function, FnSpec.raw([0, 1]), F2, HUGE_D), UnsupportedSize, None,
+    "univariate-spec-huge": (
+        lambda tmp: partial(build_function, FnSpec.univariate([0, 1]), F2, HUGE_D), UnsupportedSize, None,
     ),
     "FnTable-past": (
         lambda tmp: partial(FnTable, F2, 21, np.zeros(2**21, dtype=np.int64)), UnsupportedSize, None,

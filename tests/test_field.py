@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from ffspectra import FieldParams, FpBasis, field_arithmetic, make_field, trace
+from ffspectra import FieldParams, FpBasis, field_arithmetic, make_field, standard_fp_basis, trace
 from ffspectra.errors import (
     BadModulus,
     FFSpectraError,
@@ -20,7 +20,6 @@ from ffspectra.errors import (
 )
 from ffspectra.field import (
     default_modulus,
-    standard_fp_basis,
     vec_add,
     vec_mul,
     vec_scalar_mul,
@@ -263,6 +262,30 @@ def test_element_index_refuses_non_integers():
     for i in (3, np.int64(3), np.uint8(3)):
         assert f7.from_index(i).index == 3
     assert f7.from_index(True).index == 1
+
+
+def test_integer_parameters_refuse_floats():
+    # a float is refused, never truncated to an int or stored as a parameter
+    f5 = make_field(5)
+    two = f5.from_index(2)
+    for call in (
+        lambda: make_field(5.0),
+        lambda: make_field(5, 2.0),
+        lambda: make_field(5, 1, (0.0, 1.0)),
+        lambda: FieldParams(5, 1.0, (0, 1)),
+        lambda: two**2.7,
+        lambda: two.scale(2.9),
+        lambda: f5.scalar(3.5),
+        lambda: f5.element([1.5]),
+        lambda: field_arithmetic("pow", two, 2.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    # numpy integers are taken, and stored as Python ints
+    f25 = make_field(np.int64(5), np.int64(2))
+    assert f25 == make_field(5, 2)
+    assert all(type(v) is int for v in (f25.p, f25.ell, f25.q, *f25.modulus))
+    assert two ** np.int64(2) == two.scale(np.int64(2)) == f5.scalar(np.int64(4)) == f5.element([np.int64(4)])
 
 
 def test_field_mismatch_guard():

@@ -166,10 +166,8 @@ def test_spec_recheck_catches_a_wrong_evaluator(monkeypatch):
 
 
 def test_raw_spec_and_table_guards():
-    f = build_function(FnSpec.raw([4, 3, 2, 1, 0]), F5, 1)
-    assert f.values.tolist() == [4, 3, 2, 1, 0]
     with pytest.raises(ValueError):
-        build_function(FnSpec.raw([1, 2, 3]), F5, 1)  # wrong length
+        FnTable(F5, 1, np.array([1, 2, 3]))  # wrong length
     with pytest.raises(ValueError):
         FnTable(F5, 1, np.array([0, 1, 2, 3, 5]))  # value out of range
     with pytest.raises(UnsupportedSize):
@@ -188,6 +186,13 @@ def test_table_refuses_float_and_complex_values():
     for values in ([4, 3, 2, 1, 0], np.arange(5, dtype=np.uint8), [True, False] * 2 + [True],
                    np.array([0, 1, 2, 3, 4], dtype=object)):
         assert FnTable(F5, 1, values).values.tolist() == [int(v) for v in values]
+
+
+def test_table_dimension_is_an_integer():
+    with pytest.raises(TypeError):
+        FnTable(F5, 1.0, np.arange(5))
+    f = FnTable(F5, np.int64(1), np.arange(5))
+    assert type(f.d) is int and repr(f) == "FnTable(q=5, d=1, 5 points)"
 
 
 def test_delta_table_frozen():
@@ -523,8 +528,3 @@ def test_non_ascii_table_file_is_refused(data, tmp_path, capsys):
     assert main(["test", "pn", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
-
-
-def test_catalog_spec_kind_dispatches():
-    f = build_function(FnSpec.catalog("square"), F5, 1)
-    assert f == _sq()

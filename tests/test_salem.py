@@ -173,6 +173,19 @@ def test_from_indices_refuses_indices_outside_the_space():
     assert PointSet.from_indices(F5, 1, [0, 4, 4]).bitmap.tolist() == [True, False, False, False, True]
 
 
+def test_membership_refuses_a_point_of_another_space():
+    e = PointSet.from_indices(F5, 2, [3, 7])
+    assert [PointVector.from_index(F5, 2, i) in e for i in (3, 7, 0, 8, 24)] == [True, True, False, False, False]
+    # the index 3 of another field or dimension is not read as E's point 3
+    for x in (
+        PointVector.from_index(make_field(7), 1, 3),
+        PointVector.from_index(F5, 1, 3),
+        PointVector.from_index(make_field(7), 2, 3),
+    ):
+        with pytest.raises(FieldMismatch):
+            x in e
+
+
 def test_bitmap_takes_only_truth_values():
     # an index list is not read as truth values, and a bitmap has one entry per point
     for bitmap in (

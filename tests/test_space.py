@@ -33,6 +33,17 @@ def test_point_index_refuses_non_integers():
     assert PointVector.from_index(f7, 2, True).index == 1
 
 
+def test_scale_and_recompose_refuse_float_digits():
+    f5 = make_field(5)
+    basis = standard_basis(f5, 2)
+    with pytest.raises(TypeError):
+        PointVector.from_index(f5, 2, 7).scale(2.5)
+    with pytest.raises(TypeError):
+        basis.recompose([1.5, 2])  # never read as the point (1, 2)
+    assert PointVector.from_index(f5, 2, 7).scale(np.int64(2)).index == 14
+    assert basis.recompose([np.int64(1), 2]).index == 11
+
+
 def test_point_arithmetic():
     f5 = make_field(5)
     x = PointVector(f5, (f5.scalar(1), f5.scalar(2), f5.scalar(3)))

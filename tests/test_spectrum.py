@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ffspectra import (
+    Character,
     FieldElement,
     FieldParams,
     FnSpec,
@@ -389,12 +390,16 @@ def test_character_additivity_on_traces():
     # chi_u(y+z) = chi_u(y) chi_u(z) reduces to trace additivity of u*(y+z)
     for params in (make_field(5), make_field(3, 2), make_field(2, 3)):
         for u in map(params.from_index, range(1, params.q)):
+            chi = Character(u)
             for yi in range(params.q):
                 for zi in range(params.q):
                     y, z = params.from_index(yi), params.from_index(zi)
                     lhs = trace(u * (y + z))
                     rhs = (trace(u * y) + trace(u * z)) % params.p
                     assert lhs == rhs
+                    assert abs(chi(y + z) - chi(y) * chi(z)) <= 1e-12
+        with pytest.raises(TrivialCharacter):
+            Character(params.zero())
 
 
 def test_pn_positive_examples_are_bent_and_vice_versa():
