@@ -8,6 +8,7 @@ field (e.g. power maps) carry no expectations and are measured instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -65,7 +66,7 @@ def _build_square(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTab
 def _build_power(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTable:
     if d != 1:
         raise SpecDimensionMismatch("power maps are univariate")
-    e = int(args.get("e", 3))
+    e = operator.index(args.get("e", 3))
     if e < 1:
         raise BadExponent("exponent must be >= 1")
     return build_function(FnSpec.from_monomials([(1, (e,))]), params, 1)
@@ -91,14 +92,14 @@ def _build_bool_quadratic(params: FieldParams, d: int, args: Mapping[str, int]) 
 
 
 def _build_random(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTable:
-    return random_function(params, d, int(args.get("seed", 0)))
+    return random_function(params, d, operator.index(args.get("seed", 0)))
 
 
 def _build_affine(params: FieldParams, d: int, args: Mapping[str, int]) -> FnTable:
     if d != 1:
         raise SpecDimensionMismatch("affine entry is univariate")
-    c = int(args.get("c", 1)) % params.q
-    b = int(args.get("b", 0)) % params.q
+    c = operator.index(args.get("c", 1)) % params.q
+    b = operator.index(args.get("b", 0)) % params.q
     return build_function(FnSpec.univariate([b, c]), params, 1)
 
 

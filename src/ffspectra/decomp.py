@@ -18,13 +18,13 @@ by a negative-control test.
 reconstruct_delta (the formula for one shift, the tests' oracle) and
 identity_suite are one chain sum, sum_i D_{f,s_i}(x + o_i) with
 o_{i+1} = o_i + s_i.  verify_decomposition certifies the formula for all
-q**d - 1 shifts in one process by walking them in prefix order: a + g_s,
-for s at least the top nonzero digit of a, adds the formula's next term
-D_{f,g_s}(x + a) to a's reconstruction, a field-index array added by
-combining code words of `_modp`, as the PN scan does.  Each digit's chain
-of p - 1 steps is a loop, so the walk is at most n levels deep for every p,
-and memory is linear in q**d (n translation gathers and one chain position
-per level); no q**d x q**d addition table is built.
+q**d - 1 shifts in one process by counting them like an odometer over their
+basis digits, as the PN scan counts its shifts: a + g_s, for s at least the
+top nonzero digit of a, adds the formula's next term D_{f,g_s}(x + a) to
+a's reconstruction, a field-index array added by combining code words of
+`_modp`.  The walk is one loop for every p, and memory is linear in q**d
+(n translation gathers and one saved shift per digit); no q**d x q**d
+addition table is built.
 """
 
 from __future__ import annotations
@@ -201,16 +201,17 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     """Point index of the least nonzero shift whose reconstruction differs
     from the direct difference table, or None if every shift agrees.
 
-    The shifts are walked in prefix order: from a node a whose top nonzero
-    digit lies below s, the chain a + g_s, a + 2*g_s, ... appends the
-    formula's terms D_{f,g_s}(x + a + j*g_s) one at a time, and each chain
-    node is then extended by the digits above s.  Only the base tables are
-    read on the reconstruction side.  Recursion goes one level per digit
-    position (depth at most n) and keeps one chain position per level, so
-    memory is O(n * q**d).  Both sides are field-index arrays read through
-    the PN scan's code words (`_modp.difference_codes`): a chain step
+    The shifts are counted like an odometer over their basis digits, the
+    last digit fastest: at each count the digit s that goes up is n - 1
+    less the count's trailing base-p zeros, and every digit above s wraps
+    to 0.  level[s] holds x + a and the reconstruction of a for the last
+    shift a with no nonzero digit above s, which is the new shift less g_s,
+    so one step appends the formula's term D_{f,g_s}(x + a) and becomes
+    level[s:].  Only the base tables are read on the reconstruction side,
+    and memory is O(n * q**d).  Both sides are field-index arrays read
+    through the PN scan's code words (`_modp.difference_codes`): a step
     combines the words of recon and D_{f,g_s}(x + a), the comparison those
-    of f(x + a) and -f(x), and x + a is one gather per node.
+    of f(x + a) and -f(x), and x + a is one gather per shift.
     """
     params, d, n = f.params, f.d, b.basis.n
     idx = np.arange(f.n_points, dtype=np.intp)
@@ -218,22 +219,18 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     codes = _modp.difference_codes(params.p, params.ell)
     f_plus, f_minus = codes.plus[f.values], codes.minus[f.values]
     base_plus = [codes.plus[t.values] for t in b.tables]
+    level = [(idx, np.zeros(f.n_points, dtype=np.intp))] * n
     least = None
-
-    def extend(at: np.ndarray, recon: np.ndarray, start: int) -> None:
-        # at[x] = index(x + a) for a node a with no nonzero digit at or above start
-        nonlocal least
-        for s in range(start, n):
-            chain_at, chain_recon = at, recon
-            for _ in range(params.p - 1):
-                chain_recon = codes.combine(codes.plus[chain_recon], base_plus[s][chain_at])
-                chain_at = along[s][chain_at]
-                if not np.array_equal(chain_recon, codes.combine(f_plus[chain_at], f_minus)):
-                    a = int(chain_at[0])
-                    least = a if least is None else min(least, a)
-                extend(chain_at, chain_recon, s + 1)
-
-    extend(idx, np.zeros(f.n_points, dtype=np.intp), 0)
+    for count in range(1, f.n_points):
+        s, rest = n - 1, count
+        while rest % params.p == 0:
+            s, rest = s - 1, rest // params.p
+        at, recon = level[s]
+        recon = codes.combine(codes.plus[recon], base_plus[s][at])
+        at = along[s][at]
+        level[s:] = [(at, recon)] * (n - s)
+        if not np.array_equal(recon, codes.combine(f_plus[at], f_minus)):
+            least = int(at[0]) if least is None else min(least, int(at[0]))
     return least
 
 

@@ -45,10 +45,10 @@ class FnTable:
             raise DimensionMismatch("dimension must be >= 1")
         _refuse_past_cap(self.params.q, self.d)
         n = self.params.q**self.d
-        arr = np.array(self.values)
+        arr = np.asarray(self.values)
         if arr.dtype.kind in "fc":  # never rounded to an index
             raise ValueError("table values must be integer element indices")
-        arr = arr.astype(np.int64, copy=False)
+        arr = np.array(arr, dtype=np.int64)  # the one copy the table owns
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
         if arr.size and (arr.min() < 0 or arr.max() >= self.params.q):

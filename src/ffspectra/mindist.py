@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedSize,
 )
 from .field import FieldElement, FieldParams
-from .funcs import MAX_POINTS, FnTable, PnWitness, hamming_distance, is_pn
+from .funcs import MAX_POINTS, FnTable, PnWitness, is_pn
 from .space import PointVector
 
 SCOPE_THEOREM = "theorem"
@@ -249,21 +249,14 @@ def pairwise_min_distance(
         if len(labels) != len(fns):
             raise ValueError("one label per function required")
 
-    k = len(fns)
-    matrix = [[0] * k for _ in range(k)]
-    duplicates = []
-    best: int | None = None
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist = hamming_distance(fns[i], fns[j])
-            matrix[i][j] = matrix[j][i] = dist
-            if dist == 0:
-                duplicates.append((i, j))
-            elif best is None or dist < best:
-                best = dist
+    values = np.stack([f.values for f in fns])
+    matrix = np.array([np.count_nonzero(values != row, axis=1) for row in values])
+    i, j = np.triu_indices(len(fns), 1)
+    dist = matrix[i, j]
+    distinct = dist[dist > 0]
     return DistanceMatrix(
         labels,
-        tuple(tuple(row) for row in matrix),
-        best,
-        tuple(duplicates),
+        tuple(map(tuple, matrix.tolist())),
+        int(distinct.min()) if distinct.size else None,
+        tuple(zip(i[dist == 0].tolist(), j[dist == 0].tolist())),
     )

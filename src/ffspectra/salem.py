@@ -11,6 +11,7 @@ constant in |indicator_ft| <= C * q**(-d) * |E|**(1/2) exactly 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -34,6 +35,7 @@ class PointSet:
     bitmap: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", operator.index(self.d))  # a float d is refused
         _refuse_past_cap(self.params.q, self.d)
         raw = np.asarray(self.bitmap)
         arr = raw.astype(bool)
@@ -47,6 +49,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, params: FieldParams, d: int, indices) -> "PointSet":
+        d = operator.index(d)
         _refuse_past_cap(params.q, d)
         n = params.q**d
         indices = np.asarray(indices)

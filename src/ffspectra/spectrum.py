@@ -176,13 +176,13 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
 
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
-    """Unreduced |S|^2 of stacked zeta-coefficient rows: out[i, k] is the
-    coefficient of zeta^k in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod p],
-    in the rows' order.  Column k is two products of contiguous slot slices
-    of the slot-major rows, so no rolled copy is made.  |out| <= max|row| *
-    sum|row| < 2**46 for the point counts of N <= 2**20 points or their
-    normalized CycInt coefficients, so float64 rows give it exactly; it is
-    cast once, to int64."""
+    """Unreduced |S|^2 of the zeta-coefficient rows of a whole exact
+    transform: out[i, k] is the coefficient of zeta^k in S_i*conj(S_i),
+    sum_s rows[i, s]*rows[i, s+k mod p], in the rows' order.  Column k is two
+    products of contiguous slot slices of the slot-major rows, so no rolled
+    copy is made.  |out| <= max|row| * sum|row| < 2**46 for the point counts
+    of N <= 2**20 points, so float64 rows give it exactly; it is cast once,
+    to int64."""
     p = rows.shape[1]
     slots = rows.T
     t = np.empty(rows.shape, np.int64)
@@ -453,6 +453,11 @@ def _butterfly_matrix(p: int) -> np.ndarray:
     return w
 
 
+def _roots(p: int) -> np.ndarray:
+    """zeta**j for j < p; real +-1 at p = 2, where sums of them stay exact."""
+    return np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
+
+
 def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     """All q^d magnitudes |S(u, m)| by a multidimensional size-p butterfly.
 
@@ -464,8 +469,7 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     p = params.p
     if p**2 > MAX_POINTS:  # the pass matrix has p**2 entries, as the exact one p**4
         raise UnsupportedSize(f"fast transforms take p**2 <= {MAX_POINTS}: p <= 1021")
-    roots = np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
-    h = roots[None, _trace_exponents(f, u.index)]
+    h = _roots(p)[None, _trace_exponents(f, u.index)]
     h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
     h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
     return _in_m_order(params, f.d, u.index, h)
@@ -514,12 +518,13 @@ def _spot_count(n_points: int, d: int) -> int:
 
 
 def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
-    """Exactly recompute a deterministic sample of cells; return (sampled, bad)."""
+    """Exactly recompute a deterministic sample of cells, each summed at the
+    float transform's roots (so exactly at p = 2); return (sampled, bad)."""
     n = f.n_points
     ms = (splitmix64(_SPOT_SEED ^ u_index, np.arange(_spot_count(n, f.d))) % np.uint64(n)).tolist()
-    rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.int64)
-    roots = _report(f.params, f.d, u_index, _abs_sq_table(rows)).magnitudes
-    bad = np.abs(mags[ms] - roots) > _FAST_REL_TOL * np.maximum(roots, 1.0)
+    rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.float64)
+    exact = np.abs(rows @ _roots(f.params.p))
+    bad = np.abs(mags[ms] - exact) > _FAST_REL_TOL * np.maximum(exact, 1.0)
     return len(ms), int(np.count_nonzero(bad))
 
 
@@ -604,12 +609,10 @@ class SpectrumReport:
 
 
 def _report(params: FieldParams, d: int, u_index: int, t: np.ndarray) -> SpectrumReport:
-    """The report of u from its unreduced |S|^2 table (see _abs_sq_table),
-    row by row in the table's own order: a table placed by m for every
-    caller but the spot checks, which stack their sampled rows.  Where
-    defined[i] holds, |S|^2 is the rational integer ints[i] (see
-    _rational_rows); the magnitudes are fed from that integer whenever it
-    exists, so that rational cells stay float-exact."""
+    """The report of u from its unreduced |S|^2 table placed by m (see
+    _abs_sq_table).  Where defined[m] holds, |S|^2 is the rational integer
+    ints[m] (see _rational_rows); the magnitudes are fed from that integer
+    whenever it exists, so that rational cells stay float-exact."""
     defined = _rational_rows(t)
     ints = t[:, 0] - t[:, 1]
     floats = _real_values(t)

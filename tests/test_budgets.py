@@ -4,7 +4,8 @@ arrays are allocated, an exact verdict over F_2**20 that keeps nothing
 per Galois orbit, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, of one exact cell, of vec_mul,
 of delta_table and translate over F_3**12, of the p = 2 code words and of
-the PN scan at odd p, the bytes per value of load_table, the exhaustive
+the PN scan at odd p, the bytes per value of load_table and of a table's
+own copy of its values, the exhaustive
 decomposition certificate, a full PN scan and the graph spectrum report at
 desk scale, a power map whose exponent is far larger than the field, the
 distance-1 sweep at q = 625 and q = 1009, every size-taking entry point
@@ -305,6 +306,22 @@ def test_load_table_takes_few_bytes_per_value(tmp_path):
         tracemalloc.stop()
     assert g == f
     assert peak <= 20 * f.n_points
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
+def test_table_makes_one_int64_copy_of_its_values(dtype):
+    # random_function hands FnTable uint64 values: one owned int64 copy,
+    # never a second one on the way, and never the caller's buffer
+    values = (np.arange(1009**2) % 251).astype(dtype)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        f = FnTable(make_field(1009), 2, values)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert f.values.dtype == np.int64 and not np.shares_memory(f.values, values)
+    assert peak <= 8.5 * values.size
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():

@@ -142,6 +142,18 @@ def test_entries_refuse_parameters_they_do_not_read():
     assert get_function("affine", f7, b=1, c=2) == build_function(FnSpec.univariate([1, 2]), f7, 1)
 
 
+def test_entry_parameters_refuse_floats():
+    # a float is never truncated to the integer parameter it names
+    for name, args in (("power", {"e": 2.5}), ("affine", {"c": 1.9}), ("affine", {"b": 2.0}),
+                       ("random", {"seed": 1.5})):
+        with pytest.raises(TypeError):
+            get_function(name, F5, **args)
+    # numpy integers are integers
+    assert get_function("power", F5, e=np.int64(2)).values.tolist() == [0, 1, 4, 4, 1]
+    assert get_function("affine", F5, b=np.uint8(2), c=np.int32(3)) == get_function("affine", F5, b=2, c=3)
+    assert get_function("random", F5, seed=np.uint64(9)) == random_function(F5, 1, 9)
+
+
 def test_declared_expectations_hold_on_load():
     # construction re-verifies the declared properties at desk scale
     assert is_pn(get_function("square", make_field(3, 2))).is_pn

@@ -3,7 +3,7 @@ byte-identical output across worker counts."""
 
 import json
 
-from ffspectra import FnSpec, build_function, funcs, make_field
+from ffspectra import FnSpec, build_function, catalog, funcs, make_field
 from ffspectra.cli import main
 from ffspectra.funcs import save_table
 
@@ -462,3 +462,35 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 5
+
+
+def test_unreadable_flags_exit_2_before_any_output(capsys, tmp_path):
+    table = tmp_path / "sq.txt"
+    save_table(build_function(FnSpec.univariate([0, 0, 1]), make_field(5), 1), table)
+    for argv, message in (
+        (["test", "pn", "--catalog", "square", "--input", str(table)], "--catalog and --input are mutually exclusive"),
+        (["test", "pn", "--catalog", "power", "--p", "5", "--params", "e=2.5"], "--params value for 'e' is not an integer"),
+        (["test", "pn", "--catalog", "square", "--p", "5", "--ell", "2", "--modulus", "2,4,x"], "--modulus takes comma-separated"),
+        (["decomp", "verify", "--catalog", "square", "--p", "5", "--basis", "1.5"], "--basis is 'standard' or comma-separated"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("ffspectra: error: ") and message in err
+
+
+def test_mindist_sweep_labels_a_table_file(capsys, tmp_path):
+    table = tmp_path / "sq7.txt"
+    save_table(build_function(FnSpec.univariate([0, 0, 1]), make_field(7), 1), table)
+    code, doc, _ = run_json(capsys, "mindist", "sweep", "--input", str(table))
+    assert code == 0
+    assert doc["base_fn"] == "input:sq7.txt"
+    assert doc["pairs_tested"] == 42 and doc["planar_found"] == 0
+
+
+def test_a_failed_catalog_expectation_exits_1(capsys, monkeypatch):
+    # the catalog checks what it claims on load; a claim that fails is a
+    # failed check (exit 1), not a usage error, and prints no payload
+    monkeypatch.setattr(catalog, "is_pn", lambda f: funcs.PnVerdict(False, None))
+    code, out, err = run(capsys, "test", "pn", "--catalog", "square", "--p", "5")
+    assert (code, out) == (1, "")
+    assert err == "ffspectra: check failed: catalog entry 'square' expected pn=True, measured False\n"

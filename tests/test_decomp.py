@@ -14,7 +14,7 @@ from ffspectra.decomp import (
     reconstruct_delta,
     verify_decomposition,
 )
-from ffspectra.errors import UnsupportedSize
+from ffspectra.errors import DimensionMismatch, FieldMismatch, UnsupportedSize
 from ffspectra.funcs import delta_table
 
 from conftest import SMALL_EXTENSIONS, _moduli, two_digit_groups
@@ -200,6 +200,18 @@ def test_base_delta_set_construction_checks():
     b = base_deltas(SQ5, basis)
     assert isinstance(b, BaseDeltaSet)
     assert b.basis is basis
+
+
+def test_foreign_basis_and_shift_are_refused():
+    # a basis or a shift of another field or dimension names unrelated points
+    with pytest.raises(FieldMismatch):
+        base_deltas(SQ5, standard_basis(make_field(7), 1))
+    with pytest.raises(DimensionMismatch):
+        base_deltas(SQ5, standard_basis(F5, 2))
+    b = base_deltas(SQ5, standard_basis(F5, 1))
+    for a in (PointVector.from_index(make_field(7), 1, 1), PointVector.from_index(F5, 2, 1)):
+        with pytest.raises(FieldMismatch):
+            reconstruct_delta(b, a)
 
 
 MODULI = [(p, ell, m) for p, ell in SMALL_EXTENSIONS for m in _moduli(p, ell)]

@@ -149,6 +149,22 @@ def test_pairwise_duplicates_and_guards():
         pairwise_min_distance([SQ5, f7sq])
 
 
+def test_pairwise_matrix_matches_pairwise_hamming_distances():
+    # planar c*x**2 + b*x + a over F_7, with two duplicate pairs, against a
+    # brute-force matrix of hamming_distance calls
+    f7 = make_field(7)
+    coeffs = [(0, 0, 1), (3, 1, 1), (0, 0, 2), (3, 1, 1), (5, 2, 6), (0, 0, 1), (1, 0, 1)]
+    fam = [build_function(FnSpec.univariate(c), f7, 1) for c in coeffs]
+    m = pairwise_min_distance(fam)
+    want = [[funcs.hamming_distance(f, g) for g in fam] for f in fam]
+    assert [list(row) for row in m.matrix] == want
+    assert all(type(v) is int for row in m.matrix for v in row)
+    pairs = [(i, j) for i in range(len(fam)) for j in range(i + 1, len(fam))]
+    assert m.duplicates == tuple((i, j) for i, j in pairs if want[i][j] == 0) == ((0, 5), (1, 3))
+    assert m.min_distance == min(want[i][j] for i, j in pairs if want[i][j])
+    assert type(m.min_distance) is int and m.passed
+
+
 def test_translation_closure_distances():
     # every translate of x^2 stays planar, and distinct translates keep
     # distance >= 2 on fields inside the theorem scope (q <= 25)

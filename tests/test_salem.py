@@ -173,6 +173,16 @@ def test_from_indices_refuses_indices_outside_the_space():
     assert PointSet.from_indices(F5, 1, [0, 4, 4]).bitmap.tolist() == [True, False, False, False, True]
 
 
+def test_point_set_dimension_is_an_integer():
+    # a float d is refused by both constructors, never stored or cast
+    with pytest.raises(TypeError):
+        PointSet(F5, 1.0, np.ones(5, dtype=bool))
+    with pytest.raises(TypeError):
+        PointSet.from_indices(F5, 1.0, [1, 2])
+    for e in (PointSet(F5, np.int64(1), np.ones(5, dtype=bool)), PointSet.from_indices(F5, np.uint8(1), [1, 2])):
+        assert type(e.d) is int and repr(e).startswith("PointSet(q=5, d=1, ")
+
+
 def test_membership_refuses_a_point_of_another_space():
     e = PointSet.from_indices(F5, 2, [3, 7])
     assert [PointVector.from_index(F5, 2, i) in e for i in (3, 7, 0, 8, 24)] == [True, True, False, False, False]

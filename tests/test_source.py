@@ -1,5 +1,6 @@
 """Source-level checks on the package: no dead private helper, no import
-inside a function or class, and an acyclic graph of relative imports."""
+inside a function or class, no function that calls itself, and an acyclic
+graph of relative imports."""
 
 import ast
 from collections import Counter
@@ -46,6 +47,20 @@ def test_no_module_imports_inside_a_function_or_class():
         }
     )
     assert nested == []
+
+
+def test_no_function_calls_itself():
+    # every walk is a loop: a recursion one level per digit or per step
+    # would meet Python's recursion limit at large p
+    recursive = sorted(
+        f"{module}.py:{node.lineno}"
+        for module, tree in TREES.items()
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == scope.name
+    )
+    assert recursive == []
 
 
 def _relative_imports(tree: ast.AST):

@@ -487,6 +487,48 @@ def test_spot_checks_do_no_scalar_cycint_algebra(monkeypatch, make):
     )
 
 
+# (table, verdict, witness (u, m) or None, sampled, mismatches): odd p with
+# irrational sampled cells and d > 1, p = 2 bent and not, ell > 1, and
+# ell > 1 with d > 1.
+FAST_ONLY_CASES = [
+    (lambda: random_function(make_field(7), 3, 4), False, (1, 0), 18, 0),
+    (lambda: get_function("bool_quadratic", make_field(2), d=8), True, None, 2, 0),
+    (lambda: random_function(make_field(2), 10, 3), False, (1, 0), 10, 0),
+    (lambda: get_function("square", make_field(5, 2)), True, None, 24, 0),
+    (lambda: random_function(make_field(3, 2), 2, 5), False, (1, 0), 8, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "make, is_bent, witness, sampled, mismatches",
+    FAST_ONLY_CASES,
+    ids=["random_F7^3", "bool_quadratic_F2^8", "random_F2^10", "square_F25", "random_F9^2"],
+)
+def test_fast_verdict_reads_no_exact_abs_sq_table(monkeypatch, make, is_bent, witness, sampled, mismatches):
+    # The fast verdict uses the float engine and the exact_cell oracle only:
+    # the |S|^2 table and the report of the exact engine must never run.
+    f = make()
+    cells = []
+    original = spectrum.exact_cell
+
+    def recording(*args):
+        cells.append(original(*args))
+        return cells[-1]
+
+    def refuse(*args):
+        raise AssertionError("exact |S|^2 table or report in the fast verdict")
+
+    monkeypatch.setattr(spectrum, "exact_cell", recording)
+    monkeypatch.setattr(spectrum, "_abs_sq_table", refuse)
+    monkeypatch.setattr(spectrum, "_report", refuse)
+    got = is_bent_fast(f)
+    assert got.is_bent is is_bent
+    assert (None if got.witness is None else (got.witness.u.index, got.witness.m.index)) == witness
+    assert (got.sampled, got.mismatches) == (sampled, mismatches) == (len(cells), 0)
+    if f.params.p == 7:
+        assert any(c.abs_sq().as_integer() is None for c in cells)
+
+
 def test_is_bent_fast_counts_spot_check_mismatches(monkeypatch, capsys):
     f = get_function("square", make_field(7))
     original = spectrum.walsh_fast_all
@@ -676,6 +718,18 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
 
+def test_witness_rule_falls_back_to_the_least_failing_cell():
+    # unreduced |S|^2 rows at p = 5 with target 25: row 2 is irrational,
+    # 22 + 5*(zeta + zeta**4) = 25.09, above the target but within the 0.25
+    # float margin, so no cell provably exceeds it and the least failing
+    # cell is named; a rational excess is preferred whenever there is one
+    t = np.array([[25, 0, 0, 0, 0], [20, 0, 0, 0, 0], [22, 5, 0, 0, 5], [25, 0, 0, 0, 0]])
+    assert not spectrum._rational_rows(t)[2] and 25 < spectrum._real_values(t)[2] < 25.25
+    assert spectrum._witness_m(t, 25) == 1
+    assert spectrum._witness_m(t[[0, 2]], 25) == 1
+    assert spectrum._witness_m(np.vstack([t, [[26, 0, 0, 0, 0]]]), 25) == 4
+
+
 # ---------------------------------------------------------------------------
 # The spot-check oracle and its per-(f, u) memo.
 
@@ -706,8 +760,10 @@ def test_exact_cell_matches_pointwise_on_random_tables():
                 irrational += cell.abs_sq().as_integer() is None
                 full += not any(c.is_zero() for c in m.coords)
                 cells.append(cell)
-            # the spot checks' route: the engine's |S|^2 step on stacked rows
+            # the spot checks' route: each cell's coefficients summed at zeta
             rows = np.array([c.coeffs for c in cells], dtype=np.int64)
+            roots = np.abs(rows.astype(np.float64) @ spectrum._roots(params.p))
+            # the engine's |S|^2 step on stacked rows
             spec = spectrum._report(params, d, u, spectrum._abs_sq_table(rows))
             mags = spec.magnitudes
             for i, cell in enumerate(cells):
@@ -716,6 +772,7 @@ def test_exact_cell_matches_pointwise_on_random_tables():
                 assert (spec.ints[i] if spec.defined[i] else None) == exact
                 root = math.sqrt(z.to_complex().real)
                 assert abs(mags[i] - root) <= 1e-12 * root
+                assert abs(roots[i] - root) <= 1e-12 * max(root, 1.0)
         assert full > 0
     assert irrational > 0
 
