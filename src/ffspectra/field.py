@@ -161,6 +161,13 @@ class FieldParams:
     def q(self) -> int:
         return self.p**self.ell
 
+    @cached_property  # every lru_cache lookup keyed by the params hashes them
+    def _hash(self) -> int:
+        return hash((self.p, self.ell, self.modulus))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     # -- element construction -------------------------------------------
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
@@ -380,12 +387,22 @@ def vec_mul(params: FieldParams, a, b) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=PARAMS_CACHE_SIZE)  # ell <= 20: at most 8,000 int64s per field
+def _basis_products(params: FieldParams) -> np.ndarray:
+    """B[i, j*ell + k] = digit k of t**i * t**j, from the ell**2 FieldElement products."""
+    basis = [params.from_index(params.p**j) for j in range(params.ell)]
+    b = np.array([[(x * y).coeffs for y in basis] for x in basis], dtype=np.int64)
+    b = b.reshape(params.ell, -1)
+    b.setflags(write=False)
+    return b
+
+
 @lru_cache(maxsize=PER_U_CACHE_SIZE)
 def mul_matrix(params: FieldParams, u_index: int) -> np.ndarray:
-    """Matrix of multiplication by u on little-endian coefficient vectors."""
-    u = params.from_index(u_index)
-    cols = [(u * params.from_index(params.p**j)).coeffs for j in range(params.ell)]
-    m = np.array(cols, dtype=np.int64).T
+    """Matrix of multiplication by u on little-endian coefficient vectors:
+    column j holds the digits of u * t**j = sum_i u_i * t**i * t**j."""
+    ell = params.ell
+    m = (element_digits(params)[u_index] @ _basis_products(params) % params.p).reshape(ell, ell).T
     m.setflags(write=False)
     return m
 

@@ -46,8 +46,13 @@ class FnTable:
         _refuse_past_cap(self.params.q, self.d)
         n = self.params.q**self.d
         arr = np.asarray(self.values)
-        if arr.dtype.kind in "fc":  # never rounded to an index
-            raise ValueError("table values must be integer element indices")
+        try:  # never rounded or parsed to an index: each object is read as operator.index reads it
+            if arr.dtype.kind == "O":
+                arr = np.array([operator.index(v) for v in arr.flat], dtype=np.int64).reshape(arr.shape)
+            elif arr.dtype.kind not in "iub":
+                raise TypeError
+        except TypeError:
+            raise ValueError("table values must be integer element indices") from None
         arr = np.array(arr, dtype=np.int64)  # the one copy the table owns
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
@@ -160,8 +165,10 @@ def _point_coord(params: FieldParams, d: int, j: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _log_tables(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
-    """log and antilog of a generator g of F_q^*, built from FieldElement
-    products only: an order test by powers, then q - 1 products."""
+    """log and antilog of a generator g of F_q^*, away from vec_mul: an
+    order test by FieldElement powers, then the antilog by doubling, the
+    digits of g**b, ..., g**(2b-1) being those of 1, ..., g**(b-1) times the
+    matrix of g**b, which is squared from mul_matrix(g) as b doubles."""
     order = params.q - 1  # q <= 4096 at desk scale
     primes = [r for r in range(2, order + 1) if order % r == 0 and field_mod._is_prime(r)]
     one = params.one()
@@ -169,11 +176,13 @@ def _log_tables(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
         x for x in params.elements()
         if not x.is_zero() and all(x ** (order // r) != one for r in primes)
     )
-    antilog = np.zeros(order, dtype=np.int64)
-    x = one
-    for k in range(order):
-        antilog[k] = x.index
-        x = x * g
+    digits = np.zeros((order, params.ell), dtype=np.int64)
+    digits[0, 0] = 1
+    m, b = field_mod.mul_matrix(params, g.index), 1
+    while b < order:
+        digits[b : 2 * b] = _modp.residue_product(digits[: min(b, order - b)], m.T, params.p)
+        m, b = m @ m % params.p, 2 * b
+    antilog = _modp.index_of_digits(digits, params.p)
     log = np.zeros(params.q, dtype=np.int64)  # log[0] is masked by the caller
     log[antilog] = np.arange(order)
     log.setflags(write=False)

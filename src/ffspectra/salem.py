@@ -23,7 +23,7 @@ from .errors import EmptySet, FieldMismatch, HypothesisFailed, IndexOutOfRange, 
 from .field import FieldElement, FieldParams
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
-from .spectrum import SpectrumReport, _cell_counts, _in_m_order, _report, _require_exact_size, _transform_table, is_bent_exact
+from .spectrum import SpectrumReport, _cell_counts, _placed_table, _report, _require_exact_size, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +182,7 @@ def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | Non
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
     # the canonical character u = 1: exponent 0 at every member
-    table = _transform_table(e.params, e.d, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
-    table = _in_m_order(e.params, e.d, 1, table)  # frees the transform order
+    table = _placed_table(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.int64), e.bitmap)
     report = _report(e.params, e.d, 1, table)
     mags = report.magnitudes
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)

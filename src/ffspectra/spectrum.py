@@ -7,12 +7,12 @@ m in F_q**d, the sum of interest is
 
 Two independent routes compute it:
 
-* exact: the Tr values are histogrammed into p bins of Z[zeta_p]
-  coefficients and pushed through a size-p pass along each of the d*ell
-  prime-field axes, one float64 product with a 0/1 matrix per axis.  Every
-  intermediate is a point count <= q**d <= 2**20, so the result is the exact
-  cyclotomic integer.  The per-(u, m) reference (walsh_exact) computes the
-  same histogram pointwise with field elements.
+* exact: each point's zeta**Tr is written in the reduced basis 1, zeta,
+  ..., zeta**(p-2) of Z[zeta_p] and pushed through a size-p pass along each
+  of the d*ell prime-field axes, one float32 product with a +-1 matrix per
+  axis.  Every intermediate is an integer below 2**24, so the result is the
+  exact cyclotomic integer.  The per-(u, m) reference (walsh_exact)
+  computes the same histogram pointwise with field elements.
 * fast: the same butterfly over complex128 (Walsh-Hadamard in float64 for
   p = 2, where its integer sums stay exact).
 
@@ -90,19 +90,23 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=4)  # at most 4 * 31**4 float64s, 30 MB
+@lru_cache(maxsize=4)  # at most 4 * 30**2 * 31**2 float32s, 14 MB
 def _pass_matrix(p: int) -> np.ndarray:
-    """One exact size-p pass on (slot, t) pairs: out[k, s] = sum_t h[(k + s*t) mod p, t],
-    i.e. sum_t h[t] * zeta^(-s*t), as multiplying by zeta^r shifts slots by r."""
-    k, j, t, s = np.ogrid[:p, :p, :p, :p]
-    m = ((k + s * t - j) % p == 0).astype(np.float64).reshape(p, p * p, p)
+    """One exact size-p pass on (slot, t) pairs in the reduced basis 1, zeta,
+    ..., zeta**(p-2), where zeta**(p-1) = -(1 + ... + zeta**(p-2)): out[k, s]
+    = sum_t h[t] * zeta^(-s*t) = sum_(j,t) h[j, t] * ([e == k] - [e == p-1])
+    with e = (j - s*t) mod p, so each column has at most two nonzero +-1
+    entries per digit t.  At p = 2 it is the Walsh-Hadamard matrix."""
+    k, j, t, s = np.ogrid[: p - 1, : p - 1, :p, :p]
+    e = (j - s * t) % p
+    m = ((e == k).astype(np.float32) - (e == p - 1)).reshape(p - 1, (p - 1) * p, p)
     m.setflags(write=False)
     return m
 
 
 def _require_exact_size(p: int, n: int) -> None:
     """Refuse an exact transform of p**n points before anything is built."""
-    if _past_cap(p, n) or p**4 > MAX_POINTS:  # the pass matrix has p**4 entries
+    if _past_cap(p, n) or p**4 > MAX_POINTS:  # the pass matrix has (p-1)**2 * p**2 < p**4 entries
         raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
 
 
@@ -137,17 +141,20 @@ def _exact_coeff_rows(
 
     exponents[x] = Tr(u*f(x)) (any F_p-valued array); the boolean mask
     members restricts the point set (defaults to all points).  Returns an
-    (N, p) float64 view of slot-major rows in transform order: row perm[m]
-    (see _frequency_map) is the unnormalized coefficient vector of S(u, m),
-    and _in_m_order places it at row m.  Every entry is a point count
-    <= N <= 2**20 < 2**53, so exact.
+    (N, p - 1) float32 view of slot-major rows in transform order: row
+    perm[m] (see _frequency_map) is CycInt's normal form of S(u, m) less its
+    zero last slot, and _in_m_order places it at row m.  Slot k counts the
+    points at zeta**k less those at zeta**(p-1), so |entry| <= N; with two
+    +-1 pass entries per digit, every partial sum a BLAS kernel forms is at
+    most 2N <= 2**21 < 2**24 in absolute value, so float32 is exact.
     """
     p = params.p
     _require_exact_size(p, d * params.ell)
-    h = (np.arange(p)[:, None] == exponents).astype(np.float64)  # slot-major one-hot
+    w = _pass_matrix(p)
+    h = w[:, :p, -1].take(exponents, axis=1)  # column e at j = 0, s = -1 is zeta**e
     if members is not None:
         h *= members
-    return _butterfly(h, _pass_matrix(p), d * params.ell).T
+    return _butterfly(h, w, d * params.ell).T
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -176,31 +183,34 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
 
 
 def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
-    """Unreduced |S|^2 of the zeta-coefficient rows of a whole exact
-    transform: out[i, k] is the coefficient of zeta^k in S_i*conj(S_i),
-    sum_s rows[i, s]*rows[i, s+k mod p], in the rows' order.  Column k is two
-    products of contiguous slot slices of the slot-major rows, so no rolled
-    copy is made.  |out| <= max|row| * sum|row| < 2**46 for the point counts
-    of N <= 2**20 points, so float64 rows give it exactly; it is cast once,
-    to int64."""
-    p = rows.shape[1]
-    slots = rows.T
-    t = np.empty(rows.shape, np.int64)
-    for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
-        column = np.einsum("ij,ij->j", slots[k:], slots[: p - k])
-        if k:
-            column += np.einsum("ij,ij->j", slots[:k], slots[p - k :])
-        t[:, k] = t[:, -k] = column
+    """Unreduced |S|^2 of the reduced rows of a whole exact transform (see
+    _exact_coeff_rows), in their order: out[i, k] is the coefficient of zeta^k
+    in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod p] over the slots below
+    p - 1.  That differs from the table of p-slot rows by a constant per row,
+    which changes no value.  Column k is two products of contiguous slot
+    slices, [k:] with [:p-1-k] and [:k-1] with [p-k:], so no rolled copy is
+    made.  |out| < 2**46 for N <= 2**20 points, so it is exact in float64:
+    the rows are cast to it 2**15 at a time, and the table once, to int64."""
+    p, chunk = rows.shape[1] + 1, 1 << 15
+    t = np.empty((len(rows), p), np.int64)
+    for i in range(0, len(rows), chunk):
+        slots, out = rows[i : i + chunk].T.astype(np.float64, order="C"), t[i : i + chunk]
+        for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
+            column = np.einsum("ij,ij->j", slots[k:], slots[: p - 1 - k])
+            if k > 1:
+                column += np.einsum("ij,ij->j", slots[: k - 1], slots[p - k :])
+            out[:, k] = out[:, -k] = column
+        slots = None  # freed before the next chunk is cast
     return t
 
 
-def _transform_table(
-    params: FieldParams, d: int, exponents: np.ndarray, members: np.ndarray | None = None
+def _placed_table(
+    params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
 ) -> np.ndarray:
-    """The unreduced |S|^2 table of u in transform order (see _in_m_order)
-    of a function table or a point set (arguments as _exact_coeff_rows);
-    one expression, so the coefficient rows are freed before it returns."""
-    return _abs_sq_table(_exact_coeff_rows(params, d, exponents, members))
+    """The unreduced |S|^2 table of u placed by m of a function table or a
+    point set (arguments as _exact_coeff_rows).  The float32 rows are placed
+    (see _in_m_order) before the table is built, and freed before it returns."""
+    return _abs_sq_table(_in_m_order(params, d, u_index, _exact_coeff_rows(params, d, exponents, members)))
 
 
 def _rational_rows(t: np.ndarray) -> np.ndarray:
@@ -258,8 +268,8 @@ def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
     _check_field(f, u)
     rows = _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))
-    rows = _in_m_order(f.params, f.d, u.index, rows)
-    return [CycInt.from_coeffs(f.params.p, row.tolist()) for row in rows]
+    rows = _in_m_order(f.params, f.d, u.index, rows).astype(np.int64).tolist()
+    return [CycInt.from_coeffs(f.params.p, row + [0]) for row in rows]  # the zero last slot
 
 
 @lru_cache(maxsize=1)  # the spot checks ask for many cells of one u in a row
@@ -336,7 +346,7 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
     _check_field(f, u)
-    total = _transform_table(f.params, f.d, _trace_exponents(f, u.index)).sum(axis=0)
+    total = _abs_sq_table(_exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))).sum(axis=0)
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -394,7 +404,7 @@ def _witness_m(t: np.ndarray, target: int) -> int:
 
 def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     """One exact transform per Galois orbit of u, by ascending least member:
-    that member and its unreduced |S|^2 table in transform order.
+    that member and its exact coefficient rows in transform order.
 
     Scaling u by t in F_p^* keeps the position j of u's top nonzero base-p
     digit and multiplies that digit by t, so an orbit's least member is the
@@ -403,14 +413,14 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     conjugates every S(u, m), which changes neither rational integrality nor
     rational values of |S|^2, so a whole orbit shares one pass/fail pattern
     over m: the first failing orbit's least member is the least failing u.
-    The walk names no frequency, so it needs no frequency map; the table is
-    yielded without a name in the walk, so a consumer that places it by m
+    The walk names no frequency, so it needs no frequency map; the rows are
+    yielded without a name in the walk, so a consumer that places them by m
     frees the transform order.
     """
     p = f.params.p
     for j in range(f.params.ell):
         for u_index in range(p**j, 2 * p**j):
-            yield u_index, _transform_table(f.params, f.d, _trace_exponents(f, u_index))
+            yield u_index, _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u_index))
 
 
 def _witness(f: FnTable, u_index: int, t: np.ndarray) -> BentWitness:
@@ -430,7 +440,8 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
     orbit walk, which stops at the first failing orbit.  Flatness does not
     depend on the order of m, so each orbit's table is tested in transform
     order; only the failing one is placed by m, to name its cell."""
-    for u_index, table in _orbit_walk(f):
+    for u_index, rows in _orbit_walk(f):
+        table = _abs_sq_table(rows)
         if not _is_flat(table, f.n_points):
             table = _in_m_order(f.params, f.d, u_index, table)  # frees the transform order
             return BentVerdict(False, _witness(f, u_index, table))
@@ -615,16 +626,15 @@ def _report(params: FieldParams, d: int, u_index: int, t: np.ndarray) -> Spectru
     whenever it exists, so that rational cells stay float-exact."""
     defined = _rational_rows(t)
     ints = t[:, 0] - t[:, 1]
-    floats = _real_values(t)
     exact = ints.astype(np.float64)
-    magnitudes = np.sqrt(np.where(defined, exact, np.maximum(floats, 0.0)))
-    return SpectrumReport(params, d, u_index, defined, ints, magnitudes)
+    if not defined.all():  # the float values only where some row is irrational
+        exact = np.where(defined, exact, np.maximum(_real_values(t), 0.0))
+    return SpectrumReport(params, d, u_index, defined, ints, np.sqrt(exact, out=exact))
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     _check_field(f, u)
-    table = _transform_table(f.params, f.d, _trace_exponents(f, u.index))
-    table = _in_m_order(f.params, f.d, u.index, table)  # frees the transform order
+    table = _placed_table(f.params, f.d, u.index, _trace_exponents(f, u.index))
     return _report(f.params, f.d, u.index, table)
 
 
@@ -635,10 +645,11 @@ def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]
     the is_bent_exact verdict of the same transforms (StopIteration.value)."""
     params = f.params
     witness = None
-    for rep, table in _orbit_walk(f):
-        # placed by rep's map, which every multiple t*rep shares; rebinding
-        # frees the transform order before the reports are built
-        table = _in_m_order(params, f.d, rep, table)
+    for rep, rows in _orbit_walk(f):
+        # placed by rep's map, which every multiple t*rep shares; the rows
+        # are freed before the reports are built
+        table = _abs_sq_table(_in_m_order(params, f.d, rep, rows))
+        rows = None
         report = _report(params, f.d, rep, table)
         if witness is None and not report.is_flat(f.n_points):
             witness = _witness(f, rep, table)  # the least failing orbit's

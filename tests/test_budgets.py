@@ -75,7 +75,7 @@ sys.exit(code)
 EXACT_2POW20_RSS_BUDGET_MB = 100
 FAST_2POW20_RSS_BUDGET_MB = 70
 DECOMP_RSS_BUDGET_MB = 64
-SALEM_RSS_BUDGET_MB = 80
+SALEM_RSS_BUDGET_MB = 56
 PN_RSS_BUDGET_MB = 112
 PN_DESK_RSS_BUDGET_MB = 64
 SWEEP_RSS_BUDGET_MB = 100
@@ -325,20 +325,23 @@ def test_table_makes_one_int64_copy_of_its_values(dtype):
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():
-    # the one-hot and the two pass buffers, each p = 2 float64s per point
-    f2, d = make_field(2), 16
-    buffer = 8 * 2**d
-    f = get_function("bool_quadratic", f2, d=d)
-    spectrum._exact_coeff_rows(f2, 4, np.zeros(16, dtype=np.int64))  # warm the pass matrix
-    tracemalloc.start()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        rows = spectrum._exact_coeff_rows(f2, d, spectrum._trace_exponents(f, 1))
-        peak = tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
-    assert rows.shape == (2**d, 2)
-    assert peak <= 4.5 * buffer
+    # the one-byte exponents, the gather's intp copy of them and the one-hot,
+    # then the two pass buffers, p - 1 float32s per point each
+    for p, d, f, bound in [
+        (2, 16, get_function("bool_quadratic", make_field(2), d=16), 1.75),
+        (3, 12, random_function(make_field(3), 12, 1), 2.25),
+    ]:
+        params, buffer = f.params, 8 * p**d
+        spectrum._exact_coeff_rows(params, 4, np.zeros(p**4, dtype=np.int64))  # warm the pass matrix
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            rows = spectrum._exact_coeff_rows(params, d, spectrum._trace_exponents(f, 1))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (p**d, p - 1) and rows.dtype == np.float32
+        assert peak <= bound * buffer
 
 
 def test_abs_sq_table_holds_few_point_sized_buffers():

@@ -20,6 +20,7 @@ from ffspectra.errors import (
 )
 from ffspectra.field import (
     default_modulus,
+    mul_matrix,
     vec_add,
     vec_mul,
     vec_scalar_mul,
@@ -376,3 +377,23 @@ def test_vec_ops_match_element_ops_on_all_pairs(p, ell, modulus):
         assert np.array_equal(
             vec_scalar_mul(params, np.arange(q), u.index), [(u * x).index for x in els]
         )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_field(13, 3), make_field(5, 5), FieldParams(3, 2, (2, 2, 1)), make_field(2, 6), make_field(7)],
+    ids=str,
+)
+def test_mul_matrix_matches_element_products(params):
+    # column j holds the digits of u * t**j, for every u, from FieldElement products
+    basis = [params.from_index(params.p**j) for j in range(params.ell)]
+    for u in params.elements():
+        want = np.array([(u * b).coeffs for b in basis], dtype=np.int64).T
+        assert np.array_equal(mul_matrix(params, u.index), want)
+
+
+def test_params_hash_is_held_and_equal_params_hash_equal():
+    a, b, c = FieldParams(5, 2, (2, 0, 1)), FieldParams(5, 2, [7, 5, 1]), FieldParams(5, 2, (3, 0, 1))
+    assert a == b and hash(a) == hash(b) == hash((5, 2, (2, 0, 1))) and a != c
+    assert "_hash" in vars(a)  # computed once: an lru_cache lookup keyed by a rehashes nothing
+    assert len({a: 1, b: 2, c: 3}) == 2

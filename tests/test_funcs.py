@@ -188,6 +188,17 @@ def test_table_refuses_float_and_complex_values():
         assert FnTable(F5, 1, values).values.tolist() == [int(v) for v in values]
 
 
+def test_table_refuses_objects_that_are_not_integers():
+    # an object array is read value by value as operator.index reads it: a
+    # float object is not truncated and a digit string is not parsed
+    for values in (np.array([0.5, 1, 2, 3, 4], dtype=object), ["1", "2", "3", "4", "0"],
+                   np.array(["1", "2", "3", "4", "0"], dtype=object), [np.float64(1.0)] + [0] * 4):
+        with pytest.raises(ValueError, match="integer element indices"):
+            FnTable(F5, 1, values)
+    values = np.array([np.int64(4), np.uint8(3), 2, True, 0], dtype=object)
+    assert FnTable(F5, 1, values).values.tolist() == [4, 3, 2, 1, 0]
+
+
 def test_table_dimension_is_an_integer():
     with pytest.raises(TypeError):
         FnTable(F5, 1.0, np.arange(5))
@@ -528,3 +539,19 @@ def test_non_ascii_table_file_is_refused(data, tmp_path, capsys):
     assert main(["test", "pn", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("ffspectra: error: ")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [make_field(5, 5), make_field(13, 3), make_field(7, 3), make_field(3, 6), make_field(1021),
+     make_field(7, 2), make_field(11, 2), FieldParams(2, 5, (1, 0, 1, 1, 1, 1))],
+    ids=str,
+)
+def test_log_tables_are_the_powers_of_a_generator(params):
+    # antilog[k] = g**k by FieldElement products, for g = antilog[1] of order q - 1
+    log, antilog = funcs._log_tables(params)
+    g, x = params.from_index(int(antilog[1])), params.one()
+    for k in range(params.q - 1):
+        assert int(antilog[k]) == x.index and int(log[x.index]) == k
+        x = x * g
+    assert x == params.one() and sorted(antilog.tolist()) == list(range(1, params.q))

@@ -713,8 +713,8 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         u, m = bad.witness.u.index, bad.witness.m.index
         assert not bad.is_bent and maps == [u]
         # the witness rule on the tables by m, and the cell's exact value
-        table = spectrum._transform_table(f.params, f.d, spectrum._trace_exponents(f, u))
-        assert m == spectrum._witness_m(spectrum._in_m_order(f.params, f.d, u, table), f.n_points)
+        table = spectrum._placed_table(f.params, f.d, u, spectrum._trace_exponents(f, u))
+        assert m == spectrum._witness_m(table, f.n_points)
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
 
@@ -728,6 +728,29 @@ def test_witness_rule_falls_back_to_the_least_failing_cell():
     assert spectrum._witness_m(t, 25) == 1
     assert spectrum._witness_m(t[[0, 2]], 25) == 1
     assert spectrum._witness_m(np.vstack([t, [[26, 0, 0, 0, 0]]]), 25) == 4
+
+
+def test_report_reads_float_values_only_where_a_row_is_irrational(monkeypatch):
+    # every row of a bent graph's table is rational, so its report builds no
+    # float values; a random table over F_25 has irrational rows and reads
+    # them; both hold the magnitudes of the float expression on every row
+    from ffspectra.salem import graph_of
+
+    real_values, calls = spectrum._real_values, []
+    monkeypatch.setattr(spectrum, "_real_values", lambda t: calls.append(len(t)) or real_values(t))
+    f25 = make_field(5, 2)
+    bent, f = get_function("square", f25), random_function(f25, 2, 3)
+    graph = verify_theorem1(bent)
+    assert calls == []
+    report = spectrum_report(f, f25.from_index(7))
+    assert calls == [f.n_points] and not report.defined.all()
+    e = graph_of(bent)
+    for rep, t in (
+        (graph, spectrum._placed_table(f25, 2, 1, np.zeros(e.params.q**2, dtype=np.int64), e.bitmap)),
+        (report, spectrum._placed_table(f25, 2, 7, spectrum._trace_exponents(f, 7))),
+    ):
+        floats = np.maximum(real_values(t), 0.0)
+        assert np.array_equal(rep.magnitudes, np.sqrt(np.where(rep.defined, rep.ints.astype(float), floats)))
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +786,10 @@ def test_exact_cell_matches_pointwise_on_random_tables():
             # the spot checks' route: each cell's coefficients summed at zeta
             rows = np.array([c.coeffs for c in cells], dtype=np.int64)
             roots = np.abs(rows.astype(np.float64) @ spectrum._roots(params.p))
-            # the engine's |S|^2 step on stacked rows
-            spec = spectrum._report(params, d, u, spectrum._abs_sq_table(rows))
+            # the engine's |S|^2 step on the stacked rows in its reduced form:
+            # CycInt's normal form less its zero last slot, in float32
+            assert not rows[:, -1].any()
+            spec = spectrum._report(params, d, u, spectrum._abs_sq_table(rows[:, :-1].astype(np.float32)))
             mags = spec.magnitudes
             for i, cell in enumerate(cells):
                 z = cell.abs_sq()
@@ -1030,15 +1055,77 @@ def test_exact_and_float_transforms_share_one_pass_routine(monkeypatch):
 
 
 def test_pass_matrix_is_the_exact_size_p_pass():
-    # out[s, k] = sum_t h[t, (k + s*t) mod p]: the slot form of sum_t h[t] zeta^(-s*t)
+    # out[k, s] = slot k of sum_t (sum_j h[j, t] zeta^j) zeta^(-s*t) in the
+    # reduced basis 1, ..., zeta^(p-2): the p-slot sum less its last slot
     rng = np.random.default_rng(5)
-    for p in (2, 3, 5, 7, 13):
-        h = rng.integers(0, 50, size=(p, p))
-        want = np.array(
-            [[sum(h[t, (k + s * t) % p] for t in range(p)) for k in range(p)] for s in range(p)]
-        )
-        got = (h.T.reshape(1, p * p) @ spectrum._pass_matrix(p)).reshape(p, p).T  # reads (slot, t), writes [k, s]
-        assert np.array_equal(got, want)
+    for p in (2, 3, 5, 7, 13, 31):
+        h = rng.integers(-50, 50, size=(p - 1, p))
+        full = np.zeros((p, p), dtype=np.int64)  # [slot, s]
+        for j in range(p - 1):
+            for t in range(p):
+                for s in range(p):
+                    full[(j - s * t) % p, s] += h[j, t]
+        w = spectrum._pass_matrix(p)
+        assert w.dtype == np.float32 and w.shape == (p - 1, (p - 1) * p, p)
+        got = (h.reshape(1, (p - 1) * p) @ w)[:, 0]  # reads (slot, t), writes [k, s]
+        assert np.array_equal(got, full[:-1] - full[-1])
+        # +-1 entries, at most two nonzero per digit t: partial sums stay <= 2N
+        assert set(np.unique(w).tolist()) <= {-1.0, 0.0, 1.0}
+        assert np.abs(w).reshape(p - 1, p - 1, p, p).sum(axis=1).max() <= 2
+    assert np.array_equal(spectrum._pass_matrix(2)[0], [[1, 1], [1, -1]])  # Walsh-Hadamard
+
+
+def _p_slot_rows(p: int, n: int, exponents: np.ndarray, members=None) -> np.ndarray:
+    """Reference: the p-slot float64 transform in transform order.  Slot j of
+    a point counts it at zeta**j, and each pass multiplies digit t of the
+    leading axis by zeta**(-s*t), moving slot j to slot j - s*t, and puts
+    the frequency digit s last."""
+    k, j, t, s = np.ogrid[:p, :p, :p, :p]
+    w = ((j - s * t) % p == k).astype(np.float64)
+    h = (np.arange(p)[:, None] == exponents).astype(np.float64)
+    if members is not None:
+        h *= members
+    for _ in range(n):
+        h = np.einsum("kjts,jtr->krs", w, h.reshape(p, p, -1), optimize=True).reshape(p, -1)
+    return h.T
+
+
+@pytest.mark.parametrize(
+    "params,d,seed,masked",
+    [
+        (make_field(2), 10, 1, False),
+        (make_field(2), 9, 2, True),
+        (make_field(2, 3), 3, 3, False),
+        (F5, 4, 4, False),
+        (F5, 4, 5, True),
+        (make_field(5, 2), 2, 6, False),
+        (make_field(31), 2, 7, False),
+        (make_field(31), 2, 8, True),
+    ],
+)
+def test_reduced_rows_match_a_p_slot_reference(params, d, seed, masked):
+    # the engine's (N, p - 1) float32 rows are the p-slot counts less the
+    # last slot, exactly, in the same transform order
+    f = random_function(params, d, seed)
+    n, p = f.n_points, params.p
+    members = np.random.default_rng(seed).random(n) < 0.4 if masked else None
+    for u in (1, params.q - 1):
+        exponents = spectrum._trace_exponents(f, u)
+        rows = spectrum._exact_coeff_rows(params, d, exponents, members)
+        assert rows.shape == (n, p - 1) and rows.dtype == np.float32
+        ref = _p_slot_rows(p, d * params.ell, exponents, members)
+        assert np.array_equal(rows, ref[:, :-1] - ref[:, -1:])
+
+
+def test_reduced_rows_are_exact_at_the_2pow20_cap():
+    # a constant table puts all 2**20 points in one cell, the largest entry
+    # float32 has to hold; the random table spreads them
+    f2 = make_field(2)
+    for exponents, top in ((np.zeros(2**20, dtype=np.uint8), 2**20), (random_function(f2, 20, 3).values, None)):
+        rows = spectrum._exact_coeff_rows(f2, 20, exponents)
+        ref = _p_slot_rows(2, 20, exponents)
+        assert rows.shape == (2**20, 1) and np.array_equal(rows, ref[:, :1] - ref[:, 1:])
+        assert top is None or np.abs(rows).max() == top
 
 
 def test_member_mask_path_matches_indicator_sum():
