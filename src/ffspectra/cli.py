@@ -33,6 +33,8 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import get_function, list_entries
 from .decomp import verify_decomposition
 from .errors import (
@@ -268,16 +270,22 @@ def _cmd_test_bent(args) -> int:
 
 
 def _emit_spectra(args, f: FnTable) -> BentVerdict:
-    """One CSV file per u from the exact orbit pass; returns its verdict."""
+    """One CSV file per u from the exact orbit pass; returns its verdict.  A
+    report whose columns equal the last one's reuses its text: the members
+    of an orbit share their rational columns (and all of them when every
+    cell is rational), and no magnitude is -0.0, whose repr differs."""
     m_column = _m_column(f.params, f.d)
     reports = spectrum_reports(f)
+    last, text = (), ""
     while True:
         try:
             rep = next(reports)
         except StopIteration as done:
             return done.value
-        cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
-        text = _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
+        columns = rep.defined, rep.ints, rep.magnitudes
+        if not last or not all(a is b or np.array_equal(a, b) for a, b in zip(columns, last)):
+            cells = _cells(rep.abs_sq_ints), _cells(rep.magnitudes.tolist())
+            last, text = columns, _csv("m_index,m_coords,abs_sq_exact,magnitude_float", m_column, *cells)
         _emit(args, f"spectrum_u{rep.u_index}.csv", text)
 
 

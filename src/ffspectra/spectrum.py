@@ -27,7 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Generator, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,10 +148,13 @@ def _exact_coeff_rows(
     +-1 pass entries per digit, every partial sum a BLAS kernel forms is at
     most 2N <= 2**21 < 2**24 in absolute value, so float32 is exact.
     """
-    p = params.p
+    p, n = params.p, len(exponents)
     _require_exact_size(p, d * params.ell)
     w = _pass_matrix(p)
-    h = w[:, :p, -1].take(exponents, axis=1)  # column e at j = 0, s = -1 is zeta**e
+    h, one_hot = np.empty((p - 1, n), np.float32), w[:, :p, -1]  # column e at j = 0, s = -1 is zeta**e
+    for i in range(0, n, 4096):  # take copies its narrow indices to intp: 4096 at a time
+        # the exponents are residues mod p, so "clip" clips nothing; it spares take a buffered out
+        one_hot.take(exponents[i : i + 4096], axis=1, out=h[:, i : i + 4096], mode="clip")
     if members is not None:
         h *= members
     return _butterfly(h, w, d * params.ell).T
@@ -182,35 +185,42 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     return slot[2]
 
 
-def _abs_sq_table(rows: np.ndarray) -> np.ndarray:
-    """Unreduced |S|^2 of the reduced rows of a whole exact transform (see
-    _exact_coeff_rows), in their order: out[i, k] is the coefficient of zeta^k
-    in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod p] over the slots below
-    p - 1.  That differs from the table of p-slot rows by a constant per row,
-    which changes no value.  Column k is two products of contiguous slot
-    slices, [k:] with [:p-1-k] and [:k-1] with [p-k:], so no rolled copy is
-    made.  |out| < 2**46 for N <= 2**20 points, so it is exact in float64:
-    the rows are cast to it 2**15 at a time, and the table once, to int64."""
-    p, chunk = rows.shape[1] + 1, 1 << 15
-    t = np.empty((len(rows), p), np.int64)
-    for i in range(0, len(rows), chunk):
-        slots, out = rows[i : i + chunk].T.astype(np.float64, order="C"), t[i : i + chunk]
+_CHUNK = 1 << 15  # rows per |S|^2 table: at most 2**15 * 31 float64s, 8 MB
+
+
+def _abs_sq_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Unreduced |S|^2 of the reduced rows of an exact transform (see
+    _exact_coeff_rows), in their order, as one (C, p) float64 table per 2**15
+    rows, so that no table of a whole transform is built: t[i, k] is the
+    coefficient of zeta^k in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod
+    p] over the slots below p - 1.  That differs from the table of p-slot
+    rows by a constant per row, which changes no value.  Column k is two
+    products of contiguous slot slices, [k:] with [:p-1-k] and [:k-1] with
+    [p-k:], so no rolled copy is made.  |t| < 2**46 for N <= 2**20 points,
+    so the float64 entries are exact integers.  Every table is a view of one
+    column-major buffer, overwritten by the next: a consumer reads each
+    before it asks for the next, so that two never coexist."""
+    p, n = rows.shape[1] + 1, len(rows)
+    table = np.empty((p, min(n, _CHUNK)))  # by column, so that each column is one contiguous run
+    for i in range(0, n, _CHUNK):
+        slots = rows[i : i + _CHUNK].T.astype(np.float64, order="C")
+        t = table[:, : slots.shape[1]]
         for k in range(p // 2 + 1):  # the table is symmetric under k -> -k
-            column = np.einsum("ij,ij->j", slots[k:], slots[: p - 1 - k])
+            np.einsum("ij,ij->j", slots[k:], slots[: p - 1 - k], out=t[k])
             if k > 1:
-                column += np.einsum("ij,ij->j", slots[: k - 1], slots[p - k :])
-            out[:, k] = out[:, -k] = column
-        slots = None  # freed before the next chunk is cast
-    return t
+                t[k] += np.einsum("ij,ij->j", slots[: k - 1], slots[p - k :])
+            t[-k] = t[k]
+        slots = None  # freed before the consumer reads the table
+        yield t.T
 
 
-def _placed_table(
+def _placed_rows(
     params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
 ) -> np.ndarray:
-    """The unreduced |S|^2 table of u placed by m of a function table or a
-    point set (arguments as _exact_coeff_rows).  The float32 rows are placed
-    (see _in_m_order) before the table is built, and freed before it returns."""
-    return _abs_sq_table(_in_m_order(params, d, u_index, _exact_coeff_rows(params, d, exponents, members)))
+    """The exact coefficient rows of u placed by m, of a function table or a
+    point set (arguments as _exact_coeff_rows); the transform order is freed
+    once they are placed (see _in_m_order)."""
+    return _in_m_order(params, d, u_index, _exact_coeff_rows(params, d, exponents, members))
 
 
 def _rational_rows(t: np.ndarray) -> np.ndarray:
@@ -238,8 +248,40 @@ def _real_values(t: np.ndarray) -> np.ndarray:
     # The p-th root cosines sum to zero, so the value only depends on the
     # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
     # near-uniform rows from cancelling in floats, and makes integer-valued
-    # rows (where t[:, 1:] is constant) come out exactly.
-    return (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
+    # rows (where t[:, 1:] is constant) come out exactly.  The difference is
+    # taken in C order whatever the layout of t (a slot permutation is
+    # F-ordered), since the product may round the two layouts differently.
+    return np.subtract(t, t[:, 1:2], order="C") @ np.cos(math.tau * np.arange(p) / p)
+
+
+def _columns(
+    tables: Iterable[np.ndarray], n: int, conjugates: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(defined, ints, values) of n rows placed by m, from one pass over their
+    unreduced |S|^2 tables: where defined[m] holds, |S|^2 is the rational
+    integer ints[m] (see _rational_rows), and ints[m] is 0 where it fails,
+    so that every conjugate has the same two columns.  values is None when
+    every row is rational; else values[j] is the float |S|^2 of sigma_(j+1)
+    of every cell for j < conjugates (slot k of sigma_t(z) is slot k/t of
+    z): the integer on rational rows, and on the others _real_values clamped
+    at 0, read only from the tables that hold an irrational row."""
+    defined, ints, values = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64), None
+    stop = 0
+    for t in tables:
+        rows, stop = slice(stop, stop + len(t)), stop + len(t)
+        rational = defined[rows] = _rational_rows(t)
+        ints[rows] = t[:, 0] - t[:, 1]
+        if not rational.all():
+            ints[rows][~rational] = 0
+            if values is None:
+                values = np.empty((conjugates, n))
+            p = t.shape[1]
+            for j in range(conjugates):
+                conjugate = t[:, np.arange(p) * pow(j + 1, -1, p) % p] if j else t
+                values[j, rows] = np.maximum(_real_values(conjugate), 0.0)
+    if values is not None:
+        np.copyto(values, ints, where=defined)
+    return defined, ints, values
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +388,8 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 def parseval_total(f: FnTable, u: FieldElement) -> int:
     """Exact sum over m of |S(u, m)|^2; always the rational integer q^(2d)."""
     _check_field(f, u)
-    total = _abs_sq_table(_exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))).sum(axis=0)
+    rows = _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))
+    total = sum(t.astype(np.int64).sum(axis=0) for t in _abs_sq_tables(rows))  # int64: a sum passes 2**53
     value = CycInt.from_coeffs(f.params.p, total.tolist()).as_integer()
     if value is None:
         raise AssertionError("Parseval sum must be a rational integer")
@@ -384,22 +427,23 @@ class BentVerdict:
         return "bent" if self.is_bent else "not_bent"
 
 
-def _witness_m(t: np.ndarray, target: int) -> int:
-    """Least excess-valued m of an unreduced |S|^2 table placed by m,
+def _witness_m(defined: np.ndarray, ints: np.ndarray, values: np.ndarray | None, target: int) -> int:
+    """Least excess-valued m of u's columns placed by m (see _columns),
     falling back to least failing m.
 
     Mirrors the PN witness convention: prefer the least m whose |S|^2
     provably exceeds q^d (exact integer first, then float), else the least
-    m failing equality at all.
+    m failing equality at all.  The float values are read only when no
+    rational row exceeds the target.
     """
-    defined, ints = _rational_rows(t), t[:, 0] - t[:, 1]
-    over = np.nonzero(defined & (ints > target))[0]
+    over = np.flatnonzero(defined & (ints > target))
     if over.size:
         return int(over[0])
-    over = np.nonzero(~defined & (_real_values(t) > target + 0.25))[0]
-    if over.size:
-        return int(over[0])
-    return int(np.nonzero(~defined | (ints != target))[0][0])
+    if values is not None:
+        over = np.flatnonzero(~defined & (values[0] > target + 0.25))
+        if over.size:
+            return int(over[0])
+    return int(np.flatnonzero(~defined | (ints != target))[0])
 
 
 def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
@@ -423,28 +467,44 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
             yield u_index, _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u_index))
 
 
-def _witness(f: FnTable, u_index: int, t: np.ndarray) -> BentWitness:
-    """The least failing cell of u under the witness rule, from its unreduced
-    |S|^2 table placed by m, which is not flat."""
+def _table_row(rows: np.ndarray, m: int) -> np.ndarray:
+    """The unreduced |S|^2 row of m, from its coefficient row alone."""
+    return next(_abs_sq_tables(rows[m : m + 1]))[0]
+
+
+def _witness(f: FnTable, u_index: int, columns: tuple, table_row: Callable[[int], np.ndarray]) -> BentWitness:
+    """The least failing cell of u under the witness rule, from its columns
+    placed by m (see _columns), which are not flat; table_row(m) is the
+    unreduced |S|^2 row of m, the witness's one exact value."""
     params = f.params
-    m_index = _witness_m(t, f.n_points)
+    m_index = _witness_m(*columns, f.n_points)
     return BentWitness(
         params.from_index(u_index),
         PointVector.from_index(params, f.d, m_index),
-        CycInt.from_coeffs(params.p, t[m_index].tolist()),
+        CycInt.from_coeffs(params.p, table_row(m_index).astype(np.int64).tolist()),
     )
 
 
 def is_bent_exact(f: FnTable) -> BentVerdict:
     """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m, by the
     orbit walk, which stops at the first failing orbit.  Flatness does not
-    depend on the order of m, so each orbit's table is tested in transform
-    order; only the failing one is placed by m, to name its cell."""
+    depend on the order of m, so each orbit's tables are tested in transform
+    order, one chunk of rows at a time, up to the first failing one; only
+    the failing orbit is placed by m, to name its cell: a transform of one
+    chunk places the flat test's table, a longer one its rows."""
+    params, n = f.params, f.n_points
     for u_index, rows in _orbit_walk(f):
-        table = _abs_sq_table(rows)
-        if not _is_flat(table, f.n_points):
-            table = _in_m_order(f.params, f.d, u_index, table)  # frees the transform order
-            return BentVerdict(False, _witness(f, u_index, table))
+        for t in _abs_sq_tables(rows):
+            if not _is_flat(t, n):
+                break
+        else:
+            continue
+        if n <= _CHUNK:  # the flat test's one table is the whole table
+            t = _in_m_order(params, f.d, u_index, t)
+            return BentVerdict(False, _witness(f, u_index, _columns([t], n), t.__getitem__))
+        rows = _in_m_order(params, f.d, u_index, rows)  # frees the transform order
+        columns = _columns(_abs_sq_tables(rows), n)
+        return BentVerdict(False, _witness(f, u_index, columns, partial(_table_row, rows)))
     return BentVerdict(True, None)
 
 
@@ -587,7 +647,8 @@ _spectrum_row = partial(tuple.__new__, SpectrumRow)
 class SpectrumReport:
     """Per-frequency spectrum of one (f, u) pair with exact/float pairing,
     stored by column: |S(u, m)|^2 is the rational integer ints[m] where
-    defined[m] holds, and magnitudes[m] is |S(u, m)| as a float."""
+    defined[m] holds (ints[m] is 0 where it fails), and magnitudes[m] is
+    |S(u, m)| as a float."""
 
     params: FieldParams
     d: int
@@ -619,45 +680,44 @@ class SpectrumReport:
         return bool(np.all(self.defined & (self.ints == target)))
 
 
-def _report(params: FieldParams, d: int, u_index: int, t: np.ndarray) -> SpectrumReport:
-    """The report of u from its unreduced |S|^2 table placed by m (see
-    _abs_sq_table).  Where defined[m] holds, |S|^2 is the rational integer
-    ints[m] (see _rational_rows); the magnitudes are fed from that integer
-    whenever it exists, so that rational cells stay float-exact."""
-    defined = _rational_rows(t)
-    ints = t[:, 0] - t[:, 1]
-    exact = ints.astype(np.float64)
-    if not defined.all():  # the float values only where some row is irrational
-        exact = np.where(defined, exact, np.maximum(_real_values(t), 0.0))
+def _report(params: FieldParams, d: int, u_index: int, rows: np.ndarray) -> SpectrumReport:
+    """The report of u from its exact coefficient rows placed by m, by one
+    pass over their |S|^2 tables (see _columns); the magnitudes are fed from
+    the rational integer whenever it exists, so that rational cells stay
+    float-exact."""
+    defined, ints, values = _columns(_abs_sq_tables(rows), len(rows))
+    exact = ints.astype(np.float64) if values is None else values[0]
     return SpectrumReport(params, d, u_index, defined, ints, np.sqrt(exact, out=exact))
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     _check_field(f, u)
-    table = _placed_table(f.params, f.d, u.index, _trace_exponents(f, u.index))
-    return _report(f.params, f.d, u.index, table)
+    return _report(f.params, f.d, u.index, _placed_rows(f.params, f.d, u.index, _trace_exponents(f, u.index)))
 
 
 def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]:
     """spectrum_report(f, u) for every u in F_q^*, one exact transform per
     Galois orbit: each orbit's least member first, then its multiples t*u
-    for t = 2, ..., p-1, whose tables are slot permutations of it.  Returns
-    the is_bent_exact verdict of the same transforms (StopIteration.value)."""
-    params = f.params
+    for t = 2, ..., p-1, whose tables are slot permutations of it, all from
+    one pass over the tables.  Rationality and rational values are the same
+    for every member, so the members share defined and ints, and when every
+    row is rational their magnitudes too.  Returns the is_bent_exact verdict
+    of the same transforms (StopIteration.value)."""
+    params, n = f.params, f.n_points
     witness = None
     for rep, rows in _orbit_walk(f):
-        # placed by rep's map, which every multiple t*rep shares; the rows
-        # are freed before the reports are built
-        table = _abs_sq_table(_in_m_order(params, f.d, rep, rows))
-        rows = None
-        report = _report(params, f.d, rep, table)
-        if witness is None and not report.is_flat(f.n_points):
-            witness = _witness(f, rep, table)  # the least failing orbit's
-        yield report
-        for t in range(2, params.p):
-            # the table of t*rep: slot k of sigma_t(z) is slot k/t of z
-            slots = np.arange(params.p) * pow(t, -1, params.p) % params.p
-            yield _report(params, f.d, params.from_index(rep).scale(t).index, table[:, slots])
+        rows = _in_m_order(params, f.d, rep, rows)  # rep's map, which every multiple t*rep shares
+        defined, ints, values = columns = _columns(_abs_sq_tables(rows), n, params.p - 1)
+        if witness is None and not np.all(defined & (ints == n)):
+            witness = _witness(f, rep, columns, partial(_table_row, rows))  # the least failing orbit's
+        rows = None  # freed before the reports are built
+        exact = ints.astype(np.float64) if values is None else values
+        mags = np.sqrt(exact, out=exact)
+        for a in (defined, ints, mags):
+            a.setflags(write=False)  # shared between the reports of the orbit
+        for t in range(1, params.p):
+            u_index = params.from_index(rep).scale(t).index
+            yield SpectrumReport(params, f.d, u_index, defined, ints, mags if values is None else mags[t - 1])
     return BentVerdict(witness is None, witness)
 
 

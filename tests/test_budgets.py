@@ -1,5 +1,6 @@
 """Memory budgets: the fast and exact bent paths and a failing PN scan at
-the 2**20-point cap, a random table past the cap refused before its work
+the 2**20-point cap, a failing exact verdict over F_31**4, a random table
+past the cap refused before its work
 arrays are allocated, an exact verdict over F_2**20 that keeps nothing
 per Galois orbit, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, of one exact cell, of vec_mul,
@@ -72,10 +73,11 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-EXACT_2POW20_RSS_BUDGET_MB = 100
+EXACT_2POW20_RSS_BUDGET_MB = 60
 FAST_2POW20_RSS_BUDGET_MB = 70
+EXACT_ODD_P_RSS_BUDGET_MB = 384
 DECOMP_RSS_BUDGET_MB = 64
-SALEM_RSS_BUDGET_MB = 56
+SALEM_RSS_BUDGET_MB = 52
 PN_RSS_BUDGET_MB = 112
 PN_DESK_RSS_BUDGET_MB = 64
 SWEEP_RSS_BUDGET_MB = 100
@@ -95,11 +97,22 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             0,
             FAST_2POW20_RSS_BUDGET_MB,
         ),
+        # the exact verdict holds the coefficient rows and one 2**15-row
+        # |S|^2 table at a time, never a table of the whole transform
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--exact"],
             '"verdict": "bent"',
             0,
             EXACT_2POW20_RSS_BUDGET_MB,
+        ),
+        # 923,521 points in 30 slots: the two pass buffers, then the failing
+        # orbit's rows placed by m and its witness columns, built 2**15 rows
+        # at a time
+        (
+            ["test", "bent", "--catalog", "random", "--p", "31", "--d", "4", "--exact"],
+            '"verdict": "not_bent"',
+            1,
+            EXACT_ODD_P_RSS_BUDGET_MB,
         ),
         # the decomposition certificate holds digit arrays linear in q**d,
         # never a q**d x q**d addition table
@@ -181,7 +194,8 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             PN_DESK_RSS_BUDGET_MB,
         ),
     ],
-    ids=["bent-fast-2pow20", "bent-exact-2pow20", "decomp-square-q3125", "decomp-random-p2-d12",
+    ids=["bent-fast-2pow20", "bent-exact-2pow20", "bent-exact-random-p31-d4",
+         "decomp-square-q3125", "decomp-random-p2-d12",
          "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-random-p1009-d2",
          "pn-input-1009sq", "pn-square-q3125", "pn-power-e1e9", "sweep-square-q1009", "sweep-square-q625"],
 )
@@ -325,10 +339,10 @@ def test_table_makes_one_int64_copy_of_its_values(dtype):
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():
-    # the one-byte exponents, the gather's intp copy of them and the one-hot,
-    # then the two pass buffers, p - 1 float32s per point each
+    # the one-byte exponents and the two pass buffers, p - 1 float32s per
+    # point each, the first of them the one-hot gathered 4096 points at a time
     for p, d, f, bound in [
-        (2, 16, get_function("bool_quadratic", make_field(2), d=16), 1.75),
+        (2, 16, get_function("bool_quadratic", make_field(2), d=16), 1.15),
         (3, 12, random_function(make_field(3), 12, 1), 2.25),
     ]:
         params, buffer = f.params, 8 * p**d
@@ -345,22 +359,23 @@ def test_exact_coeff_rows_hold_few_point_sized_buffers():
 
 
 def test_abs_sq_table_holds_few_point_sized_buffers():
-    # the int64 table (p = 2 columns) and the two einsum columns of one slot
-    # pair; no rolled copy of the rows
+    # one 2**15-row table at a time, p = 2 float64 columns, the float64 slots
+    # of its rows and the difference of its two columns; no rolled copy of
+    # the rows, and no table of the whole transform
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     f = get_function("bool_quadratic", f2, d=d)
     rows = spectrum._exact_coeff_rows(f2, d, spectrum._trace_exponents(f, 1))
-    spectrum._abs_sq_table(rows[:4])  # warm einsum
+    next(spectrum._abs_sq_tables(rows[:4]))  # warm einsum
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        table = spectrum._abs_sq_table(rows)
+        flat = [bool(np.all(t[:, 0] - t[:, 1] == 2**d)) for t in spectrum._abs_sq_tables(rows)]
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert np.all(table[:, 0] - table[:, 1] == 2**d)  # bent: |S|^2 = q**d at every m
-    assert peak <= 4.25 * buffer
+    assert flat == [True, True]  # bent: |S|^2 = q**d at every m, in two tables
+    assert peak <= 1.75 * buffer
 
 
 def test_exact_cell_holds_few_point_sized_buffers():
@@ -383,9 +398,10 @@ def test_exact_cell_holds_few_point_sized_buffers():
 
 
 def test_flat_exact_verdict_builds_no_float_values():
-    # a flat verdict reads the table's exact columns only: at its peak it holds
-    # the coefficient rows, the int64 table and two einsum columns, never the
-    # float values that a witness or a report computes from the table
+    # a flat verdict reads the tables' exact columns only: at its peak it holds
+    # the pass buffers of the coefficient rows, or the rows and one 2**15-row
+    # table, never a whole table or the float values that a witness or a
+    # report computes from it
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     is_bent_exact(get_function("bool_quadratic", f2, d=4))  # warm the per-field tables
@@ -398,7 +414,40 @@ def test_flat_exact_verdict_builds_no_float_values():
     finally:
         tracemalloc.stop()
     assert verdict.is_bent
-    assert peak <= 6.5 * buffer
+    assert peak <= 3 * buffer
+
+
+def test_failing_exact_verdict_holds_one_table_at_a_time():
+    # a failing verdict over F_13**5 (371,293 points, 12 slots) places its
+    # first orbit's rows by m and reads the witness columns from one 2**15-row
+    # |S|^2 table at a time: the columns (17 bytes a point) and a few tables'
+    # worth of temporaries, never a table of the whole transform (104 bytes a
+    # point); the verdict's own peak stays the butterfly's two pass buffers
+    params, d = make_field(13), 5
+    f = random_function(params, d, 5)
+    n, p = f.n_points, params.p
+    table = 8 * p * spectrum._CHUNK
+    is_bent_exact(random_function(params, 2, 1))  # warm the pass matrix and einsum
+    rows = spectrum._exact_coeff_rows(params, d, spectrum._trace_exponents(f, 1))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        defined, ints, values = spectrum._columns(spectrum._abs_sq_tables(rows), n)
+        columns_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert not defined.any() and values.shape == (1, n)  # every cell irrational: values for all
+    rows = defined = ints = values = None
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        witness = is_bent_exact(f).witness
+        verdict_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert (witness.u.index, witness.m.index) == (1, 0)
+    assert columns_peak <= 17 * n + 4 * table
+    assert verdict_peak <= 2 * 4 * (p - 1) * n + n + 4 * table
 
 
 def test_exact_verdict_holds_no_per_orbit_state():

@@ -3,7 +3,7 @@ byte-identical output across worker counts."""
 
 import json
 
-from ffspectra import FnSpec, build_function, catalog, funcs, make_field
+from ffspectra import FnSpec, build_function, catalog, cli, funcs, make_field, spectrum
 from ffspectra.cli import main
 from ffspectra.funcs import save_table
 
@@ -79,6 +79,34 @@ def test_test_bent_emits_spectrum_files(capsys, tmp_path):
         assert len(lines) == 6
         assert all(line.split(",")[2] == "5" for line in lines[1:])
     assert json.loads((emit / "bent.json").read_text()) == doc
+
+
+def test_emit_renders_each_report_afresh_where_orbit_members_differ(capsys, tmp_path, monkeypatch):
+    # a random table over F_7**2 is not bent, and its orbit members differ in
+    # their irrational cells: every file must equal a fresh render of its own
+    # report, whether the last text was reused or not; a bent table's files
+    # are all one text, rendered once
+    renders = []
+    csv = cli._csv
+    monkeypatch.setattr(cli, "_csv", lambda *a: renders.append(a[0]) or csv(*a))
+    for source, bent in (("random", False), ("bilinear", True)):
+        f = catalog.get_function(source, make_field(7), d=2)
+        emit = tmp_path / source
+        renders.clear()
+        argv = ["test", "bent", "--catalog", source, "--p", "7", "--d", "2", "--exact", "--emit", str(emit)]
+        code, doc, _ = run_json(capsys, *argv)
+        assert code == (0 if bent else 1) and doc["verdict"] == ("bent" if bent else "not_bent")
+        reports = list(spectrum.spectrum_reports(f))
+        files = {rep.u_index: (emit / f"spectrum_u{rep.u_index}.csv").read_text() for rep in reports}
+        texts = [files[rep.u_index] for rep in reports]
+        # one render per change of text from the report before (u and -u
+        # carry conjugate sums, so their files are equal but not adjacent)
+        assert len(renders) == 1 + sum(a != b for a, b in zip(texts, texts[1:]))
+        assert (len(set(texts)) == 1) == bent
+        for rep in reports:
+            cells = cli._cells(rep.abs_sq_ints), cli._cells(rep.magnitudes.tolist())
+            header = "m_index,m_coords,abs_sq_exact,magnitude_float"
+            assert files[rep.u_index] == csv(header, cli._m_column(f.params, f.d), *cells)
 
 
 def test_crosscheck(capsys):

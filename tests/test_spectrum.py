@@ -519,7 +519,7 @@ def test_fast_verdict_reads_no_exact_abs_sq_table(monkeypatch, make, is_bent, wi
         raise AssertionError("exact |S|^2 table or report in the fast verdict")
 
     monkeypatch.setattr(spectrum, "exact_cell", recording)
-    monkeypatch.setattr(spectrum, "_abs_sq_table", refuse)
+    monkeypatch.setattr(spectrum, "_abs_sq_tables", refuse)
     monkeypatch.setattr(spectrum, "_report", refuse)
     got = is_bent_fast(f)
     assert got.is_bent is is_bent
@@ -696,6 +696,41 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _whole_table(rows):
+    """Reference: the unreduced |S|^2 table of a whole transform as one (N, p)
+    int64 array, summed slot pair by slot pair: column k adds
+    rows[:, s] * rows[:, (s + k) mod p] over the slots s below p - 1 whose
+    partner is below p - 1 too (the reduced rows' last slot is zero)."""
+    p = rows.shape[1] + 1
+    a = rows.astype(np.int64)
+    t = np.zeros((len(a), p), dtype=np.int64)
+    for k in range(p):
+        for s in range(p - 1):
+            if (s + k) % p < p - 1:
+                t[:, k] += a[:, s] * a[:, (s + k) % p]
+    return t
+
+
+def _whole_table_columns(t):
+    """Reference: defined, ints and float values of a whole int64 table, each
+    by one expression over all of it: a row is rational when its columns 1
+    to p - 1 agree, and the values are (t - t[:, 1]) @ cos."""
+    p = t.shape[1]
+    values = (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
+    return np.all(t[:, 1:] == t[:, 1:2], axis=1), t[:, 0] - t[:, 1], values
+
+
+def _whole_table_witness_m(t, target):
+    """Reference witness rule on a whole table placed by m: the least
+    rational excess, else the least irrational float excess past a 0.25
+    margin, else the least failing row."""
+    defined, ints, values = _whole_table_columns(t)
+    for mask in (defined & (ints > target), ~defined & (values > target + 0.25), ~defined | (ints != target)):
+        if mask.any():
+            return int(np.flatnonzero(mask)[0])
+    return None
+
+
 def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatch):
     # both are extension fields, so placing any u by m gathers through the map
     fields = [make_field(5, 5), FieldParams(5, 2, (2, 1, 1))]  # F_25 mod t**2 + t + 2
@@ -712,9 +747,9 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         bad = is_bent_exact(f)
         u, m = bad.witness.u.index, bad.witness.m.index
         assert not bad.is_bent and maps == [u]
-        # the witness rule on the tables by m, and the cell's exact value
-        table = spectrum._placed_table(f.params, f.d, u, spectrum._trace_exponents(f, u))
-        assert m == spectrum._witness_m(table, f.n_points)
+        # the witness rule on the whole table by m, and the cell's exact value
+        table = _whole_table(spectrum._placed_rows(f.params, f.d, u, spectrum._trace_exponents(f, u)))
+        assert m == _whole_table_witness_m(table, f.n_points)
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
 
@@ -725,9 +760,13 @@ def test_witness_rule_falls_back_to_the_least_failing_cell():
     # cell is named; a rational excess is preferred whenever there is one
     t = np.array([[25, 0, 0, 0, 0], [20, 0, 0, 0, 0], [22, 5, 0, 0, 5], [25, 0, 0, 0, 0]])
     assert not spectrum._rational_rows(t)[2] and 25 < spectrum._real_values(t)[2] < 25.25
-    assert spectrum._witness_m(t, 25) == 1
-    assert spectrum._witness_m(t[[0, 2]], 25) == 1
-    assert spectrum._witness_m(np.vstack([t, [[26, 0, 0, 0, 0]]]), 25) == 4
+
+    def witness_m(t):  # the rule on the columns of the one table t
+        return spectrum._witness_m(*spectrum._columns([t], len(t)), 25)
+
+    assert witness_m(t) == 1
+    assert witness_m(t[[0, 2]]) == 1
+    assert witness_m(np.vstack([t, [[26, 0, 0, 0, 0]]])) == 4
 
 
 def test_report_reads_float_values_only_where_a_row_is_irrational(monkeypatch):
@@ -745,12 +784,93 @@ def test_report_reads_float_values_only_where_a_row_is_irrational(monkeypatch):
     report = spectrum_report(f, f25.from_index(7))
     assert calls == [f.n_points] and not report.defined.all()
     e = graph_of(bent)
-    for rep, t in (
-        (graph, spectrum._placed_table(f25, 2, 1, np.zeros(e.params.q**2, dtype=np.int64), e.bitmap)),
-        (report, spectrum._placed_table(f25, 2, 7, spectrum._trace_exponents(f, 7))),
+    for rep, rows in (
+        (graph, spectrum._placed_rows(f25, 2, 1, np.zeros(e.params.q**2, dtype=np.uint8), e.bitmap)),
+        (report, spectrum._placed_rows(f25, 2, 7, spectrum._trace_exponents(f, 7))),
     ):
+        t = _whole_table(rows)
         floats = np.maximum(real_values(t), 0.0)
         assert np.array_equal(rep.magnitudes, np.sqrt(np.where(rep.defined, rep.ints.astype(float), floats)))
+
+
+# Every table of the chunked |S|^2 pass against the whole-table reference:
+# random and bent tables at each p the engine takes, with ell > 1 and d > 1,
+# and three that span several 2**15-row tables (F_3**11 all rational, F_7**6
+# and F_2**17 with more than one chunk of rows).
+CHUNKED_TABLES = {
+    "random_F2^10": lambda: random_function(make_field(2), 10, 1),
+    "random_F2^17": lambda: random_function(make_field(2), 17, 9),
+    "bool_quadratic_F2^8": lambda: get_function("bool_quadratic", make_field(2), d=8),
+    "random_F4^3": lambda: random_function(make_field(2, 2), 3, 2),
+    "random_F3^11": lambda: random_function(make_field(3), 11, 3),
+    "square_F27": lambda: get_function("square", make_field(3, 3)),
+    "random_F25^2": lambda: random_function(make_field(5, 2), 2, 4),
+    "bilinear_F5^2": lambda: get_function("bilinear", F5, d=2),
+    "random_F7^6": lambda: random_function(make_field(7), 6, 5),
+    "square_F49": lambda: get_function("square", make_field(7, 2)),
+    "random_F13^2": lambda: random_function(make_field(13), 2, 6),
+    "random_F169": lambda: random_function(make_field(13, 2), 1, 7),
+    "bilinear_F13^2": lambda: get_function("bilinear", make_field(13), d=2),
+    "random_F31^2": lambda: random_function(make_field(31), 2, 8),
+    "square_F31": lambda: get_function("square", make_field(31)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_TABLES))
+def test_chunked_pass_matches_a_whole_table_reference(name):
+    f = CHUNKED_TABLES[name]()
+    params, n = f.params, f.n_points
+    one_chunk = n <= spectrum._CHUNK
+    assert one_chunk or name in ("random_F2^17", "random_F3^11", "random_F7^6")
+    for u in (1, params.q - 1):
+        rows = spectrum._placed_rows(params, f.d, u, spectrum._trace_exponents(f, u))
+        defined, ints, values = _whole_table_columns(_whole_table(rows))
+        got = spectrum._columns(spectrum._abs_sq_tables(rows), n)
+        assert np.array_equal(got[0], defined) and np.array_equal(got[1], np.where(defined, ints, 0))
+        assert (got[2] is None) == defined.all()
+        want = np.where(defined, ints.astype(np.float64), np.maximum(values, 0.0))
+        mags = spectrum_report(f, params.from_index(u)).magnitudes
+        if one_chunk:  # one table is the whole table: the float values are the same bits
+            assert got[2] is None or np.array_equal(got[2][0], want)
+            assert np.array_equal(mags, np.sqrt(want))
+        else:  # a row's float value may round differently at another row position
+            assert got[2] is None or np.allclose(got[2][0], want, rtol=1e-13, atol=0)
+            assert np.allclose(mags, np.sqrt(want), rtol=1e-13, atol=0)
+    verdict = is_bent_exact(f)
+    if verdict.is_bent:
+        assert name.split("_")[0] in ("bool", "square", "bilinear")
+        return
+    # the witness: its u is the walk's first failing orbit, its m the
+    # reference rule on the whole table of u by m, its value that row's
+    w = verdict.witness
+    rows = spectrum._placed_rows(params, f.d, w.u.index, spectrum._trace_exponents(f, w.u.index))
+    t = _whole_table(rows)
+    assert w.m.index == _whole_table_witness_m(t, n)
+    assert w.abs_sq == CycInt.from_coeffs(params.p, t[w.m.index].tolist())
+    assert w.abs_sq == exact_cell(f, w.u.index, w.m.index).abs_sq()
+    for u, rows in spectrum._orbit_walk(f):  # the orbits before it are flat
+        if u == w.u.index:
+            break
+        assert _whole_table_witness_m(_whole_table(rows), n) is None
+
+
+@pytest.mark.parametrize("name", ["random_F7^6", "random_F31^2", "random_F169", "bilinear_F13^2", "square_F27"])
+def test_orbit_multiples_equal_their_own_reports(name):
+    # spectrum_reports derives t*u from one pass over u's tables; each must be
+    # spectrum_report(t*u) array for array, and an orbit whose rows are all
+    # rational hands its members the same arrays
+    f = CHUNKED_TABLES[name]()
+    params = f.params
+    reports = spectrum.spectrum_reports(f)
+    orbit = [next(reports) for _ in range(params.p - 1)]
+    assert [r.u_index for r in orbit] == [params.one().scale(t).index for t in range(1, params.p)]
+    for rep in orbit:
+        want = spectrum_report(f, params.from_index(rep.u_index))
+        for column in ("defined", "ints", "magnitudes"):
+            assert np.array_equal(getattr(rep, column), getattr(want, column))
+    shared = all(rep.magnitudes is orbit[0].magnitudes for rep in orbit)
+    assert shared == orbit[0].defined.all()
+    assert all(rep.defined is orbit[0].defined and rep.ints is orbit[0].ints for rep in orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +909,7 @@ def test_exact_cell_matches_pointwise_on_random_tables():
             # the engine's |S|^2 step on the stacked rows in its reduced form:
             # CycInt's normal form less its zero last slot, in float32
             assert not rows[:, -1].any()
-            spec = spectrum._report(params, d, u, spectrum._abs_sq_table(rows[:, :-1].astype(np.float32)))
+            spec = spectrum._report(params, d, u, rows[:, :-1].astype(np.float32))
             mags = spec.magnitudes
             for i, cell in enumerate(cells):
                 z = cell.abs_sq()
