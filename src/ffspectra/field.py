@@ -355,16 +355,6 @@ def element_digits(params: FieldParams) -> np.ndarray:
     return digits
 
 
-@lru_cache(maxsize=PARAMS_CACHE_SIZE)
-def _overflow_matrix(params: FieldParams) -> np.ndarray:
-    """Row k holds the coefficients of t**(ell+k) mod the modulus, k < ell - 1."""
-    ell = params.ell
-    rows = [_poly_rem([0] * (ell + k) + [1], params.modulus, params.p) for k in range(ell - 1)]
-    m = np.array(rows, dtype=np.int64).reshape(ell - 1, ell)
-    m.setflags(write=False)
-    return m
-
-
 def vec_mul(params: FieldParams, a, b) -> np.ndarray:
     """Componentwise field product of two index arrays.  The broadcast
     operands are multiplied in chunks of about 2**17 digits, so the digit
@@ -382,17 +372,19 @@ def vec_mul(params: FieldParams, a, b) -> np.ndarray:
         conv = np.zeros((len(da), 2 * ell - 1), dtype=np.int64)
         for i in range(ell):
             conv[:, i : i + ell] += da[:, i : i + 1] * db
-        conv[:, :ell] += conv[:, ell:] @ _overflow_matrix(params)
+        # slot ell + k holds t**(ell+k) = t**(ell-1) * t**(k+1)
+        conv[:, :ell] += conv[:, ell:] @ _basis_products(params)[ell - 1, 1:]
         flat[start : start + rows] = _modp.index_of_digits(conv[:, :ell] % p, p)
     return out
 
 
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)  # ell <= 20: at most 8,000 int64s per field
 def _basis_products(params: FieldParams) -> np.ndarray:
-    """B[i, j*ell + k] = digit k of t**i * t**j, from the ell**2 FieldElement products."""
-    basis = [params.from_index(params.p**j) for j in range(params.ell)]
-    b = np.array([[(x * y).coeffs for y in basis] for x in basis], dtype=np.int64)
-    b = b.reshape(params.ell, -1)
+    """The field's product table: B[i, j] is the ell digits of t**i * t**j.
+    It depends only on i + j, so B gathers the 2*ell - 1 powers t**k mod the modulus."""
+    ell = params.ell
+    powers = [_poly_rem([0] * k + [1], params.modulus, params.p) for k in range(2 * ell - 1)]
+    b = np.array(powers, dtype=np.int64)[np.add.outer(np.arange(ell), np.arange(ell))]
     b.setflags(write=False)
     return b
 
@@ -401,8 +393,7 @@ def _basis_products(params: FieldParams) -> np.ndarray:
 def mul_matrix(params: FieldParams, u_index: int) -> np.ndarray:
     """Matrix of multiplication by u on little-endian coefficient vectors:
     column j holds the digits of u * t**j = sum_i u_i * t**i * t**j."""
-    ell = params.ell
-    m = (element_digits(params)[u_index] @ _basis_products(params) % params.p).reshape(ell, ell).T
+    m = (element_digits(params)[u_index] @ _basis_products(params) % params.p).T
     m.setflags(write=False)
     return m
 
@@ -415,18 +406,17 @@ def vec_scalar_mul(params: FieldParams, a, u_index: int) -> np.ndarray:
 @lru_cache(maxsize=PARAMS_CACHE_SIZE)  # ell <= 20: at most 8,400 int64s per field
 def trace_forms(params: FieldParams) -> tuple[np.ndarray, np.ndarray]:
     """The pair forms P[i, j] = Tr(t**i * t**j) and the triple forms
-    H[i, j, k] = Tr(t**i * t**j * t**k) of the basis.
+    H[i, j, k] = Tr(t**i * t**j * t**k) of the basis, read from the basis
+    products B.
 
-    The trace is F_p-linear, so Tr(y) = digits(y) . w with w[j] = Tr(t**j),
-    and Tr(y * t**k) = digits(y) . P[:, k]: P and H come from the digits of
-    the ell**2 products t**i * t**j, one vec_mul.
+    Tr(y) is the trace of the matrix of multiplication by y, so the weights
+    w[j] = Tr(t**j) are sum_i B[i, j, i].  The trace is F_p-linear, so
+    Tr(y) = digits(y) . w and Tr(y * t**k) = digits(y) . P[:, k].
     """
-    p = params.p
-    basis = _modp.powers(p, params.ell)
-    weights = np.array([trace(params.from_index(int(b))) for b in basis], dtype=np.int64)
-    pair_digits = element_digits(params)[vec_mul(params, basis[:, None], basis[None, :])]
-    forms = pair_digits @ weights % p
-    triples = pair_digits @ forms % p
+    p, b = params.p, _basis_products(params)
+    weights = np.trace(b, axis1=0, axis2=2) % p
+    forms = b @ weights % p
+    triples = b @ forms % p
     forms.setflags(write=False)
     triples.setflags(write=False)
     return forms, triples

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import CycInt
 from .errors import EmptySet, FieldMismatch, HypothesisFailed, IndexOutOfRange, TrivialCharacter
-from .field import FieldElement, FieldParams
+from .field import FieldElement, FieldParams, _checked_index
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
 from .spectrum import SpectrumReport, _cell_counts, _placed_rows, _report, _require_exact_size, is_bent_exact
@@ -53,8 +53,10 @@ class PointSet:
         _refuse_past_cap(params.q, d)
         n = params.q**d
         indices = np.asarray(indices)
-        # no float is truncated to a point, and no bitmap is read as indices
-        if indices.size and (indices.dtype.kind in "bfc" or not 0 <= indices.min() <= indices.max() < n):
+        if indices.dtype.kind == "O" and not any(isinstance(v, (bool, np.bool_)) for v in indices.flat):
+            indices = np.array([_checked_index(v, n, "point") for v in indices.flat], dtype=np.int64)
+        # no float is truncated to a point, no string is parsed, and no bitmap or bool is read as indices
+        if indices.size and (indices.dtype.kind not in "iu" or not 0 <= indices.min() <= indices.max() < n):
             raise IndexOutOfRange(f"point indices must be integers in [0, {n})")
         bitmap = np.zeros(n, dtype=bool)
         bitmap[indices.astype(np.int64, copy=False)] = True

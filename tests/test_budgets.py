@@ -243,7 +243,7 @@ def test_vec_mul_holds_few_point_sized_buffers():
     params = make_field(3, 12, (2, 0, 1) + (0,) * 9 + (1,))  # t**12 + t**2 + 2
     x = np.arange(params.q, dtype=np.int64)
     buffer = 8 * params.q
-    field.vec_mul(params, x[:9], x[:9])  # warm the overflow matrix
+    field.vec_mul(params, x[:9], x[:9])  # warm the basis products
     tracemalloc.start()
     try:
         started = time.perf_counter()
@@ -692,7 +692,7 @@ def test_every_cache_is_bounded():
         spectrum._trace_rows,
         field.trace_weights,
         field.mul_matrix,
-        field._overflow_matrix,
+        field._basis_products,
         field.default_modulus,
     ):
         assert cache in caches.values()

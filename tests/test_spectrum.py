@@ -577,6 +577,23 @@ def test_trace_weights_and_gram_match_scalar_trace(params):
         assert spectrum._gram(params, u.index).tolist() == want
 
 
+@pytest.mark.parametrize("params", [make_field(2, 6), FieldParams(5, 2, (2, 1, 1)), make_field(3, 5)], ids=repr)
+def test_trace_forms_read_only_the_basis_products(monkeypatch, params):
+    # P and H come from the field's product table alone: no vectorized
+    # product, no scalar trace and no q-entry digit table
+    basis = [params.from_index(params.p**j) for j in range(params.ell)]
+    want_pairs = [[trace(a * b) for b in basis] for a in basis]
+    want_triples = [[[trace(a * b * c) for c in basis] for b in basis] for a in basis]
+
+    def refuse(*args):
+        raise AssertionError("trace_forms left the basis products")
+
+    for name in ("vec_mul", "trace", "element_digits"):
+        monkeypatch.setattr(field, name, refuse)
+    pairs, triples = field.trace_forms.__wrapped__(params)
+    assert pairs.tolist() == want_pairs and triples.tolist() == want_triples
+
+
 @pytest.mark.parametrize("params", TRACE_FORM_FIELDS, ids=repr)
 def test_walsh_fast_matches_exact_magnitudes_on_every_modulus(params):
     f = random_function(params, 1, params.q)
