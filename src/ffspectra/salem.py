@@ -101,7 +101,7 @@ def indicator_sum(e: PointSet, m: PointVector, u: FieldElement | None = None) ->
         raise FieldMismatch("character parameter from a different field")
     if u is not None and u.is_zero():
         raise TrivialCharacter("u = 0 names the trivial character")
-    exponents = np.zeros((params.q,) * e.d, dtype=np.int64)  # exponent 0 at every member
+    exponents = np.zeros((params.q,) * e.d, dtype=np.uint8)  # exponent 0 at every member, one byte each
     counts = _cell_counts(params, 1 if u is None else u.index, exponents, m.index, e.bitmap)
     return CycInt.from_histogram(params.p, counts.tolist())
 

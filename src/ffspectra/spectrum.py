@@ -13,7 +13,7 @@ Two independent routes compute it:
   axis.  Every intermediate is an integer below 2**24, so the result is the
   exact cyclotomic integer.  The per-(u, m) reference (walsh_exact)
   computes the same histogram pointwise with field elements.
-* fast: the same butterfly over complex128 (Walsh-Hadamard in float64 for
+* fast: the same butterfly over complex128 (Walsh-Hadamard in float32 for
   p = 2, where its integer sums stay exact).
 
 S(t*u, m) for t in F_p^* is the conjugate sigma_t(S(u, m)), so one exact
@@ -110,6 +110,19 @@ def _require_exact_size(p: int, n: int) -> None:
         raise UnsupportedSize(f"exact transforms take <= {MAX_POINTS} points and p <= 31")
 
 
+_SLICE = 4096  # points per gather, flatness-test or histogram slice: 32 KB of intp
+
+
+def _gather(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """table[:, exponents] as a new (c, N) array.  take copies its narrow
+    indices to intp, so it takes one slice at a time; the exponents are
+    residues mod p, so "clip" clips nothing, and it spares take a buffered out."""
+    h = np.empty((len(table), len(exponents)), table.dtype)
+    for i in range(0, len(exponents), _SLICE):
+        table.take(exponents[i : i + _SLICE], axis=1, out=h[:, i : i + _SLICE], mode="clip")
+    return h
+
+
 def _butterfly(h: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """n size-p passes over h, shaped (c, N) with c slots per point and
     overwritten, in transform order: column perm[m] holds frequency m (see
@@ -148,13 +161,10 @@ def _exact_coeff_rows(
     +-1 pass entries per digit, every partial sum a BLAS kernel forms is at
     most 2N <= 2**21 < 2**24 in absolute value, so float32 is exact.
     """
-    p, n = params.p, len(exponents)
+    p = params.p
     _require_exact_size(p, d * params.ell)
     w = _pass_matrix(p)
-    h, one_hot = np.empty((p - 1, n), np.float32), w[:, :p, -1]  # column e at j = 0, s = -1 is zeta**e
-    for i in range(0, n, 4096):  # take copies its narrow indices to intp: 4096 at a time
-        # the exponents are residues mod p, so "clip" clips nothing; it spares take a buffered out
-        one_hot.take(exponents[i : i + 4096], axis=1, out=h[:, i : i + 4096], mode="clip")
+    h = _gather(w[:, :p, -1], exponents)  # column e at j = 0, s = -1 is zeta**e
     if members is not None:
         h *= members
     return _butterfly(h, w, d * params.ell).T
@@ -353,7 +363,9 @@ def _cell_counts(
     is -Tr(u*m_j*x_j) for every x_j.  The boolean mask members restricts the
     point set (defaults to all points).  The nonzero m_j add these q-entry
     rows by broadcasting, in the narrow type holding their sums, at most
-    (d+1)*(p-1), histogrammed once and folded p-wide: no reduction per point.
+    (d+1)*(p-1), histogrammed and folded p-wide: no reduction per point.
+    bincount copies its input to intp, so it counts one slice at a time into
+    the first slice's histogram.
     """
     p, q = params.p, params.q
     digits, rows, wide, narrow, shapes, minlength = _trace_rows(params, u_index, exponents.ndim)
@@ -366,7 +378,11 @@ def _cell_counts(
             s = s.astype(narrow, copy=False).reshape(shape)
             offset = s if offset is None else offset + s
     values = (exponents if offset is None else exponents + offset).ravel()
-    hist = np.bincount(values if members is None else values[members], minlength=minlength)
+    hist = None
+    for i in range(0, len(values), _SLICE):
+        part = values[i : i + _SLICE] if members is None else values[i : i + _SLICE][members[i : i + _SLICE]]
+        counts = np.bincount(part, minlength=minlength)
+        hist = counts if hist is None else np.add(hist, counts, out=hist)
     return np.add.reduce(hist.reshape(-1, p))
 
 
@@ -517,7 +533,7 @@ def _butterfly_matrix(p: int) -> np.ndarray:
     """The float size-p pass, w[j, k] = zeta^(-j*k).  The fast path runs
     every u of one table in a row, so one entry serves all q - 1 of them."""
     if p == 2:
-        w = np.array([[1.0, 1.0], [1.0, -1.0]])
+        w = np.array([[1.0, 1.0], [1.0, -1.0]], np.float32)
     else:
         w = np.exp(-2j * math.pi * np.outer(np.arange(p), np.arange(p)) / p)
     w.setflags(write=False)
@@ -525,25 +541,26 @@ def _butterfly_matrix(p: int) -> np.ndarray:
 
 
 def _roots(p: int) -> np.ndarray:
-    """zeta**j for j < p; real +-1 at p = 2, where sums of them stay exact."""
-    return np.array([1.0, -1.0]) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
+    """zeta**j for j < p; float32 +-1 at p = 2, where sums of them stay exact."""
+    return np.array([1.0, -1.0], np.float32) if p == 2 else np.exp(2j * math.pi * np.arange(p) / p)
 
 
 def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     """All q^d magnitudes |S(u, m)| by a multidimensional size-p butterfly.
 
-    Floating point for odd p; for p = 2 the float64 Walsh-Hadamard sums are
-    integers of size <= 2**20, so exact.  The passes alternate two buffers.
+    Floating point for odd p; for p = 2 the float32 Walsh-Hadamard sums are
+    integers of size <= 2**20 < 2**24, so exact, and the magnitudes are
+    returned as float64.  The passes alternate two buffers.
     """
     _check_field(f, u)
     params = f.params
     p = params.p
     if p**2 > MAX_POINTS:  # the pass matrix has p**2 entries, as the exact one p**4
         raise UnsupportedSize(f"fast transforms take p**2 <= {MAX_POINTS}: p <= 1021")
-    h = _roots(p)[None, _trace_exponents(f, u.index)]
+    h = _gather(_roots(p)[None], _trace_exponents(f, u.index))
     h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
     h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
-    return _in_m_order(params, f.d, u.index, h)
+    return _in_m_order(params, f.d, u.index, h).astype(np.float64, copy=False)
 
 
 _SPOT_SEED = 0x5BD1E995
@@ -599,6 +616,17 @@ def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
     return len(ms), int(np.count_nonzero(bad))
 
 
+def _first_off_target(mags: np.ndarray, target: float) -> int | None:
+    """Least m with | |S|^2 - q^d | > 1e-6 * q^d, tested one slice at a
+    time up to the first failing slice, so that no point-sized buffer is built."""
+    for i in range(0, len(mags), _SLICE):
+        sq = mags[i : i + _SLICE] * mags[i : i + _SLICE]
+        failing = np.flatnonzero(np.abs(sq - target) > 1e-6 * target)
+        if failing.size:
+            return i + int(failing[0])
+    return None
+
+
 def is_bent_fast(f: FnTable) -> FastBentVerdict:
     """Float flat-spectrum test: every |S(u, m)|^2 equals q^d within
     tolerance (exactly for p = 2), with exact spot checks of every u.
@@ -615,16 +643,12 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
         k, bad = _spot_check(f, u_index, mags)
         sampled += k
         mismatches += bad
-        dev = np.multiply(mags, mags)  # |S|^2 - q^d in place, in one buffer
-        dev -= target
-        failing = np.flatnonzero(np.abs(dev, out=dev) > 1e-6 * target)
-        if witness is None and failing.size:
-            m = int(failing[0])
-            sq = mags[m] * mags[m]
+        m = None if witness is not None else _first_off_target(mags, target)
+        if m is not None:
             witness = FastBentWitness(
-                params.from_index(u_index), PointVector.from_index(params, f.d, m), float(sq)
+                params.from_index(u_index), PointVector.from_index(params, f.d, m), float(mags[m] * mags[m])
             )
-        mags = dev = None  # freed before the next transform
+        mags = None  # freed before the next transform
     return FastBentVerdict(witness is None, witness, sampled, mismatches)
 
 

@@ -1,9 +1,9 @@
-"""Memory budgets: the fast and exact bent paths and a failing PN scan at
-the 2**20-point cap, a failing exact verdict over F_31**4, a random table
-past the cap refused before its work
-arrays are allocated, an exact verdict over F_2**20 that keeps nothing
+"""Memory budgets: the fast bent path, passing and failing, the exact bent
+path and a failing PN scan at the 2**20-point cap, a failing exact verdict
+over F_31**4, a random table past the cap refused before its work arrays
+are allocated, an exact verdict over F_2**20 that keeps nothing
 per Galois orbit, a table file past the cap refused from its header,
-the point-sized buffers of the fast path, of one exact cell, of vec_mul,
+the point-sized buffers of the fast path, of one exact cell, of indicator_sum, of vec_mul,
 of delta_table and translate over F_3**12, of the p = 2 code words and of
 the PN scan at odd p, the bytes per value of load_table and of a table's
 own copy of its values, the exhaustive
@@ -55,7 +55,7 @@ from ffspectra import (
 from ffspectra.cli import main
 from ffspectra.errors import BadTableFile, UnsupportedSize
 from ffspectra.funcs import parse_table
-from ffspectra.salem import salem_report
+from ffspectra.salem import indicator_sum, salem_report
 
 SRC = Path(ffspectra.__file__).resolve().parents[1]
 
@@ -74,7 +74,7 @@ sys.exit(code)
 """
 
 EXACT_2POW20_RSS_BUDGET_MB = 60
-FAST_2POW20_RSS_BUDGET_MB = 70
+FAST_2POW20_RSS_BUDGET_MB = 60
 EXACT_ODD_P_RSS_BUDGET_MB = 384
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 52
@@ -90,11 +90,19 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
     "argv,expected,code,budget_mb",
     [
         # the table is built on q-entry coordinate views that meet only by
-        # broadcasting, and the fast path holds about two point-sized buffers
+        # broadcasting, and the fast path holds the float32 passes, then the
+        # float64 magnitudes, and tests them a slice at a time
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--fast"],
             '"verdict": "bent"',
             0,
+            FAST_2POW20_RSS_BUDGET_MB,
+        ),
+        # the failing verdict: the witness is read from the first failing slice
+        (
+            ["test", "bent", "--catalog", "random", "--p", "2", "--d", "20", "--fast"],
+            '"verdict": "not_bent"',
+            1,
             FAST_2POW20_RSS_BUDGET_MB,
         ),
         # the exact verdict holds the coefficient rows and one 2**15-row
@@ -194,7 +202,7 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             PN_DESK_RSS_BUDGET_MB,
         ),
     ],
-    ids=["bent-fast-2pow20", "bent-exact-2pow20", "bent-exact-random-p31-d4",
+    ids=["bent-fast-2pow20", "bent-fast-random-2pow20", "bent-exact-2pow20", "bent-exact-random-p31-d4",
          "decomp-square-q3125", "decomp-random-p2-d12",
          "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-random-p1009-d2",
          "pn-input-1009sq", "pn-square-q3125", "pn-power-e1e9", "sweep-square-q1009", "sweep-square-q625"],
@@ -234,7 +242,7 @@ def test_fast_path_holds_few_point_sized_buffers():
         tracemalloc.stop()
     assert verdict.certified
     assert build_peak <= 2.5 * buffer
-    assert bent_peak <= 3 * buffer
+    assert bent_peak <= 1.75 * buffer  # two float32 pass buffers, then the float32 and float64 magnitudes
 
 
 def test_vec_mul_holds_few_point_sized_buffers():
@@ -379,8 +387,9 @@ def test_abs_sq_table_holds_few_point_sized_buffers():
 
 
 def test_exact_cell_holds_few_point_sized_buffers():
-    # the int64 copy that bincount counts from, plus the one-byte offset and
-    # sum of each point; the exponent row and the oracle's constants are warm
+    # the one-byte offset and sum of each point, counted a slice at a time
+    # (bincount copies each slice to intp); the exponent row and the oracle's
+    # constants are warm
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     f = get_function("bool_quadratic", f2, d=d)
@@ -394,7 +403,27 @@ def test_exact_cell_holds_few_point_sized_buffers():
         finally:
             tracemalloc.stop()
         assert cell.abs_sq().as_integer() == 2**d  # bent
-        assert peak <= 1.3 * buffer
+        assert peak <= 0.4 * buffer
+
+
+def test_indicator_sum_holds_a_few_bytes_per_point():
+    # a one-byte zero exponent grid, the one-byte offset and sum, and the
+    # members counted a slice at a time: never an int64 copy of the grid
+    f2 = make_field(2)
+    e = graph_of(get_function("bool_quadratic", f2, d=18))  # 2**19 points, 2**18 members
+    n = e.bitmap.size
+    indicator_sum(e, PointVector.from_index(f2, e.d, 1))  # warm the oracle's constants
+    for m in (1, 0x2AAAA, n - 1):
+        frequency = PointVector.from_index(f2, e.d, m)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            value = indicator_sum(e, frequency)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert value.abs_sq().as_integer() in (0, 2**18)  # Theorem 1: the graph of a bent f is flat
+        assert peak <= 4 * n
 
 
 def test_flat_exact_verdict_builds_no_float_values():

@@ -301,6 +301,32 @@ def test_walsh_fast_frozen_examples():
         walsh_fast_all(SQ5, F5.zero())
 
 
+def _walsh_hadamard_reference(values):
+    # |sum_x (-1)**(f(x) + x.m)| in float64, one +- pass per bit of the index
+    h = 1.0 - 2.0 * np.asarray(values, dtype=np.float64)
+    step = 1
+    while step < h.size:
+        h = h.reshape(-1, 2, step)
+        h = np.stack((h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]), axis=1).ravel()
+        step *= 2
+    return np.abs(h)
+
+
+def test_float32_walsh_hadamard_passes_are_exact():
+    # the p = 2 passes run in float32, whose integers are exact below 2**24;
+    # the magnitudes come back as float64, equal bit for bit to a float64
+    # transform, up to |W(0)| = 2**20 on the constant table
+    f2 = make_field(2)
+    constant = FnTable(f2, 20, np.zeros(2**20, dtype=np.int64))
+    for f in (constant, random_function(f2, 20, 3), get_function("bool_quadratic", f2, d=16)):
+        mags = walsh_fast_all(f, f2.one())
+        assert mags.dtype == np.float64
+        assert mags.tobytes() == _walsh_hadamard_reference(f.values).tobytes()
+    verdict = is_bent_fast(constant)
+    assert not verdict.is_bent
+    assert verdict.witness.m.index == 0 and verdict.witness.abs_sq_float == 2.0**40
+
+
 @pytest.mark.parametrize(
     "f,u",
     [
