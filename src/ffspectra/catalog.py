@@ -173,7 +173,7 @@ def get_function(
         raise FFSpectraError(f"catalog entry {name!r} does not read parameter {unread[0]!r} (it reads: {reads})")
     if d is None:
         d = entry.default_d
-    _refuse_past_cap(params.q, d)  # before any entry builds its spec
+    d = _refuse_past_cap(params.q, d)  # before any entry builds its spec
     table = entry.builder(params, d, args)
     if table.n_points <= DESK_SCALE_POINTS:
         for prop, expected in entry.expects:

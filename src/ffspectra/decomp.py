@@ -11,9 +11,9 @@ reduce to a bare D_{f,g_i}(x + b_i), and the chain identity
 
     D_{f,b+c}(x) = D_{f,c}(x+b) + D_{f,b}(x)
 
-telescopes to exactly this convention.  identity_suite exposes the
-off-by-one variant (inner index starting at 1) so its failure stays pinned
-by a negative-control test.
+telescopes to exactly this convention.  identity_suite checks that chain
+for any parts and start offset, so the off-by-one variant (inner index
+starting at 1, start = b) stays pinned by a negative-control test.
 
 reconstruct_delta (the formula for one shift, the tests' oracle) and
 identity_suite are one chain sum, sum_i D_{f,s_i}(x + o_i) with
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -119,66 +120,38 @@ def reconstruct_delta(b: BaseDeltaSet, a: PointVector) -> FnTable:
 
 
 @dataclass(frozen=True)
-class IdentityTrial:
-    """One named identity instance.
-
-    kinds: "combine" (needs b, c), "kbeq" (needs b, k; convention is
-    "corrected" for inner shifts 0..k-1 or "printed" for 1..k), "allbut"
-    (needs parts, the decomposition c = sum parts[i]).
-    """
-
-    kind: str
-    b: PointVector | None = None
-    c: PointVector | None = None
-    k: int | None = None
-    parts: tuple[PointVector, ...] = ()
-    convention: str = "corrected"
-
-
-@dataclass(frozen=True)
 class IdentityResult:
-    kind: str
     passed: bool
     counterexample: PointVector | None
     lhs_value: FieldElement | None
     rhs_value: FieldElement | None
 
 
-def _trial_chain(trial: IdentityTrial, p: int) -> tuple[tuple[PointVector, ...], int]:
-    """The trial's right-hand side as (parts, offset): the chain sum of
-    D_{part} from that point index.  The left-hand side is D at the sum of
-    the parts.  Raises ValueError for an unknown kind or convention, a field
-    the kind needs left unset, or k outside [1, p)."""
-    needs = {"combine": ("b", "c"), "kbeq": ("b", "k"), "allbut": ("parts",)}
-    if trial.kind not in needs:
-        raise ValueError(f"unknown identity kind {trial.kind!r}")
-    missing = [name for name in needs[trial.kind] if getattr(trial, name) in (None, ())]
-    if missing:
-        raise ValueError(f"{trial.kind!r} trial needs {', '.join(missing)}")
-    if trial.kind == "combine":
-        return (trial.b, trial.c), 0
-    if trial.kind == "allbut":
-        return tuple(trial.parts), 0
-    k = int(trial.k)
-    if not 1 <= k < p:
-        raise ValueError("k must lie in [1, p)")
-    starts = {"corrected": 0, "printed": trial.b.index}
-    if trial.convention not in starts:
-        raise ValueError(f"unknown convention {trial.convention!r}")
-    return (trial.b,) * k, starts[trial.convention]
+def identity_suite(
+    f: FnTable, parts: Sequence[PointVector], start: PointVector | None = None
+) -> IdentityResult:
+    """Pointwise check over all x of the chain identity
 
+        D_{f,s_1+...+s_n}(x) = sum_i D_{f,s_i}(x + o_i),
 
-def identity_suite(f: FnTable, trial: IdentityTrial) -> IdentityResult:
-    """Pointwise check of one difference-operator identity over all x."""
-    parts, offset = _trial_chain(trial, f.params.p)
+    with o_1 = start (0 by default) and o_{i+1} = o_i + s_i.  The paper's
+    k*b form is parts = (b,)*k; its printed inner index 1..k is start = b,
+    which fails already at k = 1.  Raises ValueError for an empty chain and
+    FieldMismatch for a part or start outside f's space."""
+    parts = tuple(parts)
+    if not parts:
+        raise ValueError("the chain needs at least one part")
+    for s in parts if start is None else parts + (start,):
+        if s.params != f.params or s.d != f.d:
+            raise FieldMismatch("shift incompatible with this table")
     lhs = delta_table(f, reduce(PointVector.__add__, parts)).values
-    rhs = _chain_sum(f.params, f.d, [(delta_table(f, g).values, g.index) for g in parts], offset)
+    links = [(delta_table(f, s).values, s.index) for s in parts]
+    rhs = _chain_sum(f.params, f.d, links, 0 if start is None else start.index)
     diff = np.flatnonzero(lhs != rhs)
     if diff.size == 0:
-        return IdentityResult(trial.kind, True, None, None, None)
+        return IdentityResult(True, None, None, None)
     x = int(diff[0])
     return IdentityResult(
-        trial.kind,
         False,
         PointVector.from_index(f.params, f.d, x),
         f.params.from_index(int(lhs[x])),

@@ -104,8 +104,11 @@ def _checked_index(i, n: int, what: str) -> int:
 
 
 def _refuse_past_max_q(p: int, ell: int) -> None:
-    """Refuse p > MAX_Q or p**ell > MAX_Q before any primality or irreducibility test."""
-    if p >= 2 and _past_cap(p, max(ell, 1)):
+    """Refuse ell < 1, p > MAX_Q or p**ell > MAX_Q before any primality or
+    irreducibility test."""
+    if ell < 1:
+        raise UnsupportedSize("extension degree must be >= 1")
+    if p >= 2 and _past_cap(p, ell):
         raise UnsupportedSize(f"q = {p}**{ell} exceeds {MAX_Q}")
 
 
@@ -148,8 +151,6 @@ class FieldParams:
         _refuse_past_max_q(self.p, self.ell)
         if not _is_prime(self.p):
             raise NonPrime(f"characteristic {self.p!r} is not prime")
-        if self.ell < 1:
-            raise UnsupportedSize("extension degree must be >= 1")
         mod = tuple(operator.index(c) % self.p for c in self.modulus)
         if len(mod) != self.ell + 1 or mod[-1] != 1:
             raise BadModulus("modulus must be monic of degree ell")

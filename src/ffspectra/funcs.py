@@ -21,7 +21,6 @@ import numpy as np
 from . import _modp, field as field_mod, space
 from .errors import (
     BadTableFile,
-    DimensionMismatch,
     FFSpectraError,
     FieldMismatch,
     IndexOutOfRange,
@@ -40,10 +39,7 @@ class FnTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", operator.index(self.d))  # a float d is refused
-        if self.d < 1:
-            raise DimensionMismatch("dimension must be >= 1")
-        _refuse_past_cap(self.params.q, self.d)
+        object.__setattr__(self, "d", _refuse_past_cap(self.params.q, self.d))
         n = self.params.q**self.d
         arr = np.asarray(self.values)
         try:  # never rounded or parsed to an index: each object is read as operator.index reads it
@@ -91,16 +87,17 @@ class FnTable:
 
 @dataclass(frozen=True)
 class FnSpec:
-    """Recipe for a table: a univariate polynomial or a sparse monomial list."""
+    """Recipe for a table: a sparse sum of c * prod x_i**e_i terms."""
 
-    kind: str
-    coeffs: tuple[int, ...] = ()
-    monomials: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    monomials: tuple[tuple[int, tuple[int, ...]], ...]
 
     @classmethod
     def univariate(cls, coeffs: Sequence[int]) -> "FnSpec":
-        """Polynomial sum coeffs[k] * x**k with coefficients as element indices."""
-        return cls(kind="univariate", coeffs=tuple(int(c) for c in coeffs))
+        """Polynomial sum coeffs[k] * x**k with coefficients as element indices.
+        The zero polynomial keeps the term 0 * x**0, so every univariate spec
+        has exponent vectors of length 1 and needs d = 1."""
+        terms = [(c, (k,)) for k, c in enumerate(coeffs) if int(c)]
+        return cls.from_monomials(terms or [(0, (0,))])
 
     @classmethod
     def from_monomials(
@@ -110,7 +107,7 @@ class FnSpec:
         packed = tuple(
             (int(c), tuple(int(e) for e in exps)) for c, exps in terms
         )
-        return cls(kind="monomials", monomials=packed)
+        return cls(packed)
 
 
 def _vec_pow(params: FieldParams, base: np.ndarray, e: int) -> np.ndarray:
@@ -221,15 +218,9 @@ def build_function(spec: FnSpec, params: FieldParams, d: int) -> FnTable:
     is re-checked through the log tables of a generator.  A d past the cap
     is refused before anything is built."""
     _refuse_past_cap(params.q, d)
-    if spec.kind == "univariate":
-        if d != 1:
-            raise SpecDimensionMismatch("univariate specs require d = 1")
-        spec = FnSpec.from_monomials([(c, (k,)) for k, c in enumerate(spec.coeffs) if c])
-    if spec.kind == "monomials":
-        table = FnTable(params, d, _eval_monomials(params, d, spec.monomials))
-        _spot_check(table, spec)
-        return table
-    raise ValueError(f"unknown spec kind {spec.kind!r}")
+    table = FnTable(params, d, _eval_monomials(params, d, spec.monomials))
+    _spot_check(table, spec)
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ constant in |indicator_ft| <= C * q**(-d) * |E|**(1/2) exactly 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
@@ -35,8 +34,7 @@ class PointSet:
     bitmap: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "d", operator.index(self.d))  # a float d is refused
-        _refuse_past_cap(self.params.q, self.d)
+        object.__setattr__(self, "d", _refuse_past_cap(self.params.q, self.d))
         raw = np.asarray(self.bitmap)
         arr = raw.astype(bool)
         if arr.shape != (self.params.q**self.d,):
@@ -49,8 +47,7 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, params: FieldParams, d: int, indices) -> "PointSet":
-        d = operator.index(d)
-        _refuse_past_cap(params.q, d)
+        d = _refuse_past_cap(params.q, d)
         n = params.q**d
         indices = np.asarray(indices)
         if indices.dtype.kind == "O" and not any(isinstance(v, (bool, np.bool_)) for v in indices.flat):

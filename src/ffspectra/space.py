@@ -26,11 +26,16 @@ DESK_SCALE_POINTS = 4096
 MAX_POINTS = MAX_Q  # point counts and field sizes share the cap that _past_cap reads
 
 
-def _refuse_past_cap(q: int, d: int) -> None:
-    """Raise UnsupportedSize for q**d > MAX_POINTS points, before any is built."""
+def _refuse_past_cap(q: int, d: int) -> int:
+    """d as an int; raise DimensionMismatch for d < 1 and UnsupportedSize for
+    q**d > MAX_POINTS points, before any is built.  A float d is refused."""
+    d = operator.index(d)
+    if d < 1:
+        raise DimensionMismatch("dimension must be >= 1")
     if _past_cap(q, d):
         n = q**d if d <= 64 else f"{q}**{d}"  # a huge d is named, not written out
         raise UnsupportedSize(f"{n} points exceeds the supported {MAX_POINTS}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -124,6 +129,7 @@ class SpaceBasis:
     vectors: tuple[PointVector, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", _refuse_past_cap(self.params.q, self.d))
         n = self.d * self.params.ell
         if len(self.vectors) != n:
             raise NotABasis(f"need exactly {n} vectors, got {len(self.vectors)}")

@@ -18,7 +18,7 @@ import numpy as np
 from ffspectra import FnSpec, build_function, make_field
 from ffspectra.catalog import get_function, random_function
 from ffspectra.cli import main as cli_main
-from ffspectra.decomp import IdentityTrial, identity_suite, verify_decomposition
+from ffspectra.decomp import identity_suite, verify_decomposition
 from ffspectra.errors import EvenCharacteristic, SpecDimensionMismatch
 from ffspectra.funcs import MAX_POINTS, image_size, is_pn, translate
 from ffspectra.mindist import perturb, perturbation_sweep, planarity_witness
@@ -211,10 +211,10 @@ def test_criterion_04_difference_operator_reconstruction():
     # j = 1 breaks already at k = 1
     sq5 = get_function("square", make_field(5))
     b = PointVector.from_index(make_field(5), 1, 1)
-    printed = identity_suite(sq5, IdentityTrial(kind="kbeq", b=b, k=1, convention="printed"))
+    printed = identity_suite(sq5, (b,), start=b)
     assert not printed.passed and printed.counterexample is not None
     for k in range(1, 5):
-        corrected = identity_suite(sq5, IdentityTrial(kind="kbeq", b=b, k=k, convention="corrected"))
+        corrected = identity_suite(sq5, (b,) * k)
         assert corrected.passed
     return (
         f"{verified} certificates over 72 combos, 27 non-standard bases; "

@@ -408,6 +408,13 @@ def test_unread_parameters_and_mode_flags_exit_2(capsys):
     assert code == 0 and doc["config"]["mode"] == "exact"
 
 
+def test_extension_degree_below_one_exits_2(capsys):
+    for ell in ("0", "-1"):
+        code, out, err = run(capsys, "field", "info", "--p", "5", "--ell", ell)
+        assert (code, out) == (2, "")
+        assert "extension degree must be >= 1" in err
+
+
 def test_format_is_taken_only_by_the_salem_leaves(capsys, tmp_path):
     # the other leaves render JSON only, so argparse refuses the flag there
     table = tmp_path / "sq5.tbl"

@@ -8,7 +8,6 @@ from ffspectra import FnSpec, FnTable, PointVector, SpaceBasis, build_function, 
 from ffspectra.catalog import random_function
 from ffspectra.decomp import (
     BaseDeltaSet,
-    IdentityTrial,
     base_deltas,
     identity_suite,
     reconstruct_delta,
@@ -72,68 +71,56 @@ def test_identity_combine():
     # combine: delta_{b+c}(x) = delta_c(x+b) + delta_b(x), frozen instance
     b1 = PointVector.from_index(F5, 1, 1)
     c2 = PointVector.from_index(F5, 1, 2)
-    res = identity_suite(SQ5, IdentityTrial(kind="combine", b=b1, c=c2))
+    res = identity_suite(SQ5, (b1, c2))
     assert res.passed
     assert delta_table(SQ5, b1 + c2).values.tolist() == [4, 0, 1, 2, 3]  # x+4
     # all nonzero pairs
     for bi in range(1, 5):
         for ci in range(1, 5):
-            trial = IdentityTrial(
-                kind="combine",
-                b=PointVector.from_index(F5, 1, bi),
-                c=PointVector.from_index(F5, 1, ci),
-            )
-            assert identity_suite(SQ5, trial).passed
+            pair = (PointVector.from_index(F5, 1, bi), PointVector.from_index(F5, 1, ci))
+            assert identity_suite(SQ5, pair).passed
 
 
 def test_identity_kbeq_conventions():
     b1 = PointVector.from_index(F5, 1, 1)
-    # corrected inner index (0..k-1) passes, printed (1..k) fails at k=1
-    ok = identity_suite(SQ5, IdentityTrial(kind="kbeq", b=b1, k=1, convention="corrected"))
+    # corrected inner index (0..k-1) passes, printed (1..k, start = b) fails at k=1
+    ok = identity_suite(SQ5, (b1,))
     assert ok.passed
-    bad = identity_suite(SQ5, IdentityTrial(kind="kbeq", b=b1, k=1, convention="printed"))
+    bad = identity_suite(SQ5, (b1,), start=b1)
     assert not bad.passed
     assert bad.counterexample is not None
     assert bad.lhs_value != bad.rhs_value
     # the corrected form holds for every k in [1, p)
     for k in range(1, 5):
-        assert identity_suite(
-            SQ5, IdentityTrial(kind="kbeq", b=b1, k=k, convention="corrected")
-        ).passed
+        assert identity_suite(SQ5, (b1,) * k).passed
     f9 = make_field(3, 2)
     sq9 = build_function(FnSpec.univariate([0, 0, 1]), f9, 1)
     t = PointVector.from_index(f9, 1, 3)
-    assert identity_suite(sq9, IdentityTrial(kind="kbeq", b=t, k=2)).passed
-    assert not identity_suite(
-        sq9, IdentityTrial(kind="kbeq", b=t, k=1, convention="printed")
-    ).passed
+    assert identity_suite(sq9, (t,) * 2).passed
+    assert not identity_suite(sq9, (t,), start=t).passed
 
 
 def test_identity_allbut():
     parts = tuple(PointVector.from_index(F5, 1, i) for i in (1, 2, 1))
-    res = identity_suite(SQ5, IdentityTrial(kind="allbut", parts=parts))
+    res = identity_suite(SQ5, parts)
     assert res.passed
-    single = identity_suite(
-        SQ5, IdentityTrial(kind="allbut", parts=(PointVector.from_index(F5, 1, 3),))
-    )
+    single = identity_suite(SQ5, (PointVector.from_index(F5, 1, 3),))
     assert single.passed
 
 
 def test_identity_suite_rejects_malformed_trials():
     b1 = PointVector.from_index(F5, 1, 1)
-    bad = [
-        IdentityTrial(kind="kbeq", b=b1, k=1, convention="corected"),
-        IdentityTrial(kind="kbeq", b=b1, k=5),
-        IdentityTrial(kind="combine", b=b1),
-        IdentityTrial(kind="combine", c=b1),
-        IdentityTrial(kind="kbeq", k=1),
-        IdentityTrial(kind="kbeq", b=b1),
-        IdentityTrial(kind="allbut"),
-        IdentityTrial(kind="shift", b=b1),
-    ]
-    for trial in bad:
-        with pytest.raises(ValueError):
-            identity_suite(SQ5, trial)
+    with pytest.raises(ValueError):
+        identity_suite(SQ5, ())
+    f7 = make_field(7)
+    foreign = [PointVector.from_index(f7, 1, 1), PointVector.from_index(F5, 2, 1)]
+    for other in foreign:  # another field, another dimension
+        with pytest.raises(FieldMismatch):
+            identity_suite(SQ5, (other,))
+        with pytest.raises(FieldMismatch):
+            identity_suite(SQ5, (b1, other))
+        with pytest.raises(FieldMismatch):
+            identity_suite(SQ5, (b1,), start=other)
 
 
 def test_verify_decomposition_pass():

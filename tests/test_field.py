@@ -114,6 +114,12 @@ def test_make_field_basics_and_errors():
     assert make_field(17).modulus == (0, 1)  # a prime field needs no table
     with pytest.raises(UnsupportedSize):
         make_field(2, 21, modulus=[1] * 21 + [1])  # q > 2**20
+    # an extension degree below 1 is named as such, with or without a modulus
+    for ell in (0, -1):
+        with pytest.raises(UnsupportedSize, match="extension degree must be >= 1"):
+            make_field(5, ell)
+        with pytest.raises(UnsupportedSize, match="extension degree must be >= 1"):
+            make_field(5, ell, modulus=[1])
     # a modulus that is not monic of degree ell is a package error and a ValueError
     for modulus in ([1, 2], [0, 1, 1], [1]):
         with pytest.raises(BadModulus) as info:

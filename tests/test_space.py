@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ffspectra import PointVector, SpaceBasis, dot, make_field, standard_basis
+from ffspectra.catalog import get_function
 from ffspectra.errors import DimensionMismatch, IndexOutOfRange, NotABasis
+from ffspectra.salem import PointSet, salem_constant
 from ffspectra.space import (
     decompose_over_fp,
     vec_point_add,
@@ -31,6 +33,24 @@ def test_point_index_refuses_non_integers():
             PointVector.from_index(f7, 2, i)
     assert PointVector.from_index(f7, 2, np.int32(8)).index == 8
     assert PointVector.from_index(f7, 2, True).index == 1
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f, d: PointSet(f, d, [True]),
+        lambda f, d: PointSet.from_indices(f, d, []),
+        lambda f, d: standard_basis(f, d),
+        lambda f, d: SpaceBasis(f, d, ()),
+        lambda f, d: salem_constant(PointSet(f, d, [True])),
+        lambda f, d: get_function("square", f, d=d),
+    ],
+    ids=["PointSet", "from_indices", "standard_basis", "SpaceBasis", "salem_constant", "get_function"],
+)
+def test_dimensions_below_one_are_refused(entry, d):
+    with pytest.raises(DimensionMismatch, match="dimension must be >= 1"):
+        entry(make_field(5), d)
 
 
 def test_scale_and_recompose_refuse_float_digits():
