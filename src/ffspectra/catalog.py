@@ -34,8 +34,11 @@ def random_function(params: FieldParams, d: int, seed: int) -> FnTable:
     Deterministic and platform-independent bit for bit; the test suite
     freezes golden tables against an independent scalar implementation.
     """
-    _refuse_past_cap(params.q, d)  # before the n-entry work arrays
-    values = splitmix64(seed, np.arange(params.q**d, dtype=np.uint64)) % np.uint64(params.q)
+    _refuse_past_cap(params.q, d)  # before the n-entry table
+    n, step = params.q**d, 1 << 16  # uint64 work arrays of 2**16 points at a time
+    values = np.empty(n, np.min_scalar_type(params.q - 1))
+    for i in range(0, n, step):
+        values[i : i + step] = splitmix64(seed, np.arange(i, min(i + step, n), dtype=np.uint64)) % params.q
     return FnTable(params, d, values)
 
 

@@ -3,9 +3,11 @@ operators, and the PN/planar primitives.
 
 The dense table is the single source of truth: polynomial and monomial specs
 are constructors only, and every property test reduces to table arithmetic.
-Values are stored as an immutable int64 array of element indices in point
-index order.  The PN scan reads f(x + a) - f(x) by combining the carry-free
-code words of `_modp` (XOR for p = 2), as the index adder does.
+Values are stored as an immutable array of element indices in point index
+order, in the narrowest unsigned type that holds q - 1 (uint8 up to q = 256),
+so a raw difference of two tables wraps; `vec_sub` and `delta_table` do not.
+The PN scan reads f(x + a) - f(x) by combining the carry-free code words of
+`_modp` (XOR for p = 2), as the index adder does.
 """
 
 from __future__ import annotations
@@ -49,11 +51,12 @@ class FnTable:
                 raise TypeError
         except TypeError:
             raise ValueError("table values must be integer element indices") from None
-        arr = np.array(arr, dtype=np.int64)  # the one copy the table owns
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.params.q):
+        # checked on the source, so that a value >= q cannot wrap into range in the cast
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.params.q):
             raise ValueError("table values must be element indices in [0, q)")
+        arr = arr.astype(np.min_scalar_type(self.params.q - 1))  # the one copy the table owns
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -96,16 +99,16 @@ class FnSpec:
         """Polynomial sum coeffs[k] * x**k with coefficients as element indices.
         The zero polynomial keeps the term 0 * x**0, so every univariate spec
         has exponent vectors of length 1 and needs d = 1."""
-        terms = [(c, (k,)) for k, c in enumerate(coeffs) if int(c)]
+        terms = [(c, (k,)) for k, c in enumerate(coeffs) if operator.index(c)]
         return cls.from_monomials(terms or [(0, (0,))])
 
     @classmethod
     def from_monomials(
         cls, terms: Sequence[tuple[int, Sequence[int]]]
     ) -> "FnSpec":
-        """Sparse sum of c * prod x_i**e_i terms; c an element index."""
+        """Sparse sum of c * prod x_i**e_i terms; c an element index, and a float is refused."""
         packed = tuple(
-            (int(c), tuple(int(e) for e in exps)) for c, exps in terms
+            (operator.index(c), tuple(operator.index(e) for e in exps)) for c, exps in terms
         )
         return cls(packed)
 

@@ -115,8 +115,8 @@ _SLICE = 4096  # points per gather, flatness-test or histogram slice: 32 KB of i
 
 def _gather(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """table[:, exponents] as a new (c, N) array.  take copies its narrow
-    indices to intp, so it takes one slice at a time; the exponents are
-    residues mod p, so "clip" clips nothing, and it spares take a buffered out."""
+    indices to intp, so it takes one slice at a time; the indices are in
+    range (residues mod p or element indices), so "clip" spares take a buffered out."""
     h = np.empty((len(table), len(exponents)), table.dtype)
     for i in range(0, len(exponents), _SLICE):
         table.take(exponents[i : i + _SLICE], axis=1, out=h[:, i : i + _SLICE], mode="clip")
@@ -178,7 +178,7 @@ _exponents: tuple[weakref.ref, int, np.ndarray] | None = None
 
 def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     """Tr(u * f(x)) for every point in the narrowest unsigned type, read-only:
-    the q-entry row Tr(u * y) from digits and trace weights, gathered at f.
+    the q-entry row Tr(u * y) from digits and trace weights, gathered at f by _gather.
 
     Every character sum over f starts here, so this is where u = 0 is refused.
     """
@@ -189,7 +189,7 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     if slot is None or slot[0]() is not f or slot[1] != u_index:
         params, digits = f.params, field_mod.element_digits(f.params)
         row = _modp.residue_product(digits, field_mod.trace_weights(params, u_index), params.p)
-        values = row.astype(np.min_scalar_type(params.p - 1))[f.values]
+        values = _gather(row.astype(np.min_scalar_type(params.p - 1))[None], f.values)[0]
         values.setflags(write=False)
         slot = _exponents = (weakref.ref(f), u_index, values)
     return slot[2]

@@ -3,7 +3,8 @@ path and a failing PN scan at the 2**20-point cap, a failing exact verdict
 over F_31**4, a random table past the cap refused before its work arrays
 are allocated, an exact verdict over F_2**20 that keeps nothing
 per Galois orbit, a table file past the cap refused from its header,
-the point-sized buffers of the fast path, of one exact cell, of indicator_sum, of vec_mul,
+the point-sized buffers of the fast path, of the trace exponents of a uint8
+table, of one exact cell, of indicator_sum, of vec_mul,
 of delta_table and translate over F_3**12, of the p = 2 code words and of
 the PN scan at odd p, the bytes per value of load_table and of a table's
 own copy of its values, the exhaustive
@@ -73,8 +74,8 @@ sys.stderr.write("\\npeak_rss_kb=%s\\n" % hwm)
 sys.exit(code)
 """
 
-EXACT_2POW20_RSS_BUDGET_MB = 60
-FAST_2POW20_RSS_BUDGET_MB = 60
+EXACT_2POW20_RSS_BUDGET_MB = 48
+FAST_2POW20_RSS_BUDGET_MB = 52
 EXACT_ODD_P_RSS_BUDGET_MB = 384
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 52
@@ -316,7 +317,8 @@ def test_pn_scan_holds_few_point_sized_buffers(p, d):
 
 
 def test_load_table_takes_few_bytes_per_value(tmp_path):
-    # the text, its checked bytes and one int64 array; no Python int per value
+    # the text, its checked bytes, the parsed int64 array and the table's
+    # uint16 copy; no Python int per value
     f = random_function(make_field(1009), 2, 0)
     path = tmp_path / "t.tbl"
     save_table(f, path)
@@ -327,13 +329,13 @@ def test_load_table_takes_few_bytes_per_value(tmp_path):
     finally:
         tracemalloc.stop()
     assert g == f
-    assert peak <= 20 * f.n_points
+    assert peak <= 13 * f.n_points
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint8])
-def test_table_makes_one_int64_copy_of_its_values(dtype):
-    # random_function hands FnTable uint64 values: one owned int64 copy,
-    # never a second one on the way, and never the caller's buffer
+def test_table_makes_one_narrow_copy_of_its_values(dtype):
+    # one owned copy in the narrowest unsigned type (uint16 at q = 1009),
+    # never a wider one on the way, and never the caller's buffer
     values = (np.arange(1009**2) % 251).astype(dtype)
     tracemalloc.start()
     try:
@@ -342,8 +344,28 @@ def test_table_makes_one_int64_copy_of_its_values(dtype):
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert f.values.dtype == np.int64 and not np.shares_memory(f.values, values)
-    assert peak <= 8.5 * values.size
+    assert f.values.dtype == np.min_scalar_type(1009 - 1) == np.uint16
+    assert not np.shares_memory(f.values, values)
+    assert peak <= 2.5 * values.size
+
+
+def test_trace_exponents_make_no_point_sized_intp_copy():
+    # the row is gathered at the uint8 table 4096 points at a time: the
+    # uint8 exponents and one slice of intp indices, never the 8 MB intp
+    # copy of the whole table that one take call over it would make
+    f2 = make_field(2)
+    f = get_function("bool_quadratic", f2, d=20)
+    assert f.values.dtype == np.uint8
+    spectrum._trace_exponents(get_function("bool_quadratic", f2, d=4), 1)  # warm the digits and weights
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        exponents = spectrum._trace_exponents(f, 1)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert exponents.dtype == np.uint8 and np.array_equal(exponents, f.values)  # Tr(y) = y over F_2
+    assert peak <= 1.1 * f.n_points
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():

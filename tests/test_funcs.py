@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ffspectra import FieldParams, _modp, FnSpec, FnTable, PointVector, build_function, field, funcs, make_field
-from ffspectra.catalog import random_function
+from ffspectra.catalog import get_function, random_function
 from ffspectra.cli import main
 from ffspectra.errors import (
     BadTableFile,
@@ -199,11 +199,79 @@ def test_table_refuses_objects_that_are_not_integers():
     assert FnTable(F5, 1, values).values.tolist() == [4, 3, 2, 1, 0]
 
 
+F256 = make_field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # t**8 + t**4 + t**3 + t + 1
+
+
+@pytest.mark.parametrize(
+    "params,d,narrow",
+    [
+        (make_field(2), 3, np.uint8),
+        (F256, 1, np.uint8),
+        (make_field(257), 1, np.uint16),
+        (make_field(1009), 1, np.uint16),
+        (make_field(5, 5), 1, np.uint16),
+        (make_field(65537), 1, np.uint32),
+    ],
+    ids=["q2", "q256-ell8", "q257", "q1009", "q3125-ell5", "q65537"],
+)
+def test_every_table_holds_the_narrowest_unsigned_type(params, d, narrow, tmp_path):
+    assert np.min_scalar_type(params.q - 1) == narrow
+    f = random_function(params, d, 7)
+    a = PointVector.from_index(params, d, 1)
+    path = tmp_path / "f.tbl"
+    save_table(f, path)
+    tables = {
+        "FnTable": FnTable(params, d, f.values.astype(np.int64)),
+        "load_table": load_table(path),
+        "random_function": f,
+        "get_function": get_function("affine", params, b=1, c=params.q - 1),
+        "delta_table": delta_table(f, a),
+        "translate": translate(f, a, params.from_index(params.q - 1)),
+    }
+    assert {name: t.values.dtype for name, t in tables.items()} == dict.fromkeys(tables, np.dtype(narrow))
+    assert tables["FnTable"] == tables["load_table"] == f
+
+
+@pytest.mark.parametrize("bad", [256, 300, 65536 + 7, -1, -256])
+def test_a_value_that_would_wrap_in_the_cast_is_refused(bad, tmp_path):
+    # 300 is 44 as a uint8 and -1 is 255: the range is checked on the values
+    # as given, before the table's uint8 copy is made
+    for dtype in (np.int64, np.int32, object):
+        values = np.zeros(256, dtype=dtype)
+        values[5] = bad
+        with pytest.raises(ValueError, match=r"element indices in \[0, q\)"):
+            FnTable(F256, 1, values)
+    if bad > 0:
+        path = tmp_path / "bad.tbl"
+        path.write_text("2 8 1\n1 1 0 1 1 0 0 0 1\n" + " ".join(["0"] * 255 + [str(bad)]) + "\n")
+        with pytest.raises(BadTableFile, match="element indices"):
+            load_table(path)
+
+
 def test_table_dimension_is_an_integer():
     with pytest.raises(TypeError):
         FnTable(F5, 1.0, np.arange(5))
     f = FnTable(F5, np.int64(1), np.arange(5))
     assert type(f.d) is int and repr(f) == "FnTable(q=5, d=1, 5 points)"
+
+
+def test_univariate_spec_refuses_float_coefficients():
+    # read as operator.index reads them: 1.5 is not truncated to the square's 1
+    for coeffs in ([0, 0, 1.5], [0, 0, np.float64(1.0)], [2.0]):
+        with pytest.raises(TypeError):
+            FnSpec.univariate(coeffs)
+    spec = FnSpec.univariate([np.int64(0), 0, np.uint8(1)])
+    assert spec == FnSpec.univariate([0, 0, 1]) and type(spec.monomials[0][0]) is int
+
+
+def test_monomial_spec_refuses_float_coefficients_and_exponents():
+    # 2.7 is not truncated to the exponent 2
+    for terms in ([(1, (2.7,))], [(1.0, (2,))], [(1, (np.float64(2.0),))]):
+        with pytest.raises(TypeError):
+            FnSpec.from_monomials(terms)
+    spec = FnSpec.from_monomials([(np.int64(1), (np.uint8(2),))])
+    assert spec == FnSpec.from_monomials([(1, (2,))])
+    assert all(type(v) is int for v in (spec.monomials[0][0], *spec.monomials[0][1]))
 
 
 def test_delta_table_frozen():

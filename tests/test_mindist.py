@@ -81,7 +81,7 @@ def test_sweep_square_f5():
         assert e.v_index != SQ5.values[e.w_index]  # a genuine neighbor
         seen.add((e.w_index, e.v_index))
         # independent recount of the reported witness
-        g = SQ5.values.copy()
+        g = SQ5.values.astype(np.int64)  # a copy; the unsigned table values would wrap below
         g[e.w_index] = e.v_index
         a = e.witness.a.index
         delta = (g[(np.arange(5) + a) % 5] - g) % 5
