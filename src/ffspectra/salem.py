@@ -22,7 +22,7 @@ from .errors import EmptySet, FieldMismatch, HypothesisFailed, IndexOutOfRange, 
 from .field import FieldElement, FieldParams, _checked_index
 from .funcs import FnTable
 from .space import PointVector, _refuse_past_cap
-from .spectrum import SpectrumReport, _cell_counts, _placed_rows, _report, _require_exact_size, is_bent_exact
+from .spectrum import SpectrumReport, _cell_counts, _exact_coeff_rows, _report, _require_exact_size, is_bent_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +180,8 @@ class SalemReport(SpectrumReport):
 def _build_report(e: PointSet, expected: tuple[int | None, int | None, int | None]) -> SalemReport:
     if e.cardinality == 0:
         raise EmptySet("spectral report of the empty set")
-    # the canonical character u = 1: exponent 0 at every member, one byte each
-    rows = _placed_rows(e.params, e.d, 1, np.zeros(e.params.q**e.d, dtype=np.uint8), e.bitmap)
-    report = _report(e.params, e.d, 1, rows)
+    # u = 1: exponent 0 at every member, one byte each; the rows go inline (see _report)
+    report = _report(e.params, e.d, 1, _exact_coeff_rows(e.params, e.d, np.zeros(e.params.q**e.d, np.uint8), e.bitmap))
     mags = report.magnitudes
     tags = np.where(np.arange(mags.size) < e.params.q ** (e.d - 1), 1, 2)
     tags[0] = 0  # 0 = zero frequency, 1 = last coordinate zero, 2 = last nonzero

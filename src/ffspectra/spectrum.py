@@ -27,7 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Generator, Iterable, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -137,14 +137,16 @@ def _butterfly(h: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return h
 
 
-def _in_m_order(params: FieldParams, d: int, u_index: int, a: np.ndarray) -> np.ndarray:
-    """Placement: a, indexed on its first axis by u's transform position,
-    indexed by m instead.  Over a prime field G(u) = [u], so u = 1 returns a
-    itself; every other u gathers through _frequency_map.  Only what hands
+def _in_m_order(params: FieldParams, d: int, u_index: int, *arrays: np.ndarray | None) -> tuple:
+    """Placement: (perm, *placed), with perm[m] u's transform position of m
+    (see _frequency_map) and each array, indexed on its last axis by that
+    position, indexed by m through it (None stays None).  Over a prime field
+    G(u) = [u], so u = 1 gathers nothing and perm is None.  Only what hands
     out values by m calls this: a flat verdict reads the transform order."""
     if params.ell == 1 and u_index == 1:
-        return a
-    return a[_frequency_map(params, d, u_index)]
+        return (None, *arrays)
+    perm = _frequency_map(params, d, u_index)
+    return (perm, *(a if a is None else a.take(perm, axis=-1) for a in arrays))
 
 
 def _exact_coeff_rows(
@@ -156,10 +158,10 @@ def _exact_coeff_rows(
     members restricts the point set (defaults to all points).  Returns an
     (N, p - 1) float32 view of slot-major rows in transform order: row
     perm[m] (see _frequency_map) is CycInt's normal form of S(u, m) less its
-    zero last slot, and _in_m_order places it at row m.  Slot k counts the
-    points at zeta**k less those at zeta**(p-1), so |entry| <= N; with two
-    +-1 pass entries per digit, every partial sum a BLAS kernel forms is at
-    most 2N <= 2**21 < 2**24 in absolute value, so float32 is exact.
+    zero last slot.  Slot k counts the points at zeta**k less those at
+    zeta**(p-1), so |entry| <= N; with two +-1 pass entries per digit, every
+    partial sum a BLAS kernel forms is at most 2N <= 2**21 < 2**24 in
+    absolute value, so float32 is exact.
     """
     p = params.p
     _require_exact_size(p, d * params.ell)
@@ -224,15 +226,6 @@ def _abs_sq_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
         yield t.T
 
 
-def _placed_rows(
-    params: FieldParams, d: int, u_index: int, exponents: np.ndarray, members: np.ndarray | None = None
-) -> np.ndarray:
-    """The exact coefficient rows of u placed by m, of a function table or a
-    point set (arguments as _exact_coeff_rows); the transform order is freed
-    once they are placed (see _in_m_order)."""
-    return _in_m_order(params, d, u_index, _exact_coeff_rows(params, d, exponents, members))
-
-
 def _rational_rows(t: np.ndarray) -> np.ndarray:
     """Mask of the rows of an unreduced |S|^2 table whose value is a rational
     integer.  The table is symmetric under k -> -k, so a row is rational
@@ -251,30 +244,37 @@ def _is_flat(t: np.ndarray, target: int) -> bool:
 
 
 def _real_values(t: np.ndarray) -> np.ndarray:
-    """The real value of every row of an unreduced |S|^2 table.  A witness or
-    a report reads it from a table placed by m, since the @ cos product may
-    round a row differently at another row position."""
+    """The real value of every row of an unreduced |S|^2 table, a function of
+    that row alone: with c_k = cos(2*pi*k/p), the terms (t_k - t_1) * c_k for
+    k = 0, 2, ..., p - 1 added elementwise in that order, with no BLAS call,
+    so that no BLAS build, thread count or row position changes a bit.  Each
+    term carries two roundings and the sum p - 2, so to first order |error|
+    <= p * 2**-53 * sum_k |t_k - t_1| * |c_k| (Higham 2002, ch. 4)."""
     p = t.shape[1]
     # The p-th root cosines sum to zero, so the value only depends on the
     # coefficients up to a common shift.  Subtracting t[:, 1] keeps the huge
     # near-uniform rows from cancelling in floats, and makes integer-valued
-    # rows (where t[:, 1:] is constant) come out exactly.  The difference is
-    # taken in C order whatever the layout of t (a slot permutation is
-    # F-ordered), since the product may round the two layouts differently.
-    return np.subtract(t, t[:, 1:2], order="C") @ np.cos(math.tau * np.arange(p) / p)
+    # rows (where t[:, 1:] is constant) come out exactly.
+    terms = (t - t[:, 1:2]) * np.cos(math.tau * np.arange(p) / p)
+    value = terms[:, 0].copy()
+    for k in range(2, p):
+        value += terms[:, k]
+    return value
 
 
 def _columns(
     tables: Iterable[np.ndarray], n: int, conjugates: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(defined, ints, values) of n rows placed by m, from one pass over their
-    unreduced |S|^2 tables: where defined[m] holds, |S|^2 is the rational
-    integer ints[m] (see _rational_rows), and ints[m] is 0 where it fails,
-    so that every conjugate has the same two columns.  values is None when
-    every row is rational; else values[j] is the float |S|^2 of sigma_(j+1)
-    of every cell for j < conjugates (slot k of sigma_t(z) is slot k/t of
-    z): the integer on rational rows, and on the others _real_values clamped
-    at 0, read only from the tables that hold an irrational row."""
+    """(defined, ints, values) of n rows in their tables' order, from one pass
+    over their unreduced |S|^2 tables: where defined[i] holds, |S|^2 is the
+    rational integer ints[i] (see _rational_rows), and ints[i] is 0 where it
+    fails, so that every conjugate has the same two columns.  values is None
+    when every row is rational; else values[j] is the float |S|^2 of
+    sigma_(j+1) of every cell for j < conjugates (slot k of sigma_t(z) is
+    slot k/t of z): the integer on rational rows, and on the others
+    _real_values clamped at 0, read only from the tables that hold an
+    irrational row.  An entry reads its own row alone, so a transform's
+    columns are computed in its order, then placed (see _in_m_order)."""
     defined, ints, values = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64), None
     stop = 0
     for t in tables:
@@ -319,8 +319,8 @@ def walsh_exact(f: FnTable, u: FieldElement, m: PointVector) -> CycInt:
 def walsh_exact_all(f: FnTable, u: FieldElement) -> list[CycInt]:
     """Exact S(u, m) for every m, via the butterfly engine."""
     _check_field(f, u)
-    rows = _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index))
-    rows = _in_m_order(f.params, f.d, u.index, rows).astype(np.int64).tolist()
+    rows = _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index)).T  # slot-major: m on the last axis
+    rows = _in_m_order(f.params, f.d, u.index, rows)[1].T.astype(np.int64).tolist()
     return [CycInt.from_coeffs(f.params.p, row + [0]) for row in rows]  # the zero last slot
 
 
@@ -474,8 +474,7 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
     rational values of |S|^2, so a whole orbit shares one pass/fail pattern
     over m: the first failing orbit's least member is the least failing u.
     The walk names no frequency, so it needs no frequency map; the rows are
-    yielded without a name in the walk, so a consumer that places them by m
-    frees the transform order.
+    yielded without a name in the walk, so a consumer can free them.
     """
     p = f.params.p
     for j in range(f.params.ell):
@@ -483,21 +482,20 @@ def _orbit_walk(f: FnTable) -> Iterator[tuple[int, np.ndarray]]:
             yield u_index, _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u_index))
 
 
-def _table_row(rows: np.ndarray, m: int) -> np.ndarray:
-    """The unreduced |S|^2 row of m, from its coefficient row alone."""
-    return next(_abs_sq_tables(rows[m : m + 1]))[0]
-
-
-def _witness(f: FnTable, u_index: int, columns: tuple, table_row: Callable[[int], np.ndarray]) -> BentWitness:
+def _witness(
+    f: FnTable, u_index: int, perm: np.ndarray | None, columns: tuple, rows: np.ndarray, t: np.ndarray | None = None
+) -> BentWitness:
     """The least failing cell of u under the witness rule, from its columns
-    placed by m (see _columns), which are not flat; table_row(m) is the
-    unreduced |S|^2 row of m, the witness's one exact value."""
+    placed by perm (see _in_m_order), which are not flat; its exact value is
+    the |S|^2 row at its transform position, of t if whole, else of rows."""
     params = f.params
     m_index = _witness_m(*columns, f.n_points)
+    i = m_index if perm is None else perm[m_index]
+    row = next(_abs_sq_tables(rows[i : i + 1]))[0] if t is None else t[i]
     return BentWitness(
         params.from_index(u_index),
         PointVector.from_index(params, f.d, m_index),
-        CycInt.from_coeffs(params.p, table_row(m_index).astype(np.int64).tolist()),
+        CycInt.from_coeffs(params.p, row.astype(np.int64).tolist()),
     )
 
 
@@ -505,9 +503,9 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
     """Exact flat-spectrum test: |S(u, m)|^2 = q^d for all u != 0, m, by the
     orbit walk, which stops at the first failing orbit.  Flatness does not
     depend on the order of m, so each orbit's tables are tested in transform
-    order, one chunk of rows at a time, up to the first failing one; only
-    the failing orbit is placed by m, to name its cell: a transform of one
-    chunk places the flat test's table, a longer one its rows."""
+    order, one chunk of rows at a time, up to the first failing one; so are
+    the failing orbit's columns (from the flat test's table when it is the
+    only one), and only they are placed by m, to name its cell."""
     params, n = f.params, f.n_points
     for u_index, rows in _orbit_walk(f):
         for t in _abs_sq_tables(rows):
@@ -515,12 +513,9 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
                 break
         else:
             continue
-        if n <= _CHUNK:  # the flat test's one table is the whole table
-            t = _in_m_order(params, f.d, u_index, t)
-            return BentVerdict(False, _witness(f, u_index, _columns([t], n), t.__getitem__))
-        rows = _in_m_order(params, f.d, u_index, rows)  # frees the transform order
-        columns = _columns(_abs_sq_tables(rows), n)
-        return BentVerdict(False, _witness(f, u_index, columns, partial(_table_row, rows)))
+        t = t if n <= _CHUNK else None  # the whole table, else the columns read every table again
+        perm, *columns = _in_m_order(params, f.d, u_index, *_columns(_abs_sq_tables(rows) if t is None else [t], n))
+        return BentVerdict(False, _witness(f, u_index, perm, columns, rows, t))
     return BentVerdict(True, None)
 
 
@@ -560,7 +555,7 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
     h = _gather(_roots(p)[None], _trace_exponents(f, u.index))
     h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
     h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
-    return _in_m_order(params, f.d, u.index, h).astype(np.float64, copy=False)
+    return _in_m_order(params, f.d, u.index, h)[1].astype(np.float64, copy=False)
 
 
 _SPOT_SEED = 0x5BD1E995
@@ -705,36 +700,41 @@ class SpectrumReport:
 
 
 def _report(params: FieldParams, d: int, u_index: int, rows: np.ndarray) -> SpectrumReport:
-    """The report of u from its exact coefficient rows placed by m, by one
-    pass over their |S|^2 tables (see _columns); the magnitudes are fed from
-    the rational integer whenever it exists, so that rational cells stay
-    float-exact."""
+    """The report of u from its exact coefficient rows in transform order,
+    passed inline so that this frame frees them before the columns of their
+    |S|^2 tables (see _columns) are placed by m; magnitudes are fed from the
+    rational integer where it exists, so that rational cells stay exact."""
     defined, ints, values = _columns(_abs_sq_tables(rows), len(rows))
+    rows = None  # freed before the columns are placed
+    _, defined, ints, values = _in_m_order(params, d, u_index, defined, ints, values)
     exact = ints.astype(np.float64) if values is None else values[0]
     return SpectrumReport(params, d, u_index, defined, ints, np.sqrt(exact, out=exact))
 
 
 def spectrum_report(f: FnTable, u: FieldElement) -> SpectrumReport:
     _check_field(f, u)
-    return _report(f.params, f.d, u.index, _placed_rows(f.params, f.d, u.index, _trace_exponents(f, u.index)))
+    return _report(f.params, f.d, u.index, _exact_coeff_rows(f.params, f.d, _trace_exponents(f, u.index)))
 
 
 def spectrum_reports(f: FnTable) -> Generator[SpectrumReport, None, BentVerdict]:
     """spectrum_report(f, u) for every u in F_q^*, one exact transform per
     Galois orbit: each orbit's least member first, then its multiples t*u
     for t = 2, ..., p-1, whose tables are slot permutations of it, all from
-    one pass over the tables.  Rationality and rational values are the same
-    for every member, so the members share defined and ints, and when every
-    row is rational their magnitudes too.  Returns the is_bent_exact verdict
-    of the same transforms (StopIteration.value)."""
+    one pass over the tables, whose columns the representative's map places.
+    Rationality and rational values are the same for every member, so the
+    members share defined and ints, and when every row is rational their
+    magnitudes too.  Returns the is_bent_exact verdict of the same
+    transforms (StopIteration.value)."""
     params, n = f.params, f.n_points
     witness = None
     for rep, rows in _orbit_walk(f):
-        rows = _in_m_order(params, f.d, rep, rows)  # rep's map, which every multiple t*rep shares
-        defined, ints, values = columns = _columns(_abs_sq_tables(rows), n, params.p - 1)
-        if witness is None and not np.all(defined & (ints == n)):
-            witness = _witness(f, rep, columns, partial(_table_row, rows))  # the least failing orbit's
-        rows = None  # freed before the reports are built
+        defined, ints, values = _columns(_abs_sq_tables(rows), n, params.p - 1)
+        if witness is not None or np.all(defined & (ints == n)):
+            rows = None  # no witness reads them: freed before the columns are placed
+        perm, defined, ints, values = _in_m_order(params, f.d, rep, defined, ints, values)  # shared by every t*rep
+        if rows is not None:  # the least failing orbit
+            witness = _witness(f, rep, perm, (defined, ints, values), rows)
+        rows = perm = None  # freed before the reports are built
         exact = ints.astype(np.float64) if values is None else values
         mags = np.sqrt(exact, out=exact)
         for a in (defined, ints, mags):

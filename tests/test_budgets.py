@@ -115,8 +115,8 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             EXACT_2POW20_RSS_BUDGET_MB,
         ),
         # 923,521 points in 30 slots: the two pass buffers, then the failing
-        # orbit's rows placed by m and its witness columns, built 2**15 rows
-        # at a time
+        # orbit's rows in transform order and its witness columns, built
+        # 2**15 rows at a time and placed by m (17 bytes a point)
         (
             ["test", "bent", "--catalog", "random", "--p", "31", "--d", "4", "--exact"],
             '"verdict": "not_bent"',
@@ -469,11 +469,12 @@ def test_flat_exact_verdict_builds_no_float_values():
 
 
 def test_failing_exact_verdict_holds_one_table_at_a_time():
-    # a failing verdict over F_13**5 (371,293 points, 12 slots) places its
-    # first orbit's rows by m and reads the witness columns from one 2**15-row
-    # |S|^2 table at a time: the columns (17 bytes a point) and a few tables'
-    # worth of temporaries, never a table of the whole transform (104 bytes a
-    # point); the verdict's own peak stays the butterfly's two pass buffers
+    # a failing verdict over F_13**5 (371,293 points, 12 slots) reads its
+    # first orbit's witness columns from one 2**15-row |S|^2 table at a time,
+    # in transform order, and places only the columns by m: the columns (17
+    # bytes a point) and a few tables' worth of temporaries, never a table of
+    # the whole transform (104 bytes a point) nor placed rows; the verdict's
+    # own peak stays the butterfly's two pass buffers
     params, d = make_field(13), 5
     f = random_function(params, d, 5)
     n, p = f.n_points, params.p

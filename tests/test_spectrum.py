@@ -729,14 +729,22 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
     skipped = [spectra(f, [1])[0] for f in cases]
     assert gathers == []
 
-    def always_gather(params, d, u_index, a):
-        return a[spectrum._frequency_map(params, d, u_index)]
+    def always_gather(params, d, u_index, *arrays):
+        perm = spectrum._frequency_map(params, d, u_index)
+        return (perm, *(a if a is None else a.take(perm, axis=-1) for a in arrays))
 
     monkeypatch.setattr(spectrum, "_in_m_order", always_gather)
     gathered = [spectra(f, [1])[0] for f in cases]
     assert gathers == [1] * 4
     for a, b in zip(skipped, gathered):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _rows_by_m(params, d, u, exponents, members=None):
+    """The engine's exact coefficient rows of u (see _exact_coeff_rows),
+    placed by m through u's placement, as a report places its columns."""
+    rows = spectrum._exact_coeff_rows(params, d, exponents, members)
+    return spectrum._in_m_order(params, d, u, rows.T)[1].T
 
 
 def _whole_table(rows):
@@ -757,10 +765,8 @@ def _whole_table(rows):
 def _whole_table_columns(t):
     """Reference: defined, ints and float values of a whole int64 table, each
     by one expression over all of it: a row is rational when its columns 1
-    to p - 1 agree, and the values are (t - t[:, 1]) @ cos."""
-    p = t.shape[1]
-    values = (t - t[:, 1:2]) @ np.cos(math.tau * np.arange(p) / p)
-    return np.all(t[:, 1:] == t[:, 1:2], axis=1), t[:, 0] - t[:, 1], values
+    to p - 1 agree, and the values are _real_values of the whole table."""
+    return np.all(t[:, 1:] == t[:, 1:2], axis=1), t[:, 0] - t[:, 1], spectrum._real_values(t)
 
 
 def _whole_table_witness_m(t, target):
@@ -791,7 +797,7 @@ def test_flat_verdict_reads_transform_order_and_a_witness_places_once(monkeypatc
         u, m = bad.witness.u.index, bad.witness.m.index
         assert not bad.is_bent and maps == [u]
         # the witness rule on the whole table by m, and the cell's exact value
-        table = _whole_table(spectrum._placed_rows(f.params, f.d, u, spectrum._trace_exponents(f, u)))
+        table = _whole_table(_rows_by_m(f.params, f.d, u, spectrum._trace_exponents(f, u)))
         assert m == _whole_table_witness_m(table, f.n_points)
         assert bad.witness.abs_sq == exact_cell(f, u, m).abs_sq()
 
@@ -828,8 +834,8 @@ def test_report_reads_float_values_only_where_a_row_is_irrational(monkeypatch):
     assert calls == [f.n_points] and not report.defined.all()
     e = graph_of(bent)
     for rep, rows in (
-        (graph, spectrum._placed_rows(f25, 2, 1, np.zeros(e.params.q**2, dtype=np.uint8), e.bitmap)),
-        (report, spectrum._placed_rows(f25, 2, 7, spectrum._trace_exponents(f, 7))),
+        (graph, _rows_by_m(f25, 2, 1, np.zeros(e.params.q**2, dtype=np.uint8), e.bitmap)),
+        (report, _rows_by_m(f25, 2, 7, spectrum._trace_exponents(f, 7))),
     ):
         t = _whole_table(rows)
         floats = np.maximum(real_values(t), 0.0)
@@ -859,26 +865,34 @@ CHUNKED_TABLES = {
 }
 
 
+def _long_double_values(t):
+    """Reference: the real value of every row of an int64 table, sum_k (t_k -
+    t_1) * cos(2*pi*k/p) in long double, and the first-order error bound
+    p * 2**-53 * sum_k |t_k - t_1| * |cos(2*pi*k/p)| of the float64 sum."""
+    p = t.shape[1]
+    terms = (t - t[:, 1:2]).astype(np.longdouble) * np.cos(2 * np.arccos(np.longdouble(-1)) * np.arange(p) / p)
+    return terms.sum(axis=1), p * 2.0**-53 * np.abs(terms).sum(axis=1)
+
+
 @pytest.mark.parametrize("name", sorted(CHUNKED_TABLES))
 def test_chunked_pass_matches_a_whole_table_reference(name):
     f = CHUNKED_TABLES[name]()
     params, n = f.params, f.n_points
-    one_chunk = n <= spectrum._CHUNK
-    assert one_chunk or name in ("random_F2^17", "random_F3^11", "random_F7^6")
+    assert n <= spectrum._CHUNK or name in ("random_F2^17", "random_F3^11", "random_F7^6")
     for u in (1, params.q - 1):
-        rows = spectrum._placed_rows(params, f.d, u, spectrum._trace_exponents(f, u))
-        defined, ints, values = _whole_table_columns(_whole_table(rows))
+        rows = _rows_by_m(params, f.d, u, spectrum._trace_exponents(f, u))
+        t = _whole_table(rows)
+        defined, ints, values = _whole_table_columns(t)
         got = spectrum._columns(spectrum._abs_sq_tables(rows), n)
         assert np.array_equal(got[0], defined) and np.array_equal(got[1], np.where(defined, ints, 0))
         assert (got[2] is None) == defined.all()
+        # a row's float value depends on that row alone: the same bits in any
+        # table, at any row position, and in the report placed by m
         want = np.where(defined, ints.astype(np.float64), np.maximum(values, 0.0))
-        mags = spectrum_report(f, params.from_index(u)).magnitudes
-        if one_chunk:  # one table is the whole table: the float values are the same bits
-            assert got[2] is None or np.array_equal(got[2][0], want)
-            assert np.array_equal(mags, np.sqrt(want))
-        else:  # a row's float value may round differently at another row position
-            assert got[2] is None or np.allclose(got[2][0], want, rtol=1e-13, atol=0)
-            assert np.allclose(mags, np.sqrt(want), rtol=1e-13, atol=0)
+        assert got[2] is None or np.array_equal(got[2][0], want)
+        assert np.array_equal(spectrum_report(f, params.from_index(u)).magnitudes, np.sqrt(want))
+        ref, bound = _long_double_values(t)
+        assert np.all(np.abs(values - ref) <= bound)
     verdict = is_bent_exact(f)
     if verdict.is_bent:
         assert name.split("_")[0] in ("bool", "square", "bilinear")
@@ -886,7 +900,7 @@ def test_chunked_pass_matches_a_whole_table_reference(name):
     # the witness: its u is the walk's first failing orbit, its m the
     # reference rule on the whole table of u by m, its value that row's
     w = verdict.witness
-    rows = spectrum._placed_rows(params, f.d, w.u.index, spectrum._trace_exponents(f, w.u.index))
+    rows = _rows_by_m(params, f.d, w.u.index, spectrum._trace_exponents(f, w.u.index))
     t = _whole_table(rows)
     assert w.m.index == _whole_table_witness_m(t, n)
     assert w.abs_sq == CycInt.from_coeffs(params.p, t[w.m.index].tolist())
@@ -914,6 +928,72 @@ def test_orbit_multiples_equal_their_own_reports(name):
     shared = all(rep.magnitudes is orbit[0].magnitudes for rep in orbit)
     assert shared == orbit[0].defined.all()
     assert all(rep.defined is orbit[0].defined and rep.ints is orbit[0].ints for rep in orbit)
+
+
+# One-table and multi-table transforms at p = 7 and 13, and one table at
+# p = 31: the least multi-table transform there, F_31**4, is 923,521 points.
+POSITION_TABLES = {
+    "random_F7^3": lambda: random_function(make_field(7), 3, 5),
+    "random_F7^6": lambda: random_function(make_field(7), 6, 5),
+    "random_F13^2": lambda: random_function(make_field(13), 2, 5),
+    "random_F13^5": lambda: random_function(make_field(13), 5, 5),
+    "random_F31^3": lambda: random_function(make_field(31), 3, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_TABLES))
+def test_a_rows_float_value_does_not_depend_on_its_position(name):
+    # _real_values of a row on its own, of that row inside its 2**15-row
+    # table, and the magnitude of its cell in the report placed by m are the
+    # same bits: the first 500 rows and every 97th row of every table
+    f = POSITION_TABLES[name]()
+    params, n = f.params, f.n_points
+    assert (n > spectrum._CHUNK) == (name in ("random_F7^6", "random_F13^5"))
+    for u in (1, params.q - 1):
+        rows = spectrum._exact_coeff_rows(params, f.d, spectrum._trace_exponents(f, u))
+        values = []
+        for t in spectrum._abs_sq_tables(rows):
+            values.append(spectrum._real_values(t))
+            sample = np.r_[: min(500, len(t)), 500 : len(t) : 97]
+            alone = np.concatenate([spectrum._real_values(t[i : i + 1]) for i in sample])
+            assert alone.tobytes() == values[-1][sample].tobytes()
+        values = np.concatenate(values)[spectrum._frequency_map(params, f.d, u)]  # placed by m
+        report = spectrum_report(f, params.from_index(u))
+        irrational = ~report.defined
+        assert irrational.any()
+        want = np.sqrt(np.maximum(values[irrational], 0.0))
+        assert report.magnitudes[irrational].tobytes() == want.tobytes()
+
+
+def test_report_magnitudes_are_the_same_bits_at_every_openblas_thread_count():
+    # random F_7**6 (117,649 points, four 2**15-row tables), one process per
+    # thread count, since OpenBLAS reads its count when it loads
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import hashlib\n"
+        "from ffspectra import make_field\n"
+        "from ffspectra.catalog import random_function\n"
+        "from ffspectra.spectrum import spectrum_report\n"
+        "f = random_function(make_field(7), 6, 5)\n"
+        "for u in (1, 6):\n"
+        "    print(hashlib.sha256(spectrum_report(f, f.params.from_index(u)).magnitudes.tobytes()).hexdigest())\n"
+    )
+    outputs = set()
+    for threads in ("1", "2", "4"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    f = random_function(make_field(7), 6, 5)
+    here = "".join(
+        hashlib.sha256(spectrum_report(f, f.params.from_index(u)).magnitudes.tobytes()).hexdigest() + "\n"
+        for u in (1, 6)
+    )
+    assert outputs == {here}
 
 
 # ---------------------------------------------------------------------------
@@ -952,12 +1032,13 @@ def test_exact_cell_matches_pointwise_on_random_tables():
             # the engine's |S|^2 step on the stacked rows in its reduced form:
             # CycInt's normal form less its zero last slot, in float32
             assert not rows[:, -1].any()
-            spec = spectrum._report(params, d, u, rows[:, :-1].astype(np.float32))
-            mags = spec.magnitudes
+            tables = spectrum._abs_sq_tables(rows[:, :-1].astype(np.float32))
+            defined, ints, values = spectrum._columns(tables, len(rows))
+            mags = np.sqrt(ints if values is None else values[0])
             for i, cell in enumerate(cells):
                 z = cell.abs_sq()
                 exact = z.as_integer()
-                assert (spec.ints[i] if spec.defined[i] else None) == exact
+                assert (ints[i] if defined[i] else None) == exact
                 root = math.sqrt(z.to_complex().real)
                 assert abs(mags[i] - root) <= 1e-12 * root
                 assert abs(roots[i] - root) <= 1e-12 * max(root, 1.0)
@@ -1187,8 +1268,7 @@ def test_matmul_butterfly_matches_pointwise_on_every_cell(name):
     f = ENGINE_TABLES[name]()
     params = f.params
     for u in range(1, params.q):
-        rows = spectrum._exact_coeff_rows(params, f.d, spectrum._trace_exponents(f, u))
-        rows = spectrum._in_m_order(params, f.d, u, rows)  # the engine's rows are in transform order
+        rows = _rows_by_m(params, f.d, u, spectrum._trace_exponents(f, u))  # the engine's are in transform order
         assert np.array_equal(rows, np.rint(rows))
         for m_idx in range(f.n_points):
             m = PointVector.from_index(params, f.d, m_idx)
@@ -1299,8 +1379,7 @@ def test_member_mask_path_matches_indicator_sum():
         n = params.q**d
         for _ in range(3):
             e = PointSet(params, d, rng.random(n) < 0.3)
-            rows = spectrum._exact_coeff_rows(params, d, np.zeros(n, dtype=np.int64), e.bitmap)
-            rows = spectrum._in_m_order(params, d, 1, rows)
+            rows = _rows_by_m(params, d, 1, np.zeros(n, dtype=np.int64), e.bitmap)
             for m_idx in range(n):
                 m = PointVector.from_index(params, d, m_idx)
                 got = CycInt.from_coeffs(params.p, rows[m_idx].tolist())
@@ -1401,5 +1480,5 @@ def test_is_bent_exact_builds_no_galois_tables(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_report", refuse)
     assert is_bent_exact(get_function("square", make_field(7, 3))).is_bent
-    # the witness reads the placed table itself
+    # the witness places its own columns
     assert not is_bent_exact(random_function(make_field(5, 2), 1, 3)).is_bent
