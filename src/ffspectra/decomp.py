@@ -210,7 +210,7 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
 def verify_decomposition(f: FnTable, basis: SpaceBasis) -> DecompVerdict:
     """Reconstruct every nonzero difference operator from the base tables
     and compare pointwise with the direct computation; the verdict names
-    the least failing shift."""
+    the least failing shift and always counts q**d - 1 shifts checked."""
     _check_compatible(f, basis)
     if f.n_points > space.DESK_SCALE_POINTS:
         raise UnsupportedSize(

@@ -349,9 +349,11 @@ def vec_sub(params: FieldParams, a, b) -> np.ndarray:
 @lru_cache(maxsize=8)  # one field takes at most 20 MB: F_2**20, one byte per digit
 def element_digits(params: FieldParams) -> np.ndarray:
     """Read-only (q, ell) base-p digits of every element of F_q, by index,
-    in the narrowest unsigned type that holds p - 1."""
-    digits = _modp.digits_of(np.arange(params.q), params.p, params.ell)
-    digits = digits.astype(np.min_scalar_type(params.p - 1))
+    in the narrowest unsigned type that holds p - 1, filled one digit column
+    at a time so that no (q, ell) int64 matrix is built."""
+    digits = np.empty((params.q, params.ell), dtype=np.min_scalar_type(params.p - 1))
+    for j in range(params.ell):
+        digits[:, j] = np.arange(params.q) // params.p**j % params.p
     digits.setflags(write=False)
     return digits
 

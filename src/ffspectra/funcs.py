@@ -34,7 +34,12 @@ from .space import MAX_POINTS, PointVector, _refuse_past_cap
 
 @dataclass(frozen=True, eq=False)
 class FnTable:
-    """A function F_q**d -> F_q as a dense table of element indices."""
+    """A function F_q**d -> F_q as a dense table of element indices.
+
+    Every value is checked to lie in [0, q) as given, so none wraps into
+    range, and the table keeps one read-only copy in the narrowest unsigned
+    type that holds q - 1: a raw difference of two tables wraps, so take
+    delta_table or field.vec_sub, or cast to int64 first."""
 
     params: FieldParams
     d: int

@@ -84,7 +84,8 @@ class PerturbEntry:
 class PerturbationReport:
     """The sweep by column: one row per neighbor (w, v), in index order,
     with its least failing shift a, that shift's least over-hit value and
-    the value's count.  A planar neighbor has a = value = count = 0."""
+    the value's count.  A planar neighbor has a = value = count = 0.  The
+    columns are in the narrowest unsigned type that holds q - 1."""
 
     params: FieldParams
     scope: str

@@ -27,7 +27,9 @@ from .spectrum import SpectrumReport, _cell_counts, _exact_coeff_rows, _report, 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Subset of F_q**d as an immutable membership bitmap."""
+    """Subset of F_q**d as an immutable membership bitmap.  The bitmap takes
+    truth values only (ValueError), from_indices refuses a boolean array
+    (IndexOutOfRange), and x in E a point of another space (FieldMismatch)."""
 
     params: FieldParams
     d: int

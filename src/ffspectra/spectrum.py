@@ -391,7 +391,9 @@ def exact_cell(f: FnTable, u_index: int, m_index: int) -> CycInt:
 
     Independent of the butterfly engine: accumulates the exponent
     Tr(u*f(x)) - sum_j Tr((u*m_j)*x_j) per point and histograms it.  Used
-    as the spot-check oracle behind the floating transform path.
+    as the spot-check oracle behind the floating transform path.  Both
+    indices are read as operator.index reads them: a float or a string
+    raises IndexOutOfRange, never truncated or parsed.
     """
     params = f.params
     u_index = _checked_index(u_index, params.q, "character")
@@ -627,7 +629,10 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
     tolerance (exactly for p = 2), with exact spot checks of every u.
 
     Runs in one process.  The witness is the least failing (u, m); the
-    verdict is certified only when no spot check disagreed.
+    verdict is certified only when no spot check disagreed.  For each u the
+    spot checks recompute m = splitmix64(0x5BD1E995 ^ u, i) mod N for i < k,
+    k = min(256, N // 100, 2**26 // (N*(d+1))) and at least 1, N = q^d; a
+    magnitude disagrees when it misses the exact one by over 1e-9 relative.
     """
     params = f.params
     target = float(f.n_points)
@@ -667,7 +672,8 @@ class SpectrumReport:
     """Per-frequency spectrum of one (f, u) pair with exact/float pairing,
     stored by column: |S(u, m)|^2 is the rational integer ints[m] where
     defined[m] holds (ints[m] is 0 where it fails), and magnitudes[m] is
-    |S(u, m)| as a float."""
+    |S(u, m)| as a float.  rows builds SpectrumRow named tuples on demand,
+    each equal to the plain tuple of its fields."""
 
     params: FieldParams
     d: int

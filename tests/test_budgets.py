@@ -1,10 +1,12 @@
 """Memory budgets: the fast bent path, passing and failing, the exact bent
 path and a failing PN scan at the 2**20-point cap, a failing exact verdict
-over F_31**4, a random table past the cap refused before its work arrays
-are allocated, an exact verdict over F_2**20 that keeps nothing
+over F_31**4, the graph report of a random F_31**3 table, a bent bilinear
+table over F_729**2, a random table past the cap refused before its work
+arrays are allocated, an exact verdict over F_2**20 that keeps nothing
 per Galois orbit, a table file past the cap refused from its header,
 the point-sized buffers of the fast path, of the trace exponents of a uint8
-table, of one exact cell, of indicator_sum, of vec_mul,
+table, of one exact cell, of indicator_sum, of vec_mul, of the digit
+matrix of F_2**20,
 of delta_table and translate over F_3**12, of the p = 2 code words and of
 the PN scan at odd p, the bytes per value of load_table and of a table's
 own copy of its values, the exhaustive
@@ -77,6 +79,7 @@ sys.exit(code)
 EXACT_2POW20_RSS_BUDGET_MB = 48
 FAST_2POW20_RSS_BUDGET_MB = 52
 EXACT_ODD_P_RSS_BUDGET_MB = 384
+EXACT_BILINEAR_RSS_BUDGET_MB = 56
 DECOMP_RSS_BUDGET_MB = 64
 SALEM_RSS_BUDGET_MB = 52
 PN_RSS_BUDGET_MB = 112
@@ -122,6 +125,22 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             '"verdict": "not_bent"',
             1,
             EXACT_ODD_P_RSS_BUDGET_MB,
+        ),
+        # the graph of a random F_31**3 table: 923,521 frequencies in 30
+        # slots, reported by column from one exact transform
+        (
+            ["salem", "report", "--catalog", "random", "--p", "31", "--d", "3", "--seed", "1"],
+            '"theorem1_pass": null',
+            0,
+            EXACT_ODD_P_RSS_BUDGET_MB,
+        ),
+        # a bent table over an extension field: the 364 Galois orbits of
+        # F_729^*, each one exact transform of 531,441 points in two slots
+        (
+            ["test", "bent", "--catalog", "bilinear", "--p", "3", "--ell", "6", "--exact"],
+            '"verdict": "bent"',
+            0,
+            EXACT_BILINEAR_RSS_BUDGET_MB,
         ),
         # the decomposition certificate holds digit arrays linear in q**d,
         # never a q**d x q**d addition table
@@ -204,6 +223,7 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
         ),
     ],
     ids=["bent-fast-2pow20", "bent-fast-random-2pow20", "bent-exact-2pow20", "bent-exact-random-p31-d4",
+         "salem-report-random-p31-d3", "bent-exact-bilinear-q729",
          "decomp-square-q3125", "decomp-random-p2-d12",
          "salem-thm1-q343", "pn-random-p2-d20", "pn-random-p3-d12", "pn-random-p1009-d2",
          "pn-input-1009sq", "pn-square-q3125", "pn-power-e1e9", "sweep-square-q1009", "sweep-square-q625"],
@@ -265,6 +285,21 @@ def test_vec_mul_holds_few_point_sized_buffers():
     assert squares[some].tolist() == [(params.from_index(i) ** 2).index for i in some]
     assert peak <= 3 * buffer
     assert seconds < 2
+
+
+def test_element_digits_builds_no_int64_digit_matrix():
+    # one digit column at a time: the index range and a column's int64
+    # temporaries, never (q, ell) int64 digits of every element
+    params = make_field(2, 20, (1, 0, 0, 1) + (0,) * 16 + (1,))  # t**20 + t**3 + 1
+    tracemalloc.start()
+    try:
+        digits = field.element_digits.__wrapped__(params)  # past the cache
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digits.shape == (params.q, 20) and digits.dtype == np.uint8
+    assert digits[params.q - 1].tolist() == [1] * 20
+    assert peak <= 2.5 * digits.nbytes
 
 
 def test_delta_table_and_translate_hold_few_point_sized_buffers():
