@@ -4,12 +4,12 @@ An integer in [0, p**n) encodes a length-n vector of base-p digits, little
 endian (digit j has weight p**j).  Every dense table operation in the package
 reduces to componentwise mod-p arithmetic on arrays of such indices, so the
 helpers here work directly on numpy int64 arrays and never materialize Python
-objects.  Every sum or difference of indices but the PN scan's unit steps
-goes through the code words of `difference_codes`: `add_indices` and
-`sub_indices` combine two words, and the PN scan, the decomposition walk
-and the distance-1 sweep encode their values once and combine words per
-shift, without knowing how the words split the digits.  For p = 2 an index
-is its own word and combining is XOR.
+objects.  Every sum or difference of indices goes through the code words of
+`difference_codes`: `add_indices` and `sub_indices` combine two words, and
+the PN scan, the decomposition walk and the distance-1 sweep encode their
+values once and combine words per shift.  For p = 2 an index is its own word
+and combining is XOR.  The one exception, `shift_walk`'s unit step
+x -> x + p**j, is the index range with digit j's axis rolled by one.
 """
 
 from __future__ import annotations
@@ -59,6 +59,26 @@ def sub_indices(a, b, p: int, n: int):
         return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
     codes = difference_codes(p, n)
     return codes.combine(codes.plus[a], codes.minus[b])
+
+
+def shift_walk(p: int, n: int):
+    """Yield (a, j, before, after) for a = 1, ..., p**n - 1 in index order:
+    j is the digit that goes up at a (its trailing base-p zeros), before[x]
+    the index of x + a - p**j and after[x] that of x + a.  Like an odometer,
+    level[j] is the translation by a - p**j, the last shift with no nonzero
+    digit below j, and each shift gathers through units[j], built on first use."""
+    idx = np.arange(p**n, dtype=np.intp)
+    units = [None] * n
+    level = [idx] * n
+    for a in range(1, p**n):
+        j, rest = 0, a
+        while rest % p == 0:
+            j, rest = j + 1, rest // p
+        if units[j] is None:
+            units[j] = np.roll(idx.reshape(-1, p, p**j), -1, axis=1).ravel()
+        before = level[j]
+        level[: j + 1] = [units[j][before]] * (j + 1)
+        yield a, j, before, level[0]
 
 
 def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:

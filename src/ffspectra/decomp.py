@@ -18,13 +18,12 @@ starting at 1, start = b) stays pinned by a negative-control test.
 reconstruct_delta (the formula for one shift, the tests' oracle) and
 identity_suite are one chain sum, sum_i D_{f,s_i}(x + o_i) with
 o_{i+1} = o_i + s_i.  verify_decomposition certifies the formula for all
-q**d - 1 shifts in one process by counting them like an odometer over their
-basis digits, as the PN scan counts its shifts: a + g_s, for s at least the
-top nonzero digit of a, adds the formula's next term D_{f,g_s}(x + a) to
-a's reconstruction, a field-index array added by combining code words of
-`_modp`.  The walk is one loop for every p, and memory is linear in q**d
-(n translation gathers and one saved shift per digit); no q**d x q**d
-addition table is built.
+q**d - 1 shifts in one process: in basis coordinates x + g_s is one digit
+step of `_modp.shift_walk`, the PN scan's walk, and a + g_s, for s at least
+the top nonzero digit of a, adds the formula's next term D_{f,g_s}(x + a)
+to a's reconstruction, a field-index array added by combining code words
+of `_modp`.  The walk is one loop for every p, and memory is linear in
+q**d; no q**d x q**d addition table is built.
 """
 
 from __future__ import annotations
@@ -174,36 +173,28 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     """Point index of the least nonzero shift whose reconstruction differs
     from the direct difference table, or None if every shift agrees.
 
-    The shifts are counted like an odometer over their basis digits, the
-    last digit fastest: at each count the digit s that goes up is n - 1
-    less the count's trailing base-p zeros, and every digit above s wraps
-    to 0.  level[s] holds x + a and the reconstruction of a for the last
-    shift a with no nonzero digit above s, which is the new shift less g_s,
-    so one step appends the formula's term D_{f,g_s}(x + a) and becomes
-    level[s:].  Only the base tables are read on the reconstruction side,
-    and memory is O(n * q**d).  Both sides are field-index arrays read
-    through the PN scan's code words (`_modp.difference_codes`): a step
-    combines the words of recon and D_{f,g_s}(x + a), the comparison those
-    of f(x + a) and -f(x), and x + a is one gather per shift.
+    f and the base tables are read in basis coordinates: perm[k] is the
+    point index of sum_s k_s * g_s, digit s of k at weight p**(n-1-s), so
+    x + g_s is a step of walk digit n-1-s and `_modp.shift_walk` counts the
+    shifts over their basis digits, the last fastest.  When walk digit j
+    goes up at a, recon[j] holds the reconstruction of a - p**j; appending
+    the term D_{f,g_s}(x + a - p**j) gives a's, which becomes recon[:j + 1].
+    Only the base tables are read on that side, and both sides combine the
+    field's code words (`_modp.difference_codes`).
     """
-    params, d, n = f.params, f.d, b.basis.n
-    idx = np.arange(f.n_points, dtype=np.intp)
-    along = [space.vec_point_add(params, d, idx, np.int64(g.index)) for g in b.basis.vectors]
-    codes = _modp.difference_codes(params.p, params.ell)
-    f_plus, f_minus = codes.plus[f.values], codes.minus[f.values]
-    base_plus = [codes.plus[t.values] for t in b.tables]
-    level = [(idx, np.zeros(f.n_points, dtype=np.intp))] * n
+    p, n = f.params.p, b.basis.n
+    perm = _modp.index_of_digits(
+        _modp.residue_product(_modp.digits_of(np.arange(f.n_points), p, n), b.basis.matrix.T[::-1], p), p
+    )
+    codes = _modp.difference_codes(p, f.params.ell)
+    f_plus, f_minus = codes.plus[f.values[perm]], codes.minus[f.values[perm]]
+    base_plus = [codes.plus[t.values[perm]] for t in reversed(b.tables)]
+    recon = [np.zeros(f.n_points, dtype=np.intp)] * n
     least = None
-    for count in range(1, f.n_points):
-        s, rest = n - 1, count
-        while rest % params.p == 0:
-            s, rest = s - 1, rest // params.p
-        at, recon = level[s]
-        recon = codes.combine(codes.plus[recon], base_plus[s][at])
-        at = along[s][at]
-        level[s:] = [(at, recon)] * (n - s)
-        if not np.array_equal(recon, codes.combine(f_plus[at], f_minus)):
-            least = int(at[0]) if least is None else min(least, int(at[0]))
+    for a, j, before, after in _modp.shift_walk(p, n):
+        recon[: j + 1] = [codes.combine(codes.plus[recon[j]], base_plus[j][before])] * (j + 1)
+        if not np.array_equal(recon[0], codes.combine(f_plus[after], f_minus)):
+            least = int(perm[a]) if least is None else min(least, int(perm[a]))
     return least
 
 

@@ -2,7 +2,8 @@
 
 
 class FFSpectraError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the named errors in this module; the package also
+    raises plain ValueError for some malformed arguments."""
 
 
 class NonPrime(FFSpectraError):

@@ -293,28 +293,15 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     the first shift whose value counts are not all q**(d-1), and its first
     over-hit value; None when every shift passes.
 
-    The shifts are counted like an odometer over the base-p digits of a:
-    level[j][x] is the index of x + (a with its digits below j cleared), so
-    each shift is one gather through x -> x + p**j for the digit j that went
-    up, built on first use by the carry rule (digit j of x goes up by one,
-    and p - 1 wraps to 0).  The field's code words of `_modp.difference_codes`
-    encode the values once, so f(x + a) - f(x) is one combine of two words.
+    `_modp.shift_walk` gives x + a, and with the values encoded once as the
+    field's code words, f(x + a) - f(x) is one combine of two words.
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
     codes = _modp.difference_codes(p, params.ell)
     plus, minus = codes.plus[values], codes.minus[values]
-    idx = np.arange(n, dtype=np.intp)
-    units = [None] * (d * params.ell)  # units[j][x] = index of x + p**j, one per digit
-    level = [idx] * len(units)
-    for a_index in range(1, n):
-        j, rest = 0, a_index
-        while rest % p == 0:
-            j, rest = j + 1, rest // p
-        if units[j] is None:
-            units[j] = idx + p**j - p ** (j + 1) * (idx // p**j % p == p - 1)
-        level[: j + 1] = [units[j][level[j]]] * (j + 1)
-        delta = codes.combine(plus[level[0]], minus)
+    for a_index, _, _, at in _modp.shift_walk(p, d * params.ell):
+        delta = codes.combine(plus[at], minus)
         counts = np.bincount(delta, minlength=q)
         if counts.max() > expected:  # the counts sum to q * expected
             v = int(np.flatnonzero(counts > expected)[0])

@@ -334,8 +334,9 @@ def test_p2_code_words_are_one_index_buffer():
 
 @pytest.mark.parametrize("p,d", [(3, 12), (5, 8), (1009, 2)], ids=["F3-d12", "F5-d8", "F1009-d2"])
 def test_pn_scan_holds_few_point_sized_buffers(p, d):
-    # the gathered field words of the values, the index range, one unit step,
-    # the translation and a combine's temporaries; no point-space code words
+    # the gathered field words of the values, the walk's index range, one
+    # unit (that range with a digit axis rolled), the translation and a
+    # combine's temporaries; no point-space code words
     params = make_field(p)
     f = random_function(params, d, 0)
     buffer = 8 * f.n_points

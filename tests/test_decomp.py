@@ -227,15 +227,18 @@ def test_verify_decomposition_every_modulus(p, ell, modulus):
 def _corrupted_cases():
     f9 = make_field(3, 2)
     skewed9 = (PointVector.from_index(f9, 1, 4), PointVector.from_index(f9, 1, 3))
+    skewed81 = tuple(PointVector.from_index(f9, 2, i) for i in (4, 3, 40, 29))
     spaces = [
         (make_field(2), 6, None),
         (F5, 2, None),
         (make_field(2, 2), 2, None),
         (f9, 1, skewed9),
+        (f9, 2, skewed81),
         (make_field(1009, 1, (0, 1)), 1, None),
     ]
     for params, d, vectors in spaces:
-        for which in ("first", "last"):
+        # an interior basis digit where there is one: the walk reverses the digits
+        for which in ("first", "middle", "last") if d * params.ell >= 3 else ("first", "last"):
             for where in ("low", "high"):
                 yield pytest.param(
                     params, d, vectors, which, where, id=f"q{params.q}-d{d}-{which}-{where}"
@@ -252,7 +255,7 @@ def test_verify_decomposition_reports_least_failing_shift(monkeypatch, params, d
     f = random_function(params, d, 5)
     basis = standard_basis(params, d) if vectors is None else SpaceBasis(params, d, vectors)
     good = base_deltas(f, basis)
-    i = 0 if which == "first" else len(good.tables) - 1
+    i = {"first": 0, "middle": len(good.tables) // 2, "last": len(good.tables) - 1}[which]
     x = 1 if where == "low" else f.n_points - 2
     values = good.tables[i].values.copy()
     values[x] = (values[x] + 1) % params.q

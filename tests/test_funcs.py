@@ -1,8 +1,6 @@
 """Dense function tables: construction, difference operators, PN verdicts,
 distance/image helpers, and the text file format."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -405,31 +403,20 @@ def test_pn_scan_across_digit_groups(monkeypatch):
     assert want[:2] == [None, None] and None not in want[2:]
 
 
-@pytest.mark.parametrize(
-    "p,d", [(3, 12), (5, 8), (3, 8), (5, 5), (2, 16)], ids=["F3-d12", "F5-d8", "F3-d8", "F5-d5", "F2-d16"]
-)
-def test_scan_steps_by_the_carry_rule(p, d, monkeypatch):
-    # x -> x + p**j is the index adder's sum for every digit j, on spaces of
-    # one digit group (F_3**8, F_5**5) and two (F_3**12, F_5**8), and at
-    # p = 2, where it is x ^ (1 << j).  The scan visits only the shifts p**j,
-    # so at each the odometer gathers through units[j] alone; with one
-    # identity code word per point, combine's first argument is that
-    # translation, and a balanced delta keeps the scan going.
-    params, shifts = make_field(p), [p**j for j in range(d)]
-    idx = np.arange(p**d, dtype=np.intp)
-    pending, wrong = iter(shifts), []
-
-    def combine(b, c):
-        a = next(pending)
-        if not np.array_equal(b, _modp.add_indices(idx, a, p, d)):
-            wrong.append(a)
-        return idx % p
-
-    codes = _modp.DifferenceCodes(idx, idx, combine)
-    monkeypatch.setattr(funcs, "_modp", SimpleNamespace(difference_codes=lambda p, ell: codes))
-    monkeypatch.setattr(funcs, "range", lambda *args: iter(shifts), raising=False)
-    assert funcs._pn_scan(params, d, idx) is None
-    assert next(pending, None) is None and wrong == []
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (5, 4), (7, 3)], ids=["F2-n10", "F3-n6", "F5-n4", "F7-n3"])
+def test_shift_walk_gives_every_shift_and_its_last_step(p, n):
+    # the walk behind the PN scan and the decomposition certificate: every
+    # nonzero shift in index order, the digit that goes up at it, and the
+    # translations by the shift and by the shift less that digit's unit,
+    # against the index adder
+    idx = np.arange(p**n, dtype=np.intp)
+    shifts = []
+    for a, j, before, after in _modp.shift_walk(p, n):
+        shifts.append(a)
+        assert j == next(k for k in range(n) if a // p**k % p)
+        assert np.array_equal(after, _modp.add_indices(idx, a, p, n))
+        assert np.array_equal(before, _modp.add_indices(idx, a - p**j, p, n))
+    assert shifts == list(range(1, p**n))
 
 
 def test_scan_caches_only_the_field_code_words():
