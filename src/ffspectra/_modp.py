@@ -49,14 +49,15 @@ def residue_product(a, b, p: int) -> np.ndarray:
 
 def add_indices(a, b, p: int, n: int):
     if p == 2:  # each index is its own code word: no gather
-        return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        a, b = np.asarray(a), np.asarray(b)  # XOR sets no bit above its operands': unsigned ones keep their type
+        return np.bitwise_xor(a, b, dtype=None if a.dtype.kind == b.dtype.kind == "u" else np.int64)
     codes = difference_codes(p, n)
     return codes.combine(codes.plus[a], codes.plus[b])
 
 
 def sub_indices(a, b, p: int, n: int):
-    if p == 2:
-        return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    if p == 2:  # -b = b
+        return add_indices(a, b, p, n)
     codes = difference_codes(p, n)
     return codes.combine(codes.plus[a], codes.minus[b])
 

@@ -136,9 +136,11 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
     """Sum of the terms over every point, on the (q,)*d grid whose axis
     d-1-j is x_j.  Each coordinate is a q-entry view along its own axis, so
     powers take q entries and a term or the sum grows to the grid only by
-    broadcasting where its factors meet; build_function has refused q**d past the cap."""
+    broadcasting where its factors meet; build_function has refused q**d past the cap.
+    The sum is kept in the narrowest unsigned type that holds q - 1."""
     q = params.q
-    acc = np.zeros((1,) * d, dtype=np.int64)
+    narrow = np.min_scalar_type(q - 1)
+    acc = np.zeros((1,) * d, dtype=narrow)
     for c, exps in terms:
         if len(exps) != d:
             raise SpecDimensionMismatch(
@@ -157,7 +159,7 @@ def _eval_monomials(params: FieldParams, d: int, terms) -> np.ndarray:
             term = np.int64(int(c))
         elif int(c) != params.one().index:
             term = field_mod.vec_mul(params, term, np.int64(int(c)))
-        acc = field_mod.vec_add(params, acc, term)
+        acc = field_mod.vec_add(params, acc, term.astype(narrow)).astype(narrow, copy=False)
     return np.broadcast_to(acc, (q,) * d).ravel()
 
 

@@ -113,24 +113,25 @@ def _require_exact_size(p: int, n: int) -> None:
 _SLICE = 4096  # points per gather, flatness-test or histogram slice: 32 KB of intp
 
 
-def _gather(table: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """table[:, exponents] as a new (c, N) array.  take copies its narrow
-    indices to intp, so it takes one slice at a time; the indices are in
-    range (residues mod p or element indices), so "clip" spares take a buffered out."""
-    h = np.empty((len(table), len(exponents)), table.dtype)
+def _gather(table: np.ndarray, exponents: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """table[:, exponents] as a (c, N) array, into h if given, else a new
+    one.  take copies its narrow indices to intp, so it takes one slice at a
+    time; the indices are in range (residues mod p or element indices), so
+    "clip" spares take a buffered out."""
+    h = np.empty((len(table), len(exponents)), table.dtype) if h is None else h
     for i in range(0, len(exponents), _SLICE):
         table.take(exponents[i : i + _SLICE], axis=1, out=h[:, i : i + _SLICE], mode="clip")
     return h
 
 
-def _butterfly(h: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _butterfly(h: np.ndarray, out: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """n size-p passes over h, shaped (c, N) with c slots per point and
     overwritten, in transform order: column perm[m] holds frequency m (see
     _frequency_map and _in_m_order).  w, shaped (c, c*p, p), maps one axis's
     (slot, digit) pairs to each slot's p outputs.  Each pass moves the
-    leading digit axis to the end, alternating two buffers."""
+    leading digit axis to the end, alternating h and the spare buffer out,
+    of h's shape and type; the last pass lands in out for odd n, in h for even n."""
     c, p = w.shape[0], w.shape[2]
-    out = np.empty_like(h)
     for _ in range(n):
         np.matmul(h.reshape(c * p, -1).T, w, out=out.reshape(c, -1, p))
         h, out = out, h
@@ -169,7 +170,7 @@ def _exact_coeff_rows(
     h = _gather(w[:, :p, -1], exponents)  # column e at j = 0, s = -1 is zeta**e
     if members is not None:
         h *= members
-    return _butterfly(h, w, d * params.ell).T
+    return _butterfly(h, np.empty_like(h), w, d * params.ell).T
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -547,15 +548,26 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
 
     Floating point for odd p; for p = 2 the float32 Walsh-Hadamard sums are
     integers of size <= 2**20 < 2**24, so exact, and the magnitudes are
-    returned as float64.  The passes alternate two buffers.
+    returned as float64.  Over F_2 the two float32 pass buffers are the
+    halves of the returned array; elsewhere the passes alternate two buffers
+    of their own.
     """
     _check_field(f, u)
     params = f.params
-    p = params.p
+    p, n = params.p, f.d * params.ell
     if p**2 > MAX_POINTS:  # the pass matrix has p**2 entries, as the exact one p**4
         raise UnsupportedSize(f"fast transforms take p**2 <= {MAX_POINTS}: p <= 1021")
-    h = _gather(_roots(p)[None], _trace_exponents(f, u.index))
-    h = _butterfly(h, _butterfly_matrix(p)[None], f.d * params.ell)[0]
+    roots, w, exponents = _roots(p)[None], _butterfly_matrix(p)[None], _trace_exponents(f, u.index)
+    if params.q == 2:  # the transform order is m order (see _in_m_order): nothing is placed
+        mags = np.empty(len(exponents))
+        halves = mags.view(np.float32).reshape(2, 1, -1)  # the last of the n passes lands in halves[1]
+        h = _butterfly(_gather(roots, exponents, halves[(n + 1) % 2]), halves[n % 2], w, n)[0]
+        np.abs(h, out=h)
+        for i in range(0, len(mags), _SLICE):  # ascending: no slice overwrites a float32 still unread
+            mags[i : i + _SLICE] = h[i : i + _SLICE]
+        return mags
+    h = _gather(roots, exponents)
+    h = _butterfly(h, np.empty_like(h), w, n)[0]
     h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
     return _in_m_order(params, f.d, u.index, h)[1].astype(np.float64, copy=False)
 
@@ -602,15 +614,13 @@ def _spot_count(n_points: int, d: int) -> int:
     return min(256, by_fraction, by_budget)
 
 
-def _spot_check(f: FnTable, u_index: int, mags: np.ndarray) -> tuple[int, int]:
-    """Exactly recompute a deterministic sample of cells, each summed at the
-    float transform's roots (so exactly at p = 2); return (sampled, bad)."""
-    n = f.n_points
-    ms = (splitmix64(_SPOT_SEED ^ u_index, np.arange(_spot_count(n, f.d))) % np.uint64(n)).tolist()
+def _spot_check(f: FnTable, u_index: int, ms: list[int], floats: np.ndarray) -> int:
+    """Exactly recompute the cells ms, each summed at the float transform's
+    roots (so exactly at p = 2); return how many of the float magnitudes
+    floats, read at ms, disagree."""
     rows = np.array([exact_cell(f, u_index, m).coeffs for m in ms], dtype=np.float64)
     exact = np.abs(rows @ _roots(f.params.p))
-    bad = np.abs(mags[ms] - exact) > _FAST_REL_TOL * np.maximum(exact, 1.0)
-    return len(ms), int(np.count_nonzero(bad))
+    return int(np.count_nonzero(np.abs(floats - exact) > _FAST_REL_TOL * np.maximum(exact, 1.0)))
 
 
 def _first_off_target(mags: np.ndarray, target: float) -> int | None:
@@ -633,22 +643,25 @@ def is_bent_fast(f: FnTable) -> FastBentVerdict:
     spot checks recompute m = splitmix64(0x5BD1E995 ^ u, i) mod N for i < k,
     k = min(256, N // 100, 2**26 // (N*(d+1))) and at least 1, N = q^d; a
     magnitude disagrees when it misses the exact one by over 1e-9 relative.
+    Each u runs the flatness test and the witness first, then reads its
+    magnitudes at the sampled cells and frees them, and only then sums the
+    exact cells.
     """
-    params = f.params
-    target = float(f.n_points)
+    params, n = f.params, f.n_points
+    target = float(n)
     witness: FastBentWitness | None = None
     sampled = mismatches = 0
     for u_index in range(1, params.q):
         mags = walsh_fast_all(f, params.from_index(u_index))
-        k, bad = _spot_check(f, u_index, mags)
-        sampled += k
-        mismatches += bad
         m = None if witness is not None else _first_off_target(mags, target)
         if m is not None:
             witness = FastBentWitness(
                 params.from_index(u_index), PointVector.from_index(params, f.d, m), float(mags[m] * mags[m])
             )
-        mags = None  # freed before the next transform
+        ms = (splitmix64(_SPOT_SEED ^ u_index, np.arange(_spot_count(n, f.d))) % np.uint64(n)).tolist()
+        floats, mags = mags[ms], None  # freed before the exact cells and the next transform
+        sampled += len(ms)
+        mismatches += _spot_check(f, u_index, ms, floats)
     return FastBentVerdict(witness is None, witness, sampled, mismatches)
 
 

@@ -327,6 +327,23 @@ def test_float32_walsh_hadamard_passes_are_exact():
     assert verdict.witness.m.index == 0 and verdict.witness.abs_sq_float == 2.0**40
 
 
+@pytest.mark.parametrize("d", range(1, 15))
+def test_f2_passes_in_the_result_match_float32_passes_then_a_float64_copy(d):
+    # both parities of d, so both starting halves; the passes must also be
+    # the exact integer transform, whatever the BLAS thread count
+    f2 = make_field(2)
+    tables = [random_function(f2, d, d)] + ([get_function("bool_quadratic", f2, d=d)] if d % 2 == 0 else [])
+    for f in tables:
+        exponents = spectrum._trace_exponents(f, 1)
+        h = spectrum._gather(spectrum._roots(2)[None], exponents)
+        passes = spectrum._butterfly(h, np.empty_like(h), spectrum._butterfly_matrix(2)[None], d)[0]
+        want = np.abs(passes).astype(np.float64)
+        got = walsh_fast_all(f, f2.from_index(1))
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == _walsh_hadamard_reference(f.values).tobytes()
+
+
 @pytest.mark.parametrize(
     "f,u",
     [
@@ -735,7 +752,7 @@ def test_identity_skip_matches_the_gather_and_fires_only_on_an_identity_gram(mon
 
     monkeypatch.setattr(spectrum, "_in_m_order", always_gather)
     gathered = [spectra(f, [1])[0] for f in cases]
-    assert gathers == [1] * 4
+    assert gathers == [1] * 3  # over F_2 walsh_fast_all is in m order and never places
     for a, b in zip(skipped, gathered):
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -1221,6 +1238,36 @@ def test_spot_checks_call_exact_cell_once_per_sampled_cell(monkeypatch, make):
     assert verdict.certified
     assert len(calls) == verdict.sampled > 0
     assert transforms == list(range(1, f.params.q))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: get_function("square", make_field(5, 2)),
+        lambda: get_function("bool_quadratic", make_field(2), d=8),
+        lambda: random_function(make_field(7), 3, 4),
+    ],
+    ids=["square_F25", "bool_quadratic_F2^8", "random_F7^3"],
+)
+def test_spot_checks_run_after_the_magnitudes_are_freed(monkeypatch, make):
+    f = make()
+    results = {}
+    dead_at_first_cell = {}
+    transform, original = spectrum.walsh_fast_all, spectrum.exact_cell
+
+    def recording_transform(f, u):
+        mags = transform(f, u)
+        results[u.index] = weakref.ref(mags)
+        return mags
+
+    def checking(f, u_index, m_index):
+        dead_at_first_cell.setdefault(u_index, results[u_index]() is None)
+        return original(f, u_index, m_index)
+
+    monkeypatch.setattr(spectrum, "walsh_fast_all", recording_transform)
+    monkeypatch.setattr(spectrum, "exact_cell", checking)
+    is_bent_fast(f)
+    assert dead_at_first_cell == {u: True for u in range(1, f.params.q)}
 
 
 def test_spot_check_sample_is_the_seeded_counter_stream(monkeypatch):
