@@ -27,7 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Generator, Iterable, Iterator, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -90,16 +90,25 @@ def _frequency_map(params: FieldParams, d: int, u_index: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=4)  # at most 4 * 30**2 * 31**2 float32s, 14 MB
-def _pass_matrix(p: int) -> np.ndarray:
-    """One exact size-p pass on (slot, t) pairs in the reduced basis 1, zeta,
-    ..., zeta**(p-2), where zeta**(p-1) = -(1 + ... + zeta**(p-2)): out[k, s]
-    = sum_t h[t] * zeta^(-s*t) = sum_(j,t) h[j, t] * ([e == k] - [e == p-1])
-    with e = (j - s*t) mod p, so each column has at most two nonzero +-1
-    entries per digit t.  At p = 2 it is the Walsh-Hadamard matrix."""
-    k, j, t, s = np.ogrid[: p - 1, : p - 1, :p, :p]
-    e = (j - s * t) % p
-    m = ((e == k).astype(np.float32) - (e == p - 1)).reshape(p - 1, (p - 1) * p, p)
+def _digit_products(p: int, g: int) -> np.ndarray:
+    """s.t mod p for every pair of g-digit tuples s and t over F_p, indexed by
+    their base-p values, in the narrowest type that holds s.t."""
+    digits = (np.arange(p**g)[:, None] // p ** np.arange(g) % p).astype(np.min_scalar_type(g * (p - 1) ** 2))
+    return digits @ digits.T % p
+
+
+@lru_cache(maxsize=4)  # at most 4 * 30**2 * 31**2 float32s, 14 MB: g > 1 only where the side is <= 128
+def _pass_matrix(p: int, g: int = 1) -> np.ndarray:
+    """g exact size-p passes at once, on (slot, digits) pairs in the reduced
+    basis 1, zeta, ..., zeta**(p-2), where zeta**(p-1) = -(1 + ... +
+    zeta**(p-2)): row (j, t) and column (k, s), for g-digit tuples t and s,
+    hold [e == k] - [e == p-1] with e = (j - s.t) mod p, so that h @ m is
+    sum_t h[t] * zeta^(-s.t) in that basis.  That is the product of g
+    one-axis passes; every entry is 0 or +-1, with at most two nonzeros per
+    digit tuple t in each column.  At p = 2 it is the Walsh-Hadamard matrix."""
+    k, e = np.arange(p - 1), (np.arange(p - 1)[:, None, None] - _digit_products(p, g)) % p  # e[j, t, s]
+    e = e[:, :, None, :]  # [j, t, k, s]
+    m = ((e == k[:, None]).astype(np.float32) - (e == p - 1)).reshape((p - 1) * p**g, -1)
     m.setflags(write=False)
     return m
 
@@ -124,17 +133,60 @@ def _gather(table: np.ndarray, exponents: np.ndarray, h: np.ndarray | None = Non
     return h
 
 
-def _butterfly(h: np.ndarray, out: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """n size-p passes over h, shaped (c, N) with c slots per point and
+_SLAB = 1 << 18  # elements of scratch beside a transform: a rotating pass's spare, or a slab and its product
+_WIDTH = 128  # the widest group of (slot, digits) pairs that a grouped pass takes, where p allows g > 1
+
+
+def _butterfly(
+    h: np.ndarray, w: Callable[[int], np.ndarray], n: int, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """The n size-p passes over h, shaped (c, N) with c slots per point and
     overwritten, in transform order: column perm[m] holds frequency m (see
-    _frequency_map and _in_m_order).  w, shaped (c, c*p, p), maps one axis's
-    (slot, digit) pairs to each slot's p outputs.  Each pass moves the
-    leading digit axis to the end, alternating h and the spare buffer out,
-    of h's shape and type; the last pass lands in out for odd n, in h for even n."""
-    c, p = w.shape[0], w.shape[2]
-    for _ in range(n):
-        np.matmul(h.reshape(c * p, -1).T, w, out=out.reshape(c, -1, p))
-        h, out = out, h
+    _frequency_map and _in_m_order).  w(g) is the pass over g digit axes (see
+    _pass_matrix).  Beside h the passes hold one slab: min(h.size, _SLAB)
+    elements of scratch (h.size for a complex h), allocated if it is None.
+
+    A real h larger than a slab is passed in place, in consecutive groups of
+    digit axes, as few as c*p**g <= 128 allows for a group of g (and one axis
+    at least), their sizes at most one apart.  For a group, h is viewed as
+    (c, A, p**g, B) and copied out a slab at a time as (c*p**g, columns) in
+    runs along B, multiplied by w(g) into the scratch's other half and
+    copied back.  Any other h takes one axis per pass, each moving the
+    leading axis to the end between h and the scratch, so that n passes
+    restore the order.  The result is returned: h, or after an odd n the
+    scratch, which is copied back into h only if the caller gave it.  A
+    complex h is never grouped, which would reorder its rounded sums."""
+    c = len(h)
+    if h.size <= _SLAB or h.dtype.kind == "c":
+        w1 = w(1)
+        p = len(w1) // c
+        b = np.empty_like(h) if scratch is None else scratch.reshape(-1)[: h.size].reshape(h.shape)
+        a, w1 = h, w1.reshape(c * p, c, p).transpose(1, 0, 2)  # [k, (j, t), s]
+        for _ in range(n):
+            np.matmul(a.reshape(c * p, -1).T, w1, out=b.reshape(c, -1, p))
+            a, b = b, a
+        if a is h or scratch is None:
+            return a
+        np.copyto(h, a)
+        return h
+    p = round(h.shape[1] ** (1 / n))  # h holds p**n points
+    scratch = np.empty(_SLAB, h.dtype) if scratch is None else scratch.reshape(-1)[:_SLAB]
+    most, half, axis = 1, _SLAB // 2, 0
+    while c * p ** (most + 1) <= _WIDTH:
+        most += 1
+    groups = -(-n // most)
+    for g in (n // groups + (i < n % groups) for i in range(groups)):
+        m, width, after = w(g).T, c * p**g, p ** (n - axis - g)
+        v = h.reshape(c, -1, p**g, after)
+        run, lead = min(after, half // width), max(1, half // width // after)  # a slab's extents along B and A
+        for i in range(0, v.shape[1], lead):
+            for j in range(0, after, run):
+                block = v[:, i : i + lead, :, j : j + run]
+                x = scratch[: block.size].reshape(c, p**g, *block.shape[1:4:2])
+                np.copyto(x, block.transpose(0, 2, 1, 3))
+                y = np.matmul(m, x.reshape(width, -1), out=scratch[half : half + block.size].reshape(width, -1))
+                np.copyto(block, y.reshape(x.shape).transpose(0, 2, 1, 3))
+        axis += g
     return h
 
 
@@ -160,17 +212,19 @@ def _exact_coeff_rows(
     (N, p - 1) float32 view of slot-major rows in transform order: row
     perm[m] (see _frequency_map) is CycInt's normal form of S(u, m) less its
     zero last slot.  Slot k counts the points at zeta**k less those at
-    zeta**(p-1), so |entry| <= N; with two +-1 pass entries per digit, every
-    partial sum a BLAS kernel forms is at most 2N <= 2**21 < 2**24 in
-    absolute value, so float32 is exact.
+    zeta**(p-1), so |entry| <= N; with at most two +-1 pass entries per digit
+    tuple in a column, every partial sum a BLAS kernel forms, over one axis
+    or a group of them, is at most 2N <= 2**21 < 2**24 in absolute value, so
+    float32 is exact at any thread count.  Beside the rows, the passes hold
+    at most one slab of scratch (see _butterfly).
     """
     p = params.p
     _require_exact_size(p, d * params.ell)
-    w = _pass_matrix(p)
-    h = _gather(w[:, :p, -1], exponents)  # column e at j = 0, s = -1 is zeta**e
+    w = partial(_pass_matrix, p)
+    h = _gather(w(1)[:p, p - 1 :: p].T, exponents)  # row e at j = 0, column s = p - 1 of each slot is zeta**e
     if members is not None:
         h *= members
-    return _butterfly(h, np.empty_like(h), w, d * params.ell).T
+    return _butterfly(h, w, d * params.ell).T
 
 
 # One read-only slot: the float transform and the spot-check oracle of one u
@@ -198,13 +252,13 @@ def _trace_exponents(f: FnTable, u_index: int) -> np.ndarray:
     return slot[2]
 
 
-_CHUNK = 1 << 15  # rows per |S|^2 table: at most 2**15 * 31 float64s, 8 MB
+_CHUNK = 1 << 13  # rows per |S|^2 table: a table and its float64 slots hold 2p - 1 float64s a row
 
 
 def _abs_sq_tables(rows: np.ndarray) -> Iterator[np.ndarray]:
     """Unreduced |S|^2 of the reduced rows of an exact transform (see
-    _exact_coeff_rows), in their order, as one (C, p) float64 table per 2**15
-    rows, so that no table of a whole transform is built: t[i, k] is the
+    _exact_coeff_rows), in their order, as one (C, p) float64 table per
+    _CHUNK rows, so that no table of a whole transform is built: t[i, k] is the
     coefficient of zeta^k in S_i*conj(S_i), sum_s rows[i, s]*rows[i, s+k mod
     p] over the slots below p - 1.  That differs from the table of p-slot
     rows by a constant per row, which changes no value.  Column k is two
@@ -490,15 +544,16 @@ def _witness(
 ) -> BentWitness:
     """The least failing cell of u under the witness rule, from its columns
     placed by perm (see _in_m_order), which are not flat; its exact value is
-    the |S|^2 row at its transform position, of t if whole, else of rows."""
+    the |S|^2 row at its transform position, of t if whole, else of rows,
+    normalized (last slot 0) as exact_cell normalizes its counts."""
     params = f.params
     m_index = _witness_m(*columns, f.n_points)
     i = m_index if perm is None else perm[m_index]
-    row = next(_abs_sq_tables(rows[i : i + 1]))[0] if t is None else t[i]
+    row = (next(_abs_sq_tables(rows[i : i + 1]))[0] if t is None else t[i]).astype(np.int64)
     return BentWitness(
         params.from_index(u_index),
         PointVector.from_index(params, f.d, m_index),
-        CycInt.from_coeffs(params.p, row.astype(np.int64).tolist()),
+        CycInt(params.p, tuple((row - row[-1]).tolist())),
     )
 
 
@@ -526,12 +581,14 @@ def is_bent_exact(f: FnTable) -> BentVerdict:
 # Fast transform path.
 
 
-@lru_cache(maxsize=1)  # 16 * p**2 bytes: 2.7 KB at p = 13, 16 MB at p = 1009
-def _butterfly_matrix(p: int) -> np.ndarray:
-    """The float size-p pass, w[j, k] = zeta^(-j*k).  The fast path runs
-    every u of one table in a row, so one entry serves all q - 1 of them."""
+@lru_cache(maxsize=2)  # 16 * p**2 bytes at odd p: 2.7 KB at p = 13, 16 MB at p = 1009
+def _butterfly_matrix(p: int, g: int = 1) -> np.ndarray:
+    """The float pass over g digit axes, w[t, s] = zeta^(-s.t) on g-digit
+    tuples.  Only p = 2 takes g > 1 (see _butterfly), where w is the g-th
+    Kronecker power of the float32 Walsh-Hadamard matrix.  The fast path runs
+    every u of one table in a row, so the entries serve all q - 1 of them."""
     if p == 2:
-        w = np.array([[1.0, 1.0], [1.0, -1.0]], np.float32)
+        w = np.where(_digit_products(2, g), np.float32(-1), np.float32(1))
     else:
         w = np.exp(-2j * math.pi * np.outer(np.arange(p), np.arange(p)) / p)
     w.setflags(write=False)
@@ -548,26 +605,25 @@ def walsh_fast_all(f: FnTable, u: FieldElement) -> np.ndarray:
 
     Floating point for odd p; for p = 2 the float32 Walsh-Hadamard sums are
     integers of size <= 2**20 < 2**24, so exact, and the magnitudes are
-    returned as float64.  Over F_2 the two float32 pass buffers are the
-    halves of the returned array; elsewhere the passes alternate two buffers
-    of their own.
+    returned as float64.  Over F_2 the passes run in the upper float32 half
+    of the returned array, with the lower half as their scratch, and are
+    widened into it in ascending slices: one float64 per point.
     """
     _check_field(f, u)
     params = f.params
     p, n = params.p, f.d * params.ell
     if p**2 > MAX_POINTS:  # the pass matrix has p**2 entries, as the exact one p**4
         raise UnsupportedSize(f"fast transforms take p**2 <= {MAX_POINTS}: p <= 1021")
-    roots, w, exponents = _roots(p)[None], _butterfly_matrix(p)[None], _trace_exponents(f, u.index)
+    roots, w, exponents = _roots(p)[None], partial(_butterfly_matrix, p), _trace_exponents(f, u.index)
     if params.q == 2:  # the transform order is m order (see _in_m_order): nothing is placed
         mags = np.empty(len(exponents))
-        halves = mags.view(np.float32).reshape(2, 1, -1)  # the last of the n passes lands in halves[1]
-        h = _butterfly(_gather(roots, exponents, halves[(n + 1) % 2]), halves[n % 2], w, n)[0]
+        lower, upper = mags.view(np.float32).reshape(2, 1, -1)
+        h = _butterfly(_gather(roots, exponents, upper), w, n, lower)[0]
         np.abs(h, out=h)
         for i in range(0, len(mags), _SLICE):  # ascending: no slice overwrites a float32 still unread
             mags[i : i + _SLICE] = h[i : i + _SLICE]
         return mags
-    h = _gather(roots, exponents)
-    h = _butterfly(h, np.empty_like(h), w, n)[0]
+    h = _butterfly(_gather(roots, exponents), w, n)[0]
     h = np.abs(h, out=h) if p == 2 else np.abs(h)  # frees a complex h before the gather
     return _in_m_order(params, f.d, u.index, h)[1].astype(np.float64, copy=False)
 

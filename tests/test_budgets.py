@@ -78,10 +78,10 @@ sys.exit(code)
 
 EXACT_2POW20_RSS_BUDGET_MB = 48
 FAST_2POW20_RSS_BUDGET_MB = 47
-EXACT_ODD_P_RSS_BUDGET_MB = 384
+EXACT_ODD_P_RSS_BUDGET_MB = 200
 EXACT_BILINEAR_RSS_BUDGET_MB = 56
 DECOMP_RSS_BUDGET_MB = 64
-SALEM_RSS_BUDGET_MB = 52
+SALEM_RSS_BUDGET_MB = 48
 PN_RSS_BUDGET_MB = 112
 PN_DESK_RSS_BUDGET_MB = 64
 SWEEP_RSS_BUDGET_MB = 100
@@ -110,7 +110,7 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             1,
             FAST_2POW20_RSS_BUDGET_MB,
         ),
-        # the exact verdict holds the coefficient rows and one 2**15-row
+        # the exact verdict holds the coefficient rows and one 2**13-row
         # |S|^2 table at a time, never a table of the whole transform
         (
             ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "20", "--exact"],
@@ -118,9 +118,9 @@ RANDOM_1009SQ_FILE = "<random_1009sq.tbl>"  # the catalog's random --p 1009 --d 
             0,
             EXACT_2POW20_RSS_BUDGET_MB,
         ),
-        # 923,521 points in 30 slots: the two pass buffers, then the failing
-        # orbit's rows in transform order and its witness columns, built
-        # 2**15 rows at a time and placed by m (17 bytes a point)
+        # 923,521 points in 30 slots: the rows and one slab of scratch, then
+        # the failing orbit's rows in transform order and its witness
+        # columns, built 2**13 rows at a time and placed by m (17 bytes a point)
         (
             ["test", "bent", "--catalog", "random", "--p", "31", "--d", "4", "--exact"],
             '"verdict": "not_bent"',
@@ -433,27 +433,31 @@ def test_trace_exponents_make_no_point_sized_intp_copy():
 
 
 def test_exact_coeff_rows_hold_few_point_sized_buffers():
-    # the one-byte exponents and the two pass buffers, p - 1 float32s per
-    # point each, the first of them the one-hot gathered 4096 points at a time
-    for p, d, f, bound in [
-        (2, 16, get_function("bool_quadratic", make_field(2), d=16), 1.15),
-        (3, 12, random_function(make_field(3), 12, 1), 2.25),
+    # the one-byte exponents, the rows (p - 1 float32s per point, the one-hot
+    # gathered 4096 points at a time) and the passes' scratch: one slab of
+    # 2**18 float32s, or the whole transform when it is smaller (F_2**16);
+    # never a second buffer of the transform's size
+    for p, d, f in [
+        (2, 16, get_function("bool_quadratic", make_field(2), d=16)),
+        (3, 12, random_function(make_field(3), 12, 1)),
+        (31, 3, random_function(make_field(31), 3, 1)),
     ]:
-        params, buffer = f.params, 8 * p**d
-        spectrum._exact_coeff_rows(params, 4, np.zeros(p**4, dtype=np.int64))  # warm the pass matrix
+        params, n = f.params, p**d
+        rows, slab = 4 * (p - 1) * n, 4 * min((p - 1) * n, spectrum._SLAB)
+        spectrum._exact_coeff_rows(params, d, np.zeros(n, dtype=np.uint8))  # warm the pass matrices
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            rows = spectrum._exact_coeff_rows(params, d, spectrum._trace_exponents(f, 1))
+            got = spectrum._exact_coeff_rows(params, d, spectrum._trace_exponents(f, 1))
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert rows.shape == (p**d, p - 1) and rows.dtype == np.float32
-        assert peak <= bound * buffer
+        assert got.shape == (n, p - 1) and got.dtype == np.float32
+        assert peak <= rows + n + 1.1 * slab
 
 
 def test_abs_sq_table_holds_few_point_sized_buffers():
-    # one 2**15-row table at a time, p = 2 float64 columns, the float64 slots
+    # one 2**13-row table at a time, p = 2 float64 columns, the float64 slots
     # of its rows and the difference of its two columns; no rolled copy of
     # the rows, and no table of the whole transform
     f2, d = make_field(2), 16
@@ -468,8 +472,8 @@ def test_abs_sq_table_holds_few_point_sized_buffers():
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert flat == [True, True]  # bent: |S|^2 = q**d at every m, in two tables
-    assert peak <= 1.75 * buffer
+    assert flat == [True] * 8  # bent: |S|^2 = q**d at every m, in eight tables
+    assert peak <= 0.45 * buffer
 
 
 def test_exact_cell_holds_few_point_sized_buffers():
@@ -514,9 +518,9 @@ def test_indicator_sum_holds_a_few_bytes_per_point():
 
 def test_flat_exact_verdict_builds_no_float_values():
     # a flat verdict reads the tables' exact columns only: at its peak it holds
-    # the pass buffers of the coefficient rows, or the rows and one 2**15-row
-    # table, never a whole table or the float values that a witness or a
-    # report computes from it
+    # the coefficient rows and their passes' scratch, or the rows and one
+    # 2**13-row table, never a whole table or the float values that a
+    # witness or a report computes from it
     f2, d = make_field(2), 16
     buffer = 8 * 2**d
     is_bent_exact(get_function("bool_quadratic", f2, d=4))  # warm the per-field tables
@@ -529,16 +533,16 @@ def test_flat_exact_verdict_builds_no_float_values():
     finally:
         tracemalloc.stop()
     assert verdict.is_bent
-    assert peak <= 3 * buffer
+    assert peak <= 1.25 * buffer
 
 
 def test_failing_exact_verdict_holds_one_table_at_a_time():
     # a failing verdict over F_13**5 (371,293 points, 12 slots) reads its
-    # first orbit's witness columns from one 2**15-row |S|^2 table at a time,
+    # first orbit's witness columns from one 2**13-row |S|^2 table at a time,
     # in transform order, and places only the columns by m: the columns (17
     # bytes a point) and a few tables' worth of temporaries, never a table of
     # the whole transform (104 bytes a point) nor placed rows; the verdict's
-    # own peak stays the butterfly's two pass buffers
+    # own peak is its rows beside those columns, above its passes' scratch
     params, d = make_field(13), 5
     f = random_function(params, d, 5)
     n, p = f.n_points, params.p
@@ -563,7 +567,7 @@ def test_failing_exact_verdict_holds_one_table_at_a_time():
         tracemalloc.stop()
     assert (witness.u.index, witness.m.index) == (1, 0)
     assert columns_peak <= 17 * n + 4 * table
-    assert verdict_peak <= 2 * 4 * (p - 1) * n + n + 4 * table
+    assert verdict_peak <= 4 * (p - 1) * n + 17 * n + n + 4 * table
 
 
 def test_exact_verdict_holds_no_per_orbit_state():
@@ -806,6 +810,8 @@ def test_every_cache_is_bounded():
     caches = _package_caches()
     for cache in (
         spectrum._trace_rows,
+        spectrum._pass_matrix,
+        spectrum._butterfly_matrix,
         field.trace_weights,
         field.mul_matrix,
         field._basis_products,
@@ -819,6 +825,10 @@ def test_every_cache_is_bounded():
         assert cache.cache_info().maxsize >= 4096
     # one entry is ell * q float64s, about 168 MB at F_2**20
     assert spectrum._trace_rows.cache_info().maxsize == 1
+    # the group matrices of one transform: its one-axis pass and at most two
+    # group sizes (exact), or one complex pass or two p = 2 group sizes (fast)
+    assert spectrum._pass_matrix.cache_info().maxsize == 4
+    assert spectrum._butterfly_matrix.cache_info().maxsize == 2
     # read once where they are used: the Gram matrix per placement, the
     # orbit representatives as the walk reaches them
     assert not hasattr(spectrum._gram, "cache_info") and not hasattr(spectrum, "_orbit_reps")

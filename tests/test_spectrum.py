@@ -6,6 +6,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -327,21 +328,110 @@ def test_float32_walsh_hadamard_passes_are_exact():
     assert verdict.witness.m.index == 0 and verdict.witness.abs_sq_float == 2.0**40
 
 
+def _one_axis_pass(p):
+    """Reference: the one-axis exact pass shaped [k, (j, t), s], whose
+    column s of slot k reads h[j, t] at e = (j - s*t) mod p as
+    [e == k] - [e == p - 1]."""
+    k, j, t, s = np.ogrid[: p - 1, : p - 1, :p, :p]
+    e = (j - s * t) % p
+    return ((e == k).astype(np.float32) - (e == p - 1)).reshape(p - 1, (p - 1) * p, p)
+
+
+def _rotating_passes(h, w, n):
+    """Reference: n one-axis passes over h, shaped (c, N), each moving the
+    leading digit axis to the end between h and a spare buffer; w is shaped
+    (c, c*p, p).  n moves restore the order, in which every digit is replaced
+    by its frequency digit."""
+    out = np.empty_like(h)
+    c, p = w.shape[0], w.shape[2]
+    for _ in range(n):
+        np.matmul(h.reshape(c * p, -1).T, w, out=out.reshape(c, -1, p))
+        h, out = out, h
+    return h
+
+
 @pytest.mark.parametrize("d", range(1, 15))
-def test_f2_passes_in_the_result_match_float32_passes_then_a_float64_copy(d):
-    # both parities of d, so both starting halves; the passes must also be
-    # the exact integer transform, whatever the BLAS thread count
+def test_f2_passes_in_the_result_match_float32_passes_then_a_float64_copy(d, monkeypatch):
+    # the passes run in the upper float32 half of the result, with the lower
+    # half as scratch: rotating passes at the default scratch size, and with
+    # 2**11 elements of scratch grouped passes in place from d = 12 on; they
+    # must also be the exact integer transform, whatever the BLAS thread count
     f2 = make_field(2)
     tables = [random_function(f2, d, d)] + ([get_function("bool_quadratic", f2, d=d)] if d % 2 == 0 else [])
-    for f in tables:
-        exponents = spectrum._trace_exponents(f, 1)
-        h = spectrum._gather(spectrum._roots(2)[None], exponents)
-        passes = spectrum._butterfly(h, np.empty_like(h), spectrum._butterfly_matrix(2)[None], d)[0]
-        want = np.abs(passes).astype(np.float64)
-        got = walsh_fast_all(f, f2.from_index(1))
-        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == _walsh_hadamard_reference(f.values).tobytes()
+    for slab in (spectrum._SLAB, 2**11):
+        monkeypatch.setattr(spectrum, "_SLAB", slab)
+        for f in tables:
+            exponents = spectrum._trace_exponents(f, 1)
+            h = spectrum._gather(spectrum._roots(2)[None], exponents)
+            want = np.abs(_rotating_passes(h, spectrum._butterfly_matrix(2)[None], d)[0]).astype(np.float64)
+            got = walsh_fast_all(f, f2.from_index(1))
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == _walsh_hadamard_reference(f.values).tobytes()
+
+
+# d * ell across the group boundaries of the grouped passes: 1, g, g + 1 and
+# 2g + 1 axes at p = 2, 3 and 5 (g = 7, 3 and 2), one-axis groups from p = 7
+# on, and one extension field
+GROUPED_PASS_SPACES = [(2, 1, n) for n in (1, 7, 8, 15)] + [
+    (3, 1, 1), (3, 1, 3), (3, 1, 4), (3, 1, 7),
+    (5, 1, 1), (5, 1, 2), (5, 1, 3), (5, 1, 5),
+    (7, 1, 1), (7, 1, 4), (13, 1, 3), (31, 1, 1), (31, 1, 3), (3, 2, 4),
+]
+
+
+@pytest.mark.parametrize("p,ell,d", GROUPED_PASS_SPACES)
+def test_grouped_passes_match_rotating_passes(p, ell, d, monkeypatch):
+    # at the default scratch size (rotating passes up to one slab, F_31**3
+    # grouped) and with 2**11 elements of scratch, which group every
+    # transform past 2**11 floats and split each group's pass into many
+    # slabs; the sums are exact integers at any BLAS thread count, so the
+    # rows are equal
+    params = make_field(p, ell)
+    f = random_function(params, d, p + d)
+    exponents = spectrum._trace_exponents(f, 1)
+    w = _one_axis_pass(p)
+    want = _rotating_passes(spectrum._gather(w[:, :p, -1], exponents), w, d * ell).T
+    for slab in (spectrum._SLAB, 2**11):
+        monkeypatch.setattr(spectrum, "_SLAB", slab)
+        assert np.array_equal(spectrum._exact_coeff_rows(params, d, exponents), want)
+
+
+def test_every_group_matrix_is_the_product_of_one_axis_passes():
+    # every g the grouping rule can take at each p, g = 1 included: the
+    # matrix is g one-axis passes applied to each basis vector, its entries
+    # are 0 and +-1, with at most two nonzeros per digit tuple t in a column,
+    # so the partial sums of a grouped pass stay <= 2N < 2**24
+    for p in (2, 3, 5, 7, 13, 31):
+        c, w = p - 1, _one_axis_pass(p)
+        for g in range(1, 8):
+            width = c * p**g
+            if g > 1 and width > spectrum._WIDTH:
+                break
+            m = spectrum._pass_matrix(p, g)
+            assert m.dtype == np.float32 and m.shape == (width, width)
+            basis = np.eye(width, dtype=np.float32).reshape(width, c, p**g)
+            want = np.stack([_rotating_passes(e.copy(), w, g).ravel() for e in basis])
+            assert np.array_equal(m, want)
+            assert set(np.unique(m).tolist()) <= {-1.0, 0.0, 1.0}
+            assert np.abs(m).reshape(c, p**g, width).sum(axis=0).max() <= 2
+    hadamard = np.ones((1, 1), np.float32)
+    for g in range(1, 8):  # the fast p = 2 matrix: the Kronecker power of its own one-axis pass
+        hadamard = np.kron(hadamard, spectrum._butterfly_matrix(2))
+        assert np.array_equal(spectrum._butterfly_matrix(2, g), hadamard)
+
+
+@pytest.mark.parametrize("p,ell,d", [(3, 1, 7), (5, 1, 4), (7, 1, 4), (13, 1, 3), (3, 2, 3)])
+def test_complex_passes_are_the_rotating_passes_bit_for_bit(p, ell, d, monkeypatch):
+    # the fast path's complex floats round by the order of their sums, so a
+    # complex transform takes the one-axis rotating passes at any size
+    params = make_field(p, ell)
+    f = random_function(params, d, p)
+    h = spectrum._gather(spectrum._roots(p)[None], spectrum._trace_exponents(f, 1))
+    want = _rotating_passes(h.copy(), spectrum._butterfly_matrix(p)[None], d * ell).tobytes()
+    for slab in (spectrum._SLAB, 2**11):
+        monkeypatch.setattr(spectrum, "_SLAB", slab)
+        assert spectrum._butterfly(h.copy(), partial(spectrum._butterfly_matrix, p), d * ell).tobytes() == want
 
 
 @pytest.mark.parametrize(
@@ -861,7 +951,7 @@ def test_report_reads_float_values_only_where_a_row_is_irrational(monkeypatch):
 
 # Every table of the chunked |S|^2 pass against the whole-table reference:
 # random and bent tables at each p the engine takes, with ell > 1 and d > 1,
-# and three that span several 2**15-row tables (F_3**11 all rational, F_7**6
+# and three that span several 2**13-row tables (F_3**11 all rational, F_7**6
 # and F_2**17 with more than one chunk of rows).
 CHUNKED_TABLES = {
     "random_F2^10": lambda: random_function(make_field(2), 10, 1),
@@ -947,25 +1037,26 @@ def test_orbit_multiples_equal_their_own_reports(name):
     assert all(rep.defined is orbit[0].defined and rep.ints is orbit[0].ints for rep in orbit)
 
 
-# One-table and multi-table transforms at p = 7 and 13, and one table at
-# p = 31: the least multi-table transform there, F_31**4, is 923,521 points.
+# One-table and multi-table transforms at p = 7, 13 and 31: F_31**3 spans
+# four tables of 2**13 rows.
 POSITION_TABLES = {
     "random_F7^3": lambda: random_function(make_field(7), 3, 5),
     "random_F7^6": lambda: random_function(make_field(7), 6, 5),
     "random_F13^2": lambda: random_function(make_field(13), 2, 5),
     "random_F13^5": lambda: random_function(make_field(13), 5, 5),
+    "random_F31^2": lambda: random_function(make_field(31), 2, 5),
     "random_F31^3": lambda: random_function(make_field(31), 3, 5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POSITION_TABLES))
 def test_a_rows_float_value_does_not_depend_on_its_position(name):
-    # _real_values of a row on its own, of that row inside its 2**15-row
+    # _real_values of a row on its own, of that row inside its 2**13-row
     # table, and the magnitude of its cell in the report placed by m are the
     # same bits: the first 500 rows and every 97th row of every table
     f = POSITION_TABLES[name]()
     params, n = f.params, f.n_points
-    assert (n > spectrum._CHUNK) == (name in ("random_F7^6", "random_F13^5"))
+    assert (n > spectrum._CHUNK) == (name in ("random_F7^6", "random_F13^5", "random_F31^3"))
     for u in (1, params.q - 1):
         rows = spectrum._exact_coeff_rows(params, f.d, spectrum._trace_exponents(f, u))
         values = []
@@ -983,7 +1074,7 @@ def test_a_rows_float_value_does_not_depend_on_its_position(name):
 
 
 def test_report_magnitudes_are_the_same_bits_at_every_openblas_thread_count():
-    # random F_7**6 (117,649 points, four 2**15-row tables), one process per
+    # random F_7**6 (117,649 points, fifteen 2**13-row tables), one process per
     # thread count, since OpenBLAS reads its count when it loads
     import hashlib
     import os
@@ -1356,13 +1447,13 @@ def test_pass_matrix_is_the_exact_size_p_pass():
                 for s in range(p):
                     full[(j - s * t) % p, s] += h[j, t]
         w = spectrum._pass_matrix(p)
-        assert w.dtype == np.float32 and w.shape == (p - 1, (p - 1) * p, p)
-        got = (h.reshape(1, (p - 1) * p) @ w)[:, 0]  # reads (slot, t), writes [k, s]
+        assert w.dtype == np.float32 and w.shape == ((p - 1) * p, (p - 1) * p)
+        got = (h.reshape(1, (p - 1) * p) @ w).reshape(p - 1, p)  # reads (slot, t), writes (k, s)
         assert np.array_equal(got, full[:-1] - full[-1])
         # +-1 entries, at most two nonzero per digit t: partial sums stay <= 2N
         assert set(np.unique(w).tolist()) <= {-1.0, 0.0, 1.0}
-        assert np.abs(w).reshape(p - 1, p - 1, p, p).sum(axis=1).max() <= 2
-    assert np.array_equal(spectrum._pass_matrix(2)[0], [[1, 1], [1, -1]])  # Walsh-Hadamard
+        assert np.abs(w).reshape(p - 1, p, (p - 1) * p).sum(axis=0).max() <= 2
+    assert np.array_equal(spectrum._pass_matrix(2), [[1, 1], [1, -1]])  # Walsh-Hadamard
 
 
 def _p_slot_rows(p: int, n: int, exponents: np.ndarray, members=None) -> np.ndarray:
