@@ -4,11 +4,11 @@ An integer in [0, p**n) encodes a length-n vector of base-p digits, little
 endian (digit j has weight p**j).  Every dense table operation in the package
 reduces to componentwise mod-p arithmetic on arrays of such indices, so the
 helpers here work directly on numpy int64 arrays and never materialize Python
-objects.  Every sum or difference of indices goes through the code words of
-`difference_codes`: `add_indices` and `sub_indices` combine two words, and
-the PN scan, the decomposition walk and the distance-1 sweep encode their
-values once and combine words per shift.  For p = 2 an index is its own word
-and combining is XOR.  The one exception, `shift_walk`'s unit step
+objects.  Every sum or difference of indices combines the code words that
+the encoders of `difference_codes`, the one owner of their format, give:
+`add_indices` and `sub_indices` encode two operands, and the PN scan, the
+decomposition walk and the distance-1 sweep encode their values once and
+combine words per shift.  The one exception, `shift_walk`'s unit step
 x -> x + p**j, is the index range with digit j's axis rolled by one.
 """
 
@@ -48,18 +48,13 @@ def residue_product(a, b, p: int) -> np.ndarray:
 
 
 def add_indices(a, b, p: int, n: int):
-    if p == 2:  # each index is its own code word: no gather
-        a, b = np.asarray(a), np.asarray(b)  # XOR sets no bit above its operands': unsigned ones keep their type
-        return np.bitwise_xor(a, b, dtype=None if a.dtype.kind == b.dtype.kind == "u" else np.int64)
     codes = difference_codes(p, n)
-    return codes.combine(codes.plus[a], codes.plus[b])
+    return codes.combine(codes.plus(a), codes.plus(b))
 
 
 def sub_indices(a, b, p: int, n: int):
-    if p == 2:  # -b = b
-        return add_indices(a, b, p, n)
     codes = difference_codes(p, n)
-    return codes.combine(codes.plus[a], codes.minus[b])
+    return codes.combine(codes.plus(a), codes.minus(b))
 
 
 def shift_walk(p: int, n: int):
@@ -113,27 +108,30 @@ def invert_matrix(matrix: np.ndarray, p: int) -> np.ndarray | None:
 GROUP_TABLE_BOUND = 1 << 20
 GROUP_BITS = 21  # bits per group in a code word; a sum of two words stays below 2**21 in each
 
-# plus[b] and minus[c] are intp code words; combine(plus[b], minus[c]) and
-# combine(plus[b], plus[c]) are the indices of b - c and b + c
+# plus(b) and minus(c) encode index arrays as code words; combine(plus(b),
+# minus(c)) and combine(plus(b), plus(c)) are the indices of b - c and b + c
 DifferenceCodes = namedtuple("DifferenceCodes", "plus minus combine")
 
 
-@lru_cache(maxsize=4)  # one space at the cap takes at most about 20 MB
+def _xor(b, c) -> np.ndarray:  # XOR sets no bit above its operands': unsigned ones keep their type
+    return np.bitwise_xor(b, c, dtype=None if b.dtype.kind == c.dtype.kind == "u" else np.int64)
+
+
+@lru_cache(maxsize=4)  # an odd-p space at the cap holds at most about 20 MB of words; p = 2 none
 def difference_codes(p: int, n: int) -> DifferenceCodes:
     """Carry-free code words for b - c and b + c on the indices of F_p**n.
 
-    For p = 2 every index is its own word, -c = c, and combine is XOR.  For
-    odd p each group of digits fills its own bit field, in radix r = 2p - 1:
-    plus[b] holds the digits of b and minus[c] those of -c, so every digit
-    of plus[b] + minus[c] or plus[b] + plus[c] is at most 2p - 2 and the sum
-    never carries.  combine adds two words and maps each field through its
-    group's table to that group's share of the index, as intp, and adds the
-    shares; with one group it is a single gather.
+    plus and minus encode index arrays.  For p = 2 each index is its own
+    word: both are `np.asarray` (no copy, no table), -c = c, and combine is
+    XOR.  For odd p they gather intp words with one bit field per group of
+    digits, in radix r = 2p - 1: plus(b) holds the digits of b and minus(c)
+    those of -c, so no digit of plus(b) + minus(c) or plus(b) + plus(c)
+    passes 2p - 2 and the sum never carries.  combine adds two words, maps
+    each field through its group's table to that group's share of the index
+    (intp) and adds the shares; with one group it is a single gather.
     """
     if p == 2:
-        words = np.arange(2**n, dtype=np.intp)
-        words.setflags(write=False)
-        return DifferenceCodes(words, words, np.bitwise_xor)
+        return DifferenceCodes(np.asarray, np.asarray, _xor)
     r, q = 2 * p - 1, p**n
     width = 1
     while width < n and r ** (width + 1) <= GROUP_TABLE_BOUND:
@@ -157,11 +155,11 @@ def difference_codes(p: int, n: int) -> DifferenceCodes:
         array.setflags(write=False)
     if len(tables) == 1:
         table = tables[0][1]
-        return DifferenceCodes(plus, minus, lambda b, c: table[b + c])
+        return DifferenceCodes(plus.__getitem__, minus.__getitem__, lambda b, c: table[b + c])
     mask = (1 << GROUP_BITS) - 1
 
     def combine(b: np.ndarray, c: np.ndarray) -> np.ndarray:
         words = b + c
         return sum(table[words >> shift & mask] for shift, table in tables)
 
-    return DifferenceCodes(plus, minus, combine)
+    return DifferenceCodes(plus.__getitem__, minus.__getitem__, combine)

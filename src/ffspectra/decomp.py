@@ -178,21 +178,21 @@ def _least_failing_shift(f: FnTable, b: BaseDeltaSet) -> int | None:
     x + g_s is a step of walk digit n-1-s and `_modp.shift_walk` counts the
     shifts over their basis digits, the last fastest.  When walk digit j
     goes up at a, recon[j] holds the reconstruction of a - p**j; appending
-    the term D_{f,g_s}(x + a - p**j) gives a's, which becomes recon[:j + 1].
-    Only the base tables are read on that side, and both sides combine the
-    field's code words (`_modp.difference_codes`).
+    the term D_{f,g_s}(x + a - p**j) gives a's, which becomes recon[:j + 1];
+    recon starts as zeros in the table's dtype.  Only the base tables are
+    read on that side, and both sides combine the field's code words.
     """
     p, n = f.params.p, b.basis.n
     perm = _modp.index_of_digits(
         _modp.residue_product(_modp.digits_of(np.arange(f.n_points), p, n), b.basis.matrix.T[::-1], p), p
     )
     codes = _modp.difference_codes(p, f.params.ell)
-    f_plus, f_minus = codes.plus[f.values[perm]], codes.minus[f.values[perm]]
-    base_plus = [codes.plus[t.values[perm]] for t in reversed(b.tables)]
-    recon = [np.zeros(f.n_points, dtype=np.intp)] * n
+    f_plus, f_minus = codes.plus(f.values[perm]), codes.minus(f.values[perm])
+    base_plus = [codes.plus(t.values[perm]) for t in reversed(b.tables)]
+    recon = [np.zeros(f.n_points, dtype=f.values.dtype)] * n
     least = None
     for a, j, before, after in _modp.shift_walk(p, n):
-        recon[: j + 1] = [codes.combine(codes.plus[recon[j]], base_plus[j][before])] * (j + 1)
+        recon[: j + 1] = [codes.combine(codes.plus(recon[j]), base_plus[j][before])] * (j + 1)
         if not np.array_equal(recon[0], codes.combine(f_plus[after], f_minus)):
             least = int(perm[a]) if least is None else min(least, int(perm[a]))
     return least

@@ -47,11 +47,11 @@ class FnTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d", _refuse_past_cap(self.params.q, self.d))
-        n = self.params.q**self.d
+        n, q = self.params.q**self.d, self.params.q
         arr = np.asarray(self.values)
         try:  # never rounded or parsed to an index: each object is read as operator.index reads it
-            if arr.dtype.kind == "O":
-                arr = np.array([operator.index(v) for v in arr.flat], dtype=np.int64).reshape(arr.shape)
+            if arr.dtype.kind == "O":  # clamped to [-1, q], refused below: no int past int64 is cast
+                arr = np.array([min(max(operator.index(v), -1), q) for v in arr.flat], np.int64).reshape(arr.shape)
             elif arr.dtype.kind not in "iub":
                 raise TypeError
         except TypeError:
@@ -59,9 +59,9 @@ class FnTable:
         if arr.shape != (n,):
             raise ValueError(f"table must have exactly {n} values")
         # checked on the source, so that a value >= q cannot wrap into range in the cast
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= self.params.q):
+        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= q):
             raise ValueError("table values must be element indices in [0, q)")
-        arr = arr.astype(np.min_scalar_type(self.params.q - 1))  # the one copy the table owns
+        arr = arr.astype(np.min_scalar_type(q - 1))  # the one copy the table owns
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -296,12 +296,13 @@ def _pn_scan(params: FieldParams, d: int, values: np.ndarray) -> PnWitness | Non
     over-hit value; None when every shift passes.
 
     `_modp.shift_walk` gives x + a, and with the values encoded once as the
-    field's code words, f(x + a) - f(x) is one combine of two words.
+    field's code words (over F_2 the values themselves), f(x + a) - f(x) is
+    one combine of two words.
     """
     p, q, n = params.p, params.q, values.shape[0]
     expected = n // q
     codes = _modp.difference_codes(p, params.ell)
-    plus, minus = codes.plus[values], codes.minus[values]
+    plus, minus = codes.plus(values), codes.minus(values)
     for a_index, _, _, at in _modp.shift_walk(p, d * params.ell):
         delta = codes.combine(plus[at], minus)
         counts = np.bincount(delta, minlength=q)

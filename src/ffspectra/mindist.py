@@ -157,8 +157,8 @@ def _witnesses(codes, up: np.ndarray, down: np.ndarray, v: np.ndarray, dtype) ->
     up, down, v = np.broadcast_arrays(up, down, v)
     a1, a2 = np.empty((2, *v.shape), dtype)
     for rows in (slice(i, i + 16) for i in range(0, len(v), 16)):
-        a1[rows] = codes.combine(codes.plus[up[rows]], codes.minus[v[rows]])
-        a2[rows] = codes.combine(codes.plus[v[rows]], codes.minus[down[rows]])
+        a1[rows] = codes.combine(codes.plus(up[rows]), codes.minus(v[rows]))
+        a2[rows] = codes.combine(codes.plus(v[rows]), codes.minus(down[rows]))
     return np.minimum(a1, a2), (a1 == a2) + np.uint8(2)
 
 

@@ -35,6 +35,8 @@ SMALL_EXTENSIONS = ((3, 2), (5, 2), (3, 3), (7, 2))
 def two_digit_groups(monkeypatch):
     """Within the block, F_27's code words take two digit groups: a bound of
     (2p - 1)**2 = 25 entries per group table holds two of its three digits."""
+    import numpy as np
+
     from ffspectra import _modp
 
     with monkeypatch.context() as m:
@@ -42,7 +44,7 @@ def two_digit_groups(monkeypatch):
         _modp.difference_codes.cache_clear()
         try:
             # the second group fills the bit field above the first
-            assert int(_modp.difference_codes(3, 3).plus.max()) >> _modp.GROUP_BITS
+            assert int(_modp.difference_codes(3, 3).plus(np.arange(27)).max()) >> _modp.GROUP_BITS
             yield
         finally:
             _modp.difference_codes.cache_clear()

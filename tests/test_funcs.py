@@ -230,15 +230,18 @@ def test_every_table_holds_the_narrowest_unsigned_type(params, d, narrow, tmp_pa
     assert tables["FnTable"] == tables["load_table"] == f
 
 
-@pytest.mark.parametrize("bad", [256, 300, 65536 + 7, -1, -256])
+@pytest.mark.parametrize("bad", [256, 300, 65536 + 7, -1, -256, 2**70, -(2**70)])
 def test_a_value_that_would_wrap_in_the_cast_is_refused(bad, tmp_path):
     # 300 is 44 as a uint8 and -1 is 255: the range is checked on the values
-    # as given, before the table's uint8 copy is made
-    for dtype in (np.int64, np.int32, object):
+    # as given, before the table's uint8 copy is made; +-2**70 fits no
+    # integer dtype, so it comes as a Python int in an object array or a list
+    for dtype in (np.int64, np.int32, object) if abs(bad) < 2**31 else (object,):
         values = np.zeros(256, dtype=dtype)
         values[5] = bad
         with pytest.raises(ValueError, match=r"element indices in \[0, q\)"):
             FnTable(F256, 1, values)
+    with pytest.raises(ValueError, match=r"element indices in \[0, q\)"):
+        FnTable(F256, 1, [0] * 255 + [bad])
     if bad > 0:
         path = tmp_path / "bad.tbl"
         path.write_text("2 8 1\n1 1 0 1 1 0 0 0 1\n" + " ".join(["0"] * 255 + [str(bad)]) + "\n")

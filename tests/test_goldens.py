@@ -3,10 +3,12 @@
 Each case runs one command with `--emit` into a fresh directory and
 compares the exit code, stdout and every emitted file with the copies
 under tests/goldens/<case>/.  The goldens were captured before the exact
-|S|^2 engine and the CLI output path were refactored; regenerate them only
-for an intended output change, with
+|S|^2 engine and the CLI output path were refactored.  Capture a new case,
+or regenerate an old one for an intended output change, by name, with
 
-    PYTHONPATH=src python tests/test_goldens.py
+    PYTHONPATH=src python tests/test_goldens.py NAME ...
+
+which rewrites only the named cases; with no names it rewrites every case.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ GOLDENS = Path(__file__).parent / "goldens"
 CASES = {
     "pn_square_p5": ["test", "pn", "--catalog", "square", "--p", "5"],
     "pn_power_p5_not_pn": ["test", "pn", "--catalog", "power", "--p", "5", "--params", "e=3"],
+    "pn_random_p2_d6_not_pn": ["test", "pn", "--catalog", "random", "--p", "2", "--d", "6", "--seed", "1"],
+    "pn_bilinear_q4_d2": ["test", "pn", "--catalog", "bilinear", "--p", "2", "--ell", "2", "--d", "2"],
     "bent_exact_square_q9": ["test", "bent", "--catalog", "square", "--p", "3", "--ell", "2", "--exact"],
     "bent_exact_bool_quadratic_d4": ["test", "bent", "--catalog", "bool_quadratic", "--p", "2", "--d", "4", "--exact"],
     "bent_exact_affine_p7_not_bent": ["test", "bent", "--catalog", "affine", "--p", "7", "--exact"],
@@ -52,6 +56,8 @@ CASES = {
     "salem_thm1_affine_p5_hypothesis_failed": ["salem", "verify-thm1", "--catalog", "affine", "--p", "5"],
     "decomp_square_p5": ["decomp", "verify", "--catalog", "square", "--p", "5"],
     "decomp_bilinear_q9_basis": ["decomp", "verify", "--catalog", "bilinear", "--p", "3", "--basis", "1,4"],
+    "decomp_random_p2_d6": ["decomp", "verify", "--catalog", "random", "--p", "2", "--d", "6", "--seed", "1"],
+    "decomp_bilinear_q4_basis": ["decomp", "verify", "--catalog", "bilinear", "--p", "2", "--ell", "2", "--d", "2", "--basis", "1,6,4,11"],
     "mindist_sweep_square_p7": ["mindist", "sweep", "--catalog", "square", "--p", "7"],
     "mindist_sweep_affine_p5_not_planar_base": ["mindist", "sweep", "--catalog", "affine", "--p", "5"],
     "catalog_list": ["catalog", "list"],
@@ -81,14 +87,18 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert files == _files(golden / "emit")
 
 
-def capture() -> None:
-    """Rewrite tests/goldens from the current sources."""
-    shutil.rmtree(GOLDENS, ignore_errors=True)
-    for name, argv in sorted(CASES.items()):
+def capture(names: list[str]) -> None:
+    """Rewrite the named cases under tests/goldens, or every case when no
+    name is given, from the current sources."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {', '.join(unknown)}")
+    for name in sorted(names or CASES):
         golden = GOLDENS / name
+        shutil.rmtree(golden, ignore_errors=True)
         golden.mkdir(parents=True)
         with tempfile.TemporaryDirectory() as tmp:
-            code, stdout, files = _run(argv, Path(tmp) / "emit")
+            code, stdout, files = _run(CASES[name], Path(tmp) / "emit")
         (golden / "exit_code").write_text(f"{code}\n")
         (golden / "stdout").write_bytes(stdout.encode("ascii"))
         for fname, data in files.items():
@@ -98,4 +108,4 @@ def capture() -> None:
 
 
 if __name__ == "__main__":
-    capture()
+    capture(sys.argv[1:])

@@ -91,25 +91,25 @@ def test_difference_codes_match_digit_subtraction():
         else:
             b, c = rng.integers(0, q, (2, pairs))
         codes = _modp.difference_codes(p, n)
-        assert codes.plus.dtype == codes.minus.dtype == np.intp
+        plus, minus = codes.plus(np.arange(q)), codes.minus(np.arange(q))
         if p == 2:  # each index is its own word, and combining is XOR
             assert codes.minus is codes.plus
-            assert np.array_equal(codes.plus, np.arange(q))
-            assert codes.combine is np.bitwise_xor
+            assert np.array_equal(plus, np.arange(q))
         else:
             # the words fill exactly n_groups bit fields, and the largest sum
             # of two words in a field, the last index of that group's table,
             # keeps each table within GROUP_TABLE_BOUND entries
-            bits = int(codes.plus.max()).bit_length()
+            assert plus.dtype == minus.dtype == np.intp
+            bits = int(plus.max()).bit_length()
             assert _modp.GROUP_BITS * (n_groups - 1) < bits <= _modp.GROUP_BITS * n_groups
             mask = (1 << _modp.GROUP_BITS) - 1
             for shift in range(0, bits, _modp.GROUP_BITS):
-                top = sum(int((words >> shift & mask).max()) for words in (codes.plus, codes.minus))
+                top = sum(int((words >> shift & mask).max()) for words in (plus, minus))
                 assert top < _modp.GROUP_TABLE_BOUND
-        got = codes.combine(codes.plus[b], codes.minus[c])
+        got = codes.combine(codes.plus(b), codes.minus(c))
         assert got.dtype == np.intp
         assert np.array_equal(got, _digit_sum(b, c, p, n, -1))
-        got = codes.combine(codes.plus[b], codes.plus[c])
+        got = codes.combine(codes.plus(b), codes.plus(c))
         assert np.array_equal(got, _digit_sum(b, c, p, n, 1))
 
 
@@ -119,7 +119,7 @@ def test_add_sub_indices_on_two_group_point_spaces():
     rng = np.random.default_rng(5)
     for p, n in ((3, 12), (5, 8)):
         q = p**n
-        assert int(_modp.difference_codes(p, n).plus.max()) >> _modp.GROUP_BITS
+        assert int(_modp.difference_codes(p, n).plus(np.arange(q)).max()) >> _modp.GROUP_BITS
         a, b = rng.integers(0, q, (2, 10**4))
         for sign, op in ((1, _modp.add_indices), (-1, _modp.sub_indices)):
             assert np.array_equal(op(a, b, p, n), _digit_sum(a, b, p, n, sign))
